@@ -80,7 +80,6 @@ __all__ = [
     "LocallyCentralDaemon",
     "DistributedRandomDaemon",
     "WeaklyFairDaemon",
-    "AdversarialDaemon",
     "ScriptedDaemon",
     "SearchDaemon",
     "GreedyAdversary",
@@ -115,12 +114,3 @@ __all__ = [
     "probes",
 ]
 
-
-def __getattr__(name: str):
-    # Forward the AdversarialDaemon deprecation shim (moved to
-    # repro.adversary.search) without importing it eagerly.
-    if name == "AdversarialDaemon":
-        from .core import daemon
-
-        return daemon.AdversarialDaemon
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,7 +5,8 @@ records; :func:`summarize_trials` groups them by any attribute combination
 and summarizes any metric, which is what custom analyses outside the
 built-in experiments usually need::
 
-    trials = sweep(run_unison_trial, nets, range(10), scenario="gradient")
+    trials = [run_network_trial("unison", net, seed=seed, scenario="gradient")
+              for net in nets for seed in range(10)]
     for key, summary in summarize_trials(trials, "moves", by=("n",)).items():
         print(key, summary)
 """

@@ -35,15 +35,6 @@ from .simulator import BACKENDS, RunResult, Simulator
 from .trace import StepRecord, Trace
 
 
-def __getattr__(name: str):
-    # Forward the AdversarialDaemon deprecation shim (moved to
-    # repro.adversary.search) without importing it eagerly.
-    if name == "AdversarialDaemon":
-        from . import daemon
-
-        return daemon.AdversarialDaemon
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "Algorithm",
     "BACKENDS",
@@ -55,7 +46,6 @@ __all__ = [
     "LocallyCentralDaemon",
     "DistributedRandomDaemon",
     "WeaklyFairDaemon",
-    "AdversarialDaemon",
     "ScriptedDaemon",
     "make_daemon",
     "daemon_kind_known",

@@ -18,8 +18,7 @@ exists to drive benchmarks toward interesting corners of that ∀-quantifier:
 
 The greedy scored ``AdversarialDaemon`` moved to
 :mod:`repro.adversary.search`, where it is the decode-tier fallback of
-the schedule-search daemons; importing it from here still works through
-a deprecation shim.  :func:`make_daemon` accepts ``adversarial`` and
+the schedule-search daemons.  :func:`make_daemon` accepts ``adversarial`` and
 ``adversarial:<strategy>`` (e.g. ``adversarial:greedy``,
 ``adversarial:beam-2x2``, ``adversarial:delay``) and builds the search
 daemon lazily.
@@ -44,7 +43,6 @@ __all__ = [
     "LocallyCentralDaemon",
     "DistributedRandomDaemon",
     "WeaklyFairDaemon",
-    "AdversarialDaemon",
     "ScriptedDaemon",
     "DAEMON_KINDS",
     "make_daemon",
@@ -215,24 +213,6 @@ class WeaklyFairDaemon(Daemon):
             chosen[u] = self._pick_rule(enabled[u], rng)
             self._waiting[u] = 0
         return chosen
-
-
-def __getattr__(name: str):
-    # Deprecation shim: AdversarialDaemon moved to repro.adversary.search
-    # (its tie-break now uses the canonical ``(score, -u, rule)`` key).
-    if name == "AdversarialDaemon":
-        import warnings
-
-        from ..adversary.search import AdversarialDaemon
-
-        warnings.warn(
-            "repro.core.daemon.AdversarialDaemon moved to "
-            "repro.adversary.search; import it from repro.adversary",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return AdversarialDaemon
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ScriptedDaemon(Daemon):

@@ -39,7 +39,7 @@ that do not import the engine (``tables``, ``figures``) or lazily inside
 functions (``runner``).
 """
 
-from .campaign import KNOWN_ALGORITHMS, Campaign, TrialSpec
+from .campaign import Campaign, TrialSpec
 from .pool import FailurePolicy, default_chunksize, execute_trial, run_specs
 from .reports import (
     aggregate,
@@ -58,7 +58,6 @@ from .store import (
 )
 
 __all__ = [
-    "KNOWN_ALGORITHMS",
     "Campaign",
     "TrialSpec",
     "derive_seed",

@@ -18,11 +18,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .seeds import derive_seed
 
-__all__ = ["KNOWN_ALGORITHMS", "TrialSpec", "Campaign"]
-
-#: Algorithms the descriptor-driven runner knows how to dispatch
-#: (see :func:`repro.harness.runner.run_trial`).
-KNOWN_ALGORITHMS = ("unison", "boulinier", "fga")
+__all__ = ["TrialSpec", "Campaign"]
 
 #: Params that select *how* a trial executes, not *what* it measures —
 #: excluded from the canonical key (and hence from seed derivation), so
@@ -176,11 +172,18 @@ class Campaign:
         for axis in ("algorithms", "topologies", "sizes", "scenarios", "daemons"):
             if not getattr(self, axis):
                 raise ValueError(f"campaign axis {axis!r} is empty")
-        unknown = [a for a in self.algorithms if a not in KNOWN_ALGORITHMS]
+        # Names and scenarios come from the trial pipeline's algorithm
+        # registry; imported lazily, since the harness imports the engine.
+        from ..harness.runner import ALGORITHMS, scenario_start
+
+        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ValueError(
-                f"unknown algorithm(s) {unknown}; choose from {list(KNOWN_ALGORITHMS)}"
+                f"unknown algorithm(s) {unknown}; choose from {list(ALGORITHMS)}"
             )
+        for algorithm in self.algorithms:
+            for scenario in self.scenarios:
+                scenario_start(algorithm, scenario)  # rejects undeclared ones
 
     # ------------------------------------------------------------------
     @property

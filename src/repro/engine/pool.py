@@ -110,30 +110,35 @@ def execute_trial(spec: TrialSpec, campaign_seed: int, campaign: str = "") -> di
 
 def execute_batch(
     specs: Sequence[TrialSpec], campaign_seed: int, campaign: str = ""
-) -> list[dict]:
+) -> tuple[list[dict], Exception | None, bool]:
     """Run one grid cell's replicates as a batch; fall back per-trial.
 
-    Record-identical to ``[execute_trial(s, …) for s in specs]`` — the
-    batched runner consumes each trial's derived seed in serial order.
-    If the cell turns out not to be batchable after all
+    Returns ``(records, error, fallback)``.  Records are identical to
+    ``[execute_trial(s, …) for s in specs]`` — the batched runner
+    consumes each trial's derived seed in serial order.  If the cell
+    turns out not to be batchable after all
     (:class:`~repro.core.exceptions.UnbatchableError`: no kernel program
     for this instance, unexpected params), the replicates run serially
-    instead; any other exception is a genuine defect and propagates.
-    A budget-exhausted replicate re-raises its ``NotStabilized`` with
-    the stabilizing siblings' finished store records attached as
-    ``partial_records`` (its ``partial`` holds the raw ``(index,
-    Trial)`` pairs), so callers can persist them without re-running.
+    instead and ``fallback`` is true.  ``NotStabilized`` is not a defect
+    — one replicate ran out of budget — so it comes back as ``error``
+    alongside every record that did land: a batch's stabilizing
+    siblings (nothing is re-run), or a serial fallback's trials before
+    the failing one.  Any other exception is a genuine defect and
+    propagates.
     """
-    from ..core.exceptions import UnbatchableError
+    from ..core.exceptions import NotStabilized, UnbatchableError
 
     try:
-        records, error = _batch_records(specs, campaign_seed, campaign)
+        return (*_batch_records(specs, campaign_seed, campaign), False)
     except UnbatchableError:
-        return [execute_trial(spec, campaign_seed, campaign) for spec in specs]
-    if error is not None:
-        error.partial_records = records
-        raise error
-    return records
+        pass
+    records: list[dict] = []
+    try:
+        for spec in specs:
+            records.append(execute_trial(spec, campaign_seed, campaign))
+    except NotStabilized as exc:
+        return records, exc, True
+    return records, None, True
 
 
 def _make_record(
@@ -155,12 +160,9 @@ def _batch_records(
 ) -> tuple[list[dict], Exception | None]:
     """One cell's ``(records, error)`` via the tiled batch runner.
 
-    A ``NotStabilized`` replicate does not discard the cell: the batch's
-    own per-trial outcomes already hold the stabilizing siblings'
-    results (carried in the exception's ``partial`` attribute), so those
-    records are returned alongside the failure — no serial re-run.
-    ``UnbatchableError`` propagates (the caller falls back to serial
-    trials); any other exception is a genuine defect and propagates too.
+    A ``NotStabilized`` replicate's siblings come back from the batch's
+    own per-trial outcomes (the exception's ``partial``); every other
+    exception, ``UnbatchableError`` included, propagates.
     """
     # Imported lazily — the harness experiments import the engine, so a
     # module-level import here would be circular.
@@ -212,35 +214,15 @@ def _execution_units(
     return units
 
 
-def _serial_records(
-    specs: Sequence[TrialSpec],
-    campaign_seed: int,
-    campaign: str,
-) -> tuple[list[dict], Exception | None]:
-    """Serial per-trial records, stopping at a ``NotStabilized`` trial."""
-    from ..core.exceptions import NotStabilized
-
-    records: list[dict] = []
-    error: Exception | None = None
-    try:
-        for spec in specs:
-            records.append(execute_trial(spec, campaign_seed, campaign))
-    except NotStabilized as serial_exc:
-        error = serial_exc
-    return records, error
-
-
 def _worker(
     args: tuple[str, Any, int, str]
 ) -> tuple[list[dict], Exception | None, dict]:
     """Run one execution unit; returns ``(records, error, meta)``.
 
-    ``NotStabilized`` is not a defect — one replicate ran out of budget.
-    A batch hitting it hands the stabilizing siblings' records to the
-    parent (and the store) *alongside* the failure — the batch's own
-    per-trial outcomes already hold them, so nothing is re-run — and
-    the parent re-raises after landing them.  Cells that cannot batch
-    (``UnbatchableError``) run serially instead.  Genuine defects raise.
+    ``NotStabilized`` is not a defect — one replicate ran out of budget:
+    the records that did land reach the parent (and the store)
+    *alongside* the failure (see :func:`execute_batch`), and the parent
+    re-raises after landing them.  Genuine defects raise.
 
     ``meta`` describes how the unit actually executed: ``kind`` as
     dispatched, ``fallback`` when a batch degraded to serial trials, and
@@ -249,7 +231,7 @@ def _worker(
     parent of a worker *process* can fold hot-path phase timings back
     into its own collector.  ``None`` when telemetry is off.
     """
-    from ..core.exceptions import NotStabilized, UnbatchableError
+    from ..core.exceptions import NotStabilized
 
     kind, payload, campaign_seed, campaign = args
     stats = telemetry.collector()
@@ -259,11 +241,7 @@ def _worker(
         if kind != "batch":
             records, error = [execute_trial(payload, campaign_seed, campaign)], None
         else:
-            try:
-                records, error = _batch_records(payload, campaign_seed, campaign)
-            except UnbatchableError:
-                fallback = True
-                records, error = _serial_records(payload, campaign_seed, campaign)
+            records, error, fallback = execute_batch(payload, campaign_seed, campaign)
     except NotStabilized as exc:
         # Single-trial budget exhaustion: nothing landed, but the parent
         # still owns the raise (so it can emit the failure event first).

@@ -2,9 +2,12 @@
 
 Layered as follows (bottom-up):
 
-* :mod:`~repro.harness.runner` — single-trial runners plus the
-  descriptor-driven :func:`run_trial` entry point that executes one
-  :class:`repro.engine.TrialSpec`;
+* :mod:`~repro.harness.runner` — the trial pipeline: one registry entry
+  per sweepable algorithm (:data:`~repro.harness.runner.ALGORITHMS`:
+  builder, declared start scenarios, legitimacy notion, step budget,
+  record extras), :func:`run_network_trial` for one in-process trial,
+  :func:`run_trial` for one :class:`repro.engine.TrialSpec`, and the
+  batched twin :func:`~repro.harness.runner.run_trial_batch`;
 * :mod:`repro.engine` — the campaign engine: declarative parameter grids,
   deterministic per-trial seed derivation, a multiprocessing executor with
   serial fallback, an append-only JSONL result store, and resume (run only
@@ -24,14 +27,7 @@ command line.
 from . import experiments
 from .experiments import REGISTRY, ExperimentResult
 from .figures import Figure
-from .runner import (
-    Trial,
-    run_boulinier_trial,
-    run_fga_trial,
-    run_trial,
-    run_unison_trial,
-    sweep,
-)
+from .runner import ALGORITHMS, Trial, run_network_trial, run_trial
 from .tables import Table
 
 __all__ = [
@@ -40,10 +36,8 @@ __all__ = [
     "ExperimentResult",
     "Figure",
     "Table",
+    "ALGORITHMS",
     "Trial",
+    "run_network_trial",
     "run_trial",
-    "run_unison_trial",
-    "run_boulinier_trial",
-    "run_fga_trial",
-    "sweep",
 ]

@@ -54,7 +54,7 @@ from ..probes import Probe, StabilizationProbe
 from ..reset.sdr import SDR, SDR_RULES
 from ..topology import by_name
 from ..unison.unison import Unison
-from .runner import run_fga_trial
+from .runner import run_network_trial
 from .figures import Figure
 from .tables import Table
 
@@ -371,7 +371,9 @@ def experiment_t6_t7(
                 worst_moves = worst_rounds = 0
                 alliances_ok = True
                 for seed in range(trials):
-                    trial = run_fga_trial(net, f, g, seed=seed, scenario=scenario)
+                    trial = run_network_trial(
+                        "fga", net, instance=(f, g), seed=seed, scenario=scenario
+                    )
                     worst_moves = max(worst_moves, trial.moves)
                     worst_rounds = max(worst_rounds, trial.rounds)
                     alliances_ok &= is_one_minimal(net, trial.extra["alliance"], f, g)
@@ -467,7 +469,7 @@ def experiment_t9(
         checker = is_one_minimal if guaranteed else is_fga_stable
         sizes, moves, rounds, minimal = [], [], [], True
         for seed in range(trials):
-            trial = run_fga_trial(net, f, g, seed=seed, scenario="random")
+            trial = run_network_trial("fga", net, instance=(f, g), seed=seed)
             sizes.append(trial.extra["alliance_size"])
             moves.append(trial.moves)
             rounds.append(trial.rounds)
@@ -509,7 +511,7 @@ def experiment_t10(
         fga_moves, turau_moves, fga_sizes, turau_sizes = [], [], [], []
         correct = True
         for seed in range(trials):
-            trial = run_fga_trial(net, f, g, seed=seed, scenario="random")
+            trial = run_network_trial("fga", net, instance=(f, g), seed=seed)
             fga_moves.append(trial.moves)
             fga_sizes.append(trial.extra["alliance_size"])
             correct &= is_one_minimal(net, trial.extra["alliance"], f, g)
@@ -674,7 +676,7 @@ def figure_f4(
         f, g = dominating_set(net)
         worst = 0
         for seed in range(trials):
-            trial = run_fga_trial(net, f, g, seed=seed, scenario="random")
+            trial = run_network_trial("fga", net, instance=(f, g), seed=seed)
             worst = max(worst, trial.rounds)
         rb = bounds.fga_sdr_rounds_bound(net.n)
         row_ok = worst <= rb

@@ -1,6 +1,5 @@
-"""Search strategies, their daemon adapter, and the deprecation shim."""
+"""Search strategies and their daemon adapter."""
 
-import warnings
 from random import Random
 
 import pytest
@@ -128,26 +127,6 @@ class TestDaemonRegistry:
         assert not daemon_kind_known("adversarial:nope")
         assert not daemon_kind_known("central:x")
         assert not daemon_kind_known("nope")
-
-
-class TestDeprecationShim:
-    """Satellite: the old import path warns but returns the same class."""
-
-    def test_core_daemon_import_warns(self):
-        import repro.core.daemon as core_daemon
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cls = core_daemon.AdversarialDaemon
-        assert cls is AdversarialDaemon
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-    def test_package_reexports_are_the_same_class(self):
-        import repro
-        import repro.core as core
-
-        assert repro.AdversarialDaemon is AdversarialDaemon
-        assert core.AdversarialDaemon is AdversarialDaemon
 
 
 class TestKernelSnapshot:

@@ -3,13 +3,14 @@
 import pytest
 
 from repro.analysis import bound_margin, bounds, group_trials, summarize_trials
-from repro.harness import run_unison_trial, sweep
+from repro.harness import run_network_trial
 from repro.topology import ring
 
 
 @pytest.fixture(scope="module")
 def trials():
-    return sweep(run_unison_trial, [ring(5), ring(7)], range(3), scenario="gradient")
+    return [run_network_trial("unison", net, seed=seed, scenario="gradient")
+            for net in (ring(5), ring(7)) for seed in range(3)]
 
 
 class TestGrouping:

@@ -4,8 +4,8 @@ from random import Random
 
 import pytest
 
+from repro.adversary import AdversarialDaemon
 from repro.core import (
-    AdversarialDaemon,
     CentralDaemon,
     Configuration,
     DaemonError,

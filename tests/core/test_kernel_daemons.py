@@ -13,8 +13,8 @@ from random import Random
 import numpy as np
 import pytest
 
+from repro.adversary import AdversarialDaemon
 from repro.core.daemon import (
-    AdversarialDaemon,
     CentralDaemon,
     DistributedRandomDaemon,
     LocallyCentralDaemon,

@@ -61,6 +61,21 @@ class TestCampaign:
         with pytest.raises(ValueError, match="unknown algorithm"):
             Campaign("bad", seed=0, algorithms=("nope",))
 
+    @pytest.mark.parametrize("algorithms,scenario", [
+        (("unison",), "bogus"),
+        (("unison", "boulinier"), "faults:2"),  # boulinier declares no faults:k
+        (("fga",), "faults:x"),                 # malformed faults:k
+        (("fga",), "gradient"),                 # another algorithm's scenario
+    ])
+    def test_undeclared_scenario_rejected(self, algorithms, scenario):
+        with pytest.raises(ValueError, match="scenario"):
+            Campaign("bad", seed=0, algorithms=algorithms, scenarios=(scenario,))
+
+    def test_declared_scenarios_accepted(self):
+        campaign = Campaign("ok", seed=0, algorithms=("unison", "fga"),
+                            scenarios=("random", "faults:3"))
+        assert campaign.size == 4
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             Campaign("bad", seed=0, sizes=())

@@ -60,10 +60,24 @@ class TestSweepCli:
         assert "unknown topology" in capsys.readouterr().out
 
     def test_mid_run_trial_error_is_reported_cleanly(self, capsys):
-        code = cli.main(["sweep", "--grid", "algorithm=boulinier",
-                         "--grid", "scenario=hollow", "--grid", "n=5", "--quiet"])
+        code = cli.main(["sweep", "--grid", "algorithm=fga", "--grid", "n=5",
+                         "--param", "instance=nope", "--quiet"])
         assert code == 1
-        assert "unknown boulinier scenario" in capsys.readouterr().out
+        assert "unknown alliance instance" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("algorithm,scenario", [
+        ("boulinier", "hollow"), ("unison", "bogus"), ("fga", "faults:x"),
+    ])
+    def test_undeclared_scenario_fails_before_running(self, capsys, tmp_path,
+                                                      algorithm, scenario):
+        out = tmp_path / "r.jsonl"
+        code = cli.main(["sweep", "--grid", f"algorithm={algorithm}",
+                         "--grid", f"scenario={scenario}", "--grid", "n=5",
+                         "--trials", "3", "--trial-timeout", "30",
+                         "--out", str(out), "--quiet"])
+        assert code == 2
+        assert f"unknown {algorithm} scenario" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_unknown_daemon_fails_before_running(self, capsys):
         assert cli.main(["sweep", "--grid", "daemon=centrall"]) == 2

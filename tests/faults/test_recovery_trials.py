@@ -20,11 +20,7 @@ import json
 
 import pytest
 
-from repro.harness.runner import (
-    run_boulinier_trial,
-    run_fga_trial,
-    run_unison_trial,
-)
+from repro.harness.runner import run_network_trial
 from repro.topology import grid, ring
 
 FAULTS = "burst=20,count=3,gap=40,k=2"
@@ -38,14 +34,14 @@ class TestScenarioBuildersAcrossBackends:
     @pytest.mark.parametrize("scenario", ["gradient", "split", "fake-wave"])
     def test_unison_scenarios_dict_equals_fused(self, scenario):
         kwargs = dict(seed=11, daemon="distributed-random", scenario=scenario)
-        reference = run_unison_trial(ring(9), backend="dict", **kwargs)
-        fused = run_unison_trial(ring(9), backend="kernel", **kwargs)
+        reference = run_network_trial("unison", ring(9), backend="dict", **kwargs)
+        fused = run_network_trial("unison", ring(9), backend="kernel", **kwargs)
         assert trial_bytes(fused) == trial_bytes(reference)
 
     def test_hollow_alliance_dict_equals_fused(self):
-        kwargs = dict(seed=11, daemon="central", scenario="hollow")
-        reference = run_fga_trial(grid(3, 3), 1, 1, backend="dict", **kwargs)
-        fused = run_fga_trial(grid(3, 3), 1, 1, backend="kernel", **kwargs)
+        kwargs = dict(seed=11, daemon="central", scenario="hollow", instance=(1, 1))
+        reference = run_network_trial("fga", grid(3, 3), backend="dict", **kwargs)
+        fused = run_network_trial("fga", grid(3, 3), backend="kernel", **kwargs)
         assert trial_bytes(fused) == trial_bytes(reference)
 
 
@@ -55,30 +51,31 @@ class TestRecoveryTrialsAcrossBackends:
     ])
     def test_unison_recovery_series_identical(self, daemon):
         kwargs = dict(seed=5, daemon=daemon, faults=FAULTS)
-        reference = run_unison_trial(ring(9), backend="dict", **kwargs)
-        fused = run_unison_trial(ring(9), backend="kernel", **kwargs)
+        reference = run_network_trial("unison", ring(9), backend="dict", **kwargs)
+        fused = run_network_trial("unison", ring(9), backend="kernel", **kwargs)
         assert trial_bytes(fused) == trial_bytes(reference)
         recovery = reference.extra["recovery"]
         assert recovery["bursts"] == recovery["recovered"] == 3
         assert reference.extra["faults"] == FAULTS
 
     def test_fga_recovery_series_identical(self):
-        kwargs = dict(seed=5, daemon="distributed-random", faults=FAULTS)
-        reference = run_fga_trial(ring(9), 1, 1, backend="dict", **kwargs)
-        fused = run_fga_trial(ring(9), 1, 1, backend="kernel", **kwargs)
+        kwargs = dict(seed=5, daemon="distributed-random", faults=FAULTS,
+                      instance=(1, 1))
+        reference = run_network_trial("fga", ring(9), backend="dict", **kwargs)
+        fused = run_network_trial("fga", ring(9), backend="kernel", **kwargs)
         assert trial_bytes(fused) == trial_bytes(reference)
 
     def test_boulinier_recovery_series_identical(self):
         kwargs = dict(seed=5, daemon="distributed-random", faults=FAULTS)
-        reference = run_boulinier_trial(ring(9), backend="dict", **kwargs)
-        fused = run_boulinier_trial(ring(9), backend="kernel", **kwargs)
+        reference = run_network_trial("boulinier", ring(9), backend="dict", **kwargs)
+        fused = run_network_trial("boulinier", ring(9), backend="kernel", **kwargs)
         assert trial_bytes(fused) == trial_bytes(reference)
         assert "sdr_waves" not in reference.extra  # uncomposed: no SDR layer
 
 
 class TestRecoverySemantics:
     def test_burst_records_carry_deltas_and_identity(self):
-        trial = run_unison_trial(ring(9), seed=5, faults=FAULTS)
+        trial = run_network_trial("unison", ring(9), seed=5, faults=FAULTS)
         records = trial.extra["recovery"]["records"]
         assert [r["burst"] for r in records] == [0, 1, 2]
         for record in records:
@@ -94,14 +91,14 @@ class TestRecoverySemantics:
 
     def test_rounds_are_rebased_per_burst(self):
         """Per-burst rounds are deltas, not cumulative totals."""
-        trial = run_unison_trial(ring(12), seed=2, faults=FAULTS)
+        trial = run_network_trial("unison", ring(12), seed=2, faults=FAULTS)
         records = trial.extra["recovery"]["records"]
         assert all(r["rounds"] < trial.rounds or trial.rounds == 0
                    for r in records if r["rounds"] is not None) or \
             len(records) == 1
 
     def test_sdr_wave_summary_shape(self):
-        trial = run_unison_trial(ring(9), seed=5, faults=FAULTS)
+        trial = run_network_trial("unison", ring(9), seed=5, faults=FAULTS)
         waves = trial.extra["sdr_waves"]
         assert set(waves) >= {"windows", "initiators", "epochs", "merges"}
         assert len(waves["windows"]) == 4  # "pre" + one per burst
@@ -120,4 +117,4 @@ class TestRecoverySemantics:
         from repro.core.exceptions import NotStabilized
 
         with pytest.raises(NotStabilized):
-            run_unison_trial(ring(9), seed=5, faults=FAULTS, max_steps=10)
+            run_network_trial("unison", ring(9), seed=5, faults=FAULTS, max_steps=10)

@@ -5,14 +5,15 @@ import json
 
 import pytest
 
-from repro.harness import experiments, run_unison_trial
+from repro.harness import experiments, run_network_trial
 from repro.harness.io import trial_rows, write_result_json, write_trials_csv
 from repro.topology import ring
 
 
 @pytest.fixture(scope="module")
 def trials():
-    return [run_unison_trial(ring(5), seed=s, scenario="gradient") for s in range(3)]
+    return [run_network_trial("unison", ring(5), seed=s, scenario="gradient")
+            for s in range(3)]
 
 
 class TestTrialRows:
@@ -25,9 +26,7 @@ class TestTrialRows:
             assert row["sdr_moves"] + row["input_moves"] == row["moves"]
 
     def test_extras_inlined_with_prefix(self):
-        from repro.harness import run_boulinier_trial
-
-        rows = trial_rows([run_boulinier_trial(ring(5), seed=0)])
+        rows = trial_rows([run_network_trial("boulinier", ring(5), seed=0)])
         assert rows[0]["extra_period"] > 5
         assert rows[0]["extra_alpha"] >= 1
 

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.engine.campaign import TrialSpec
-from repro.harness.runner import (
-    run_boulinier_trial,
-    run_fga_trial,
-    run_trial,
-    run_unison_trial,
-)
+from repro.harness.runner import run_network_trial, run_trial
 from repro.topology import by_name
 
 
@@ -16,8 +11,8 @@ class TestRunTrial:
     def test_unison_matches_direct_runner_call(self):
         spec = TrialSpec("unison", "ring", 6, "gradient", "distributed-random",
                          topology_seed=2)
-        direct = run_unison_trial(
-            by_name("ring", 6, seed=2), seed=17, scenario="gradient",
+        direct = run_network_trial(
+            "unison", by_name("ring", 6, seed=2), seed=17, scenario="gradient",
             daemon="distributed-random",
         )
         assert run_trial(spec, seed=17) == direct
@@ -27,9 +22,9 @@ class TestRunTrial:
         trial = run_trial(spec, seed=3)
         assert trial.algorithm == "boulinier"
         assert trial.extra["period"] == 40
-        direct = run_boulinier_trial(
-            by_name("ring", 6, seed=0), seed=3, scenario="split", period=40,
-            daemon="distributed-random",
+        direct = run_network_trial(
+            "boulinier", by_name("ring", 6, seed=0), seed=3, scenario="split",
+            period=40, daemon="distributed-random",
         )
         assert trial == direct
 
@@ -43,8 +38,9 @@ class TestRunTrial:
         from repro.alliance.functions import dominating_set
         net = by_name("random", 8, seed=0)
         f, g = dominating_set(net)
-        assert trial == run_fga_trial(net, f, g, seed=5, scenario="random",
-                                      daemon="distributed-random")
+        assert trial == run_network_trial("fga", net, instance=(f, g), seed=5,
+                                          scenario="random",
+                                          daemon="distributed-random")
 
     def test_default_seed_is_the_replicate_index(self):
         spec = TrialSpec("unison", "ring", 5, trial=9)

@@ -8,6 +8,7 @@ must be byte-identical across serial, parallel, batched, and unbatched
 execution.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -16,7 +17,8 @@ from repro.engine.campaign import Campaign, TrialSpec
 from repro.engine.pool import execute_batch, execute_trial, run_specs
 from repro.engine.seeds import derive_seed
 from repro.engine.store import ResultStore
-from repro.harness.runner import can_batch, run_trial_batch
+from repro.harness import runner
+from repro.harness.runner import ALGORITHMS, can_batch, run_trial_batch
 
 
 def record_bytes(record: dict) -> str:
@@ -31,7 +33,9 @@ def assert_cells_identical(campaign: Campaign) -> int:
     for cell in cells.values():
         assert can_batch(cell[0])
         serial = [execute_trial(s, campaign.seed, campaign.name) for s in cell]
-        batched = execute_batch(cell, campaign.seed, campaign.name)
+        batched, error, fallback = execute_batch(cell, campaign.seed, campaign.name)
+        assert error is None and not fallback
+        assert len(batched) == len(serial)
         for expected, got in zip(serial, batched):
             assert record_bytes(expected) == record_bytes(got), expected["key"]
             checked += 1
@@ -51,23 +55,32 @@ def test_unison_cells_record_identical(daemon):
     assert assert_cells_identical(campaign) == campaign.size
 
 
-def test_boulinier_cells_record_identical():
+def declared_cells():
+    """Every registry entry × every scenario it declares (``faults:2``
+    standing in for ``faults:<k>``)."""
+    for algorithm, entry in ALGORITHMS.items():
+        for scenario in entry.scenarios:
+            yield algorithm, scenario
+        if entry.corruptible:
+            yield algorithm, "faults:2"
+
+
+@pytest.mark.parametrize("algorithm,scenario", list(declared_cells()))
+def test_declared_scenarios_record_identical(algorithm, scenario):
     campaign = Campaign(
-        name="batch-b", seed=23, algorithms=("boulinier",),
-        topologies=("ring",), sizes=(9,), scenarios=("random", "split"),
-        daemons=("distributed-random", "synchronous"), trials=3,
+        name=f"batch-{algorithm}", seed=29, algorithms=(algorithm,),
+        topologies=("ring", "tree"), sizes=(9,), scenarios=(scenario,),
+        daemons=("distributed-random", "synchronous", "weakly-fair"),
+        trials=3,
     )
     assert assert_cells_identical(campaign) == campaign.size
 
 
-def test_fga_cells_record_identical():
-    campaign = Campaign(
-        name="batch-f", seed=29, algorithms=("fga",),
-        topologies=("ring", "tree"), sizes=(9,),
-        scenarios=("random", "hollow", "faults:3"),
-        daemons=("distributed-random", "weakly-fair"), trials=3,
-    )
-    assert assert_cells_identical(campaign) == campaign.size
+def shrink_default_budget(monkeypatch, algorithm: str, budget: int) -> None:
+    """Shrink an entry's *default* step budget — not a spec param, which
+    would change keys, hence seeds."""
+    entry = dataclasses.replace(ALGORITHMS[algorithm], max_steps=budget)
+    monkeypatch.setitem(runner.ALGORITHMS, algorithm, entry)
 
 
 def test_partial_cells_batch_identically():
@@ -137,9 +150,10 @@ def test_unbatchable_cells_fall_back(monkeypatch):
         raise UnbatchableError("cannot tile")
 
     monkeypatch.setattr("repro.harness.runner.run_trial_batch", broken_batch)
-    fallback = pool.execute_batch(specs, campaign.seed, campaign.name)
+    records, error, fallback = pool.execute_batch(specs, campaign.seed, campaign.name)
+    assert error is None and fallback
     direct = [pool.execute_trial(s, campaign.seed, campaign.name) for s in specs]
-    assert [record_bytes(r) for r in fallback] == [record_bytes(r) for r in direct]
+    assert [record_bytes(r) for r in records] == [record_bytes(r) for r in direct]
 
     def buggy_batch(specs, seeds):
         raise ValueError("genuine defect inside the batch kernel")
@@ -177,7 +191,7 @@ def test_not_stabilized_batch_persists_stabilizing_siblings(
     steps = [r["result"]["steps"] for r in reference]
     assert len(set(steps)) > 1, "seeds collapsed; pick another campaign seed"
     budget = min(steps)
-    monkeypatch.setattr("repro.harness.runner.UNISON_MAX_STEPS", budget)
+    shrink_default_budget(monkeypatch, "unison", budget)
     expected = [
         execute_trial(spec, campaign.seed, campaign.name)
         for spec, full in zip(specs, reference)
@@ -209,7 +223,7 @@ def test_not_stabilized_batch_persists_stabilizing_siblings(
 def test_not_stabilized_carries_partial_trials(monkeypatch):
     """``run_trial_batch`` attaches finished sibling Trials to the failure."""
     from repro.core.exceptions import NotStabilized
-    from repro.harness.runner import run_trial, run_trial_batch
+    from repro.harness.runner import run_trial
 
     campaign = Campaign(
         name="batch-partial", seed=53, algorithms=("unison",),
@@ -222,7 +236,7 @@ def test_not_stabilized_carries_partial_trials(monkeypatch):
     budget = min(t.steps for t in full)
     assert any(t.steps > budget for t in full)
 
-    monkeypatch.setattr("repro.harness.runner.UNISON_MAX_STEPS", budget)
+    shrink_default_budget(monkeypatch, "unison", budget)
     with pytest.raises(NotStabilized) as excinfo:
         run_trial_batch(specs, seeds)
     partial = dict(excinfo.value.partial)
@@ -267,10 +281,12 @@ def test_cell_key_groups_replicates_only():
         assert len({s.key() for s in cell}) == len(cell)
 
 
-def test_execute_batch_attaches_partial_records(monkeypatch):
-    """Direct execute_batch callers get the siblings' store records on
-    the failure (partial_records), not just raw Trial pairs."""
-    from repro.core.exceptions import NotStabilized
+@pytest.mark.parametrize("batched", [True, False])
+def test_execute_batch_returns_partial_records(monkeypatch, batched):
+    """execute_batch returns the store records that landed alongside a
+    budget failure — a batch's stabilizing siblings, or a serial
+    fallback's trials before the failing one."""
+    from repro.core.exceptions import NotStabilized, UnbatchableError
 
     campaign = Campaign(
         name="batch-pr", seed=53, algorithms=("unison",), topologies=("ring",),
@@ -279,12 +295,18 @@ def test_execute_batch_attaches_partial_records(monkeypatch):
     specs = campaign.specs()
     reference = [execute_trial(s, campaign.seed, campaign.name) for s in specs]
     budget = min(r["result"]["steps"] for r in reference)
-    monkeypatch.setattr("repro.harness.runner.UNISON_MAX_STEPS", budget)
-    expected = [
-        execute_trial(spec, campaign.seed, campaign.name)
-        for spec, full in zip(specs, reference)
-        if full["result"]["steps"] <= budget
-    ]
-    with pytest.raises(NotStabilized) as excinfo:
-        execute_batch(specs, campaign.seed, campaign.name)
-    assert excinfo.value.partial_records == expected
+    shrink_default_budget(monkeypatch, "unison", budget)
+    steps = [full["result"]["steps"] for full in reference]
+    if batched:
+        expected = [r for r, s in zip(reference, steps) if s <= budget]
+    else:
+        def unbatchable(specs, seeds):
+            raise UnbatchableError("cannot tile")
+
+        monkeypatch.setattr("repro.harness.runner.run_trial_batch", unbatchable)
+        first_bad = next(i for i, s in enumerate(steps) if s > budget)
+        expected = reference[:first_bad]
+    records, error, fallback = execute_batch(specs, campaign.seed, campaign.name)
+    assert isinstance(error, NotStabilized)
+    assert fallback is not batched
+    assert records == expected

@@ -122,7 +122,9 @@ def test_faulted_cells_batch_identically(algorithm, daemon, spec):
     for cell in cells.values():
         assert can_batch(cell[0])
         serial = [execute_trial(s, campaign.seed, campaign.name) for s in cell]
-        batched = execute_batch(cell, campaign.seed, campaign.name)
+        batched, error, fallback = execute_batch(cell, campaign.seed, campaign.name)
+        assert error is None and not fallback
+        assert len(batched) == len(serial)
         for expected, got in zip(serial, batched):
             assert record_bytes(expected) == record_bytes(got), expected["key"]
             recovery = got["result"]["extra"]["recovery"]
