@@ -396,20 +396,14 @@ class KernelRuntime:
 
         Patches the program's CSR adjacency in place
         (:meth:`~repro.core.kernel.csr.CSRAdjacency.apply_delta`),
-        invalidates its edge-space caches, maintains the liveness
-        column, and injects join state through :meth:`inject` (schema
-        encoding, same as faults).  A crashed process's registers stay
-        frozen in the columns — neighbors can no longer read them
-        because its edges are gone, and the liveness mask keeps it out
-        of every enabled set.
+        maintains the liveness column, and injects join state through
+        :meth:`inject` (schema encoding, same as faults).  A crashed
+        process's registers stay frozen in the columns — neighbors can
+        no longer read them because its edges are gone, and the
+        liveness mask keeps it out of every enabled set.
         """
         if occ.drops or occ.adds:
-            program = self.program
-            program.csr.apply_delta(occ.drops, occ.adds)
-            # Edge-space caches (e.g. the IR programs' ``edge_true``)
-            # are sized by the edge count, which just changed.
-            if getattr(program, "_edge_true", None) is not None:
-                program._edge_true = None
+            self.program.csr.apply_delta(occ.drops, occ.adds)
         if occ.victims:
             if occ.action == "crash":
                 if self.live is None:

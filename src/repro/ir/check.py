@@ -11,6 +11,12 @@ For every registered algorithm (:mod:`repro.ir.registry`) the lint
 * evaluates the generated kernel's guard masks on the same
   configurations and checks them against the dict guards (mask
   coverage: an omitted mask key must mean an everywhere-false guard);
+* runs every generated kernel action at all of its rule's enabled
+  processes and at a random strict subset of them, and checks every
+  register against the native ``execute`` — written ones at the
+  selection, untouched ones everywhere else (actions lower their
+  neighbourhood reductions row-locally, so a selection smaller than the
+  enabled set is where a wrong row layout would show);
 * for input rule sets, checks the ``icorrect``/``reset`` predicates
   (both compilations) against ``p_icorrect``/``p_reset``;
 * domain soundness: every value ``algorithm.random_state`` can draw must
@@ -20,16 +26,19 @@ For every registered algorithm (:mod:`repro.ir.registry`) the lint
   value straight into (possibly tiled) columns, so an out-of-domain draw
   here would mean vectorized corruption could overflow a tile.
 
-Exit status 0 when every rule set passes; 1 otherwise, with one line per
-problem.  CI runs this as a build step, so an IR definition that drifts
-from its dict twin fails the pipeline before any simulation runs.
+Every check runs once per sample network family
+(:data:`~repro.ir.registry.SAMPLE_TOPOLOGIES`: an irregular random graph
+and a ring).  Exit status 0 when every rule set passes; 1 otherwise, with
+one line per problem.  CI runs this as a build step, so an IR definition
+that drifts from its dict twin fails the pipeline before any simulation
+runs.
 """
 
 from __future__ import annotations
 
 from random import Random
 
-from .registry import registered_algorithms
+from .registry import SAMPLE_TOPOLOGIES, registered_algorithms
 from .rules import InputRuleSet
 
 __all__ = ["check_algorithm", "check_domains", "run_check", "main"]
@@ -80,6 +89,8 @@ def check_algorithm(label: str, algorithm) -> list[str]:
     is_input = isinstance(rule_set, InputRuleSet)
     processes = algorithm.network.processes()
     for c, cfg in enumerate(_configurations(algorithm)):
+        # rule → {enabled process: native update}
+        native: dict = {rule: {} for rule in rule_set.rule_labels}
         masks = None
         if kernel_program is not None:
             cols = kernel_program.schema.encode(cfg)
@@ -108,15 +119,29 @@ def check_algorithm(label: str, algorithm) -> list[str]:
                         )
                 if want:
                     got_upd = dict_program.execute(rule, cfg, u)
-                    want_upd = algorithm.execute(rule, cfg, u)
+                    want_upd = native[rule][u] = algorithm.execute(rule, cfg, u)
                     if got_upd != want_upd:
                         problems.append(
                             f"{label}: action {rule!r} at {u} (cfg {c}): "
                             f"IR={got_upd!r} native={want_upd!r}"
                         )
 
+        if kernel_program is not None:
+            rng = Random(c)
+            for rule, updates in native.items():
+                enabled = sorted(updates)
+                selections = [enabled]
+                if len(enabled) > 1:
+                    k = rng.randrange(1, len(enabled))
+                    selections.append(sorted(rng.sample(enabled, k)))
+                for selection in selections:
+                    problems += _check_kernel_action(
+                        label, kernel_program, rule, cfg, cols, updates,
+                        selection, c,
+                    )
+
         if is_input:
-            for name, native in (
+            for name, native_pred in (
                 ("icorrect", algorithm.p_icorrect),
                 ("reset", algorithm.p_reset),
             ):
@@ -129,7 +154,7 @@ def check_algorithm(label: str, algorithm) -> list[str]:
                     else getattr(kernel_program, f"{name}_mask")(cols)
                 )
                 for u in processes:
-                    want = native(cfg, u)
+                    want = native_pred(cfg, u)
                     if dict_program.predicate(name, cfg, u) != want:
                         problems.append(
                             f"{label}: dict predicate {name!r} at {u} (cfg {c})"
@@ -141,6 +166,32 @@ def check_algorithm(label: str, algorithm) -> list[str]:
         if problems:
             break  # one configuration's findings are enough detail
     return problems
+
+
+def _check_kernel_action(label, program, rule, cfg, cols, updates,
+                         selection, c) -> list[str]:
+    """Apply ``rule``'s kernel action at ``selection`` and compare every
+    register with the native updates (the pre-step value elsewhere)."""
+    import numpy as np
+
+    write = {name: column.copy() for name, column in cols.items()}
+    program.apply(rule, np.asarray(selection, dtype=np.int64), cols, write)
+    chosen = set(selection)
+    for var in program.schema.vars:
+        column = write[var.name]
+        for u in range(len(cfg)):
+            want = cfg[u][var.name]
+            if u in chosen:
+                want = updates[u].get(var.name, want)
+            got = var.decode_value(column[u])
+            if got != want:
+                where = "selected" if u in chosen else "unselected"
+                return [
+                    f"{label}: kernel action {rule!r} at {len(selection)} of "
+                    f"{len(updates)} enabled (cfg {c}): {var.name} at "
+                    f"{where} {u}: IR={got!r} native={want!r}"
+                ]
+    return []
 
 
 def check_domains(label: str, algorithm) -> list[str]:
@@ -221,10 +272,15 @@ def check_domains(label: str, algorithm) -> list[str]:
 def run_check(out=print) -> int:
     """Lint every registered rule set; return a process exit status."""
     failures = 0
-    for label, factory in registered_algorithms():
-        algorithm = factory()
-        problems = check_algorithm(label, algorithm)
-        problems += check_domains(label, algorithm)
+    samples = [registered_algorithms(topology) for topology in SAMPLE_TOPOLOGIES]
+    for entries in zip(*samples):
+        label = entries[0][0]
+        problems = []
+        for topology, (_, factory) in zip(SAMPLE_TOPOLOGIES, entries):
+            algorithm = factory()
+            where = f"{label} on {topology}"
+            problems += check_algorithm(where, algorithm)
+            problems += check_domains(where, algorithm)
         if problems:
             failures += 1
             for problem in problems:

@@ -11,14 +11,19 @@ the generated source is kept on the code object for inspection
 
 Lowering rules:
 
-* process-space expressions become full-length column vectors; inside
-  actions they are evaluated in *idx space* (only at the selected
-  processes), except neighborhood reductions and gathers, which need the
-  full columns and are indexed down afterwards — exactly the handwritten
-  idiom;
+* process-space expressions become full-length column vectors in guards
+  and predicates; inside actions they are evaluated in *idx space* (only
+  at the selected processes), except the value column a pointer gathers
+  from, which must be full-length because pointers reach any process;
 * ``Neigh``/``Own`` become gathers through the CSR ``indices`` /
   ``edge_src`` arrays, ``Reduce`` becomes the matching segmented
-  reduction (:class:`~repro.core.kernel.csr.CSRAdjacency`);
+  reduction (:class:`~repro.core.kernel.csr.CSRAdjacency`); a scalar
+  lifted to edge space becomes a constant edge vector;
+* inside actions every ``Reduce`` is *row-local*: its edge expression is
+  evaluated over the CSR rows of ``idx`` only (``C.csr.rows(idx)``:
+  ``Neigh(x)`` gathers ``x`` at those rows' neighbors, ``Own(x)`` repeats
+  the idx-space ``x`` once per row slot) and folded per selected row, so
+  an action costs the moving processes' edges, not the whole graph's;
 * common subexpressions are shared by node identity — build an
   expression once, reference it from every guard, and the generated
   function computes it once;
@@ -71,7 +76,6 @@ _PROLOGUE = (
     ("_IX", "_CSR.indices"),
     ("_SRC", "_CSR.edge_src"),
     ("_AR", "C.arange"),
-    ("_ET", "C.edge_true"),
 )
 _NEEDS_CSR = frozenset({"_N", "_IX", "_SRC"})
 
@@ -90,6 +94,8 @@ class _Fn:
         self._pro: set[str] = set()
         self._fmemo: dict[int, str] = {}
         self._lmemo: dict[int, str] = {}
+        self._ememo: dict[int, str] = {}
+        self._rows: str | None = None
         self._saved = None
 
     # -- emission helpers ----------------------------------------------
@@ -108,11 +114,12 @@ class _Fn:
     def begin_block(self) -> None:
         """Enter the fast-path ``if`` body: temps emitted inside are
         forgotten on exit (they don't exist on the general path)."""
-        self._saved = (dict(self._fmemo), dict(self._lmemo))
+        self._saved = (dict(self._fmemo), dict(self._lmemo),
+                       dict(self._ememo), self._rows)
         self.indent += 1
 
     def end_block(self) -> None:
-        self._fmemo, self._lmemo = self._saved
+        self._fmemo, self._lmemo, self._ememo, self._rows = self._saved
         self._saved = None
         self.indent -= 1
 
@@ -137,17 +144,17 @@ class _Fn:
         if isinstance(node, E.Param):
             return f"C._params[{self.compiler.param_slot(node)!r}]"
         if isinstance(node, E.Neigh):
+            if node.arg.space == E.SCALAR:
+                return self.lifted_scalar(node.arg, self.use("_IX"))
             if isinstance(node.arg, E.ProcIndex):
                 return self.use("_IX")
-            if isinstance(node.arg, E.Const):
-                return repr(node.arg.value)  # scalars broadcast per edge
             inner = self.full(node.arg)
             return self.temp(f"{inner}[{self.use('_IX')}]")
         if isinstance(node, E.Own):
+            if node.arg.space == E.SCALAR:
+                return self.lifted_scalar(node.arg, self.use("_IX"))
             if isinstance(node.arg, E.ProcIndex):
                 return self.use("_SRC")
-            if isinstance(node.arg, E.Const):
-                return repr(node.arg.value)
             inner = self.full(node.arg)
             return self.temp(f"{inner}[{self.use('_SRC')}]")
         if isinstance(node, E.BinOp):
@@ -162,15 +169,22 @@ class _Fn:
             value, index = self.full(node.value), self.full(node.index)
             return self.temp(f"{value}[np.maximum({index}, 0)]")
         if isinstance(node, E.Reduce):
-            csr = self.use("_CSR")
-            value = self.full(node.value)
-            if node.kind in ("all", "any", "count"):
-                return self.temp(f"{csr}.{node.kind}_neigh({value})")
-            mask = (self.full(node.where) if node.where is not None
-                    else self.use("_ET"))
-            fn = "min_neigh" if node.kind == "min" else "max_neigh"
-            return self.temp(f"{csr}.{fn}({value}, {mask}, {node.default})")
+            return self.reduce(f"{self.use('_CSR')}.{node.kind}_neigh",
+                               node, self.full)
         raise AlgorithmError(f"cannot lower {node!r} to a column vector")
+
+    def lifted_scalar(self, arg: E.Expr, edges: str) -> str:
+        """A scalar lifted to edge space: one copy per slot of ``edges``."""
+        return self.temp(f"np.full({edges}.shape, {self.local(arg)})")
+
+    def reduce(self, fn: str, node: E.Reduce, lower) -> str:
+        """Call reduction ``fn`` on ``node``'s edge operands, lowered by
+        ``lower`` (whole-graph or row-local edge space)."""
+        value = lower(node.value)
+        if node.kind in ("all", "any", "count"):
+            return self.temp(f"{fn}({value})")
+        mask = lower(node.where) if node.where is not None else "None"
+        return self.temp(f"{fn}({value}, {mask}, {node.default})")
 
     # -- local (idx-space) lowering ------------------------------------
     def local(self, node: E.Expr) -> str:
@@ -209,8 +223,48 @@ class _Fn:
             index = self.local(node.index)
             return self.temp(f"{value}[np.maximum({index}, 0)]")
         if isinstance(node, E.Reduce):
-            return self.temp(f"{self.full(node)}[idx]")
+            return self.reduce(f"{self.rows()}.{node.kind}", node, self.edge)
         raise AlgorithmError(f"cannot lower {node!r} at selected processes")
+
+    # -- edge-local lowering (the CSR rows of idx) ---------------------
+    def rows(self) -> str:
+        """The row layout of ``idx``, computed once per function."""
+        if self._rows is None:
+            self._rows = self.temp(f"{self.use('_CSR')}.rows(idx)")
+        return self._rows
+
+    def edge(self, node: E.Expr) -> str:
+        key = id(node)
+        got = self._ememo.get(key)
+        if got is None:
+            got = self._edge(node)
+            self._ememo[key] = got
+        return got
+
+    def _edge(self, node: E.Expr) -> str:
+        if isinstance(node, E.Const):
+            return repr(node.value)
+        if isinstance(node, E.NProcs):
+            return self.use("_N")
+        if isinstance(node, (E.Neigh, E.Own)) and node.arg.space == E.SCALAR:
+            return self.lifted_scalar(node.arg, f"{self.rows()}.nbr")
+        if isinstance(node, E.Neigh):
+            nbr = f"{self.rows()}.nbr"
+            if isinstance(node.arg, E.ProcIndex):
+                return nbr
+            return self.temp(f"{self.full(node.arg)}[{nbr}]")
+        if isinstance(node, E.Own):
+            inner = self.local(node.arg)
+            return self.temp(f"{inner}.repeat({self.rows()}.reps)")
+        if isinstance(node, E.BinOp):
+            a, b = self.edge(node.a), self.edge(node.b)
+            return self.temp(_BIN_FMT[node.op].format(a, b))
+        if isinstance(node, E.UnOp):
+            return self.temp(_UN_FMT[node.op].format(self.edge(node.a)))
+        if isinstance(node, E.Where):
+            c, a, b = self.edge(node.cond), self.edge(node.a), self.edge(node.b)
+            return self.temp(f"np.where({c}, {a}, {b})")
+        raise AlgorithmError(f"cannot lower {node!r} over the rows of idx")
 
     # -- statements ----------------------------------------------------
     def emit_assign(self, assign) -> None:
@@ -407,7 +461,6 @@ class IRKernelProgram(KernelProgram):
         self._params = params
         self._copies = copies
         self._arange = None
-        self._edge_true = None
 
     # -- generated-code services ---------------------------------------
     @property
@@ -415,12 +468,6 @@ class IRKernelProgram(KernelProgram):
         if self._arange is None:
             self._arange = np.arange(self.csr.n, dtype=np.int64)
         return self._arange
-
-    @property
-    def edge_true(self) -> np.ndarray:
-        if self._edge_true is None:
-            self._edge_true = np.ones(self.csr.indices.shape[0], dtype=np.bool_)
-        return self._edge_true
 
     # -- KernelProgram contract ----------------------------------------
     def guard_masks(self, cols):

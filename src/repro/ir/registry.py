@@ -5,16 +5,21 @@ instance (on a small, non-trivial sample network) whose
 :meth:`~repro.core.algorithm.Algorithm.rule_set` is the IR definition
 under check.  The lint (:mod:`repro.ir.check`) compiles both backends of
 every entry and machine-checks them against the algorithm's native dict
-implementation.
+implementation, once per :data:`SAMPLE_TOPOLOGIES` family.
 """
 
 from __future__ import annotations
 
-__all__ = ["registered_algorithms"]
+__all__ = ["SAMPLE_TOPOLOGIES", "registered_algorithms"]
+
+#: The sample network families: irregular degrees (``reduceat`` over
+#: uneven CSR rows), then a ring (the stride-regular CSR layout).
+SAMPLE_TOPOLOGIES = ("random", "ring")
 
 
-def registered_algorithms():
-    """``(label, factory)`` pairs covering every registered rule set."""
+def registered_algorithms(topology: str = "random"):
+    """``(label, factory)`` pairs covering every registered rule set, each
+    building its algorithm on a 9-process ``topology`` network."""
     from ..alliance.fga import FGA
     from ..alliance.turau import TurauMIS
     from ..baselines.bfs_tree import BfsTree
@@ -27,8 +32,7 @@ def registered_algorithms():
     from ..unison.unison import Unison
 
     def net():
-        # Irregular degrees exercise the CSR reductions harder than a ring.
-        return by_name("random", 9, seed=11)
+        return by_name(topology, 9, seed=11)
 
     return [
         ("unison", lambda: Unison(net())),

@@ -7,15 +7,21 @@ object *exactly* equal to a from-scratch rebuild of the mutated edge set
 mis-handles empty segments) once churn isolates a vertex.  These tests
 drive randomized edit sequences against that promise and pin every
 reduction's vacuous value on isolated-vertex and zero-edge graphs.
+
+Row selections (:meth:`CSRAdjacency.rows`) must reduce exactly like the
+whole-graph reductions indexed at the selection, on every layout kind —
+hypothesis drives random graphs and random selections at that promise.
 """
 
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.kernel.csr import CSRAdjacency
-from repro.topology import grid, ring
+from repro.topology import grid, random_connected, ring, torus
 
 
 def assert_same_layout(got: CSRAdjacency, want: CSRAdjacency):
@@ -156,3 +162,107 @@ class TestEmptySegmentReductions:
             ]
             assert lo[u] == (min(cands) if cands else -1)
             assert hi[u] == (max(cands) if cands else 99)
+
+
+# ----------------------------------------------------------------------
+# Row-local reductions: rows(idx) vs the whole graph indexed at idx
+# ----------------------------------------------------------------------
+
+LAYOUTS = ("stride", "irregular", "has-empty", "zero-edge")
+
+
+def build_layout(kind, n, seed, copies):
+    if kind == "stride":
+        net = ring(n) if seed % 2 else torus(3, max(3, n // 3))
+    else:
+        net = random_connected(n, p=0.35, seed=seed)
+    csr = CSRAdjacency(net)
+    edges = sorted(tuple(sorted(e)) for e in net.edges())
+    if kind == "has-empty":
+        victim = seed % net.n
+        csr.apply_delta([e for e in edges if victim in e], [])
+    elif kind == "zero-edge":
+        csr.apply_delta(edges, [])
+    return csr.tile(copies)
+
+
+@st.composite
+def layout_and_selection(draw):
+    kind = draw(st.sampled_from(LAYOUTS))
+    csr = build_layout(
+        kind,
+        n=draw(st.integers(4, 14)),
+        seed=draw(st.integers(0, 50)),
+        copies=draw(st.sampled_from((1, 1, 3))),
+    )
+    # A small random graph can come out regular; it then is no
+    # irregular layout.
+    assume(bool(csr._stride) == (kind == "stride"))
+    assert csr._has_empty == (kind in ("has-empty", "zero-edge"))
+    idx = draw(st.lists(st.integers(0, csr.n - 1), unique=True, max_size=csr.n))
+    return csr, np.array(idx, dtype=np.int64), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(layout_and_selection())
+def test_row_reductions_equal_whole_graph_at_idx(case):
+    csr, idx, seed = case
+    rng = np.random.default_rng(seed)
+    m = csr.indices.shape[0]
+    flags = rng.random(m) < 0.5
+    values = rng.integers(-40, 40, size=m)
+    mask = rng.random(m) < 0.6
+    rows = csr.rows(idx)
+    pos = rows.pos
+
+    # The layout: slots of idx, row after row.
+    want_pos = [
+        p for u in idx for p in range(csr.indptr[u], csr.indptr[u + 1])
+    ]
+    assert pos.tolist() == want_pos
+    np.testing.assert_array_equal(rows.nbr, csr.indices[pos])
+    column = rng.integers(0, 100, size=csr.n)
+    np.testing.assert_array_equal(
+        np.repeat(column[idx], rows.reps), csr.own(column)[pos]
+    )
+
+    for name in ("count", "all", "any"):
+        got = getattr(rows, name)(flags[pos])
+        want = getattr(csr, f"{name}_neigh")(flags)[idx]
+        np.testing.assert_array_equal(got, want, err_msg=name)
+        assert got.dtype == want.dtype
+    for name, default in (("min", 99), ("max", -99)):
+        whole = getattr(csr, f"{name}_neigh")
+        got = getattr(rows, name)(values[pos], mask[pos], default)
+        np.testing.assert_array_equal(got, whole(values, mask, default)[idx])
+        got = getattr(rows, name)(values[pos], None, default)
+        np.testing.assert_array_equal(got, whole(values, None, default)[idx])
+
+
+def at_oracle(fold, csr, values, mask, default):
+    """The scatter formulation the irregular min/max folds replaced."""
+    info = np.iinfo(values.dtype)
+    identity = info.max if fold is np.minimum else info.min
+    out = np.full(csr.n, identity, dtype=values.dtype)
+    fold.at(out, csr.edge_src, np.where(mask, values, identity))
+    found = np.zeros(csr.n, dtype=np.bool_)
+    np.logical_or.at(found, csr.edge_src, mask)
+    return np.where(found, out, default)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 40), st.integers(0, 1000), st.integers(0, 2**32 - 1))
+def test_irregular_folds_match_the_at_oracle(n, graph_seed, seed):
+    csr = CSRAdjacency(random_connected(n, p=0.3, seed=graph_seed))
+    assert not csr._has_empty  # connected: the reduceat path
+    rng = np.random.default_rng(seed)
+    m = csr.indices.shape[0]
+    values = rng.integers(-10**6, 10**6, size=m)
+    mask = rng.random(m) < 0.5
+    np.testing.assert_array_equal(
+        csr.min_neigh(values, mask, 7), at_oracle(np.minimum, csr, values, mask, 7)
+    )
+    np.testing.assert_array_equal(
+        csr.max_neigh(values, mask, -7), at_oracle(np.maximum, csr, values, mask, -7)
+    )

@@ -8,6 +8,12 @@ agree value for value.  Tile-variant nodes (``proc_index``, ``nprocs``,
 neighbor indices, composite-key argmin indices) state their expected
 per-trial offset explicitly — that offset *is* the globalization
 contract the batched engine relies on.
+
+Kernel actions evaluate neighbourhood reductions over the CSR rows of
+the selected processes only, so every lowering is applied at several
+selections (everyone, one process, a random strict subset, nobody) on
+three CSR layouts: a stride-regular ring, an irregular random graph, and
+that graph with an isolated process (the empty-row layout churn leaves).
 """
 
 from random import Random
@@ -43,15 +49,44 @@ from repro.ir import (
     sign,
     where,
 )
-from repro.topology import random_connected
+from repro.topology import random_connected, ring
 
 X, Y, PTR, OUT = "x", "y", "ptr", "out"
 COPIES = 3
+#: The process the ``isolated`` layout cuts off.
+ISOLATED = 4
+#: Pre-step value of ``OUT`` at process ``u`` — distinct from every
+#: value an expression under test produces, so untouched rows show.
+UNTOUCHED = 10**6
 
 
 def network():
     # Irregular degrees exercise the CSR reductions harder than a ring.
     return random_connected(9, p=0.4, seed=3)
+
+
+def layouts():
+    """``(name, network, drops)``: drop ``drops`` (undirected pairs) from
+    the network and, via ``CSRAdjacency.apply_delta``, from the compiled
+    kernel's CSR."""
+    isolated = network()
+    cut = [tuple(sorted(e)) for e in isolated.edges() if ISOLATED in e]
+    return [
+        ("random", network(), []),
+        ("ring", ring(9), []),
+        ("isolated", isolated, cut),
+    ]
+
+
+def selections(n, rng):
+    """Everyone, one process, a random strict subset, nobody."""
+    strict = rng.choice(n, size=int(rng.integers(2, n)), replace=False)
+    return [
+        np.arange(n),
+        np.array([int(rng.integers(n))]),
+        np.sort(strict),
+        np.array([], dtype=np.int64),
+    ]
 
 
 def configuration(net, seed=0):
@@ -62,53 +97,85 @@ def configuration(net, seed=0):
             X: rng.randrange(-6, 12),
             Y: rng.random() < 0.5,
             PTR: rng.choice([None] + list(range(n))),
-            OUT: 0,
+            OUT: UNTOUCHED + u,
         }
-        for _ in range(n)
+        for u in range(n)
     ]
     states[0][PTR] = None  # at least one ⊥ pointer, whatever the seed
     return Configuration(states)
 
 
+def apply_at(program, idx, cols):
+    """``OUT`` after applying the program's rule at ``idx``."""
+    write = {name: column.copy() for name, column in cols.items()}
+    program.apply("r", idx.astype(np.int64), cols, write)
+    return [int(v) for v in write[OUT]]
+
+
 def lowerings(expr, *, seed=0, tiled_block=None):
     """Evaluate ``expr`` per process under all three lowerings.
 
-    Returns the dict interpreter's values after asserting the flat
-    kernel agrees exactly and every tiled block matches ``tiled_block``
-    (a ``(base_vals, trial, n) -> expected`` map; identity by default).
+    On every layout and at every selection, asserts that the flat kernel
+    writes exactly the dict interpreter's values at the selected
+    processes and leaves every other row untouched, and that every tiled
+    block does the same with ``tiled_block`` (a ``(base_vals, trial, n)
+    -> expected`` map; identity by default).  Returns the dict values on
+    the ``random`` layout.
     """
-    net = network()
-    cfg = configuration(net, seed)
-    n = net.n
+    rng = np.random.default_rng(seed)
     schema = Schema(Var.int(X), Var.bool(Y), Var.opt_index(PTR), Var.int(OUT))
-    rule_set = RuleSet(
-        "node-test", net, schema,
-        [Rule("r", col(X) == col(X), [Assign(OUT, expr)])],
-    )
-
-    dict_program = rule_set.compile_dict()
-    dict_vals = [
-        int(dict_program.execute("r", cfg, u)[OUT]) for u in net.processes()
-    ]
-
-    kernel = rule_set.compile_kernel()
-    cols = kernel.schema.encode(cfg)
-    write = {name: column.copy() for name, column in cols.items()}
-    kernel.apply("r", np.arange(n), cols, write)
-    kernel_vals = [int(v) for v in write[OUT]]
-    assert kernel_vals == dict_vals, "kernel lowering diverges from dict"
-
-    tiled = kernel.tiled(COPIES)
-    tcols = kernel.schema.encode_tiled([cfg] * COPIES)
-    twrite = {name: column.copy() for name, column in tcols.items()}
-    tiled.apply("r", np.arange(n * COPIES), tcols, twrite)
-    for t in range(COPIES):
-        block = [int(v) for v in twrite[OUT][t * n:(t + 1) * n]]
-        expected = (
-            dict_vals if tiled_block is None else tiled_block(dict_vals, t, n)
+    result = None
+    for name, net, drops in layouts():
+        cfg = configuration(net, seed)
+        n = net.n
+        rule_set = RuleSet(
+            "node-test", net, schema,
+            [Rule("r", col(X) == col(X), [Assign(OUT, expr)])],
         )
-        assert block == expected, f"tiled block {t} diverges"
-    return dict_vals
+        kernel = rule_set.compile_kernel()
+        if drops:
+            net.apply_delta(drops, [])
+            kernel.csr.apply_delta(drops, [])
+            assert kernel.csr._has_empty
+        dict_program = rule_set.compile_dict()
+        dict_vals = [
+            int(dict_program.execute("r", cfg, u)[OUT]) for u in net.processes()
+        ]
+        before = [UNTOUCHED + u for u in range(n)]
+        sels = selections(n, rng)
+
+        cols = kernel.schema.encode(cfg)
+        for idx in sels:
+            chosen = set(idx.tolist())
+            want = [dict_vals[u] if u in chosen else before[u] for u in range(n)]
+            assert apply_at(kernel, idx, cols) == want, (
+                f"kernel lowering diverges from dict on {name} at {idx}"
+            )
+
+        tiled = kernel.tiled(COPIES)
+        tcols = kernel.schema.encode_tiled([cfg] * COPIES)
+        for i in range(len(sels)):
+            # Block t takes a different kind of selection each round.
+            block_sels = [sels[(i + t) % len(sels)] for t in range(COPIES)]
+            idx = np.concatenate([s + t * n for t, s in enumerate(block_sels)])
+            got = apply_at(tiled, idx, tcols)
+            for t, sel in enumerate(block_sels):
+                chosen = set(sel.tolist())
+                expected = (
+                    dict_vals if tiled_block is None
+                    else tiled_block(dict_vals, t, n)
+                )
+                block_before = [int(v) for v in tcols[OUT][t * n:(t + 1) * n]]
+                want = [
+                    expected[u] if u in chosen else block_before[u]
+                    for u in range(n)
+                ]
+                assert got[t * n:(t + 1) * n] == want, (
+                    f"tiled block {t} diverges on {name} at {sel}"
+                )
+        if result is None:
+            result = dict_vals
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +269,7 @@ def test_min_max_over_neighbors_with_filter_and_default():
 def test_neigh_index_is_global_under_tiling():
     vals = lowerings(
         min_over_neighbors(neigh_index(), default=-1),
-        tiled_block=lambda base, t, n: [v + t * n for v in base],
+        tiled_block=lambda base, t, n: [v if v < 0 else v + t * n for v in base],
     )
     assert all(v >= 0 for v in vals)
 
@@ -214,7 +281,9 @@ def test_gather_follows_pointers():
 
 def test_argmin_key_and_index():
     choice = argmin_over_neighbors(neigh(col(X)), sentinel=10**9)
-    lowerings(choice.key)
+    # ``key`` decodes the sentinel (by the runtime NProcs) where no
+    # neighbour exists, so it is only compared where one was found.
+    lowerings(where(choice.found, choice.key, const(-1)))
     lowerings(where(choice.found, 1, 0))
     lowerings(
         choice.index,
@@ -230,7 +299,7 @@ def test_argmin_breaks_ties_toward_smallest_index():
     net = network()
     vals = lowerings(
         choice.index,
-        tiled_block=lambda base, t, n: [v + t * n for v in base],
+        tiled_block=lambda base, t, n: [v if v < 0 else v + t * n for v in base],
     )
     assert vals == [min(net.neighbors(u)) for u in net.processes()]
 
@@ -280,3 +349,17 @@ def test_guard_masks_match_dict_guards():
     tmask = tiled.guard_masks(kernel.schema.encode_tiled([cfg] * COPIES))["r"]
     for t in range(COPIES):
         assert list(tmask[t * n:(t + 1) * n]) == expected
+
+
+def test_lifted_scalars_fold_as_constant_edge_vectors():
+    # A constant-true flag counts the degree; a lifted constant is the
+    # fold of any non-empty neighbourhood.
+    net = network()
+    assert lowerings(count_neighbors(neigh(const(True)))) == list(net.degrees)
+    lowerings(min_over_neighbors(own(const(4)), default=-1))
+    lowerings(
+        max_over_neighbors(neigh(nprocs()), default=-1),
+        tiled_block=lambda base, t, n: [
+            v if v < 0 else v + (COPIES - 1) * n for v in base
+        ],
+    )

@@ -1,10 +1,12 @@
 """Unit tests for the rule-set layer of :mod:`repro.ir`.
 
 Conditional actions, fast paths, clean gating of input rule sets,
-collateral merging, tiling refusal, declaration errors, and the
-``python -m repro.ir check`` lint itself.
+collateral merging, tiling refusal, declaration errors, the
+``python -m repro.ir check`` lint itself, and the shape of the generated
+actions.
 """
 
+import re
 from random import Random
 
 import numpy as np
@@ -24,6 +26,7 @@ from repro.ir import (
     merge_rule_sets,
 )
 from repro.ir.check import check_algorithm, main, run_check
+from repro.ir.registry import registered_algorithms
 from repro.topology import ring
 
 C, D = "c", "d"
@@ -292,3 +295,50 @@ def test_check_flags_guard_drift():
 
     problems = check_algorithm("drifted", Drifted(by_name("ring", 6)))
     assert problems and any("guard" in p for p in problems)
+
+
+def test_check_flags_action_drift():
+    from repro.baselines.bfs_tree import BfsTree, DIST_VAR
+    from repro.topology import by_name
+
+    class Drifted(BfsTree):
+        name = "bfs-tree-action-drifted"
+
+        def rule_set(self):
+            honest = super().rule_set()
+            return RuleSet(
+                honest.name, honest.network, honest.schema,
+                [Rule(r.label, r.guard, [Assign(DIST_VAR, col(DIST_VAR) + 1)])
+                 for r in honest.rules],
+            )
+
+    problems = check_algorithm("drifted", Drifted(by_name("ring", 6)))
+    assert any("kernel action" in p for p in problems)
+
+
+# ----------------------------------------------------------------------
+# Generated actions fold only the rows they update
+# ----------------------------------------------------------------------
+
+def _functions(source):
+    return {
+        chunk.split("(", 1)[0].removeprefix("def "): chunk
+        for chunk in source.split("\n\n")
+    }
+
+
+def test_actions_never_call_a_whole_graph_reduction():
+    whole = re.compile(r"\b(count|all|any|min|max)_neigh\(")
+    row_local = re.compile(r"\.(count|all|any|min|max)\(")
+    guard_sites = action_sites = 0
+    for label, factory in registered_algorithms():
+        functions = _functions(factory().rule_set().kernel_code().source)
+        for name, body in functions.items():
+            if name.startswith("apply_"):
+                assert not whole.search(body), f"{label}: {name} folds the graph"
+                assert body.count(".rows(idx)") <= 1, f"{label}: {name}"
+                action_sites += len(row_local.findall(body))
+            else:
+                guard_sites += len(whole.findall(body))
+    # Guards still fold the whole graph; actions do reduce, row-locally.
+    assert guard_sites > 0 and action_sites > 0
