@@ -4,23 +4,23 @@ The supervised executor (:mod:`repro.engine.pool`) must survive worker
 crashes and runaway trials; proving that in CI needs a way to make a
 *specific* trial crash or hang on demand, in a real worker process,
 without test-only code paths in the executor itself.  The hook is an
-environment variable read at the top of every supervised worker:
+environment variable read by every supervised worker before every unit:
 
 ``REPRO_CHAOS`` — ``;``-separated directives of the form
 ``<action>:<key-substring>[:<times>]``:
 
-* ``crash:unison`` — any worker whose unit contains a trial key with
-  substring ``unison`` dies with SIGKILL before executing;
+* ``crash:unison`` — any worker handed a unit that contains a trial key
+  with substring ``unison`` dies with SIGKILL before executing it;
 * ``timeout:trial=2`` — the matching worker hangs (sleeps an hour), so
   the parent's deadline fires;
-* ``crash:unison:1`` — only the first matching worker trips (so a retry
+* ``crash:unison:1`` — only the first matching unit trips (so a retry
   then succeeds).  The once-only bookkeeping needs ``REPRO_CHAOS_DIR``
   (a scratch directory shared by the worker processes); without it,
   ``times`` is ignored and every match trips.
 
 The variable is unset in normal operation, costing one ``os.environ``
-lookup per unit.  Chaos is injected *before* any trial executes, so a
-tripped worker can never have landed partial results.
+lookup per unit.  Chaos is injected *before* the unit's trials execute,
+so a tripped unit can never have landed partial results.
 """
 
 from __future__ import annotations

@@ -21,6 +21,8 @@ byte-identical records.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
+import signal
 import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Sequence
@@ -53,10 +55,12 @@ class FailurePolicy:
 
     Without a policy, ``run_specs`` keeps its historical contract: the
     first failing unit re-raises mid-sweep.  With one, execution moves
-    to a *supervised* executor — one short-lived OS process per
-    in-flight unit, results returned over a pipe — which survives what
-    a ``multiprocessing.Pool`` cannot: a worker dying (``kill -9``,
-    OOM, segfault) or hanging past its deadline.  A failing unit is
+    to a *supervised* executor — at most ``max(1, workers)`` long-lived
+    worker processes, each fed units and returning results over its own
+    pipe, respawned only after a crash, a hang or a failing unit — which
+    survives what a ``multiprocessing.Pool`` cannot: a worker dying
+    (``kill -9``, OOM, segfault) or hanging past its deadline.  A
+    failing unit is
 
     1. **retried** on the same tier up to ``max_retries`` times with
        exponential backoff (``backoff * 2**attempt`` seconds), then
@@ -287,34 +291,49 @@ class _WorkItem:
 
 
 def _supervised_worker(conn, args) -> None:
-    """Child side of the supervised executor: run one unit, send result.
+    """Body of one long-lived supervised worker process.
 
-    Never raises into the sweep: a genuine defect (poison trial) is
-    reported over the pipe as an ``error`` failure so the parent can
-    retry/degrade/quarantine it.  The chaos hook fires *before* any
-    trial executes (see :mod:`repro.engine.chaos`), so a tripped worker
+    ``args`` is ``(campaign_seed, campaign, inherited)``.  ``inherited``
+    holds the parent-side pipe ends the fork copied into this process;
+    they are closed first, so the parent's death reaches the worker as
+    EOF.  The worker then receives units ``(kind, payload)`` over
+    ``conn`` and replies ``(records, info, meta)`` per unit, until a
+    ``None`` sentinel or EOF, and returns normally.  SIGINT is ignored:
+    the parent owns the worker's lifetime.
+
+    A unit never raises into the sweep: a genuine defect (poison trial)
+    is reported as an ``error`` failure so the parent can
+    retry/degrade/quarantine it.  The chaos hook fires *before* each
+    unit executes (see :mod:`repro.engine.chaos`), so a tripped unit
     cannot have landed partial results.
     """
-    kind, payload, campaign_seed, campaign = args
-    keys = _unit_keys(kind, payload)
+    campaign_seed, campaign, inherited = args
+    for other in inherited:
+        other.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    from ..core.exceptions import NotStabilized
     from . import chaos
 
-    chaos.trip(keys)
     try:
-        from ..core.exceptions import NotStabilized
-
-        records, error, meta = _worker(args)
-        info = None
-        if error is not None:
-            reason = "budget" if isinstance(error, NotStabilized) else "error"
-            info = {"reason": reason, "message": str(error)}
-        conn.send((records, info, meta))
-    except BaseException as exc:
-        conn.send((
-            [],
-            {"reason": "error", "message": f"{type(exc).__name__}: {exc}"},
-            {"kind": kind, "fallback": False, "keys": keys, "phases": None},
-        ))
+        while (unit := conn.recv()) is not None:
+            kind, payload = unit
+            keys = _unit_keys(kind, payload)
+            chaos.trip(keys)
+            try:
+                records, error, meta = _worker(
+                    (kind, payload, campaign_seed, campaign)
+                )
+                info = None
+                if error is not None:
+                    reason = "budget" if isinstance(error, NotStabilized) else "error"
+                    info = {"reason": reason, "message": str(error)}
+            except Exception as exc:
+                records = []
+                info = {"reason": "error", "message": f"{type(exc).__name__}: {exc}"}
+                meta = {"kind": kind, "fallback": False, "keys": keys, "phases": None}
+            conn.send((records, info, meta))
+    except (EOFError, OSError):
+        pass  # the parent is gone
     finally:
         conn.close()
 
@@ -351,10 +370,15 @@ def _run_supervised(
 ) -> None:
     """Drive all units to completion under a :class:`FailurePolicy`.
 
-    One OS process per in-flight unit (at most ``max(1, workers)``),
-    each with its own result pipe — a worker killed mid-write can
-    corrupt only its own channel, never a shared queue.  The parent is
-    the only writer of the store, exactly as on the pool path.
+    At most ``max(1, workers)`` long-lived worker processes, forked
+    lazily when a unit needs a slot and none is idle, each with its own
+    duplex pipe — a worker killed mid-write can corrupt only its own
+    channel, never a shared queue.  A unit's deadline starts when it is
+    sent.  A worker that times out is killed, one that crashes is
+    dropped, and one that reports an ``error`` is retired, so a retry
+    never runs in the process that just failed.  On return or exception
+    every worker is stopped and joined.  The parent is the only writer
+    of the store, exactly as on the pool path.
     """
     ctx = multiprocessing.get_context()
     capacity = max(1, workers)
@@ -370,6 +394,7 @@ def _run_supervised(
         )
         for kind, payload in units
     ]
+    # Live workers; ``item`` is None while a worker is idle.
     live: list[dict] = []
 
     def unlanded(item: _WorkItem) -> list[str]:
@@ -398,76 +423,98 @@ def _run_supervised(
         for key in unlanded(item):
             quarantine(key, reason, item.retries, message)
 
-    def launch(item: _WorkItem) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        args = (item.kind, item.payload, campaign_seed, campaign)
+    def spawn() -> dict:
+        parent_conn, child_conn = ctx.Pipe()
+        inherited = tuple(entry["conn"] for entry in live) + (parent_conn,)
         proc = ctx.Process(
-            target=_supervised_worker, args=(child_conn, args), daemon=True
+            target=_supervised_worker,
+            args=(child_conn, (campaign_seed, campaign, inherited)),
+            daemon=True,
         )
         proc.start()
         child_conn.close()
-        deadline = None
-        if policy.trial_timeout is not None:
-            deadline = time.monotonic() + policy.trial_timeout * len(item.keys)
-        live.append(
-            {"proc": proc, "conn": parent_conn, "item": item, "deadline": deadline}
-        )
+        entry = {"proc": proc, "conn": parent_conn, "item": None, "deadline": None}
+        live.append(entry)
+        return entry
 
-    def finish(entry: dict) -> None:
+    def dispatch(item: _WorkItem) -> None:
+        entry = next((e for e in live if e["item"] is None), None) or spawn()
+        entry["item"] = item
+        if policy.trial_timeout is not None:
+            entry["deadline"] = (
+                time.monotonic() + policy.trial_timeout * len(item.keys)
+            )
+        try:
+            entry["conn"].send((item.kind, item.payload))
+        except OSError:
+            pass  # died while idle: the wait below reports the crash
+
+    def stop(entry: dict) -> None:
+        """Kill a busy worker; send an idle one the sentinel.  Join it."""
         live.remove(entry)
+        if entry["item"] is not None:
+            entry["proc"].kill()
+        else:
+            try:
+                entry["conn"].send(None)
+            except OSError:
+                pass  # already gone
         entry["conn"].close()
         entry["proc"].join()
 
-    while pending or live:
-        now = time.monotonic()
-        while len(live) < capacity:
-            idx = next(
-                (i for i, it in enumerate(pending) if it.not_before <= now),
-                None,
+    try:
+        while pending or any(e["item"] is not None for e in live):
+            now = time.monotonic()
+            while len(live) < capacity or any(e["item"] is None for e in live):
+                idx = next(
+                    (i for i, it in enumerate(pending) if it.not_before <= now),
+                    None,
+                )
+                if idx is None:
+                    break
+                dispatch(pending.pop(idx))
+
+            busy = [e for e in live if e["item"] is not None]
+            wakeups = [e["deadline"] for e in busy if e["deadline"] is not None]
+            wakeups += [it.not_before for it in pending if it.not_before > now]
+            ready = multiprocessing.connection.wait(
+                [e["conn"] for e in busy] + [e["proc"].sentinel for e in busy],
+                timeout=max(0.0, min(wakeups) - now) if wakeups else None,
             )
-            if idx is None:
-                break
-            launch(pending.pop(idx))
-
-        progressed = False
+            now = time.monotonic()
+            for entry in busy:
+                item = entry["item"]
+                if entry["conn"] in ready or entry["proc"].sentinel in ready:
+                    try:
+                        records, info, meta = entry["conn"].recv()
+                    except (EOFError, OSError):
+                        stop(entry)
+                        fail(item, "crash",
+                             f"worker died (exit {entry['proc'].exitcode}) "
+                             f"before reporting")
+                        continue
+                    entry["item"] = entry["deadline"] = None
+                    if info is not None and info["reason"] == "error":
+                        stop(entry)  # retries never reuse a failed process
+                    absorb(meta.get("phases"))
+                    land_records(records, meta)
+                    if info is not None:
+                        if info["reason"] == "budget":
+                            # Deterministic: a seeded trial cannot stabilize
+                            # on retry.  Siblings already landed above.
+                            for key in unlanded(item):
+                                quarantine(key, "budget", item.retries,
+                                           info["message"])
+                        else:
+                            fail(item, info["reason"], info["message"])
+                elif entry["deadline"] is not None and now >= entry["deadline"]:
+                    stop(entry)
+                    fail(item, "timeout",
+                         f"unit exceeded its deadline "
+                         f"({policy.trial_timeout:g}s per trial)")
+    finally:
         for entry in list(live):
-            proc, conn, item = entry["proc"], entry["conn"], entry["item"]
-            if conn.poll(0):
-                try:
-                    records, info, meta = conn.recv()
-                except EOFError:
-                    finish(entry)
-                    fail(item, "crash",
-                         f"worker died (exit {proc.exitcode}) before reporting")
-                    progressed = True
-                    continue
-                finish(entry)
-                absorb(meta.get("phases"))
-                land_records(records, meta)
-                if info is not None:
-                    if info["reason"] == "budget":
-                        # Deterministic: a seeded trial cannot stabilize
-                        # on retry.  Siblings already landed above.
-                        for key in unlanded(item):
-                            quarantine(key, "budget", item.retries,
-                                       info["message"])
-                    else:
-                        fail(item, info["reason"], info["message"])
-                progressed = True
-            elif not proc.is_alive():
-                finish(entry)
-                fail(item, "crash", f"worker died (exit {proc.exitcode})")
-                progressed = True
-            elif entry["deadline"] is not None and now > entry["deadline"]:
-                proc.kill()
-                finish(entry)
-                fail(item, "timeout",
-                     f"unit exceeded its deadline "
-                     f"({policy.trial_timeout:g}s per trial)")
-                progressed = True
-
-        if not progressed:
-            time.sleep(0.02)
+            stop(entry)
 
 
 def run_specs(

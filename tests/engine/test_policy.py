@@ -1,7 +1,8 @@
 """The supervised executor: crashes, hangs, poison trials, quarantine.
 
-``FailurePolicy`` switches ``run_specs``/``run_campaign`` to one
-short-lived supervised OS process per in-flight unit.  These tests drive
+``FailurePolicy`` switches ``run_specs``/``run_campaign`` to supervised,
+long-lived worker processes that are replaced after a crash, a hang or
+a failing unit.  These tests drive
 it with the deterministic chaos hook (``REPRO_CHAOS`` — real SIGKILLs
 and real hangs in real worker processes) and with genuinely poisonous
 specs, and assert the graceful-degradation contract:
