@@ -32,12 +32,19 @@ emits ``BENCH_core.json`` at the repo root:
   unreachable step).  Churn adds a hoisted next-occurrence peek plus a
   liveness column to the loop; the same 2% budget applies and
   ``--check`` bounds ``churn_vs_fused``.
+* ``batched`` — :data:`BATCH_TRIALS` replicates of the same cell (seeds
+  ``seed``, ``seed+1``, …) through
+  :func:`repro.core.kernel.batch.run_batch`, one lane per trial of the
+  same fused driver; its ``steps_per_s`` counts *trial*-steps (the sum
+  over replicates), the campaign-throughput unit.  Replicate 0 is the
+  ``fused`` execution, and ``--check`` asserts ``batched_vs_fused`` ≥ 1.
 
-All seven produce identical executions (equal seeds ⇒ equal traces); the
-report records steps/sec, moves/sec, per-size wall time, and the pairwise
-speedups.  The tracked baseline keeps the perf trajectory honest; CI runs
-a small-size smoke (``--check`` asserts fused ≥ fused+probe ≥ kernel ≥
-dict, with measurement *and* telemetry overhead bounded).  ``--out``
+The seven single-run columns produce identical executions (equal seeds
+⇒ equal traces); the report records steps/sec, moves/sec, per-size wall
+time, and the pairwise speedups.  The tracked baseline keeps the perf
+trajectory honest; CI runs a small-size smoke (``--check`` asserts
+fused ≥ fused+probe ≥ kernel ≥ dict and batched ≥ fused, with
+measurement *and* telemetry overhead bounded).  ``--out``
 also writes a provenance manifest sidecar (git SHA, package versions,
 host, phase breakdown) next to the JSON report.
 
@@ -61,6 +68,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core import Simulator, make_daemon  # noqa: E402
+from repro.core.kernel.batch import run_batch  # noqa: E402
 from repro.probes import StabilizationProbe  # noqa: E402
 from repro.reset import SDR  # noqa: E402
 from repro.telemetry import phases as telemetry  # noqa: E402
@@ -90,6 +98,29 @@ CONFIGS = (
     ("fused+churn", {"backend": "kernel", "churn": "at=1000000000,crash=1"},
      False, False),
 )
+
+
+#: Replicates per ``batched`` run.
+BATCH_TRIALS = 8
+
+
+def run_batched(sdr, network, daemon: str, steps: int, seed: int):
+    """One :data:`BATCH_TRIALS`-replicate batch of the cell; returns the
+    outcomes (replicate ``t`` runs seed ``seed + t``)."""
+    seeds = range(seed, seed + BATCH_TRIALS)
+    return run_batch(
+        sdr.kernel_program(),
+        [sdr.random_configuration(Random(s)) for s in seeds],
+        [make_daemon(daemon, network) for _ in seeds],
+        [Random(s) for s in seeds],
+        network,
+        max_steps=steps,
+        exclusion_name=sdr.name,
+    ).outcomes
+
+
+#: Every reported column, in report order.
+LABELS = tuple(label for label, _, _, _ in CONFIGS) + ("batched",)
 
 
 def time_cell(
@@ -146,18 +177,32 @@ def time_cell(
                 elapsed = time.perf_counter() - t0
             if label not in best or elapsed < best[label]:
                 best[label] = elapsed
-                results[label] = result
+                results[label] = (result.steps, result.moves, result.rounds)
+        t0 = time.perf_counter()
+        outcomes = run_batched(sdr, network, daemon, steps, seed)
+        elapsed = time.perf_counter() - t0
+        if outcomes[0].moves != results["fused"][1]:
+            raise SystemExit(
+                "FAIL: batched replicate 0 diverged from the fused run — "
+                f"moves {outcomes[0].moves} != {results['fused'][1]}"
+            )
+        if "batched" not in best or elapsed < best["batched"]:
+            best["batched"] = elapsed
+            results["batched"] = tuple(
+                sum(getattr(o, field) for o in outcomes)
+                for field in ("steps", "moves", "rounds")
+            )
     rows = {
         label: {
             "n": n,
             "daemon": daemon,
             "backend": label,
-            "steps": results[label].steps,
-            "moves": results[label].moves,
-            "rounds": results[label].rounds,
+            "steps": results[label][0],
+            "moves": results[label][1],
+            "rounds": results[label][2],
             "wall_s": round(best[label], 6),
-            "steps_per_s": round(results[label].steps / best[label], 1),
-            "moves_per_s": round(results[label].moves / best[label], 1),
+            "steps_per_s": round(results[label][0] / best[label], 1),
+            "moves_per_s": round(results[label][1] / best[label], 1),
         }
         for label in best
     }
@@ -173,7 +218,7 @@ def run_benchmark(sizes: list[int], steps: int, seed: int, repeats: int) -> dict
             cell, snap = time_cell(n, daemon, steps, seed, repeats)
             if snap is not None:
                 phase_snaps.append(snap)
-            for label, _, _, _ in CONFIGS:
+            for label in LABELS:
                 row = cell[label]
                 rows.append(row)
                 print(
@@ -221,6 +266,12 @@ def run_benchmark(sizes: list[int], steps: int, seed: int, repeats: int) -> dict
                     cell["fused+churn"]["steps_per_s"]
                     / cell["fused"]["steps_per_s"]
                 ),
+                # Trial-steps/s of a BATCH_TRIALS-lane batch over the
+                # single run's steps/s: what batching a cell buys.
+                "batched_vs_fused": (
+                    cell["batched"]["steps_per_s"]
+                    / cell["fused"]["steps_per_s"]
+                ),
             }
             speedups[f"{daemon}/n={n}"] = {
                 key: round(value, 2) for key, value in ratios.items()
@@ -233,7 +284,8 @@ def run_benchmark(sizes: list[int], steps: int, seed: int, repeats: int) -> dict
                 f"fused+probe/kernel {ratios['fused_probe_vs_kernel']:.2f}x  "
                 f"telemetry/fused {ratios['telemetry_vs_fused']:.2f}x  "
                 f"faults/fused {ratios['faults_vs_fused']:.2f}x  "
-                f"churn/fused {ratios['churn_vs_fused']:.2f}x"
+                f"churn/fused {ratios['churn_vs_fused']:.2f}x  "
+                f"batched/fused {ratios['batched_vs_fused']:.2f}x"
             )
     return {
         "benchmark": "F1/F2 ring unison sweep (U o SDR, random initial configs)",
@@ -243,7 +295,8 @@ def run_benchmark(sizes: list[int], steps: int, seed: int, repeats: int) -> dict
             "topology": "ring",
             "scenario": "random",
             "daemons": list(DAEMONS),
-            "backends": [label for label, _, _, _ in CONFIGS],
+            "backends": list(LABELS),
+            "batch_trials": BATCH_TRIALS,
             "steps_per_run": steps,
             "seed": seed,
             "repeats": repeats,
@@ -267,7 +320,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the JSON report here (e.g. BENCH_core.json)")
     parser.add_argument("--check", action="store_true",
                         help="exit nonzero unless fused >= fused+probe >= "
-                             "kernel >= dict throughput at every size")
+                             "kernel >= dict and batched >= fused "
+                             "throughput at every size")
     args = parser.parse_args(argv)
 
     sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
@@ -346,10 +400,22 @@ def main(argv: list[str] | None = None) -> int:
             print("FAIL: the churn-schedule due-check slowed the fused loop "
                   f"beyond its 2% budget (plus noise allowance) at {churning}")
             return 1
+        # Batching a cell must pay: BATCH_TRIALS lanes through one
+        # driver beat one lane per run in trial-steps/s.
+        unbatched = {
+            cell: ratios["batched_vs_fused"]
+            for cell, ratios in report["speedup_steps_per_s"].items()
+            if ratios["batched_vs_fused"] < 1.0
+        }
+        if unbatched:
+            print("FAIL: batched trial-steps/s fell below the fused "
+                  f"single run at {unbatched}")
+            return 1
         print("OK: fused >= fused+probe >= kernel >= dict throughput at "
               "every size (stabilization measurement stays on the fused "
               "loop; phase telemetry, the fault-schedule due-check, and "
-              "the churn-schedule due-check within their 2% budgets)")
+              "the churn-schedule due-check within their 2% budgets); "
+              "batched >= fused")
     return 0
 
 

@@ -1,12 +1,18 @@
-"""Struct-of-arrays execution runtime driven by the simulator.
+"""Struct-of-arrays execution runtime and the one fused driver.
 
 :class:`KernelRuntime` owns the flat per-variable columns of one
-execution and advances them step by step: guard masks are recomputed
+execution — or of a batch's trials side by side (:meth:`KernelRuntime.tiled`)
+— and advances them step by step: guard masks are recomputed
 vectorized after every step (full recomputation is cheap in array form —
 no incremental bookkeeping needed), and actions mutate a double buffer
 (write columns rebased from the read columns, then swapped) so every
 activated process reads the same frozen pre-step configuration —
 composite atomicity by construction.
+
+:meth:`KernelRuntime.drive` is the fused loop, written once over
+:class:`Lane` objects — one per execution sharing the buffers: a single
+fused run (:meth:`KernelRuntime.run`) is one lane, a batched cell
+(:func:`repro.core.kernel.batch.run_batch`) one lane per trial.
 
 The runtime speaks the simulator's language at the boundary: it produces
 the enabled map as a ``{process: (rules…)}`` dict in ascending process
@@ -29,7 +35,7 @@ from ..exceptions import ModelViolation
 from .daemons import VectorDaemon, open_stream
 from .programs import KernelProgram
 
-__all__ = ["KernelRuntime", "KernelSnapshot", "FusedResult"]
+__all__ = ["KernelRuntime", "KernelSnapshot", "FusedResult", "Lane"]
 
 #: Deferred per-process move accounting flushes into a bincount once this
 #: many buffered moves accumulate — keeps fused-loop memory O(n) on
@@ -64,44 +70,60 @@ class FusedResult:
 
 
 class MoveAccumulator:
-    """Deferred per-process move accounting shared by the fused drivers.
+    """Deferred move accounting of the fused driver.
 
-    Selection vectors buffer and flush into one ``bincount`` per
-    :data:`FLUSH_MOVES` buffered moves — cheaper than a per-step scatter,
-    O(size) memory on multi-million-step budget runs.  ``counts`` holds
-    the totals after a final :meth:`flush`.
+    Every step's activated index vector is buffered with the rule it
+    executed and flushed once per :data:`FLUSH_MOVES` buffered moves —
+    cheaper than a per-step scatter, O(size) memory on multi-million-step
+    budget runs.  After a final :meth:`flush`, ``counts`` holds the moves
+    per process and ``per_rule`` the moves per ``(lane, rule)``
+    (flattened lane-major) — one ``bincount`` each per flush.
     """
 
-    __slots__ = ("counts", "_selections", "_buffered")
+    __slots__ = ("counts", "per_rule", "_n", "_nrules", "_parts", "_rules",
+                 "_buffered")
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, n: int, nrules: int):
         self.counts = np.zeros(size, dtype=np.int64)
-        self._selections: list[np.ndarray] = []
+        self.per_rule = np.zeros(size // n * nrules, dtype=np.int64)
+        self._n = n
+        self._nrules = nrules
+        self._parts: list[np.ndarray] = []
+        self._rules: list[int] = []
         self._buffered = 0
 
-    def add(self, chosen: np.ndarray) -> None:
-        self._selections.append(chosen)
+    def add(self, chosen: np.ndarray, rule: int) -> None:
+        self._parts.append(chosen)
+        self._rules.append(rule)
         self._buffered += chosen.shape[0]
         if self._buffered >= FLUSH_MOVES:
             self.flush()
 
     def flush(self) -> None:
-        if self._selections:
-            self.counts[:] += np.bincount(
-                np.concatenate(self._selections),
-                minlength=self.counts.shape[0],
-            )
-            self._selections.clear()
-            self._buffered = 0
+        parts = self._parts
+        if not parts:
+            return
+        chosen = np.concatenate(parts)
+        self.counts += np.bincount(chosen, minlength=self.counts.shape[0])
+        lengths = [part.shape[0] for part in parts]
+        if self.per_rule.shape[0] == self._nrules:
+            # One lane owns every move: weigh each part's rule by its size.
+            self.per_rule += np.bincount(
+                self._rules, weights=lengths, minlength=self._nrules
+            ).astype(np.int64)
+        else:
+            keys = chosen // self._n * self._nrules + np.repeat(self._rules, lengths)
+            self.per_rule += np.bincount(keys, minlength=self.per_rule.shape[0])
+        parts.clear()
+        self._rules.clear()
+        self._buffered = 0
 
 
 def dispatch_rules(masks, rules, rule_idx, rule_counts):
-    """Shared guard-mask → enabled-mask dispatch for the fused drivers.
+    """Guard-mask → enabled-mask dispatch of the fused driver.
 
-    Both fused loops (:meth:`KernelRuntime.run` and
-    :func:`repro.core.kernel.batch.run_batch`) turn the guard-mask dict
-    into an enabled mask plus dispatch state through this one routine so
-    the ``rule_choice="first"`` semantics cannot diverge between them.
+    Turns the guard-mask dict into an enabled mask plus dispatch state,
+    with ``rule_choice="first"`` semantics.
 
     Returns ``(enabled_mask, only_rule, total)``: ``only_rule`` is the
     index of the single rule with enabled processes (its mask *is* the
@@ -160,6 +182,57 @@ def exclusion_offender(masks, rules, size):
     return u, offending
 
 
+class Lane:
+    """One execution inside the fused driver: a block of the columns.
+
+    A lane owns the process block ``[index·n, (index+1)·n)`` of the
+    runtime's buffers (the whole buffer in a single run), its vectorized
+    daemon and random stream, the accounting offsets of a resumed
+    execution (``steps0``/``moves0``, the absolute totals its schedules
+    and probes count from), its probes and their view, and its
+    disturbance schedules in polling order (faults, then churn).
+    :meth:`KernelRuntime.drive` fills ``steps``/``moves`` (deltas),
+    ``stop_reason`` and ``hit``.
+    """
+
+    __slots__ = ("index", "lo", "daemon", "stream", "steps0", "moves0",
+                 "steps", "moves", "chosen", "probes", "view", "schedules",
+                 "due", "stop_reason", "hit")
+
+    def __init__(self, index: int, daemon: VectorDaemon, rng: Random, *,
+                 probes=(), view=None, schedules=()):
+        self.index = index
+        self.lo = 0
+        self.daemon = daemon
+        self.stream = (
+            open_stream(rng, scalar=daemon.scalar_stream)
+            if daemon.uses_rng
+            else None
+        )
+        self.probes = tuple(probes)
+        self.view = view
+        self.steps0 = view.steps if view is not None else 0
+        self.moves0 = view.moves if view is not None else 0
+        self.steps = self.moves = 0
+        #: The lane's last selection (lane-local indices).
+        self.chosen = None
+        self.schedules = tuple(
+            sched for sched in schedules
+            if sched is not None and not sched.exhausted
+        )
+        #: Absolute step of the lane's next nominal occurrence, or None.
+        self.due = self._next_due()
+        self.stop_reason = ""
+        self.hit = False
+
+    def _next_due(self) -> int | None:
+        pending = [
+            step for sched in self.schedules
+            if (step := sched.peek_next()) is not None
+        ]
+        return min(pending) if pending else None
+
+
 class KernelSnapshot:
     """Frozen copy of a :class:`KernelRuntime`'s mutable state.
 
@@ -190,6 +263,7 @@ class KernelRuntime:
 
     __slots__ = (
         "program",
+        "base",
         "rules",
         "read",
         "write",
@@ -204,13 +278,31 @@ class KernelRuntime:
     )
 
     def __init__(self, program: KernelProgram, cfg: Configuration):
+        self._bind(program, program.schema.encode(cfg))
+
+    @classmethod
+    def tiled(cls, program: KernelProgram, cfgs) -> "KernelRuntime | None":
+        """One runtime over ``len(cfgs)`` executions of ``program``, side
+        by side (:meth:`Schema.encode_tiled`), or ``None`` when the
+        program cannot be tiled."""
+        prog = program.tiled(len(cfgs))
+        if prog is None:
+            return None
+        runtime = cls.__new__(cls)
+        runtime._bind(prog, program.schema.encode_tiled(cfgs), base=program)
+        return runtime
+
+    def _bind(self, program: KernelProgram, columns: dict[str, np.ndarray],
+              base: KernelProgram | None = None) -> None:
         self.program = program
+        #: The untiled program (compaction re-tiles it to fewer blocks).
+        self.base = base if base is not None else program
         self.rules = program.rules
-        self.read: dict[str, np.ndarray] = program.schema.encode(cfg)
+        self.read: dict[str, np.ndarray] = columns
         self.write: dict[str, np.ndarray] = {
-            name: col.copy() for name, col in self.read.items()
+            name: col.copy() for name, col in columns.items()
         }
-        n = len(cfg)
+        size = len(next(iter(columns.values())))
         #: Liveness column — ``None`` until topology churn crashes a
         #: process (the common no-churn case pays nothing), then a bool
         #: vector ANDed into every guard mask: a crashed process is never
@@ -220,8 +312,8 @@ class KernelRuntime:
         self._singles = [(rule,) for rule in self.rules]
         #: Per process: index of its single enabled rule, -1 if disabled
         #: (-2 marks the multi-rule case, resolved in the slow path).
-        self._rule_idx = np.full(n, -1, dtype=np.int8)
-        self._rule_idx_prev = np.full(n, -1, dtype=np.int8)
+        self._rule_idx = np.full(size, -1, dtype=np.int8)
+        self._rule_idx_prev = np.full(size, -1, dtype=np.int8)
         self._prev_valid = False
         self._prev_map: dict[int, tuple[str, ...]] = {}
         #: Max number of simultaneously enabled rules at one process in the
@@ -375,46 +467,58 @@ class KernelRuntime:
         if rounds is not None and snap.rounds_state is not None:
             rounds.resume(*snap.rounds_state)
 
-    def inject(self, assignments) -> None:
+    def inject(self, assignments, offset: int = 0) -> None:
         """Corrupt registers in place: ``(process, variable, value)`` triples.
 
         Values are *decoded* (the same plain-Python values the dict
         backend writes via ``Configuration.set``); each is encoded
         through the schema's declared domain, so a fault can never
-        smuggle an out-of-domain value into a column.  Invalidates the
-        guard-mask and enabled-map caches — the next ``enabled_map`` /
+        smuggle an out-of-domain value into a column.  ``offset`` is the
+        first process of the target block in a tiled runtime: processes
+        shift by it, and so do ``opt_index`` values (globalized exactly
+        like :meth:`Schema.encode_tiled`).  Invalidates the guard-mask
+        and enabled-map caches — the next ``enabled_map`` /
         ``guard_masks`` call sees the corrupted configuration.
         """
         schema_vars = {var.name: var for var in self.program.schema.vars}
         for u, name, value in assignments:
-            self.read[name][u] = schema_vars[name].encode_value(value)
+            var = schema_vars[name]
+            code = var.encode_value(value)
+            if offset and var.kind == "opt_index" and code >= 0:
+                code += offset
+            self.read[name][u + offset] = code
         self._masks = None
         self._prev_valid = False
 
-    def apply_churn(self, occ) -> None:
-        """Mirror one churn occurrence into the columnar engine.
+    def disturb(self, occ, offset: int = 0) -> bool:
+        """Land one fault or churn occurrence on the block at ``offset``.
 
-        Patches the program's CSR adjacency in place
+        Rewires the program's CSR adjacency in place
         (:meth:`~repro.core.kernel.csr.CSRAdjacency.apply_delta`),
-        maintains the liveness column, and injects join state through
-        :meth:`inject` (schema encoding, same as faults).  A crashed
+        maintains the liveness column, and writes the occurrence's
+        register assignments through :meth:`inject`.  A crashed
         process's registers stay frozen in the columns — neighbors can
         no longer read them because its edges are gone, and the
-        liveness mask keeps it out of every enabled set.
+        liveness mask keeps it out of every enabled set.  Returns
+        whether links changed (topology-aware daemons must follow).
         """
-        if occ.drops or occ.adds:
-            self.program.csr.apply_delta(occ.drops, occ.adds)
-        if occ.victims:
-            if occ.action == "crash":
-                if self.live is None:
-                    self.live = np.ones(self._rule_idx.shape[0], dtype=np.bool_)
-                self.live[list(occ.victims)] = False
-            elif occ.action == "join" and self.live is not None:
-                self.live[list(occ.victims)] = True
+        rewired = bool(occ.drops or occ.adds)
+        if rewired:
+            self.program.csr.apply_delta(
+                [(u + offset, v + offset) for u, v in occ.drops],
+                [(u + offset, v + offset) for u, v in occ.adds],
+            )
+        if occ.crashed:
+            if self.live is None:
+                self.live = np.ones(self._rule_idx.shape[0], dtype=np.bool_)
+            self.live[[u + offset for u in occ.crashed]] = False
+        if occ.joined and self.live is not None:
+            self.live[[u + offset for u in occ.joined]] = True
         if occ.assignments:
-            self.inject(occ.assignments)
+            self.inject(occ.assignments, offset)
         self._masks = None
         self._prev_valid = False
+        return rewired
 
     # ------------------------------------------------------------------
     # Fused driving loop
@@ -433,273 +537,415 @@ class KernelRuntime:
         faults=None,
         churn=None,
     ) -> FusedResult:
-        """Drive guard-eval → daemon-mask → apply entirely over columns.
+        """Run this runtime's one execution through :meth:`drive`.
 
-        One iteration never leaves numpy: guards become rule-index
-        vectors, the vectorized ``daemon`` picks the activated index
-        vector (consuming ``rng``'s stream exactly like its dict twin),
-        actions mutate the double buffer, and accounting lands in flat
-        counters.  Stops at a terminal configuration, when the optional
-        ``until`` mask (a per-process predicate over the read columns)
-        holds everywhere — checked on the initial configuration too, like
-        the simulator's ``stop_when`` — when an attached probe requests
-        it, or when ``max_steps`` runs out.
-
-        ``rounds`` is an optional
-        :class:`~repro.core.rounds.ArrayRoundCounter`, already started,
-        updated in place.  ``exclusion_name`` enables the per-step
+        The single lane covers the runtime's own buffers.  ``until`` is
+        an optional per-process predicate over the read columns (the run
+        stops with ``stop_reason="predicate"`` once it holds everywhere,
+        the initial configuration included); ``rounds`` an optional,
+        already started :class:`~repro.core.rounds.ArrayRoundCounter`,
+        updated in place; ``exclusion_name`` enables the per-step
         mutual-exclusion check (the value names the algorithm in the
-        error).  ``probes`` are vector-tier
-        :class:`repro.probes.Probe` instances served inline: their
-        ``on_columns`` hook sees ``view`` (a
+        error).  ``probes`` are vector-tier :class:`repro.probes.Probe`
+        instances served inline through ``view`` (a
         :class:`repro.probes.ColumnView` prepared by the caller, with
-        ``steps``/``moves`` preset to the execution's running totals)
-        once on the initial configuration and once per step, and any
-        probe whose ``done()`` turns true stops the run with
-        ``stop_reason="probe"``.  The caller decodes at the boundary;
-        nothing here builds a dict or a
-        :class:`~repro.core.configuration.Configuration`.
+        ``steps``/``moves`` preset to the execution's running totals —
+        also the clock of the bound ``faults`` and ``churn`` schedules
+        on resumed executions).  Returns the accounting *delta* of this
+        stretch; the caller decodes at the boundary.
+        """
+        lane = Lane(0, daemon, rng, probes=probes, view=view,
+                    schedules=(faults, churn))
+        acc = self.drive(
+            [lane],
+            max_steps=max_steps,
+            until=None if until is None else (lambda prog, cols: until(cols)),
+            rounds=rounds,
+            exclusion_name=exclusion_name,
+        )
+        return FusedResult(
+            lane.steps, lane.moves, acc.counts,
+            {rule: c for rule, c in zip(self.rules, acc.per_rule.tolist()) if c},
+            lane.stop_reason, lane.hit,
+        )
 
-        ``faults`` is an optional bound
-        :class:`~repro.faults.schedule.BoundFaultSchedule`: at the top of
-        every iteration, due occurrences corrupt the read columns in
-        place (no step, no move), guards are recomputed, the round
-        counter is rebased, and probes get ``on_fault``.  A terminal
-        configuration with occurrences still pending pulls the next one
-        forward (self-stabilization is recovery from faults striking
-        legitimate configurations); if even that enables nothing, the
-        run ends terminal.
+    def drive(
+        self,
+        lanes: list[Lane],
+        *,
+        max_steps: int,
+        until: Callable | None = None,
+        rounds=None,
+        exclusion_name: str | None = None,
+    ) -> MoveAccumulator:
+        """The fused loop: guard → daemon → apply → rounds → probes, per lane.
 
-        ``churn`` is an optional bound
-        :class:`~repro.faults.churn.BoundChurnSchedule`, handled with
-        the same hoisted one-int-comparison hot path as ``faults``
-        (checked right after them, both at the loop top and in the
-        terminal pull-forward): due occurrences patch the CSR adjacency
-        and the liveness column via :meth:`apply_churn`, refresh the
-        vectorized daemon's topology snapshot, recompute guards, rebase
-        the round counter, and hand probes ``on_churn``.
+        One iteration never leaves numpy for the columns: guards become
+        one enabled mask over every block, each lane's vectorized daemon
+        picks from its block's enabled indices (consuming the lane's
+        stream exactly like its dict twin), one application serves every
+        lane, and accounting lands in flat counters.  Lanes stop
+        independently and freeze — a frozen block receives no further
+        selections, so its columns and accounting stay exactly at its
+        stopping configuration: at a terminal configuration, when
+        ``until(prog, cols)`` (a per-process mask over the working
+        program and columns) holds on the whole block — checked on the
+        initial configuration too — when one of the lane's probes is
+        ``done()``, or after ``max_steps`` steps.
+
+        Probes see their lane's block as a
+        :class:`repro.probes.ColumnView` once at the start and after
+        every step the lane executes.  ``rounds`` (an
+        :class:`~repro.core.rounds.ArrayRoundCounter` with one block per
+        lane, started here unless it already is) counts rounds per lane.
+
+        Before every step, a lane's due disturbances land through
+        :meth:`disturb` (no step, no move): guards are recomputed, the
+        lane's rounds rebased, and its probes notified through the
+        schedule's own hook.  One pull-forward rule serves every
+        schedule: a lane's schedules are polled in order; at a terminal
+        lane a schedule with nothing due pulls its next occurrence
+        forward; when a *finite* schedule's pull leaves the lane
+        terminal, the lane is polled again, so it only ends terminal
+        once no schedule can disturb it again (an infinite schedule
+        whose pull wakes nobody ends it).
+
+        Heavy-tailed batches are *compacted*: once the trailing lanes
+        have all frozen, their blocks are dropped from the working
+        buffers (the program is re-tiled to the surviving prefix), so
+        guard evaluation stops paying for finished lanes.  Returns the
+        flushed :class:`MoveAccumulator`.
         """
         program, rules = self.program, self.rules
         nrules = len(rules)
+        total = self._rule_idx.shape[0]
+        blocks = len(lanes)
+        single = blocks == 1
+        n = total // blocks
+        for lane in lanes:
+            lane.lo = lane.index * n
         check_exclusion = exclusion_name is not None and nrules > 1
-        n = self._rule_idx.shape[0]
-        rule_idx = np.empty(n, dtype=np.int8)
-        rule_counts: list[int] = [0] * nrules
-        acc = MoveAccumulator(n)
-        moves_per_rule = [0] * nrules
-        steps = moves = 0
-        stop_reason = "budget"
-        hit = False
-
+        # ``full`` holds the complete buffers (what the runtime keeps),
+        # ``full[flip]`` being the current read parity; ``read``/``write``
+        # are the *working* buffers — the same dicts until compaction,
+        # prefix views afterwards.
+        full = (self.read, self.write)
+        read, write = full
+        column_pairs = (
+            [(read[name], write[name]) for name in read],
+            [(write[name], read[name]) for name in read],
+        )
+        flip = 0
+        size = total
+        # Block boundaries and ``opt_index`` names serve only tiled
+        # layouts: the globalized indices there are re-localized for probes.
+        block_bounds = None if single else np.arange(0, total + 1, n)
+        rule_idx = np.empty(total, dtype=np.int8)
+        rule_counts = [0] * nrules
         # When every enabled process has the same single rule enabled,
         # rule dispatch is trivial; ``only_rule[0]`` holds its index then.
         only_rule = [0 if nrules == 1 else -1]
+        acc = MoveAccumulator(total, n, nrules)
+        opt_index_cols = () if single else tuple(
+            var.name for var in self.base.schema.vars if var.kind == "opt_index"
+        )
 
-        def compute_enabled() -> np.ndarray:
-            """Refresh rule dispatch state and return the enabled mask."""
-            masks = self.guard_masks()
-            enabled, only, total = dispatch_rules(
+        def compute_enabled(masks=None) -> np.ndarray:
+            """Refresh rule dispatch state and return the enabled mask
+            (of ``masks``, or of freshly evaluated guards)."""
+            if masks is None:
+                masks = program.guard_masks(read)
+                live = self.live
+                if live is not None:
+                    live = live[:size]
+                    masks = {
+                        rule: mask & live
+                        for rule, mask in masks.items()
+                        if mask is not None
+                    }
+                self._masks = masks
+            enabled, only, grand = dispatch_rules(
                 masks, rules, rule_idx, rule_counts
             )
             only_rule[0] = only
             if (
                 check_exclusion
                 and only == -2
-                and total != int(np.count_nonzero(enabled))
+                and grand != int(np.count_nonzero(enabled))
             ):
-                u, offending = exclusion_offender(masks, rules, n)
+                u, offending = exclusion_offender(masks, rules, size)
+                where = f"process {u}" if single else (
+                    f"process {u % n} (trial {u // n})"
+                )
                 raise ModelViolation(
                     f"{exclusion_name}: rules {offending} simultaneously "
-                    f"enabled at process {u}, but the algorithm declares "
+                    f"enabled at {where}, but the algorithm declares "
                     "mutual exclusion"
                 )
             return enabled
 
-        steps0 = view.steps if view is not None else 0
-        moves0 = view.moves if view is not None else 0
+        def observe(lane: Lane, phase: str, chosen, kinds) -> bool:
+            """Show the lane's block to its probes; ``True`` = freeze it.
 
-        def observe(phase: str, chosen, mask, chosen_kinds=None) -> bool:
-            """Show the current configuration to every probe; True = stop."""
+            Phase ``"stop"`` hands the final configuration to
+            ``Probe.on_stop`` instead.
+            """
+            view = lane.view
             view.phase = phase
-            view.cols = self.read
+            if single:
+                view.cols = read
+                view.enabled_mask = enabled_mask
+                view.rule_idx = rule_idx if only_rule[0] == -2 else None
+                view.live = self.live
+            else:
+                lo = lane.lo
+                hi = lo + n
+                cols = {name: col[lo:hi] for name, col in read.items()}
+                if lo:
+                    for name in opt_index_cols:
+                        block = cols[name]
+                        cols[name] = np.where(block >= 0, block - lo, block)
+                view.cols = cols
+                view.enabled_mask = enabled_mask[lo:hi]
+                # dispatch_rules only materializes rule_idx in the
+                # multi-rule case; the single-rule fast path leaves it
+                # stale.
+                view.rule_idx = rule_idx[lo:hi] if only_rule[0] == -2 else None
+                view.live = None if self.live is None else self.live[lo:hi]
             view.chosen = chosen
-            view.enabled_mask = mask
-            view.chosen_rules = chosen_kinds
-            # dispatch_rules only materializes rule_idx in the multi-rule
-            # case; the single-rule fast path leaves it stale.
-            view.rule_idx = rule_idx if only_rule[0] == -2 else None
-            view.live = self.live
-            view.steps = steps0 + steps
-            view.moves = moves0 + moves
-            view.rounds = rounds.completed if rounds is not None else 0
+            view.chosen_rules = kinds
+            view.steps = lane.steps0 + steps
+            view.moves = lane.moves0 + lane.moves
+            view.rounds = rounds.completed[lane.index] if rounds is not None else 0
+            if phase == "stop":
+                for probe in lane.probes:
+                    probe.on_stop(view)
+                return False
             stop = False
-            for probe in probes:
+            for probe in lane.probes:
                 probe.on_columns(view)
                 stop = probe.done() or stop
             return stop
 
-        stream = (
-            open_stream(rng, scalar=daemon.scalar_stream)
-            if daemon.uses_rng
-            else None
-        )
-        # Read→write column copies for both buffer parities, precomputed
-        # so the per-step copy loop touches no dicts.
-        column_pairs = (
-            [(self.read[name], self.write[name]) for name in self.read],
-            [(self.write[name], self.read[name]) for name in self.read],
-        )
-        flip = 0
-        # Telemetry: resolved once per run, never per step.  Disabled
+        def idle(lane: Lane, mask: np.ndarray) -> bool:
+            lo = lane.lo
+            return not (mask.any() if single else mask[lo : lo + n].any())
+
+        def poll(todo: list[Lane]) -> np.ndarray:
+            """Land the due occurrences of ``todo``'s schedules; returns
+            the enabled mask after them (the pull-forward rule above)."""
+            self.read, self.write = full[flip], full[flip ^ 1]
+            mask = enabled_mask
+            while todo:
+                again = []
+                pending = todo
+                for pos in range(max(len(lane.schedules) for lane in todo)):
+                    landed = []
+                    for lane in pending:
+                        if pos >= len(lane.schedules):
+                            continue
+                        sched = lane.schedules[pos]
+                        if sched.exhausted:
+                            continue
+                        was_idle = idle(lane, mask)
+                        due = sched.pop_due(lane.steps0 + steps, idle=was_idle)
+                        if not due:
+                            continue
+                        for occ in due:
+                            if self.disturb(occ, lane.lo):
+                                lane.daemon.refresh_topology(program.csr)
+                        landed.append((lane, sched, due, was_idle))
+                    if not landed:
+                        continue
+                    mask = compute_enabled()
+                    for lane, sched, due, was_idle in landed:
+                        if rounds is not None:
+                            rounds.rebase(mask, lane.index)
+                        if lane.probes:
+                            sched.notify(
+                                lane.probes, due,
+                                step=lane.steps0 + steps,
+                                moves=lane.moves0 + lane.moves,
+                                rounds=(rounds.completed[lane.index]
+                                        if rounds is not None else 0),
+                            )
+                        if was_idle and sched.schedule.finite and idle(lane, mask):
+                            again.append(lane)
+                    if again:
+                        pending = [lane for lane in pending if lane not in again]
+                todo = again
+            return mask
+
+        def next_poll(scheduled: list[Lane]) -> int | None:
+            """Step count at which the earliest scheduled lane is due."""
+            if not scheduled:
+                return None
+            return min(lane.due - lane.steps0 for lane in scheduled)
+
+        def freeze(lane: Lane, reason: str, converged: bool = False) -> None:
+            lane.stop_reason = reason
+            lane.hit = converged
+            lane.steps = steps
+            if lane.probes:
+                observe(lane, "stop", None, None)
+
+        def check_until() -> bool:
+            """Freeze every lane whose block satisfies ``until``."""
+            mask = until(program, read)
+            if single:
+                hit = [bool(mask.all())]
+            else:
+                hit = np.logical_and.reduceat(mask, block_bounds[:-1]).tolist()
+            froze = False
+            for lane in active:
+                if not lane.stop_reason and hit[lane.index]:
+                    freeze(lane, "predicate", True)
+                    froze = True
+            return froze
+
+        # Telemetry: resolved once per drive, never per step.  Disabled
         # costs one boolean test per iteration (no timer calls at all);
         # enabled, one step in every ``stats.stride`` is timed phase by
-        # phase into flat slots (see repro.telemetry.phases).
+        # phase into flat slots (see repro.telemetry.phases).  Compaction
+        # is rare, so it is timed exactly on every occurrence.
         stats = telemetry.collector()
         tel = stats is not None
         if tel:
             smask, ttimes, tcounts = stats.mask, stats.times, stats.counts
-            T_DAEMON, T_APPLY, T_GUARD, T_ROUNDS, T_PROBE = (
+            T_DAEMON, T_APPLY, T_GUARD, T_ROUNDS, T_PROBE, T_COMPACT = (
                 telemetry.DAEMON, telemetry.APPLY, telemetry.GUARD,
-                telemetry.ROUNDS, telemetry.PROBE,
+                telemetry.ROUNDS, telemetry.PROBE, telemetry.COMPACT,
             )
+        steps = 0
+        active = lanes
+        watching = any(lane.probes for lane in lanes)
+        parts: list[np.ndarray] = []
         try:
-            enabled_mask = compute_enabled()
-            if probes and observe("start", None, enabled_mask):
-                return FusedResult(0, 0, acc.counts,
-                                   self._rule_totals(moves_per_rule),
-                                   "probe", False)
-            if until is not None and bool(until(self.read).all()):
-                return FusedResult(0, 0, acc.counts,
-                                   self._rule_totals(moves_per_rule),
-                                   "predicate", True)
-            fault_sched = faults if faults is not None and not faults.exhausted else None
-            # The hot loop compares the step counter against the next
-            # pending nominal step — one int comparison per iteration —
-            # and only calls into the schedule when something is due (or
-            # the configuration went terminal with occurrences pending).
-            fault_next = (
-                fault_sched.peek_next() if fault_sched is not None else None
-            )
-            churn_sched = churn if churn is not None and not churn.exhausted else None
-            churn_next = (
-                churn_sched.peek_next() if churn_sched is not None else None
-            )
-
-            def inject_due(due) -> "np.ndarray":
-                """Apply popped occurrences; return the new enabled mask."""
-                for occ in due:
-                    self.inject(occ.assignments)
-                mask = compute_enabled()
-                if rounds is not None:
-                    rounds.rebase(mask)
-                if probes:
-                    for occ in due:
-                        info = fault_sched.info(
-                            occ, step=steps0 + steps,
-                            moves=moves0 + moves,
-                            rounds=rounds.completed if rounds is not None else 0,
-                        )
-                        for probe in probes:
-                            probe.on_fault(info)
-                return mask
-
-            def churn_due(due) -> "np.ndarray":
-                """Apply popped churn occurrences; return the enabled mask."""
-                for occ in due:
-                    self.apply_churn(occ)
-                    daemon.refresh_topology(self.program.csr)
-                mask = compute_enabled()
-                if rounds is not None:
-                    rounds.rebase(mask)
-                if probes:
-                    for occ in due:
-                        info = churn_sched.info(
-                            occ, step=steps0 + steps,
-                            moves=moves0 + moves,
-                            rounds=rounds.completed if rounds is not None else 0,
-                        )
-                        for probe in probes:
-                            probe.on_churn(info)
-                return mask
-
+            # The runtime's cached masks when the caller already asked.
+            enabled_mask = compute_enabled(self.guard_masks())
+            if rounds is not None and not rounds.started:
+                rounds.start(enabled_mask)
+            for lane in lanes:
+                if lane.probes and observe(lane, "start", None, None):
+                    freeze(lane, "probe")
+            if until is not None:
+                check_until()
+            froze = True
             while True:
-                if fault_next is not None and steps0 + steps >= fault_next:
-                    due = fault_sched.pop_due(steps0 + steps)
-                    if due:
-                        enabled_mask = inject_due(due)
-                    fault_next = fault_sched.peek_next()
-                    if fault_next is None:
-                        fault_sched = None
-                if churn_next is not None and steps0 + steps >= churn_next:
-                    due = churn_sched.pop_due(steps0 + steps)
-                    if due:
-                        enabled_mask = churn_due(due)
-                    churn_next = churn_sched.peek_next()
-                    if churn_next is None:
-                        churn_sched = None
+                if froze:
+                    froze = False
+                    active = [lane for lane in active if not lane.stop_reason]
+                    if not active:
+                        break
+                    scheduled = [lane for lane in active if lane.due is not None]
+                    poll_at = next_poll(scheduled)
+                    lim = active[-1].index + 1
+                    if lim <= blocks - max(1, blocks >> 2):
+                        # The trailing quarter (at least) of the working
+                        # blocks is frozen: drop those blocks.
+                        if tel:
+                            t_compact = telemetry.timer()
+                        cut = lim * n
+                        # Land the dropped blocks' frozen state in *both*
+                        # buffer parities: neither is ever written beyond
+                        # ``cut`` again, so the final decode is
+                        # parity-independent.
+                        full = (full[flip], full[flip ^ 1])
+                        for name, col in full[0].items():
+                            full[1][name][cut:] = col[cut:]
+                        read = {name: col[:cut] for name, col in full[0].items()}
+                        write = {name: col[:cut] for name, col in full[1].items()}
+                        column_pairs = (
+                            [(read[name], write[name]) for name in read],
+                            [(write[name], read[name]) for name in read],
+                        )
+                        flip = 0
+                        blocks = lim
+                        size = cut
+                        block_bounds = block_bounds[: blocks + 1]
+                        program = self.base.tiled(blocks)
+                        rule_idx = rule_idx[:cut]
+                        enabled_mask = enabled_mask[:cut]
+                        if rounds is not None:
+                            rounds.truncate(blocks)
+                        if tel:
+                            ttimes[T_COMPACT] += telemetry.timer() - t_compact
+                            tcounts[T_COMPACT] += 1
+
                 enabled_idx = enabled_mask.nonzero()[0]
-                if enabled_idx.shape[0] == 0:
-                    if fault_sched is not None:
-                        # Terminal with occurrences pending: pop anything
-                        # due, else pull exactly one forward — recovery
-                        # from faults is the workload, so the run only
-                        # ends when the schedule cannot disturb it again.
-                        # A finite schedule re-polls even when the pull
-                        # woke nobody (it must play out in full); an
-                        # infinite one falls through and the run ends.
-                        due = fault_sched.pop_due(steps0 + steps, idle=True)
-                        if due:
-                            enabled_mask = inject_due(due)
-                        finite = fault_sched.schedule.finite
-                        fault_next = fault_sched.peek_next()
-                        if fault_next is None:
-                            fault_sched = None
-                        if due and (enabled_mask.any() or finite):
-                            continue
-                    if churn_sched is not None:
-                        # Same pull-forward contract for churn: a silent
-                        # system still experiences its topology events
-                        # (an add_edge at a silent fixpoint commonly
-                        # wakes nobody but must not strand later ones).
-                        due = churn_sched.pop_due(steps0 + steps, idle=True)
-                        if due:
-                            enabled_mask = churn_due(due)
-                        finite = churn_sched.schedule.finite
-                        churn_next = churn_sched.peek_next()
-                        if churn_next is None:
-                            churn_sched = None
-                        if due and (enabled_mask.any() or finite):
-                            continue
-                    stop_reason = "terminal"
-                    break
-                if steps >= max_steps:
-                    stop_reason = "budget"
-                    break
+                if not single:
+                    bounds = np.searchsorted(enabled_idx, block_bounds).tolist()
+                # One int comparison per iteration while nothing is due
+                # and no scheduled lane went terminal.
+                if scheduled and (
+                    steps >= poll_at
+                    or (
+                        enabled_idx.shape[0] == 0 if single
+                        else any(bounds[lane.index] == bounds[lane.index + 1]
+                                 for lane in scheduled)
+                    )
+                ):
+                    todo = [
+                        lane for lane in scheduled
+                        if lane.steps0 + steps >= lane.due
+                        or idle(lane, enabled_mask)
+                    ]
+                    enabled_mask = poll(todo)
+                    enabled_idx = enabled_mask.nonzero()[0]
+                    if not single:
+                        bounds = np.searchsorted(enabled_idx, block_bounds).tolist()
+                    for lane in todo:
+                        lane.due = lane._next_due()
+                    scheduled = [lane for lane in scheduled if lane.due is not None]
+                    poll_at = next_poll(scheduled)
+
                 sampling = tel and (steps & smask) == 0
                 if sampling:
                     t_mark = telemetry.timer()
-                chosen = daemon.select(enabled_idx, stream)
+                if not single:
+                    parts.clear()
+                for lane in active:
+                    if single:
+                        local = enabled_idx
+                    else:
+                        local = enabled_idx[bounds[lane.index] : bounds[lane.index + 1]]
+                        if lane.lo:
+                            local = local - lane.lo
+                    if local.shape[0] == 0:
+                        freeze(lane, "terminal")
+                        froze = True
+                        continue
+                    if steps >= max_steps:
+                        freeze(lane, "budget")
+                        froze = True
+                        continue
+                    chosen = lane.daemon.select(local, lane.stream)
+                    lane.moves += chosen.shape[0]
+                    lane.chosen = chosen
+                    if not single:
+                        parts.append(chosen + lane.lo if lane.lo else chosen)
+                if not single:
+                    if not parts:
+                        continue
+                    chosen = np.concatenate(parts)
+                elif froze:
+                    continue
                 if sampling:
                     t_now = telemetry.timer()
                     ttimes[T_DAEMON] += t_now - t_mark
                     tcounts[T_DAEMON] += 1
                     t_mark = t_now
 
-                read, write = self.read, self.write
                 for src, dst in column_pairs[flip]:
                     dst[:] = src
                 k0 = only_rule[0]
-                chosen_kinds = None
                 if k0 >= 0:
                     program.apply(rules[k0], chosen, read, write)
-                    moves_per_rule[k0] += chosen.shape[0]
-                    if probes:
-                        chosen_kinds = np.full(
-                            chosen.shape[0], k0, dtype=np.int8
-                        )
+                    acc.add(chosen, k0)
+                    kinds = None
                 else:
-                    # Fancy indexing copies, so ``chosen_kinds`` survives
-                    # the post-step guard recomputation overwriting
+                    # Fancy indexing copies, so ``kinds`` survives the
+                    # post-step guard recomputation overwriting
                     # ``rule_idx`` below.
                     kinds = rule_idx[chosen]
                     for k in range(nrules):
@@ -708,21 +954,16 @@ class KernelRuntime:
                         idx = chosen[kinds == k]
                         if idx.shape[0]:
                             program.apply(rules[k], idx, read, write)
-                            moves_per_rule[k] += idx.shape[0]
-                    chosen_kinds = kinds
-                self.read, self.write = write, read
-                self._masks = None
-                self._prev_valid = False
+                            acc.add(idx, k)
+                read, write = write, read
                 flip ^= 1
-
                 steps += 1
-                moves += chosen.shape[0]
-                acc.add(chosen)
                 if sampling:
                     t_now = telemetry.timer()
                     ttimes[T_APPLY] += t_now - t_mark
                     tcounts[T_APPLY] += 1
                     t_mark = t_now
+
                 prev_mask = enabled_mask
                 enabled_mask = compute_enabled()
                 if sampling:
@@ -737,30 +978,39 @@ class KernelRuntime:
                         ttimes[T_ROUNDS] += t_now - t_mark
                         tcounts[T_ROUNDS] += 1
                         t_mark = t_now
-                if probes:
-                    stop = observe("step", chosen, enabled_mask, chosen_kinds)
+                if watching:
+                    for lane in active:
+                        if not lane.probes or lane.stop_reason:
+                            continue
+                        if kinds is None:
+                            lane_kinds = np.full(lane.chosen.shape[0], k0,
+                                                 dtype=np.int8)
+                        elif single:
+                            lane_kinds = kinds
+                        else:
+                            # ``chosen`` ascends, so a lane's moves are
+                            # the run starting at its block offset.
+                            at = int(np.searchsorted(chosen, lane.lo))
+                            lane_kinds = kinds[at : at + lane.chosen.shape[0]]
+                        if observe(lane, "step", lane.chosen, lane_kinds):
+                            freeze(lane, "probe")
+                            froze = True
                     if sampling:
                         ttimes[T_PROBE] += telemetry.timer() - t_mark
                         tcounts[T_PROBE] += 1
-                    if stop:
-                        stop_reason = "probe"
-                        break
-                if until is not None and bool(until(self.read).all()):
-                    stop_reason = "predicate"
-                    hit = True
-                    break
+                if until is not None and check_until():
+                    froze = True
         finally:
-            if stream is not None:
-                stream.close()
+            for lane in lanes:
+                if lane.stream is not None:
+                    lane.stream.close()
+            self.read, self.write = full[flip], full[flip ^ 1]
+            if steps:
+                self._prev_valid = False
+            if size != total:
+                self._masks = None
         acc.flush()
-        return FusedResult(steps, moves, acc.counts,
-                           self._rule_totals(moves_per_rule), stop_reason, hit)
-
-    def _rule_totals(self, counts: list[int]) -> dict[str, int]:
-        """Executed-rule counters as ``{label: count}`` (zeros omitted)."""
-        return {
-            rule: count for rule, count in zip(self.rules, counts) if count
-        }
+        return acc
 
     # ------------------------------------------------------------------
     # Boundary conversions

@@ -131,58 +131,66 @@ class RoundCounter:
 
 
 class ArrayRoundCounter:
-    """:class:`RoundCounter` over per-process boolean columns.
+    """:class:`RoundCounter` over per-process boolean columns, per block.
 
     Semantics are identical — the pending *set* becomes a pending *mask*
     (the enabled-since-round-start bitmap) and one step's resolution is
     four boolean array operations instead of a set comprehension.  The
-    fused kernel loop drives this class; conversions to and from
-    :class:`RoundCounter` bridge executions that mix the two drivers.
+    columns may hold several independent executions side by side (the
+    batched driver's trials, ``blocks`` blocks of ``n`` processes each):
+    every block counts its own rounds in ``completed[block]``, and one
+    step's resolution still costs four array operations for all of them.
+    Conversions to and from :class:`RoundCounter` (single block) bridge
+    executions that move between the step-by-step and fused drivers.
     """
 
-    __slots__ = ("completed", "_pending", "_scratch", "_started", "_has_pending")
+    __slots__ = ("completed", "_pending", "_scratch", "_open", "_starts",
+                 "_n", "_single", "started")
 
-    def __init__(self, n: int):
-        self.completed = 0
-        self._pending = np.zeros(n, dtype=np.bool_)
-        self._scratch = np.empty(n, dtype=np.bool_)
-        self._started = False
-        self._has_pending = False
+    def __init__(self, n: int, blocks: int = 1):
+        #: Completed rounds per block.
+        self.completed = [0] * blocks
+        self._pending = np.zeros(n * blocks, dtype=np.bool_)
+        self._scratch = np.empty(n * blocks, dtype=np.bool_)
+        #: Per block: whether a round is open (something is pending).
+        self._open = np.zeros(blocks, dtype=np.bool_)
+        self._starts = np.arange(0, n * blocks, n, dtype=np.int64)
+        self._n = n
+        self._single = blocks == 1
+        self.started = False
 
     # ------------------------------------------------------------------
     @classmethod
     def from_counter(cls, counter: RoundCounter, n: int) -> "ArrayRoundCounter":
         """Seed from a set-based counter (mid-execution states included)."""
         arc = cls(n)
-        arc.completed = counter.completed
+        arc.completed[0] = counter.completed
         pending = list(counter.pending)
         arc._pending[pending] = True
-        arc._started = counter._started
-        arc._has_pending = bool(pending)
+        arc.started = counter._started
+        arc._open[0] = bool(pending)
         return arc
 
     def into_counter(self, counter: RoundCounter) -> None:
-        """Write this counter's state back into a set-based counter."""
-        counter.resume(self.completed, np.flatnonzero(self._pending).tolist())
+        """Write this (single-block) counter's state back into ``counter``."""
+        counter.resume(self.completed[0], np.flatnonzero(self._pending).tolist())
 
     # ------------------------------------------------------------------
     def start(self, enabled_mask) -> None:
         self._pending[:] = enabled_mask
-        self._started = True
-        self._has_pending = bool(enabled_mask.any())
-        self.completed = 0
+        self._open[:] = np.logical_or.reduceat(enabled_mask, self._starts)
+        self.started = True
+        self.completed = [0] * len(self.completed)
 
-    def observe_step(self, activated_idx, enabled_before, enabled_after) -> int:
+    def observe_step(self, activated_idx, enabled_before, enabled_after) -> None:
         """Account one step; masks are per-process booleans.
 
         ``activated_idx`` is the index vector of activated processes;
         ``enabled_before``/``enabled_after`` the enabled masks around the
-        step.  Mirrors :meth:`RoundCounter.observe_step` exactly.
+        step.  Mirrors :meth:`RoundCounter.observe_step` exactly, block
+        by block; a block that did not step has equal masks and no
+        activations, so its pending set is untouched.
         """
-        if not self._started:
-            raise RuntimeError("ArrayRoundCounter.start() was not called")
-        if not self._has_pending:
-            return 0
         pending, scratch = self._pending, self._scratch
         # pending &= ~(activated ∪ (enabled_before ∖ enabled_after))
         pending[activated_idx] = False
@@ -190,26 +198,41 @@ class ArrayRoundCounter:
         scratch &= enabled_before
         np.logical_not(scratch, out=scratch)
         pending &= scratch
-        if pending.any():
-            return 0
-        self.completed += 1
-        pending[:] = enabled_after
-        self._has_pending = bool(enabled_after.any())
-        return 1
+        if self._single:
+            if not pending.any() and self._open[0]:
+                self._close(0, enabled_after)
+            return
+        owing = np.logical_or.reduceat(pending, self._starts)
+        for block in np.flatnonzero(self._open & ~owing).tolist():
+            self._close(block, enabled_after)
 
-    def rebase(self, enabled_now) -> int:
-        """Vectorized twin of :meth:`RoundCounter.rebase` (fault injection)."""
-        if not self._started:
-            raise RuntimeError("ArrayRoundCounter.start() was not called")
-        pending = self._pending
-        if not self._has_pending:
-            pending[:] = enabled_now
-            self._has_pending = bool(enabled_now.any())
-            return 0
-        pending &= enabled_now
-        if pending.any():
-            return 0
-        self.completed += 1
+    def rebase(self, enabled_now, block: int = 0) -> None:
+        """Vectorized twin of :meth:`RoundCounter.rebase` for one block."""
+        lo = block * self._n
+        pending = self._pending[lo : lo + self._n]
+        enabled_now = enabled_now[lo : lo + self._n]
+        if self._open[block]:
+            pending &= enabled_now
+            if pending.any():
+                return
+            self.completed[block] += 1
         pending[:] = enabled_now
-        self._has_pending = bool(enabled_now.any())
-        return 1
+        self._open[block] = enabled_now.any()
+
+    def _close(self, block: int, enabled_now) -> None:
+        """The block's pending set emptied: a round completes."""
+        self.completed[block] += 1
+        lo = block * self._n
+        block_now = enabled_now[lo : lo + self._n]
+        self._pending[lo : lo + self._n] = block_now
+        self._open[block] = block_now.any()
+
+    def truncate(self, blocks: int) -> None:
+        """Keep only the leading ``blocks`` blocks in the working columns
+        (their counts survive; the dropped blocks' counts are final)."""
+        size = blocks * self._n
+        self._pending = self._pending[:size]
+        self._scratch = self._scratch[:size]
+        self._open = self._open[:blocks]
+        self._starts = self._starts[:blocks]
+        self._single = blocks == 1

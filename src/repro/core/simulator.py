@@ -275,8 +275,12 @@ class Simulator:
         self.observers = list(observers)
         self.probes = list(probes)
         self._vec_daemon: Any = _VEC_UNRESOLVED
-        self.faults = self._resolve_faults(faults, seed)
-        self.churn = self._resolve_churn(churn, seed)
+        self.faults = self._bind(faults, seed, "faults")
+        self.churn = self._bind(churn, seed, "churn")
+        #: Bound disturbance schedules in polling order.
+        self._schedules = tuple(
+            sched for sched in (self.faults, self.churn) if sched is not None
+        )
         #: Crashed-and-not-rejoined process ids under topology churn
         #: (kept out of the enabled set on every backend).
         self.dead: set[int] = set()
@@ -455,122 +459,55 @@ class Simulator:
             )
 
     # ------------------------------------------------------------------
-    # Fault injection
+    # Disturbances (faults and churn alike)
     # ------------------------------------------------------------------
-    def _resolve_faults(self, faults: Any, seed: int | None):
-        """Coerce the ``faults`` argument into a bound schedule (or None)."""
-        if faults is None:
-            return None
-        from ..faults.schedule import BoundFaultSchedule, FaultSchedule, parse_schedule
-
-        if isinstance(faults, BoundFaultSchedule):
-            return faults
-        if isinstance(faults, str):
-            faults = parse_schedule(faults)
-        if not isinstance(faults, FaultSchedule):
-            raise TypeError(
-                f"faults must be a FaultSchedule, a bound schedule, or a "
-                f"spec string, not {type(faults).__name__}"
-            )
-        return faults.bind(self.algorithm, default_seed=seed if seed is not None else 0)
-
-    def _inject_occurrences(self, due) -> None:
-        """Apply fired occurrences to the live configuration, no step."""
-        if self.backend == "kernel":
-            for occ in due:
-                self._kernel.inject(occ.assignments)
-            self._cfg_dirty = True
-            if self._shadow is not None:
-                for occ in due:
-                    for u, var, value in occ.assignments:
-                        self._shadow.set(u, var, value)
-            self._enabled = self._kernel.enabled_map()
-            self._check_exclusion_kernel()
-            if self._shadow is not None:
-                self._compare_shadow_enabled()
-        else:
-            victims: set[int] = set()
-            for occ in due:
-                for u, var, value in occ.assignments:
-                    self.cfg.set(u, var, value)
-                victims.update(occ.victims)
-            self._update_enabled(victims)
-        self._enabled_snapshot = tuple(self._enabled)
-        self.rounds.rebase(self._enabled)
-        if self.probes:
-            for occ in due:
-                info = self.faults.info(
-                    occ, step=self.step_count, moves=self.move_count,
-                    rounds=self.rounds.completed,
-                )
-                for probe in self.probes:
-                    probe.on_fault(info)
-
-    def _poll_faults(self) -> bool:
-        """Fire due fault occurrences; ``False`` = re-poll before stepping.
-
-        Mirrors the fused loop's injection block exactly: due occurrences
-        (nominal step reached, or one pulled forward at a terminal
-        configuration) corrupt the state between steps.  A pull-forward
-        from a *finite* schedule that enables nothing answers ``False``
-        so the driving loop polls again — a finite schedule always plays
-        out in full before the run can end terminal.  An infinite
-        schedule whose pull wakes nobody falls through (``True``) and
-        the run ends terminal, exactly like the fused driver.
-        """
-        sched = self.faults
-        if sched is None or sched.exhausted:
-            return True
-        idle = not self._enabled
-        due = sched.pop_due(self.step_count, idle=idle)
-        if not due:
-            return True
-        self._inject_occurrences(due)
-        return not (idle and not self._enabled and sched.schedule.finite)
-
-    # ------------------------------------------------------------------
-    # Topology churn
-    # ------------------------------------------------------------------
-    def _resolve_churn(self, churn: Any, seed: int | None):
-        """Coerce the ``churn`` argument into a bound schedule (or None)."""
-        if churn is None:
+    def _bind(self, spec: Any, seed: int | None, family: str):
+        """Coerce a ``faults``/``churn`` argument into a bound schedule."""
+        if spec is None:
             return None
         from ..faults.churn import BoundChurnSchedule, ChurnSchedule, parse_churn
+        from ..faults.schedule import BoundFaultSchedule, FaultSchedule, parse_schedule
 
-        if isinstance(churn, BoundChurnSchedule):
-            return churn
-        if isinstance(churn, str):
-            churn = parse_churn(churn)
-        if not isinstance(churn, ChurnSchedule):
+        schedule_cls, bound_cls, parse = {
+            "faults": (FaultSchedule, BoundFaultSchedule, parse_schedule),
+            "churn": (ChurnSchedule, BoundChurnSchedule, parse_churn),
+        }[family]
+        if isinstance(spec, bound_cls):
+            return spec
+        if isinstance(spec, str):
+            spec = parse(spec)
+        if not isinstance(spec, schedule_cls):
             raise TypeError(
-                f"churn must be a ChurnSchedule, a bound schedule, or a "
-                f"spec string, not {type(churn).__name__}"
+                f"{family} must be a {schedule_cls.__name__}, a bound "
+                f"schedule, or a spec string, not {type(spec).__name__}"
             )
-        return churn.bind(self.algorithm, default_seed=seed if seed is not None else 0)
+        return spec.bind(self.algorithm, default_seed=seed if seed is not None else 0)
 
-    def _apply_churn_occurrences(self, due) -> None:
-        """Mirror fired churn occurrences into every live structure, no step.
+    def _land(self, sched, due) -> None:
+        """Land fired occurrences on every live structure, no step.
 
-        The bound schedule already committed each occurrence's delta to
-        its canonical state — including the shared :class:`Network`,
-        which it mirrors at draw time so state-dependent draws see the
-        same topology on every backend.  This applies the delta to the
-        executing engine and the dead set, recomputes the enabled set
-        from scratch (a topology change can flip guards anywhere),
-        rebases the round counter, and notifies probes.
+        A churn occurrence's delta is already committed to the bound
+        schedule's canonical state — including the shared
+        :class:`Network`, mirrored at draw time so state-dependent draws
+        see the same topology on every backend.  This applies each
+        occurrence to the executing engine and the dead set, refreshes
+        the enabled set (from scratch when links or liveness changed: a
+        topology change can flip guards anywhere), rebases the round
+        counter, and notifies probes through the schedule's hook.
         """
+        rewired = False
+        victims: set[int] = set()
         for occ in due:
-            if occ.action == "crash":
-                self.dead.update(occ.victims)
-            elif occ.action == "join":
-                self.dead.difference_update(occ.victims)
+            self.dead.update(occ.crashed)
+            self.dead.difference_update(occ.joined)
+            victims.update(occ.victims)
         if self.backend == "kernel":
             for occ in due:
-                self._kernel.apply_churn(occ)
+                rewired = self._kernel.disturb(occ) or rewired
             self._cfg_dirty = True
             # A resolved vectorized daemon twin snapshots CSR arrays at
             # construction; keep it current for any later fused stretch.
-            if self._vec_daemon is not _VEC_UNRESOLVED and self._vec_daemon is not None:
+            if rewired and self._vec_daemon not in (_VEC_UNRESOLVED, None):
                 self._vec_daemon.refresh_topology(self._program.csr)
             if self._shadow is not None:
                 for occ in due:
@@ -584,38 +521,43 @@ class Simulator:
             for occ in due:
                 for u, var, value in occ.assignments:
                     self.cfg.set(u, var, value)
-            self._recompute_all_enabled()
+            if any(occ.drops or occ.adds or occ.crashed or occ.joined
+                   for occ in due):
+                self._recompute_all_enabled()
+            else:
+                self._update_enabled(victims)
         self._enabled_snapshot = tuple(self._enabled)
         self.rounds.rebase(self._enabled)
         if self.probes:
-            for occ in due:
-                info = self.churn.info(
-                    occ, step=self.step_count, moves=self.move_count,
-                    rounds=self.rounds.completed,
-                )
-                for probe in self.probes:
-                    probe.on_churn(info)
+            sched.notify(
+                self.probes, due, step=self.step_count,
+                moves=self.move_count, rounds=self.rounds.completed,
+            )
 
-    def _poll_churn(self) -> bool:
-        """Fire due churn occurrences; ``False`` = re-poll before stepping.
+    def _poll(self) -> bool:
+        """Fire due occurrences; ``False`` = re-poll before stepping.
 
-        Mirrors the fused loop's churn block exactly (and
-        :meth:`_poll_faults`, which must run first — the fused loop
-        checks faults before churn both at the loop top and in the
-        terminal pull-forward).  Same finite-schedule contract as the
-        fault poll: a pulled occurrence that wakes nobody (an
-        ``add_edge`` at a silent fixpoint is the common case) forces a
-        re-poll until the schedule exhausts or the system wakes.
+        The fused driver's pull-forward rule
+        (:meth:`~repro.core.kernel.engine.KernelRuntime.drive`): the
+        schedules are polled in order (faults, then churn); each fires
+        its due occurrences or, at a terminal configuration, pulls its
+        next one forward.  A pull from a *finite* schedule that leaves
+        the configuration terminal answers ``False``, so the driving
+        loop polls again — a finite schedule always plays out in full
+        before the run can end terminal; an infinite one whose pull
+        wakes nobody lets the run end terminal.
         """
-        sched = self.churn
-        if sched is None or sched.exhausted:
-            return True
-        idle = not self._enabled
-        due = sched.pop_due(self.step_count, idle=idle)
-        if not due:
-            return True
-        self._apply_churn_occurrences(due)
-        return not (idle and not self._enabled and sched.schedule.finite)
+        for sched in self._schedules:
+            if sched.exhausted:
+                continue
+            idle = not self._enabled
+            due = sched.pop_due(self.step_count, idle=idle)
+            if not due:
+                continue
+            self._land(sched, due)
+            if idle and not self._enabled and sched.schedule.finite:
+                return False
+        return True
 
     def _sync_churn_topology(self) -> None:
         """Adopt the bound schedule's canonical topology after a fused run.
@@ -661,7 +603,7 @@ class Simulator:
             enabled_after=enabled_after,
             rounds_completed=self.rounds.completed,
         )
-        # Same stride-sampled phase timing as the fused drivers; the
+        # Same stride-sampled phase timing as the fused driver; the
         # index matches _advance's so one step's phases share a sample.
         stats = telemetry.collector()
         sampling = (
@@ -693,7 +635,7 @@ class Simulator:
         if not self._enabled:
             return None
 
-        # Stride-sampled phase timing, shared with the fused drivers (see
+        # Stride-sampled phase timing, shared with the fused driver (see
         # repro.telemetry.phases); when telemetry is off this costs one
         # None check per step.
         stats = telemetry.collector()
@@ -849,10 +791,9 @@ class Simulator:
         rounds = ArrayRoundCounter.from_counter(self.rounds, self.network.n)
         check = self.strict and self.algorithm.mutually_exclusive_rules
         view = None
-        if self.probes or self.faults is not None or self.churn is not None:
-            # Faults and churn need the view too: its steps preset
-            # anchors the schedules' absolute step clock on resumed
-            # executions.
+        if self.probes or self._schedules:
+            # Disturbances need the view too: its steps preset anchors
+            # the schedules' absolute step clock on resumed executions.
             from ..probes.view import ColumnView
 
             view = ColumnView(self._program)
@@ -872,11 +813,10 @@ class Simulator:
         )
         vec.store_state(self.daemon)
         rounds.into_counter(self.rounds)
-        if self.faults is not None and self.faults.fired:
-            self._cfg_dirty = True  # zero-step runs can still have injected
+        if any(sched.fired for sched in self._schedules):
+            self._cfg_dirty = True  # zero-step runs can still have landed some
         if self.churn is not None and self.churn.fired:
             self._sync_churn_topology()
-            self._cfg_dirty = True
         if result.steps:
             self.step_count += result.steps
             self.move_count += result.moves
@@ -958,18 +898,14 @@ class Simulator:
                 else self.step
             )
             executed = 0
-            # Loop order mirrors the fused driver exactly: fault poll,
-            # churn poll, terminal check, budget check, step, stop
-            # checks.  (Each poll fires due occurrences and, at a
-            # terminal configuration, pulls one forward; a ``False``
-            # poll means a finite-schedule pull left the configuration
-            # terminal with occurrences still pending, so the loop
-            # re-polls — the run only ends terminal once no schedule
-            # can disturb it again.)
+            # Loop order mirrors the fused driver exactly: disturbance
+            # poll, terminal check, budget check, step, stop checks.
+            # (A ``False`` poll means a finite-schedule pull left the
+            # configuration terminal with occurrences still pending, so
+            # the loop re-polls — the run only ends terminal once no
+            # schedule can disturb it again.)
             while True:
-                if not self._poll_faults():
-                    continue
-                if not self._poll_churn():
+                if not self._poll():
                     continue
                 if self.is_terminal():
                     stop_reason = "terminal"

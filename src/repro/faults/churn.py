@@ -35,10 +35,19 @@ occurrence records the resulting component count either way.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
-from typing import Iterator, Sequence
+from typing import Sequence
+
+from .schedule import (
+    BoundSchedule,
+    Occurrence,
+    Schedule,
+    TimedEvent,
+    occurrence_rng,
+    parse_clauses,
+    pop_timing,
+)
 
 __all__ = [
     "ChurnEvent",
@@ -54,52 +63,27 @@ ACTIONS = ("crash", "join", "drop_edge", "add_edge")
 #: Connectivity policies.
 CONNECTIVITY = ("preserve", "allow")
 
-_SEP = "\x1f"
-_SEED_MASK = (1 << 63) - 1
-
-
-def _occurrence_rng(seed: int, event: int, occurrence: int) -> Random:
-    """The dedicated PRNG for one occurrence of one churn event.
-
-    Keyed on identity, not on firing step (a pulled-forward occurrence
-    draws like its nominally-timed twin), with a tag distinct from the
-    fault stream so co-scheduled fault and churn events never share
-    randomness.
-    """
-    payload = f"{seed}{_SEP}churn{_SEP}{event}{_SEP}{occurrence}".encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
-    return Random(int.from_bytes(digest[:8], "big") & _SEED_MASK)
-
 
 @dataclass(frozen=True)
-class ChurnEvent:
+class ChurnEvent(TimedEvent):
     """One timed topology mutation pattern inside a schedule.
 
-    Timing normalizes exactly like :class:`~repro.faults.schedule.FaultEvent`:
-    every surface form becomes ``(start, gap, count)``.  ``action`` is what
-    fires; ``k`` how many processes/links one occurrence touches.
+    Timing is :class:`~repro.faults.schedule.TimedEvent`'s, shared with
+    fault events.  ``action`` is what fires; ``k`` how many
+    processes/links one occurrence touches.
     """
 
-    action: str  # "crash" | "join" | "drop_edge" | "add_edge"
-    kind: str  # "at" | "every" | "storm" | "burst"
-    start: int
-    gap: int = 0
-    count: int | None = 1
+    action: str = ""  # "crash" | "join" | "drop_edge" | "add_edge"
     k: int = 1
     procs: tuple[int, ...] = ()
     clustered: bool = False
 
+    family = "churn"
+
     def __post_init__(self):
         if self.action not in ACTIONS:
             raise ValueError(f"unknown churn action {self.action!r}")
-        if self.kind not in ("at", "every", "storm", "burst"):
-            raise ValueError(f"unknown churn event kind {self.kind!r}")
-        if self.start < 0:
-            raise ValueError("churn event start step must be >= 0")
-        if self.count is not None and self.count < 1:
-            raise ValueError("churn event count must be >= 1")
-        if (self.count is None or self.count > 1) and self.gap < 1:
-            raise ValueError("repeating churn events need gap >= 1")
+        super().__post_init__()
         if self.k < 1:
             raise ValueError("churn events must touch at least one target (k >= 1)")
         if self.procs and self.action not in ("crash", "join"):
@@ -109,29 +93,9 @@ class ChurnEvent:
         if self.procs and self.clustered:
             raise ValueError("explicit procs and clustered are mutually exclusive")
 
-    def occurrence_steps(self) -> Iterator[int]:
-        """Nominal firing steps, in order (infinite for unbounded events)."""
-        step, i = self.start, 0
-        while self.count is None or i < self.count:
-            yield step
-            step += self.gap
-            i += 1
-
     def canonical(self) -> str:
         """The normalized spec clause for this event."""
-        if self.kind == "at":
-            parts = [f"at={self.start}"]
-        elif self.kind == "every":
-            parts = [f"every={self.gap}"]
-            if self.start != self.gap:
-                parts.append(f"start={self.start}")
-            if self.count is not None:
-                parts.append(f"count={self.count}")
-        elif self.kind == "storm":
-            last = self.start + (self.count - 1) * self.gap
-            parts = [f"storm={self.start}-{last}", f"cadence={self.gap}"]
-        else:  # burst
-            parts = [f"burst={self.start}", f"count={self.count}", f"gap={self.gap}"]
+        parts = self.timing()
         parts.append(f"{self.action}={self.k}")
         if self.procs:
             parts.append("procs=" + "|".join(str(p) for p in self.procs))
@@ -164,15 +128,16 @@ class ChurnInfo:
     rounds: int = 0
 
 
-class ChurnSchedule:
+class ChurnSchedule(Schedule):
     """An ordered collection of :class:`ChurnEvent`, plus seed and policy.
 
-    ``seed=None`` defers to the execution (the harness binds with a
-    trial-derived seed); an explicit seed pins the stream and joins the
-    canonical spec.  ``connectivity`` is schedule-wide: ``preserve``
-    (default) draws only candidates that keep the live subgraph's
-    component count from growing, ``allow`` lets churn partition it.
+    Seeds follow :class:`~repro.faults.schedule.Schedule`.
+    ``connectivity`` is schedule-wide: ``preserve`` (default) draws only
+    candidates that keep the live subgraph's component count from
+    growing, ``allow`` lets churn partition it.
     """
+
+    family = "churn"
 
     def __init__(
         self,
@@ -180,31 +145,17 @@ class ChurnSchedule:
         seed: int | None = None,
         connectivity: str = "preserve",
     ):
-        if not events:
-            raise ValueError("a churn schedule needs at least one event")
+        super().__init__(events, seed)
         if connectivity not in CONNECTIVITY:
             raise ValueError(
                 f"unknown connectivity policy {connectivity!r} "
                 f"(expected one of {CONNECTIVITY})"
             )
-        self.events = tuple(events)
-        self.seed = seed
         self.connectivity = connectivity
 
     @classmethod
     def parse(cls, spec: str) -> "ChurnSchedule":
         return parse_churn(spec)
-
-    @property
-    def finite(self) -> bool:
-        return all(e.count is not None for e in self.events)
-
-    @property
-    def total_occurrences(self) -> int | None:
-        """Number of occurrences a full run fires (None if unbounded)."""
-        if not self.finite:
-            return None
-        return sum(e.count for e in self.events)
 
     def canonical(self) -> str:
         """Normalized spec string — the *measured parameter* form."""
@@ -215,41 +166,10 @@ class ChurnSchedule:
             parts.append(f"seed={self.seed}")
         return ";".join(parts)
 
-    def __repr__(self) -> str:
-        return f"ChurnSchedule({self.canonical()!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ChurnSchedule) and self.canonical() == other.canonical()
-
-    def __hash__(self) -> int:
-        return hash(self.canonical())
-
     def bind(self, algorithm, default_seed: int = 0) -> "BoundChurnSchedule":
         """Commit this schedule to one execution's algorithm and seed."""
         seed = self.seed if self.seed is not None else default_seed
         return BoundChurnSchedule(self, algorithm, seed)
-
-
-@dataclass
-class _Occurrence:
-    """One committed mutation: identity, nominal step, drawn delta."""
-
-    event: int
-    index: int
-    step: int
-    #: Schedule-wide occurrence ordinal (0-based firing order).
-    burst: int = 0
-    action: str = ""
-    victims: tuple[int, ...] = ()
-    #: Undirected ``(u, v)`` pairs, ``u < v``, in application order.
-    drops: tuple[tuple[int, int], ...] = ()
-    adds: tuple[tuple[int, int], ...] = ()
-    #: ``(process, variable, decoded value)`` triples for joins.
-    assignments: tuple[tuple[int, str, object], ...] = ()
-    #: Live-subgraph shape after the mutation.
-    components: int = 0
-    live: int = 0
-    drawn: bool = field(default=False, repr=False)
 
 
 def _count_components(adj, live) -> int:
@@ -271,7 +191,7 @@ def _count_components(adj, live) -> int:
     return count
 
 
-class BoundChurnSchedule:
+class BoundChurnSchedule(BoundSchedule):
     """A schedule bound to an algorithm and a seed — the applicable form.
 
     Owns the *canonical topology state*: the liveness vector, the current
@@ -287,16 +207,15 @@ class BoundChurnSchedule:
     plus the liveness mask on the kernel side — the dict side reads the
     already-mirrored ``Network`` directly).
 
-    The pop protocol mirrors :class:`~repro.faults.schedule.BoundFaultSchedule`
-    exactly, including terminal pull-forward: a silent system still
-    experiences its churn.
+    The pop protocol is :class:`~repro.faults.schedule.BoundSchedule`'s,
+    shared with fault schedules, including terminal pull-forward: a
+    silent system still experiences its churn.
     """
 
+    hook = "on_churn"
+
     def __init__(self, schedule: ChurnSchedule, algorithm, seed: int):
-        self.schedule = schedule
-        self.algorithm = algorithm
-        self.seed = seed
-        self.fired = 0
+        super().__init__(schedule, algorithm, seed)
         network = algorithm.network
         #: The live :class:`~repro.core.graph.Network`, mirrored *at draw
         #: time*: every committed delta is applied here immediately, so
@@ -313,57 +232,6 @@ class BoundChurnSchedule:
         self.base = tuple(tuple(network.neighbors(u)) for u in range(self.n))
         self._preserve = schedule.connectivity == "preserve"
         self._variables = tuple(algorithm.variables())
-        # Per-event cursors over the (possibly unbounded) occurrence steps.
-        self._iters = [e.occurrence_steps() for e in schedule.events]
-        self._next: list[int | None] = [next(it) for it in self._iters]
-        self._counts = [0] * len(schedule.events)
-
-    # ------------------------------------------------------------------
-    def peek_next(self) -> int | None:
-        """Nominal step of the earliest pending occurrence (None = done)."""
-        pending = [s for s in self._next if s is not None]
-        return min(pending) if pending else None
-
-    @property
-    def exhausted(self) -> bool:
-        return self.peek_next() is None
-
-    def _advance(self, event: int) -> _Occurrence:
-        step = self._next[event]
-        occ = _Occurrence(event, self._counts[event], step, burst=self.fired)
-        self._counts[event] += 1
-        try:
-            self._next[event] = next(self._iters[event])
-        except StopIteration:
-            self._next[event] = None
-        self.fired += 1
-        self._draw(occ)
-        return occ
-
-    def pop_due(self, step: int, idle: bool = False) -> list[_Occurrence]:
-        """All occurrences due at ``step`` (events in declaration order).
-
-        ``idle=True`` signals a terminal configuration: when nothing is
-        due but occurrences remain, the earliest is pulled forward.  Each
-        returned occurrence keeps its *nominal* step for reporting, and
-        its delta is already committed to the canonical state — callers
-        must mirror every returned occurrence into their engine.
-        """
-        due: list[_Occurrence] = []
-        while True:
-            ready = [
-                i for i, s in enumerate(self._next) if s is not None and s <= step
-            ]
-            if not ready:
-                break
-            event = min(ready, key=lambda i: (self._next[i], i))
-            due.append(self._advance(event))
-        if not due and idle:
-            pending = [i for i, s in enumerate(self._next) if s is not None]
-            if pending:
-                event = min(pending, key=lambda i: (self._next[i], i))
-                due.append(self._advance(event))
-        return due
 
     # ------------------------------------------------------------------
     # Canonical-state queries (for drivers and posthoc sync)
@@ -388,11 +256,11 @@ class BoundChurnSchedule:
     # ------------------------------------------------------------------
     # Draws (state-dependent, committed at pop time)
     # ------------------------------------------------------------------
-    def _draw(self, occ: _Occurrence) -> None:
+    def _draw(self, occ: Occurrence) -> None:
         if occ.drawn:
             return
         event = self.schedule.events[occ.event]
-        rng = _occurrence_rng(self.seed, occ.event, occ.index)
+        rng = occurrence_rng("churn", self.seed, occ.event, occ.index)
         occ.action = event.action
         if event.action == "crash":
             self._draw_crash(occ, event, rng)
@@ -429,7 +297,7 @@ class BoundChurnSchedule:
             drops.append((u, v) if u < v else (v, u))
         self.adj[u].clear()
 
-    def _draw_crash(self, occ: _Occurrence, event: ChurnEvent, rng: Random) -> None:
+    def _draw_crash(self, occ: Occurrence, event: ChurnEvent, rng: Random) -> None:
         pool = event.procs or range(self.n)
         victims: list[int] = []
         drops: list[tuple[int, int]] = []
@@ -465,7 +333,7 @@ class BoundChurnSchedule:
         occ.victims = tuple(sorted(victims))
         occ.drops = tuple(drops)
 
-    def _draw_join(self, occ: _Occurrence, event: ChurnEvent, rng: Random) -> None:
+    def _draw_join(self, occ: Occurrence, event: ChurnEvent, rng: Random) -> None:
         pool = event.procs or range(self.n)
         victims: list[int] = []
         adds: list[tuple[int, int]] = []
@@ -500,7 +368,7 @@ class BoundChurnSchedule:
         occ.adds = tuple(adds)
         occ.assignments = tuple(assignments)
 
-    def _draw_drop(self, occ: _Occurrence, event: ChurnEvent, rng: Random) -> None:
+    def _draw_drop(self, occ: Occurrence, event: ChurnEvent, rng: Random) -> None:
         drops: list[tuple[int, int]] = []
         for _ in range(event.k):
             cands = list(self.current_edges())
@@ -525,7 +393,7 @@ class BoundChurnSchedule:
             self.network.apply_delta(drops, ())
         occ.drops = tuple(drops)
 
-    def _draw_add(self, occ: _Occurrence, event: ChurnEvent, rng: Random) -> None:
+    def _draw_add(self, occ: Occurrence, event: ChurnEvent, rng: Random) -> None:
         adds: list[tuple[int, int]] = []
         for _ in range(event.k):
             live = [u for u in range(self.n) if self.live[u]]
@@ -545,7 +413,7 @@ class BoundChurnSchedule:
             self.network.apply_delta((), adds)
         occ.adds = tuple(adds)
 
-    def info(self, occ: _Occurrence, step: int,
+    def info(self, occ: Occurrence, step: int,
              moves: int = 0, rounds: int = 0) -> ChurnInfo:
         return ChurnInfo(
             step=step,
@@ -565,107 +433,45 @@ class BoundChurnSchedule:
 # ----------------------------------------------------------------------
 # The spec grammar (the CLI's --churn argument).
 # ----------------------------------------------------------------------
-_EVENT_KEYS = ("at", "every", "storm", "burst")
-_INT_KEYS = ("start", "until", "count", "gap", "cadence", "seed")
-
-
-def _parse_clause(clause: str) -> tuple[dict, int | None, str | None]:
-    """One ';'-separated clause → (options, schedule seed, connectivity)."""
-    opts: dict = {}
-    seed = None
-    connectivity = None
-    for item in clause.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            if item == "clustered":
-                opts["clustered"] = True
-                continue
-            raise ValueError(f"malformed churn spec item {item!r}")
-        key, _, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "seed":
-            seed = int(value)
-        elif key == "connectivity":
-            if value not in CONNECTIVITY:
-                raise ValueError(
-                    f"unknown connectivity policy {value!r} "
-                    f"(expected one of {CONNECTIVITY})"
-                )
-            connectivity = value
-        elif key == "storm":
-            lo, sep, hi = value.partition("-")
-            if not sep:
-                raise ValueError(f"storm window must be A-B, got {value!r}")
-            opts["storm"] = (int(lo), int(hi))
-        elif key == "procs":
-            opts["procs"] = tuple(int(p) for p in value.split("|") if p != "")
-        elif key in ACTIONS:
-            if "action" in opts:
-                raise ValueError(
-                    f"churn clauses take exactly one action, got both "
-                    f"{opts['action']!r} and {key!r}"
-                )
-            opts["action"] = key
-            opts["k"] = int(value)
-        elif key in _INT_KEYS or key in _EVENT_KEYS:
-            opts[key] = int(value)
-        else:
-            raise ValueError(f"unknown churn spec key {key!r}")
-    return opts, seed, connectivity
+def _churn_key(key: str, value: str, opts: dict, wide: dict) -> bool:
+    if key == "connectivity":
+        if value not in CONNECTIVITY:
+            raise ValueError(
+                f"unknown connectivity policy {value!r} "
+                f"(expected one of {CONNECTIVITY})"
+            )
+        wide["connectivity"] = value
+    elif key in ACTIONS:
+        if "action" in opts:
+            raise ValueError(
+                f"churn clauses take exactly one action, got both "
+                f"{opts['action']!r} and {key!r}"
+            )
+        opts["action"] = key
+        opts["k"] = int(value)
+    else:
+        return False
+    return True
 
 
 def _clause_event(opts: dict) -> ChurnEvent:
-    kinds = [k for k in _EVENT_KEYS if k in opts]
-    if len(kinds) != 1:
-        raise ValueError(
-            f"each churn clause needs exactly one of {_EVENT_KEYS}, got {kinds}"
-        )
+    timing = pop_timing(opts, "churn")
     if "action" not in opts:
         raise ValueError(
             f"each churn clause needs exactly one action of {ACTIONS} "
             f"(e.g. crash=1)"
         )
-    kind = kinds[0]
-    target = dict(
+    event = ChurnEvent(
+        **timing,
         action=opts.pop("action"),
         k=opts.pop("k"),
         procs=opts.pop("procs", ()),
         clustered=opts.pop("clustered", False),
     )
-    if kind == "at":
-        event = ChurnEvent(kind="at", start=opts.pop("at"), **target)
-    elif kind == "every":
-        gap = opts.pop("every")
-        start = opts.pop("start", gap)
-        count = opts.pop("count", None)
-        if "until" in opts:
-            until = opts.pop("until")
-            if until < start:
-                raise ValueError("every: until must be >= start")
-            count = (until - start) // gap + 1
-        event = ChurnEvent(kind="every", start=start, gap=gap, count=count, **target)
-    elif kind == "storm":
-        lo, hi = opts.pop("storm")
-        cadence = opts.pop("cadence", None)
-        if cadence is None:
-            raise ValueError("storm windows need cadence=K")
-        if hi < lo:
-            raise ValueError(f"storm window {lo}-{hi} is empty")
-        event = ChurnEvent(
-            kind="storm", start=lo, gap=cadence, count=(hi - lo) // cadence + 1,
-            **target,
-        )
-    else:  # burst
-        start = opts.pop("burst")
-        count = opts.pop("count", None)
-        gap = opts.pop("gap", None)
-        if count is None or gap is None:
-            raise ValueError("bursts need count=N and gap=G")
-        event = ChurnEvent(kind="burst", start=start, gap=gap, count=count, **target)
     if opts:
-        raise ValueError(f"churn spec options {sorted(opts)} don't apply to {kind!r}")
+        raise ValueError(
+            f"churn spec options {sorted(opts)} don't apply to {timing['kind']!r}"
+        )
     return event
 
 
@@ -677,21 +483,9 @@ def parse_churn(spec: str) -> ChurnSchedule:
     """
     if isinstance(spec, ChurnSchedule):
         return spec
-    if not isinstance(spec, str) or not spec.strip():
-        raise ValueError("empty churn spec")
-    events: list[ChurnEvent] = []
-    seed: int | None = None
-    connectivity = "preserve"
-    for clause in spec.split(";"):
-        if not clause.strip():
-            continue
-        opts, clause_seed, clause_conn = _parse_clause(clause)
-        if clause_seed is not None:
-            seed = clause_seed
-        if clause_conn is not None:
-            connectivity = clause_conn
-        if opts:
-            events.append(_clause_event(opts))
-    if not events:
-        raise ValueError(f"churn spec {spec!r} declares no events")
-    return ChurnSchedule(events, seed=seed, connectivity=connectivity)
+    clauses, wide = parse_clauses(spec, "churn", _churn_key)
+    return ChurnSchedule(
+        [_clause_event(opts) for opts in clauses],
+        seed=wide.get("seed"),
+        connectivity=wide.get("connectivity", "preserve"),
+    )

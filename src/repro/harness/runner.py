@@ -580,8 +580,9 @@ def can_batch(spec: "TrialSpec") -> bool:
         or spec.daemon not in DAEMON_KINDS or spec.daemon == "adversarial"
         or params.get("adversary")
         or params.get("backend") == "dict" or params.get("probe") == "decode"
-        # Churn mutates per-trial network state (CSR deltas, liveness)
-        # that the tiled layout cannot isolate.
+        # The trials of a churn cell share one Network that every bound
+        # churn schedule mirrors its deltas into, and compaction re-tiles
+        # from the base CSR, dropping per-lane deltas.
         or params.get("churn")
     ):
         return False

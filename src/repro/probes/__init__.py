@@ -10,7 +10,7 @@ exposes to instrumentation):
 
 * :class:`Probe` — the protocol: a decoded per-step hook (today's
   observer contract) plus an optional vectorized hook served inline by
-  the fused drivers.  ``Simulator.run`` stays fused whenever every
+  the fused driver.  ``Simulator.run`` stays fused whenever every
   attached probe advertises the array-native path.
 * :class:`StabilizationProbe` / :class:`StopProbe` — stabilization
   measurement, closure (``run_past``) monitoring, and stop predicates

@@ -18,8 +18,8 @@ tiers:
   unvectorizable daemon, tracing, paranoid mode).
 * the **vector tier** — ``on_columns(view)`` over a
   :class:`~repro.probes.view.ColumnView`, invoked *inline* by the fused
-  drivers (:meth:`repro.core.kernel.engine.KernelRuntime.run` and the
-  batched :func:`repro.core.kernel.batch.run_batch`) with no per-step
+  driver (:meth:`repro.core.kernel.engine.KernelRuntime.drive`, which
+  serves single runs and batched trials alike) with no per-step
   decode.  A probe advertises this tier by returning ``False`` from
   :meth:`Probe.wants_decode`; :attr:`Simulator.fusion_available` stays
   true when *every* attached probe does, so measurement never costs the
@@ -104,6 +104,15 @@ class Probe:
         Only invoked on probes whose :meth:`wants_decode` returned
         ``False``; ``view.phase`` distinguishes the initial
         configuration from per-step calls.
+        """
+
+    def on_stop(self, view: ColumnView) -> None:
+        """Observe the final configuration once, when a fused run stops.
+
+        The vector twin of :meth:`on_finish`: the fused driver calls it
+        (``view.phase == "stop"``, no ``chosen``) on every probe of a
+        lane the moment the lane stops — in a batch there is no
+        simulator to finish.  Default: no-op.
         """
 
     # ------------------------------------------------------------------

@@ -249,12 +249,9 @@ class RecoveryProbe(Probe):
     # ------------------------------------------------------------------
     def on_columns(self, view: ColumnView) -> None:
         if self.terminal:
-            if view.phase == "start":
-                return
-            self._observe(
-                not bool(view.enabled_mask.any()),
-                view.steps, view.rounds, view.moves,
-            )
+            if view.phase != "start":
+                self._observe(self._view_holds(view), view.steps,
+                              view.rounds, view.moves)
             return
         if self._mask_fn is None:
             self._mask_fn = resolve_mask(view.program, self.mask)
@@ -265,12 +262,23 @@ class RecoveryProbe(Probe):
                 )
         if view.phase == "start":
             return
+        self._observe(self._view_holds(view), view.steps, view.rounds,
+                      view.moves)
+
+    def on_stop(self, view: ColumnView) -> None:
+        # Vector twin of on_finish (same reason: a burst that leaves the
+        # configuration immediately terminal produces no further step).
+        if self._open:
+            self._observe(self._view_holds(view), view.steps, view.rounds,
+                          view.moves)
+
+    def _view_holds(self, view: ColumnView) -> bool:
+        if self.terminal:
+            return not bool(view.enabled_mask.any())
         vals = self._mask_fn(view.cols)
-        holds = (
-            bool(vals[view.live].all()) if view.live is not None
-            else bool(vals.all())
-        )
-        self._observe(holds, view.steps, view.rounds, view.moves)
+        if view.live is not None:
+            return bool(vals[view.live].all())
+        return bool(vals.all())
 
     # ------------------------------------------------------------------
     def done(self) -> bool:

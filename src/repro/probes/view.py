@@ -1,11 +1,11 @@
-"""The column view the fused drivers expose to vectorized probes.
+"""The column view the fused driver exposes to vectorized probes.
 
 A :class:`ColumnView` is the window a probe's ``on_columns`` hook sees:
 the frozen read columns after one atomic step, the activated index
 vector, the post-step enabled mask, and the execution's accounting
 totals — everything the per-step decoded path would offer, but in array
 form and without leaving the fused loop.  The driver owns one view per
-execution (one per trial in batched runs) and mutates its fields in
+lane (one per trial in batched runs) and mutates its fields in
 place before each probe call; probes must treat every field as
 read-only and must not retain references across steps (arrays are
 reused buffers).
@@ -34,7 +34,9 @@ class ColumnView:
         Trial index in a batched run, ``None`` in a single execution.
     phase:
         ``"start"`` — the initial configuration, before any step
-        (``chosen`` is ``None``); ``"step"`` — after one atomic step.
+        (``chosen`` is ``None``); ``"step"`` — after one atomic step;
+        ``"stop"`` — the final configuration, handed to
+        :meth:`Probe.on_stop` (``chosen`` is ``None``).
     cols:
         The current read columns (mapping variable name → ndarray; block
         views in batched runs).

@@ -1,11 +1,11 @@
 """Phase-level wall-time accounting for the execution hot paths.
 
-Where does a fused step's time go?  The drivers
-(:meth:`repro.core.kernel.engine.KernelRuntime.run`, the batched
-:func:`repro.core.kernel.batch.run_batch`, and the dict engine's
-per-step path in :class:`repro.core.simulator.Simulator`) split one
-step into a handful of phases — guard evaluation, daemon selection,
-action application, round accounting, probe hooks, and (batched only)
+Where does a fused step's time go?  The two drivers — the fused
+:meth:`repro.core.kernel.engine.KernelRuntime.drive` (behind single
+runs and batches alike) and the per-step path in
+:class:`repro.core.simulator.Simulator` — split one step into a
+handful of phases — guard evaluation, daemon selection, action
+application, round accounting, probe hooks, and (batched only)
 compaction/re-tile — and, when telemetry is enabled, accumulate each
 phase's wall time and invocation count into a :class:`PhaseStats`.
 

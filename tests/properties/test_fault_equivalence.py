@@ -107,6 +107,9 @@ def record_bytes(record):
     ("unison", "distributed-random", FAULTS + ",scope=input"),
     ("fga", "central", FAULTS + ",scope=input"),
     ("boulinier", "distributed-random", FAULTS),  # uncomposed: no scopes
+    # A pulled-forward occurrence that wakes nobody: the finite schedule
+    # must be polled again instead of freezing the trial as terminal.
+    ("fga", "central", "burst=400,count=3,gap=1,k=1,procs=0,vars=canQ"),
 ])
 def test_faulted_cells_batch_identically(algorithm, daemon, spec):
     """Batched faulted cells equal serial faulted trials, byte for byte."""
