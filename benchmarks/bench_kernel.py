@@ -1,17 +1,19 @@
-"""Engine benchmark: dict vs kernel vs fused kernel on the F1/F2 sweep.
+"""Engine benchmark: dict vs stepped vs fused kernel on the F1/F2 sweep.
 
 Not a paper claim — this measures the substrate itself.  The F1/F2
 experiments sweep ``U ∘ SDR`` over rings from random initial
 configurations; their wall time is pure simulator throughput, so this
-script times exactly that workload on three execution configurations and
-emits ``BENCH_core.json`` at the repo root:
+script times exactly that workload on several execution configurations
+and emits ``BENCH_core.json`` at the repo root:
 
 * ``dict``   — the reference engine;
-* ``kernel`` — the array backend stepping through the simulator's
-  per-step loop (``fuse=False``), i.e. the PR 2 configuration;
-* ``fused``  — the array backend with the fused run loop: vectorized
-  daemons, array-native move/round accounting, no per-step Python
-  boundary crossing;
+* ``stepped`` — the array backend with a no-op decode-tier
+  :class:`repro.probes.Probe` attached: the driver's lane then calls the
+  per-step decode hook (decoded step record, enabled map, accounting)
+  after every step — the cheapest per-step Python callback there is;
+* ``fused``  — the array backend with nothing to decode per step:
+  vectorized daemons, array-native move/round accounting, no per-step
+  Python boundary crossing;
 * ``fused+probe`` — the fused loop with a vectorized
   :class:`repro.probes.StabilizationProbe` attached (the F1/F2
   measurement configuration): the probe evaluates the program's
@@ -40,13 +42,17 @@ emits ``BENCH_core.json`` at the repo root:
   ``fused`` execution, and ``--check`` asserts ``batched_vs_fused`` ≥ 1.
 
 The seven single-run columns produce identical executions (equal seeds
-⇒ equal traces); the report records steps/sec, moves/sec, per-size wall
-time, and the pairwise speedups.  The tracked baseline keeps the perf
-trajectory honest; CI runs a small-size smoke (``--check`` asserts
-fused ≥ fused+probe ≥ kernel ≥ dict and batched ≥ fused, with
-measurement *and* telemetry overhead bounded).  ``--out``
-also writes a provenance manifest sidecar (git SHA, package versions,
-host, phase breakdown) next to the JSON report.
+⇒ equal traces); the report records best-of steps/sec, moves/sec and
+wall time per size, and the pairwise speedups.  Every repeat times all
+columns back to back, in an order rotated by one column per repeat, and
+a speedup is the median over repeats of that repeat's ratio — a noisy
+co-tenant slows one repeat's columns alike, so ratios stay honest on a
+shared host.  The tracked baseline keeps the perf trajectory honest; CI
+runs a small-size smoke (``--check`` asserts fused ≥ fused+probe ≥
+stepped ≥ dict and batched ≥ fused, with measurement *and* telemetry
+overhead bounded).  ``--out`` also writes a provenance manifest sidecar
+(git SHA, package versions, host, phase breakdown) next to the JSON
+report.
 
 Usage::
 
@@ -60,6 +66,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 import time
 from random import Random
@@ -69,7 +76,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core import Simulator, make_daemon  # noqa: E402
 from repro.core.kernel.batch import run_batch  # noqa: E402
-from repro.probes import StabilizationProbe  # noqa: E402
+from repro.probes import Probe, StabilizationProbe  # noqa: E402
 from repro.reset import SDR  # noqa: E402
 from repro.telemetry import phases as telemetry  # noqa: E402
 from repro.topology import ring  # noqa: E402
@@ -82,7 +89,8 @@ DAEMONS = ("distributed-random", "synchronous")
 #: ``(label, Simulator kwargs, attach probe, enable telemetry)``.
 CONFIGS = (
     ("dict", {"backend": "dict"}, False, False),
-    ("kernel", {"backend": "kernel", "fuse": False}, False, False),
+    # A no-op decode-tier probe: the lane runs its per-step decode hook.
+    ("stepped", {"backend": "kernel", "probes": (Probe(),)}, False, False),
     ("fused", {"backend": "kernel"}, False, False),
     ("fused+probe", {"backend": "kernel"}, True, False),
     ("fused+telemetry", {"backend": "kernel"}, False, True),
@@ -125,26 +133,29 @@ LABELS = tuple(label for label, _, _, _ in CONFIGS) + ("batched",)
 
 def time_cell(
     n: int, daemon: str, steps: int, seed: int, repeats: int
-) -> tuple[dict, dict | None]:
-    """Best-of-``repeats`` timing of every configuration on one cell.
+) -> tuple[dict, dict, dict | None]:
+    """Time every configuration on one cell, ``repeats`` times.
 
     The repeat loop is *outside* the configuration loop: each repeat
-    times all configurations back to back, so a noisy co-tenant (CI
-    runners, single-core containers) degrades every column of that
-    repeat about equally instead of sinking whichever configuration it
-    happened to overlap — the best-of ratios stay honest on contended
-    hosts.  Returns ``(rows_by_label, phase_snapshot)``; the snapshot
-    (fastest telemetry repeat's phase breakdown) only when a
-    telemetry-enabled configuration ran.
+    times all configurations back to back, starting one column later
+    than the previous repeat, so a noisy co-tenant (CI runners, the
+    shared 2-core host) degrades every column of that repeat about
+    equally instead of sinking whichever configuration it happened to
+    overlap, and no column always runs first.  Returns ``(rows_by_label,
+    rates, phase_snapshot)``: best-of rows, each label's steps/s per
+    repeat, and the fastest telemetry repeat's phase breakdown (only
+    when a telemetry-enabled configuration ran).
     """
     network = ring(n)
     sdr = SDR(Unison(network))
     cfg = sdr.random_configuration(Random(seed))
     best: dict[str, float] = {}
     results: dict[str, object] = {}
+    rates: dict[str, list[float]] = {label: [] for label in LABELS}
     phase_snapshot = None
-    for _ in range(repeats):
-        for label, sim_kwargs, probe, trace in CONFIGS:
+    for rep in range(repeats):
+        shift = rep % len(CONFIGS)
+        for label, sim_kwargs, probe, trace in CONFIGS[shift:] + CONFIGS[:shift]:
             sim = Simulator(
                 sdr,
                 make_daemon(daemon, network),
@@ -152,6 +163,11 @@ def time_cell(
                 seed=seed,
                 **sim_kwargs,
             )
+            if label == "stepped" and sim.fusion_available:
+                raise SystemExit(
+                    "FAIL: the stepped column's decode-tier probe did not "
+                    "hook the per-step decode into the lane"
+                )
             if probe:
                 # The F1/F2 measurement configuration: a vectorized
                 # stabilization probe riding the run (stop=False so the
@@ -175,6 +191,7 @@ def time_cell(
                 t0 = time.perf_counter()
                 result = sim.run(max_steps=steps)
                 elapsed = time.perf_counter() - t0
+            rates[label].append(result.steps / elapsed)
             if label not in best or elapsed < best[label]:
                 best[label] = elapsed
                 results[label] = (result.steps, result.moves, result.rounds)
@@ -186,6 +203,8 @@ def time_cell(
                 "FAIL: batched replicate 0 diverged from the fused run — "
                 f"moves {outcomes[0].moves} != {results['fused'][1]}"
             )
+        trial_steps = sum(o.steps for o in outcomes)
+        rates["batched"].append(trial_steps / elapsed)
         if "batched" not in best or elapsed < best["batched"]:
             best["batched"] = elapsed
             results["batched"] = tuple(
@@ -206,7 +225,12 @@ def time_cell(
         }
         for label in best
     }
-    return rows, phase_snapshot
+    return rows, rates, phase_snapshot
+
+
+def median_ratio(rates: dict[str, list[float]], a: str, b: str) -> float:
+    """Median over repeats of ``a``'s steps/s over ``b``'s, same repeat."""
+    return statistics.median(x / y for x, y in zip(rates[a], rates[b]))
 
 
 def run_benchmark(sizes: list[int], steps: int, seed: int, repeats: int) -> dict:
@@ -215,7 +239,7 @@ def run_benchmark(sizes: list[int], steps: int, seed: int, repeats: int) -> dict
     phase_snaps = []
     for daemon in DAEMONS:
         for n in sizes:
-            cell, snap = time_cell(n, daemon, steps, seed, repeats)
+            cell, rates, snap = time_cell(n, daemon, steps, seed, repeats)
             if snap is not None:
                 phase_snaps.append(snap)
             for label in LABELS:
@@ -238,50 +262,37 @@ def run_benchmark(sizes: list[int], steps: int, seed: int, repeats: int) -> dict
                             f"{cell[variant][field]} != {cell['fused'][field]}"
                         )
             ratios = {
-                "kernel_vs_dict": cell["kernel"]["steps_per_s"] / cell["dict"]["steps_per_s"],
-                "fused_vs_kernel": cell["fused"]["steps_per_s"] / cell["kernel"]["steps_per_s"],
-                "fused_vs_dict": cell["fused"]["steps_per_s"] / cell["dict"]["steps_per_s"],
-                "fused_probe_vs_kernel": (
-                    cell["fused+probe"]["steps_per_s"] / cell["kernel"]["steps_per_s"]
-                ),
-                "probe_overhead": (
-                    cell["fused"]["steps_per_s"] / cell["fused+probe"]["steps_per_s"]
-                ),
-                # Throughput retained with phase tracing on (>= 1 means
-                # free); the 2% budget + noise puts the --check floor at
-                # 0.93.
-                "telemetry_vs_fused": (
-                    cell["fused+telemetry"]["steps_per_s"]
-                    / cell["fused"]["steps_per_s"]
-                ),
-                # Throughput retained with a (never-firing) fault
-                # schedule attached — same 2% budget + noise floor.
-                "faults_vs_fused": (
-                    cell["fused+faults"]["steps_per_s"]
-                    / cell["fused"]["steps_per_s"]
-                ),
-                # Throughput retained with a (never-firing) churn
-                # schedule attached — due-check + liveness mask cost.
-                "churn_vs_fused": (
-                    cell["fused+churn"]["steps_per_s"]
-                    / cell["fused"]["steps_per_s"]
-                ),
-                # Trial-steps/s of a BATCH_TRIALS-lane batch over the
-                # single run's steps/s: what batching a cell buys.
-                "batched_vs_fused": (
-                    cell["batched"]["steps_per_s"]
-                    / cell["fused"]["steps_per_s"]
-                ),
+                key: median_ratio(rates, a, b)
+                for key, (a, b) in (
+                    ("stepped_vs_dict", ("stepped", "dict")),
+                    ("fused_vs_stepped", ("fused", "stepped")),
+                    ("fused_vs_dict", ("fused", "dict")),
+                    ("fused_probe_vs_stepped", ("fused+probe", "stepped")),
+                    ("probe_overhead", ("fused", "fused+probe")),
+                    # Throughput retained with phase tracing on (>= 1
+                    # means free); the 2% budget + noise puts the --check
+                    # floor at 0.93.
+                    ("telemetry_vs_fused", ("fused+telemetry", "fused")),
+                    # Throughput retained with a (never-firing) fault
+                    # schedule attached — same 2% budget + noise floor.
+                    ("faults_vs_fused", ("fused+faults", "fused")),
+                    # Throughput retained with a (never-firing) churn
+                    # schedule attached — due-check + liveness mask cost.
+                    ("churn_vs_fused", ("fused+churn", "fused")),
+                    # Trial-steps/s of a BATCH_TRIALS-lane batch over the
+                    # single run's steps/s: what batching a cell buys.
+                    ("batched_vs_fused", ("batched", "fused")),
+                )
             }
             speedups[f"{daemon}/n={n}"] = {
                 key: round(value, 2) for key, value in ratios.items()
             }
             print(
                 f"  n={n:4d} {daemon:19s} speedup "
-                f"kernel/dict {ratios['kernel_vs_dict']:.2f}x  "
-                f"fused/kernel {ratios['fused_vs_kernel']:.2f}x  "
+                f"stepped/dict {ratios['stepped_vs_dict']:.2f}x  "
+                f"fused/stepped {ratios['fused_vs_stepped']:.2f}x  "
                 f"fused/dict {ratios['fused_vs_dict']:.2f}x  "
-                f"fused+probe/kernel {ratios['fused_probe_vs_kernel']:.2f}x  "
+                f"fused+probe/stepped {ratios['fused_probe_vs_stepped']:.2f}x  "
                 f"telemetry/fused {ratios['telemetry_vs_fused']:.2f}x  "
                 f"faults/fused {ratios['faults_vs_fused']:.2f}x  "
                 f"churn/fused {ratios['churn_vs_fused']:.2f}x  "
@@ -315,30 +326,34 @@ def main(argv: list[str] | None = None) -> int:
                         help="steps per timed run (default 2000)")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--repeats", type=int, default=3,
-                        help="repetitions per cell, best-of (default 3)")
+                        help="repetitions per cell; rows report the best, "
+                             "speedups the median per-repeat ratio (default 3)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the JSON report here (e.g. BENCH_core.json)")
     parser.add_argument("--check", action="store_true",
                         help="exit nonzero unless fused >= fused+probe >= "
-                             "kernel >= dict and batched >= fused "
+                             "stepped >= dict and batched >= fused "
                              "throughput at every size")
     args = parser.parse_args(argv)
 
     sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
+    from repro.telemetry.provenance import build_manifest, git_info, write_manifest
+
+    # The checkout as measured: writing the report dirties the tree.
+    measured = git_info(REPO_ROOT)
     report = run_benchmark(sizes, args.steps, args.seed, args.repeats)
 
     if args.out:
         out = pathlib.Path(args.out)
         out.write_text(json.dumps(report, indent=2) + "\n")
         print(f"\nwrote {out}")
-        from repro.telemetry.provenance import build_manifest, write_manifest
-
         manifest = build_manifest(
             phase_stats=report["telemetry_phases"],
             extra={"benchmark": report["benchmark"],
                    "workload": report["workload"]},
             cwd=REPO_ROOT,
         )
+        manifest["git"] = measured
         write_manifest(out, manifest)
         print(f"wrote {out.with_name(out.stem + '.manifest.json')}")
 
@@ -358,13 +373,13 @@ def main(argv: list[str] | None = None) -> int:
         slow = {
             cell: ratios
             for cell, ratios in report["speedup_steps_per_s"].items()
-            if ratios["kernel_vs_dict"] < 1.0
-            or ratios["fused_vs_kernel"] < 1.0
-            or ratios["fused_probe_vs_kernel"] < 1.0
+            if ratios["stepped_vs_dict"] < 1.0
+            or ratios["fused_vs_stepped"] < 1.0
+            or ratios["fused_probe_vs_stepped"] < 1.0
             or ratios["probe_overhead"] < 0.95
         }
         if slow:
-            print("FAIL: backend ordering fused >= fused+probe >= kernel "
+            print("FAIL: backend ordering fused >= fused+probe >= stepped "
                   f">= dict violated at {slow}")
             return 1
         # Enabled phase tracing must retain >= 93% of fused throughput:
@@ -411,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
             print("FAIL: batched trial-steps/s fell below the fused "
                   f"single run at {unbatched}")
             return 1
-        print("OK: fused >= fused+probe >= kernel >= dict throughput at "
+        print("OK: fused >= fused+probe >= stepped >= dict throughput at "
               "every size (stabilization measurement stays on the fused "
               "loop; phase telemetry, the fault-schedule due-check, and "
               "the churn-schedule due-check within their 2% budgets); "

@@ -43,7 +43,7 @@ def main() -> None:
         counter = SdrMoveCounter(net.n)
         sim = Simulator(
             sdr, DistributedRandomDaemon(0.5), config=cfg, seed=burst,
-            observers=[counter],
+            probes=[counter],
         )
         detector, _ = measure_stabilization(sim, sdr.is_normal)
         print(

@@ -94,7 +94,7 @@ def main() -> None:
     observer = RequirementObserver(algo)  # validates Requirements 1, 2a-2e live
     sim = Simulator(
         algo, DistributedRandomDaemon(0.5), config=start, seed=1,
-        observers=[observer],
+        probes=[observer],
     )
     detector, _ = measure_stabilization(sim, algo.is_normal)
     print(f"conflict-free after {detector.rounds} rounds / {detector.moves} moves")

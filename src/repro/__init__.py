@@ -45,7 +45,6 @@ from .core import (
     RunResult,
     ScriptedDaemon,
     Simulator,
-    StabilizationDetector,
     SynchronousDaemon,
     Trace,
     WeaklyFairDaemon,
@@ -86,7 +85,6 @@ __all__ = [
     "BeamAdversary",
     "ScheduleCertificate",
     "make_daemon",
-    "StabilizationDetector",
     "measure_stabilization",
     "Probe",
     "StabilizationProbe",

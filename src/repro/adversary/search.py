@@ -332,7 +332,7 @@ class ScoredStrategy(SearchStrategy):
 
     Identical on every backend: the score function only reads the
     decoded configuration, so ``adversarial:delay`` produces the same
-    schedule on dict, kernel, and stepped-kernel executions.
+    schedule on the dict and kernel backends.
     """
 
     column_tier = False

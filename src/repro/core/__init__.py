@@ -19,7 +19,7 @@ from .daemon import (
     daemon_kind_known,
     make_daemon,
 )
-from .detectors import StabilizationDetector, measure_stabilization
+from .detectors import measure_stabilization
 from .exceptions import (
     AlgorithmError,
     DaemonError,
@@ -49,7 +49,6 @@ __all__ = [
     "ScriptedDaemon",
     "make_daemon",
     "daemon_kind_known",
-    "StabilizationDetector",
     "measure_stabilization",
     "Network",
     "RoundCounter",

@@ -1,31 +1,11 @@
-"""Stabilization detectors: the legacy observer-shaped measurement API.
+"""Stabilization measurement of a plain configuration predicate.
 
 The *stabilization time* of a self-stabilizing algorithm is the maximum
 time, over every execution, to reach a legitimate configuration (paper,
-Section 2.4).  Measurement now lives in :mod:`repro.probes` — a
-capability-tiered protocol whose vectorized tier rides the fused kernel
-loop.  This module keeps the original API working on top of it:
-
-* :class:`StabilizationDetector` is a decode-tier
-  :class:`~repro.probes.stabilization.StabilizationProbe` with the
-  legacy constructor and observer-callable behavior (it never requests
-  a stop itself — callers drive the run, as they always did);
-* :func:`measure_stabilization` runs a simulator to the first hit of a
-  plain configuration predicate, exactly as before.
-
-Both force per-step decoding (a bare predicate cannot be vectorized);
-pass a :class:`~repro.probes.stabilization.StabilizationProbe` with a
-``mask`` to :meth:`Simulator.add_probe` to measure on the fused path::
-
-    probe = StabilizationProbe(sdr.is_normal, mask="normal_mask")
-    sim.add_probe(probe)
-    sim.run(max_steps=...)        # fused end-to-end
-    probe.require_hit()
-
-For *closed* predicates (attractors — the case for every legitimacy
-notion in the paper) the first hit is the stabilization point.  The
-detector still keeps counting violations after the hit so tests can
-assert closure empirically for predicates claimed closed.
+Section 2.4).  :func:`measure_stabilization` measures it for a
+``Configuration -> bool`` predicate through a decode-tier
+:class:`~repro.probes.stabilization.StabilizationProbe`; attach a probe
+with a ``mask`` instead to measure on the array-native path.
 """
 
 from __future__ import annotations
@@ -37,29 +17,9 @@ from .configuration import Configuration
 from .exceptions import NotStabilized
 from .simulator import RunResult, Simulator
 
-__all__ = ["StabilizationDetector", "measure_stabilization"]
+__all__ = ["measure_stabilization"]
 
 Predicate = Callable[[Configuration], bool]
-
-
-class StabilizationDetector(StabilizationProbe):
-    """Decode-tier probe recording when a configuration predicate first holds.
-
-    Attributes (``None`` until the predicate first holds):
-
-    * ``step`` — number of steps executed before the first hit (0 when the
-      initial configuration already satisfies the predicate);
-    * ``rounds`` — complete rounds elapsed at the first hit;
-    * ``moves`` — total moves executed at the first hit;
-    * ``violations_after_hit`` — number of later configurations violating
-      the predicate (must stay 0 for closed predicates).
-
-    Never requests a stop itself (legacy contract: callers drive the
-    run via ``stop_when`` or extra :meth:`Simulator.run` calls).
-    """
-
-    def __init__(self, predicate: Predicate, name: str = "legitimate"):
-        super().__init__(predicate, name=name, stop=False)
 
 
 def measure_stabilization(
@@ -68,22 +28,25 @@ def measure_stabilization(
     max_steps: int = 1_000_000,
     run_past: int = 0,
     name: str = "legitimate",
-) -> tuple[StabilizationDetector, RunResult]:
-    """Run ``simulator`` until ``predicate`` holds; return detector + result.
+) -> tuple[StabilizationProbe, RunResult]:
+    """Run ``simulator`` until ``predicate`` holds; return probe + result.
 
-    ``run_past`` continues the execution for that many extra steps after the
-    first hit (or until terminal), letting closure assertions observe the
-    suffix.  Raises :class:`~repro.core.exceptions.NotStabilized` when the
-    budget is exhausted first.
+    The probe (``stop=False``: the runs here decide when to stop)
+    records ``step``/``rounds``/``moves`` at the first hit and
+    ``violations_after_hit`` afterwards.  ``run_past`` continues the
+    execution for that many extra steps after the first hit (or until
+    terminal), letting closure assertions observe the suffix.  Raises
+    :class:`~repro.core.exceptions.NotStabilized` when the budget is
+    exhausted first.
     """
-    detector = StabilizationDetector(predicate, name=name)
-    simulator.add_probe(detector)
-    result = simulator.run(max_steps=max_steps, stop_when=lambda sim: detector.hit)
-    if not detector.hit:
+    probe = StabilizationProbe(predicate, name=name, stop=False)
+    simulator.add_probe(probe)
+    result = simulator.run(max_steps=max_steps, stop_when=lambda sim: probe.hit)
+    if not probe.hit:
         raise NotStabilized(
             f"predicate {name!r} not reached within {max_steps} steps",
             steps=result.steps,
         )
     if run_past > 0 and not simulator.is_terminal():
         result = simulator.run(max_steps=run_past)
-    return detector, result
+    return probe, result

@@ -150,6 +150,7 @@ def run_batch(
         lanes, max_steps=max_steps, until=until, rounds=rounds,
         exclusion_name=exclusion_name,
     )
+    acc.flush()
     for vec, daemon in zip(vecs, daemons):
         vec.store_state(daemon)
 

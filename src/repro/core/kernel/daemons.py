@@ -9,9 +9,10 @@ indices, touching no Python dicts.
 
 The twins are drop-in replacements, not approximations: every one draws
 from the **same seeded** :class:`random.Random` **stream in the same
-order** as its dict counterpart, so a fused execution is step-for-step
-identical to the step-by-step one (the property suite asserts equality
-of traces, accounting, and post-run generator state).  Stream identity
+order** as its dict counterpart, so an execution driven by a twin is
+step-for-step identical to one selecting through the dict daemon (the
+property suite asserts equality of traces, accounting, and post-run
+generator state).  Stream identity
 is delivered by :class:`RandomStream`:
 
 * :class:`MTStream` mirrors CPython's Mersenne Twister with numpy's
@@ -29,8 +30,9 @@ is delivered by :class:`RandomStream`:
 :func:`vectorize` maps a daemon instance to its twin, or ``None`` when
 the daemon cannot be vectorized (scripted/adversarial daemons, a
 priority-scored central daemon, ``rule_choice="random"``, or a daemon
-subclass with overridden behavior) — the simulator then keeps the
-step-by-step path.
+subclass with overridden behavior) — the simulator then drives its lane
+through :class:`repro.core.kernel.adapters.DaemonAdapter`, which calls
+the daemon itself.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class RandomStream:
     The three operations are exactly the ones the daemon zoo performs:
     ``random_vec(k)`` (k independent coins), ``randrange(n)`` (CPython's
     ``_randbelow`` consumption), and ``shuffle(list)``.  ``close()``
-    must leave the wrapped ``Random`` exactly where a step-by-step
+    must leave the wrapped ``Random`` exactly where the dict daemon's
     execution would have left it.
     """
 
@@ -220,7 +222,7 @@ def open_stream(rng: Random, scalar: bool = False) -> RandomStream:
     ``random.Random`` — exact type, like :func:`vectorize`'s daemon
     checks — since a subclass overriding ``random()`` (or
     ``SystemRandom``, which has no twister state at all) would make the
-    mirrored stream diverge from the one step-by-step execution draws;
+    mirrored stream diverge from the one the dict daemon draws;
     such generators get the always-correct :class:`PyStream`.
     """
     if not scalar and type(rng) is Random and _mirror_ok():
@@ -236,14 +238,20 @@ class VectorDaemon:
 
     ``select`` receives the enabled process indices in ascending order
     (trial-local) and returns the chosen subset, ascending, non-empty.
-    Rule choice is not part of the contract: fused execution requires
-    ``rule_choice == "first"``, where the rule is determined by the
-    guard masks alone.
+    The twins leave rule choice to the guard masks (``rule_choice ==
+    "first"``); a daemon that picks rules itself sets :attr:`picks_rules`
+    and leaves the rule index of each chosen process in :attr:`kinds`.
     """
 
     #: Whether ``select`` ever draws from the stream (synchronous does
     #: not, letting callers skip stream setup entirely).
     uses_rng: bool = True
+
+    #: Whether ``select`` also picks each chosen process's rule, leaving
+    #: the rule indices (aligned with the chosen vector) in ``kinds``.
+    #: Only a single-lane drive honors it.
+    picks_rules: bool = False
+    kinds = None
 
     #: Whether draws are scalar-dominated (shuffles, single randranges):
     #: such daemons get a plain :class:`PyStream`, coin-vector daemons
@@ -262,7 +270,7 @@ class VectorDaemon:
 
     def refresh_topology(self, csr) -> None:
         """Adopt a churn-mutated adjacency (no-op for topology-blind
-        daemons).  The fused loop calls this after every applied churn
+        daemons).  The driver calls this after every applied churn
         occurrence with the program's patched
         :class:`~repro.core.kernel.csr.CSRAdjacency`."""
 
@@ -396,8 +404,8 @@ def vectorize(daemon: Daemon, network) -> VectorDaemon | None:
     """The array twin of ``daemon``, or ``None`` when not vectorizable.
 
     Exact-type checks on purpose: a subclass overriding ``select`` would
-    silently change scheduling, so unknown types fall back to the
-    step-by-step path rather than guessing.
+    silently change scheduling, so unknown types select through the
+    daemon itself rather than guessing.
     """
     if daemon.rule_choice != "first":
         return None

@@ -1,4 +1,4 @@
-"""Struct-of-arrays execution runtime and the one fused driver.
+"""Struct-of-arrays execution runtime and the one array driver.
 
 :class:`KernelRuntime` owns the flat per-variable columns of one
 execution — or of a batch's trials side by side (:meth:`KernelRuntime.tiled`)
@@ -9,17 +9,20 @@ no incremental bookkeeping needed), and actions mutate a double buffer
 activated process reads the same frozen pre-step configuration —
 composite atomicity by construction.
 
-:meth:`KernelRuntime.drive` is the fused loop, written once over
-:class:`Lane` objects — one per execution sharing the buffers: a single
-fused run (:meth:`KernelRuntime.run`) is one lane, a batched cell
+:meth:`KernelRuntime.drive` is the only loop that advances columns,
+written once over :class:`Lane` objects — one per execution sharing the
+buffers: every kernel-backend :class:`~repro.core.simulator.Simulator`
+execution is one lane (:meth:`KernelRuntime.run`; daemons without an
+array twin and decode-tier consumers plug in through
+:mod:`repro.core.kernel.adapters`), a batched cell
 (:func:`repro.core.kernel.batch.run_batch`) one lane per trial.
+:meth:`KernelRuntime.apply` steps the runtime outside the driver only
+for the adversarial searches' scratch rollouts.
 
-The runtime speaks the simulator's language at the boundary: it produces
-the enabled map as a ``{process: (rules…)}`` dict in ascending process
-order (the order contract daemons observe on both backends) and decodes
-columns back into a :class:`~repro.core.configuration.Configuration` on
-demand (for observers, traces, daemon callbacks, and the paranoid
-lockstep cross-check).
+At the boundary the runtime produces the enabled map as a
+``{process: (rules…)}`` dict in ascending process order (the order
+contract daemons observe on both backends) and decodes columns back into
+a :class:`~repro.core.configuration.Configuration` on demand.
 """
 
 from __future__ import annotations
@@ -47,20 +50,30 @@ class FusedResult:
     """Accounting delta of one :meth:`KernelRuntime.run` invocation.
 
     Counters are *deltas* over the fused stretch, not execution totals —
-    the simulator merges them into its own cumulative accounting.
+    the simulator merges them into its own cumulative accounting.  The
+    per-process and per-rule counts are flushed on first read.
     """
 
-    __slots__ = ("steps", "moves", "moves_per_process", "moves_per_rule",
-                 "stop_reason", "hit")
+    __slots__ = ("steps", "moves", "stop_reason", "hit", "_acc", "_rules")
 
-    def __init__(self, steps, moves, moves_per_process, moves_per_rule,
-                 stop_reason, hit):
+    def __init__(self, steps, moves, acc, rules, stop_reason, hit):
         self.steps = steps
         self.moves = moves
-        self.moves_per_process = moves_per_process
-        self.moves_per_rule = moves_per_rule
+        self._acc = acc
+        self._rules = rules
         self.stop_reason = stop_reason
         self.hit = hit
+
+    @property
+    def moves_per_process(self) -> np.ndarray:
+        self._acc.flush()
+        return self._acc.counts
+
+    @property
+    def moves_per_rule(self) -> dict[str, int]:
+        self._acc.flush()
+        per_rule = self._acc.per_rule.tolist()
+        return {rule: count for rule, count in zip(self._rules, per_rule) if count}
 
     def __repr__(self) -> str:
         return (
@@ -103,17 +116,16 @@ class MoveAccumulator:
         parts = self._parts
         if not parts:
             return
-        chosen = np.concatenate(parts)
+        chosen = parts[0] if len(parts) == 1 else np.concatenate(parts)
         self.counts += np.bincount(chosen, minlength=self.counts.shape[0])
         lengths = [part.shape[0] for part in parts]
-        if self.per_rule.shape[0] == self._nrules:
-            # One lane owns every move: weigh each part's rule by its size.
-            self.per_rule += np.bincount(
-                self._rules, weights=lengths, minlength=self._nrules
-            ).astype(np.int64)
+        per_rule = self.per_rule
+        if per_rule.shape[0] == self._nrules:
+            # One lane owns every move: add each part's size to its rule.
+            np.add.at(per_rule, self._rules, lengths)
         else:
             keys = chosen // self._n * self._nrules + np.repeat(self._rules, lengths)
-            self.per_rule += np.bincount(keys, minlength=self.per_rule.shape[0])
+            per_rule += np.bincount(keys, minlength=per_rule.shape[0])
         parts.clear()
         self._rules.clear()
         self._buffered = 0
@@ -245,15 +257,12 @@ class KernelSnapshot:
     interleaved ``apply``/``restore`` calls.
     """
 
-    __slots__ = ("read", "write", "live", "max_enabled_rules", "rng_state",
-                 "rounds_state")
+    __slots__ = ("read", "write", "live", "rng_state", "rounds_state")
 
-    def __init__(self, read, write, live, max_enabled_rules, rng_state,
-                 rounds_state):
+    def __init__(self, read, write, live, rng_state, rounds_state):
         self.read = read
         self.write = write
         self.live = live
-        self.max_enabled_rules = max_enabled_rules
         self.rng_state = rng_state
         self.rounds_state = rounds_state
 
@@ -268,13 +277,12 @@ class KernelRuntime:
         "read",
         "write",
         "live",
-        "max_enabled_rules",
         "_masks",
-        "_singles",
+        "rule_index",
         "_rule_idx",
-        "_rule_idx_prev",
-        "_prev_valid",
-        "_prev_map",
+        "_rule_counts",
+        "_dispatch",
+        "_map",
     )
 
     def __init__(self, program: KernelProgram, cfg: Configuration):
@@ -309,16 +317,17 @@ class KernelRuntime:
         #: enabled, never selected, never counted.
         self.live: np.ndarray | None = None
         self._masks: dict[str, np.ndarray] | None = None
-        self._singles = [(rule,) for rule in self.rules]
-        #: Per process: index of its single enabled rule, -1 if disabled
-        #: (-2 marks the multi-rule case, resolved in the slow path).
+        #: Rule name → index into :attr:`rules`.
+        self.rule_index = {rule: k for k, rule in enumerate(self.rules)}
+        #: The driver's rule dispatch buffers (see :func:`dispatch_rules`)
+        #: and its last dispatch, ``(masks, enabled_mask, only_rule,
+        #: total)``: a drive starting on the masks the last one ended on,
+        #: and :meth:`enabled_map`, reuse it.
         self._rule_idx = np.full(size, -1, dtype=np.int8)
-        self._rule_idx_prev = np.full(size, -1, dtype=np.int8)
-        self._prev_valid = False
-        self._prev_map: dict[int, tuple[str, ...]] = {}
-        #: Max number of simultaneously enabled rules at one process in the
-        #: last computed enabled set (the simulator's exclusion check).
-        self.max_enabled_rules = 0
+        self._rule_counts = [0] * len(self.rules)
+        self._dispatch: tuple | None = None
+        #: :meth:`enabled_map`'s memo: ``(masks, map)``.
+        self._map: tuple = (None, {})
 
     # ------------------------------------------------------------------
     # Enabled set
@@ -338,75 +347,53 @@ class KernelRuntime:
     def enabled_map(self) -> dict[int, tuple[str, ...]]:
         """``{u: enabled rules}`` in ascending process order.
 
-        The returned dict is cached and *reused* while the enabled set
-        stays unchanged between steps (steady-state executions), so
-        callers must honor the simulator's do-not-mutate contract.
+        Built once per guard evaluation, from the rule dispatch the
+        driver already made when it evaluated these guards: repeated
+        calls on one configuration return the same dict, so callers must
+        honor the simulator's do-not-mutate contract.
         """
         masks = self.guard_masks()
+        if self._map[0] is masks:
+            return self._map[1]
         rules = self.rules
-        rule_idx = self._rule_idx
-        if len(rules) == 1:
-            mask = masks.get(rules[0])
-            rule_idx.fill(-1)
-            if mask is None:  # omitted = everywhere false
-                self.max_enabled_rules = 0
-            else:
-                rule_idx[mask] = 0
-                self.max_enabled_rules = 1 if mask.any() else 0
+        dispatch = self._dispatch
+        if dispatch is not None and dispatch[0] is masks:
+            _, enabled_mask, only, total = dispatch
+            rule_idx = self._rule_idx
+        else:  # scratch buffers: a drive may be holding the runtime's
+            rule_idx = np.empty(self._rule_idx.shape[0], dtype=np.int8)
+            enabled_mask, only, total = dispatch_rules(
+                masks, rules, rule_idx, [0] * len(rules)
+            )
+        idx = np.flatnonzero(enabled_mask)
+        if only >= 0:
+            enabled = dict.fromkeys(idx.tolist(), (rules[only],))
         else:
-            # Descending write order: the lowest enabled rule index wins a
-            # slot, matching rule declaration order.
-            rule_idx.fill(-1)
-            count = np.zeros(rule_idx.shape[0], dtype=np.int8)
-            for k in range(len(rules) - 1, -1, -1):
-                mask = masks.get(rules[k])
-                if mask is None:  # omitted = everywhere false
-                    continue
-                rule_idx[mask] = k
-                count += mask
-            self.max_enabled_rules = int(count.max()) if count.size else 0
-            if self.max_enabled_rules > 1:
-                rule_idx[count > 1] = -2
-
-        # The -2 sentinel erases *which* rules are enabled, so the
-        # unchanged-state cache is only sound without multi-rule slots.
-        if (
-            self._prev_valid
-            and self.max_enabled_rules <= 1
-            and np.array_equal(rule_idx, self._rule_idx_prev)
-        ):
-            return self._prev_map
-
-        if self.max_enabled_rules > 1:
-            enabled: dict[int, tuple[str, ...]] = {}
-            for u, k in enumerate(rule_idx.tolist()):
-                if k == -1:
-                    continue
-                if k == -2:
-                    enabled[u] = tuple(
-                        rule
-                        for rule in rules
+            singles = [(rule,) for rule in rules]
+            enabled = dict(zip(
+                idx.tolist(), map(singles.__getitem__, rule_idx[idx].tolist())
+            ))
+            if total > idx.shape[0]:  # some process has several rules enabled
+                for u in idx.tolist():
+                    several = tuple(
+                        rule for rule in rules
                         if (mask := masks.get(rule)) is not None and mask[u]
                     )
-                else:
-                    enabled[u] = self._singles[k]
-        else:
-            idx = np.nonzero(rule_idx >= 0)[0]
-            singles = self._singles
-            enabled = {
-                u: singles[k]
-                for u, k in zip(idx.tolist(), rule_idx[idx].tolist())
-            }
-        self._rule_idx, self._rule_idx_prev = self._rule_idx_prev, rule_idx
-        self._prev_valid = True
-        self._prev_map = enabled
+                    if len(several) > 1:
+                        enabled[u] = several
+        self._map = (masks, enabled)
         return enabled
 
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
     def apply(self, selection: Mapping[int, str]) -> None:
-        """One atomic step: execute ``selection`` against the read buffer."""
+        """One atomic step: execute ``selection`` against the read buffer.
+
+        Outside :meth:`drive` — the adversarial searches' scratch
+        rollouts (:mod:`repro.adversary.search`) step the live runtime
+        with it between :meth:`snapshot` and :meth:`restore`.
+        """
         by_rule: dict[str, list[int]] = {}
         for u, rule in selection.items():
             by_rule.setdefault(rule, []).append(u)
@@ -434,7 +421,6 @@ class KernelRuntime:
             {name: col.copy() for name, col in self.read.items()},
             {name: col.copy() for name, col in self.write.items()},
             None if self.live is None else self.live.copy(),
-            self.max_enabled_rules,
             None if rng is None else rng.getstate(),
             None if rounds is None else (rounds.completed, rounds.pending),
         )
@@ -445,8 +431,8 @@ class KernelRuntime:
 
         Column contents are copied back *in place* into whichever buffer
         currently holds each parity — buffer identity is irrelevant, only
-        contents matter — and the guard-mask/enabled-map caches are
-        invalidated so the next query sees the restored configuration.
+        contents matter — and the guard-mask cache is invalidated so the
+        next query sees the restored configuration.
         """
         for name, col in snap.read.items():
             self.read[name][:] = col
@@ -458,10 +444,7 @@ class KernelRuntime:
             self.live = snap.live.copy()
         else:
             self.live[:] = snap.live
-        self.max_enabled_rules = snap.max_enabled_rules
         self._masks = None
-        self._prev_valid = False
-        self._prev_map = {}
         if rng is not None and snap.rng_state is not None:
             rng.setstate(snap.rng_state)
         if rounds is not None and snap.rounds_state is not None:
@@ -477,8 +460,8 @@ class KernelRuntime:
         first process of the target block in a tiled runtime: processes
         shift by it, and so do ``opt_index`` values (globalized exactly
         like :meth:`Schema.encode_tiled`).  Invalidates the guard-mask
-        and enabled-map caches — the next ``enabled_map`` /
-        ``guard_masks`` call sees the corrupted configuration.
+        cache — the next ``enabled_map`` / ``guard_masks`` call sees the
+        corrupted configuration.
         """
         schema_vars = {var.name: var for var in self.program.schema.vars}
         for u, name, value in assignments:
@@ -488,7 +471,6 @@ class KernelRuntime:
                 code += offset
             self.read[name][u + offset] = code
         self._masks = None
-        self._prev_valid = False
 
     def disturb(self, occ, offset: int = 0) -> bool:
         """Land one fault or churn occurrence on the block at ``offset``.
@@ -517,7 +499,6 @@ class KernelRuntime:
         if occ.assignments:
             self.inject(occ.assignments, offset)
         self._masks = None
-        self._prev_valid = False
         return rewired
 
     # ------------------------------------------------------------------
@@ -564,9 +545,7 @@ class KernelRuntime:
             exclusion_name=exclusion_name,
         )
         return FusedResult(
-            lane.steps, lane.moves, acc.counts,
-            {rule: c for rule, c in zip(self.rules, acc.per_rule.tolist()) if c},
-            lane.stop_reason, lane.hit,
+            lane.steps, lane.moves, acc, self.rules, lane.stop_reason, lane.hit
         )
 
     def drive(
@@ -578,7 +557,7 @@ class KernelRuntime:
         rounds=None,
         exclusion_name: str | None = None,
     ) -> MoveAccumulator:
-        """The fused loop: guard → daemon → apply → rounds → probes, per lane.
+        """The driver: guard → daemon → apply → rounds → probes, per lane.
 
         One iteration never leaves numpy for the columns: guards become
         one enabled mask over every block, each lane's vectorized daemon
@@ -592,6 +571,12 @@ class KernelRuntime:
         program and columns) holds on the whole block — checked on the
         initial configuration too — when one of the lane's probes is
         ``done()``, or after ``max_steps`` steps.
+
+        A single lane's daemon may pick rules itself
+        (:attr:`VectorDaemon.picks_rules`), overriding the lowest-rule
+        dispatch; the runtime's ``read``/``write`` always name the
+        current buffer parity, so a daemon or probe may read the
+        runtime's own columns mid-drive.
 
         Probes see their lane's block as a
         :class:`repro.probes.ColumnView` once at the start and after
@@ -614,7 +599,7 @@ class KernelRuntime:
         have all frozen, their blocks are dropped from the working
         buffers (the program is re-tiled to the surviving prefix), so
         guard evaluation stops paying for finished lanes.  Returns the
-        flushed :class:`MoveAccumulator`.
+        :class:`MoveAccumulator`, not yet flushed.
         """
         program, rules = self.program, self.rules
         nrules = len(rules)
@@ -640,8 +625,7 @@ class KernelRuntime:
         # Block boundaries and ``opt_index`` names serve only tiled
         # layouts: the globalized indices there are re-localized for probes.
         block_bounds = None if single else np.arange(0, total + 1, n)
-        rule_idx = np.empty(total, dtype=np.int8)
-        rule_counts = [0] * nrules
+        rule_idx, rule_counts = self._rule_idx, self._rule_counts
         # When every enabled process has the same single rule enabled,
         # rule dispatch is trivial; ``only_rule[0]`` holds its index then.
         only_rule = [0 if nrules == 1 else -1]
@@ -653,6 +637,7 @@ class KernelRuntime:
         def compute_enabled(masks=None) -> np.ndarray:
             """Refresh rule dispatch state and return the enabled mask
             (of ``masks``, or of freshly evaluated guards)."""
+            dispatch = self._dispatch
             if masks is None:
                 masks = program.guard_masks(read)
                 live = self.live
@@ -664,9 +649,13 @@ class KernelRuntime:
                         if mask is not None
                     }
                 self._masks = masks
-            enabled, only, grand = dispatch_rules(
-                masks, rules, rule_idx, rule_counts
-            )
+            if dispatch is not None and dispatch[0] is masks:
+                _, enabled, only, grand = dispatch
+            else:
+                enabled, only, grand = dispatch_rules(
+                    masks, rules, rule_idx, rule_counts
+                )
+                self._dispatch = (masks, enabled, only, grand)
             only_rule[0] = only
             if (
                 check_exclusion
@@ -734,7 +723,6 @@ class KernelRuntime:
         def poll(todo: list[Lane]) -> np.ndarray:
             """Land the due occurrences of ``todo``'s schedules; returns
             the enabled mask after them (the pull-forward rule above)."""
-            self.read, self.write = full[flip], full[flip ^ 1]
             mask = enabled_mask
             while todo:
                 again = []
@@ -818,6 +806,7 @@ class KernelRuntime:
             )
         steps = 0
         active = lanes
+        picker = lanes[0].daemon if single and lanes[0].daemon.picks_rules else None
         watching = any(lane.probes for lane in lanes)
         parts: list[np.ndarray] = []
         try:
@@ -946,8 +935,9 @@ class KernelRuntime:
                 else:
                     # Fancy indexing copies, so ``kinds`` survives the
                     # post-step guard recomputation overwriting
-                    # ``rule_idx`` below.
-                    kinds = rule_idx[chosen]
+                    # ``rule_idx`` below.  A daemon that picks rules
+                    # itself overrides the lowest-rule dispatch.
+                    kinds = picker.kinds if picker is not None else rule_idx[chosen]
                     for k in range(nrules):
                         if rule_counts[k] == 0:
                             continue  # no process had this rule enabled
@@ -957,6 +947,9 @@ class KernelRuntime:
                             acc.add(idx, k)
                 read, write = write, read
                 flip ^= 1
+                # Publish the current parity: scalar daemons, decode
+                # hooks and disturbances read the runtime's own buffers.
+                self.read, self.write = full[flip], full[flip ^ 1]
                 steps += 1
                 if sampling:
                     t_now = telemetry.timer()
@@ -1004,12 +997,8 @@ class KernelRuntime:
             for lane in lanes:
                 if lane.stream is not None:
                     lane.stream.close()
-            self.read, self.write = full[flip], full[flip ^ 1]
-            if steps:
-                self._prev_valid = False
             if size != total:
                 self._masks = None
-        acc.flush()
         return acc
 
     # ------------------------------------------------------------------

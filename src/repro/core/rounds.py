@@ -12,8 +12,8 @@ round and closes the round the moment that set empties.
 :class:`ArrayRoundCounter` is its vectorized twin for the fused kernel
 loop: the owing set becomes a per-process boolean column updated with a
 handful of numpy operations per step, and the two interconvert losslessly
-so an execution can move between the step-by-step and fused drivers
-mid-flight without disturbing the count.
+so a simulator's counter carries across array drives without disturbing
+the count.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ class ArrayRoundCounter:
     every block counts its own rounds in ``completed[block]``, and one
     step's resolution still costs four array operations for all of them.
     Conversions to and from :class:`RoundCounter` (single block) bridge
-    executions that move between the step-by-step and fused drivers.
+    a simulator's counter and its array drives.
     """
 
     __slots__ = ("completed", "_pending", "_scratch", "_open", "_starts",

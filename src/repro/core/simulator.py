@@ -10,24 +10,29 @@ Execution backends
 ------------------
 Two interchangeable backends implement the step relation:
 
-* ``"dict"`` — the reference engine.  States are per-process dicts, guards
-  are evaluated process by process through ``Algorithm.guard``, and the
-  enabled set is maintained *incrementally*: after a step in which the set
-  ``S`` moved, only processes within graph distance ``guard_locality`` of
-  ``S`` can change enabled status.
-* ``"kernel"`` — the array engine (:mod:`repro.core.kernel`).  Algorithms
+* ``"dict"`` — the reference interpreter.  States are per-process dicts,
+  guards are evaluated process by process through ``Algorithm.guard``,
+  and the enabled set is maintained *incrementally*: after a step in
+  which the set ``S`` moved, only processes within graph distance
+  ``guard_locality`` of ``S`` can change enabled status.
+* ``"kernel"`` — the array driver (:mod:`repro.core.kernel`).  Algorithms
   that declare a typed variable schema (``Algorithm.kernel_program``)
   execute on flat numpy columns over CSR adjacency; guards become
-  vectorized masks and actions mutate a double buffer.  Orders of
-  magnitude less interpreter work per step on non-trivial networks.
+  vectorized masks and actions mutate a double buffer.  Every execution
+  — :meth:`Simulator.run`, :meth:`Simulator.step`, ``stop_when``,
+  :meth:`Simulator.run_until_mask`, paranoid mode — is one lane of
+  :meth:`~repro.core.kernel.engine.KernelRuntime.drive`; daemons without
+  an array twin and decode-tier consumers (traces, decode probes,
+  ``stop_when``, the lockstep) plug into it through
+  :mod:`repro.core.kernel.adapters`.
 
 ``backend="auto"`` (the default) picks the kernel whenever the algorithm
 provides a program and numpy is importable, and falls back to the dict
 engine otherwise.  The two backends are observationally identical: both
 present the enabled map to daemons in ascending process order (a contract
 this class guarantees), so with equal seeds they produce step-for-step
-identical traces — equality that the backend-equivalence property tests
-assert and that ``paranoid`` mode machine-checks in-process.
+identical executions — equality that the backend-equivalence property
+tests assert and that ``paranoid`` mode machine-checks in-process.
 
 ``paranoid`` mode is backend-specific validation: under the dict backend
 it recomputes the enabled set from scratch each step and cross-checks the
@@ -78,22 +83,6 @@ def _warn_auto_fallback(name: str) -> None:
         )
 
 
-#: Algorithm names already warned about handwritten kernel programs.
-_HANDWRITTEN_WARNED: set[str] = set()
-
-
-def _warn_handwritten_program(name: str) -> None:
-    if name not in _HANDWRITTEN_WARNED:
-        _HANDWRITTEN_WARNED.add(name)
-        _logger.warning(
-            "algorithm %r supplies a handwritten kernel program; handwritten "
-            "numpy twins are deprecated — declare a repro.ir rule set and "
-            "let rule_set().compile_kernel() generate the program (see "
-            "repro/unison/kernelized.py)",
-            name,
-        )
-
-
 class RunResult:
     """Summary of a (partial) execution produced by :meth:`Simulator.run`.
 
@@ -137,24 +126,17 @@ class _LazyConfigView:
     def __init__(self, sim: "Simulator"):
         self._sim = sim
 
-    def _materialize(self) -> Configuration:
-        return self._sim.cfg
-
     def __getattr__(self, name):
-        return getattr(self._materialize(), name)
+        return getattr(self._sim.cfg, name)
 
     def __getitem__(self, u):
-        return self._materialize()[u]
+        return self._sim.cfg[u]
 
     def __len__(self):
-        return len(self._materialize())
+        return len(self._sim.cfg)
 
     def __iter__(self):
-        return iter(self._materialize())
-
-
-#: Sentinel: the vectorized daemon twin has not been resolved yet.
-_VEC_UNRESOLVED = object()
+        return iter(self._sim.cfg)
 
 
 class Simulator:
@@ -180,36 +162,23 @@ class Simulator:
         Backend-specific cross-checking (slow; for tests).  Dict backend:
         recompute the enabled set from scratch every step and compare with
         the incremental bookkeeping.  Kernel backend: run the dict
-        reference in lockstep and compare configurations, enabled sets and
-        rule choices after every step.
+        reference in lockstep — it applies every step's selection and
+        lands every disturbance's assignments itself — and compare
+        configurations and enabled sets after every step.
     backend:
         ``"auto"`` (default), ``"dict"`` or ``"kernel"``.  ``"kernel"``
         requires the algorithm to provide a kernel program (see
         ``Algorithm.kernel_program``) and numpy to be installed; ``"auto"``
         falls back to ``"dict"`` when either is missing (logging one
         warning per algorithm so silent slowdowns stay visible).
-    fuse:
-        Allow :meth:`run` to use the fused kernel loop (vectorized
-        daemons + array-native accounting) when nothing observes
-        individual steps.  Results are identical either way; pass
-        ``False`` to force the step-by-step loop (benchmark baselines,
-        debugging).
     trace:
         Optional :class:`~repro.core.trace.Trace` to record into.
-    observers:
-        Deprecated (use ``probes``).  Callables ``observer(simulator,
-        record)`` invoked after every step; an optional
-        ``on_start(simulator)`` attribute is invoked before the first
-        step.  Any attached observer forces the step-by-step loop; wrap
-        one in :class:`repro.probes.LegacyObserverProbe` (or port it to
-        a :class:`repro.probes.Probe`) to migrate.
     probes:
         :class:`repro.probes.Probe` instances observing the execution.
-        Probes whose ``wants_decode()`` is false are served *inside*
-        the fused kernel loop (their ``on_columns`` hook), so
-        measurement does not cost the fast path; any probe wanting
-        decoded records keeps the step-by-step loop (its ``on_step``
-        hook — today's observer contract).
+        On the kernel backend, probes whose ``wants_decode()`` is false
+        are served their ``on_columns`` hook inside the driver, so
+        measurement does not cost the fast path; probes wanting decoded
+        records get ``on_step`` through a per-step decode hook.
     faults:
         Optional mid-run fault schedule: a
         :class:`repro.faults.schedule.FaultSchedule`, an already-bound
@@ -217,28 +186,22 @@ class Simulator:
         Unbound schedules without an explicit seed bind to this
         simulator's ``seed`` (0 when constructed from ``rng``), so dict
         and kernel executions with equal seeds inject byte-identical
-        corruption.  Occurrences fire inside :meth:`run`'s driving loops
-        (all of them — dict, kernel step-by-step, fused) between steps:
-        they add no steps/moves, rebase the round counter, and notify
-        probes via ``on_fault``.
+        corruption.  Occurrences fire between steps (in :meth:`run` and
+        :meth:`step`), add no steps/moves, rebase the round counter, and
+        notify probes via ``on_fault``.
     churn:
-        Optional mid-run topology churn: a
-        :class:`repro.faults.churn.ChurnSchedule`, an already-bound
-        schedule, or a spec string (see :mod:`repro.faults.churn`).
-        Seed binding follows the ``faults`` convention.  Occurrences
-        mutate the network between steps on every driving loop — links
-        drop/appear, processes crash (state frozen, edges removed,
-        excluded from guards/daemon/accounting via :attr:`dead`) and
-        rejoin with domain-random state — identically across backends;
-        probes are notified via ``on_churn``.  The simulator's
-        :class:`~repro.core.graph.Network` is mutated in place (the
-        fused loop syncs it from the schedule's canonical state on
-        exit), so construct churn trials on a fresh network.
+        Optional mid-run topology churn (:mod:`repro.faults.churn`),
+        bound like ``faults``.  Occurrences drop/add links, crash
+        processes (frozen, unlinked, kept out of guards, daemon and
+        accounting via :attr:`dead`) and rejoin them with domain-random
+        state, identically across backends, and notify probes via
+        ``on_churn``.  The :class:`~repro.core.graph.Network` is mutated
+        in place, so construct churn trials on a fresh network.
 
     Notes
     -----
     Daemons observe the enabled map in ascending process order on both
-    backends — relying on that order is safe and keeps traces
+    backends — relying on that order is safe and keeps executions
     backend-independent.  Under the kernel backend, :attr:`cfg` is a
     decoded *snapshot* of the columnar state: reading it is always
     current, but mutating it does not write through to the execution
@@ -255,9 +218,7 @@ class Simulator:
         strict: bool = True,
         paranoid: bool = False,
         backend: str = "auto",
-        fuse: bool = True,
         trace: Trace | None = None,
-        observers: Sequence[Callable[["Simulator", StepRecord], Any]] = (),
         probes: Sequence[Any] = (),
         faults: Any = None,
         churn: Any = None,
@@ -270,11 +231,8 @@ class Simulator:
         self.rng = rng if rng is not None else Random(seed)
         self.strict = strict
         self.paranoid = paranoid
-        self.fuse = fuse
         self.trace = trace
-        self.observers = list(observers)
         self.probes = list(probes)
-        self._vec_daemon: Any = _VEC_UNRESOLVED
         self.faults = self._bind(faults, seed, "faults")
         self.churn = self._bind(churn, seed, "churn")
         #: Bound disturbance schedules in polling order.
@@ -301,6 +259,10 @@ class Simulator:
 
             self._kernel = KernelRuntime(self._program, cfg)
             self._cfg_view = _LazyConfigView(self)
+            #: The drives' array round counter, and the pending set it
+            #: last mirrored into :attr:`rounds`.
+            self._array_rounds = None
+            self._rounds_mirror = None
             if self.paranoid:
                 self._shadow = cfg.copy()
 
@@ -314,9 +276,8 @@ class Simulator:
         self._enabled: dict[int, tuple[str, ...]] = {}
         if self.backend == "kernel":
             self._enabled = self._kernel.enabled_map()
-            self._check_exclusion_kernel()
             if self._shadow is not None:
-                self._compare_shadow_enabled()
+                self._compare_shadow()
         else:
             self._recompute_all_enabled()
         self._enabled_snapshot = tuple(self._enabled)
@@ -324,10 +285,6 @@ class Simulator:
 
         if self.trace is not None:
             self.trace.start(self.cfg)
-        for obs in self.observers:
-            on_start = getattr(obs, "on_start", None)
-            if on_start is not None:
-                on_start(self)
         for probe in self.probes:
             probe.on_start(self)
 
@@ -352,9 +309,6 @@ class Simulator:
             return "dict"
         self._program = self.algorithm.kernel_program()
         if self._program is not None:
-            inner = getattr(self._program, "inner", self._program)
-            if not getattr(inner, "ir_generated", False):
-                _warn_handwritten_program(self.algorithm.name)
             return "kernel"
         if requested == "kernel":
             raise AlgorithmError(
@@ -446,18 +400,6 @@ class Simulator:
                 )
             # _recompute_all_enabled iterates processes() → already ascending.
 
-    def _check_exclusion_kernel(self) -> None:
-        if not (self.strict and self.algorithm.mutually_exclusive_rules):
-            return
-        if self._kernel.max_enabled_rules > 1:
-            offender = next(
-                (u, rules) for u, rules in self._enabled.items() if len(rules) > 1
-            )
-            raise ModelViolation(
-                f"{self.algorithm.name}: rules {offender[1]} simultaneously enabled "
-                f"at process {offender[0]}, but the algorithm declares mutual exclusion"
-            )
-
     # ------------------------------------------------------------------
     # Disturbances (faults and churn alike)
     # ------------------------------------------------------------------
@@ -484,48 +426,26 @@ class Simulator:
         return spec.bind(self.algorithm, default_seed=seed if seed is not None else 0)
 
     def _land(self, sched, due) -> None:
-        """Land fired occurrences on every live structure, no step.
+        """Land fired occurrences on the dict configuration, no step.
 
-        A churn occurrence's delta is already committed to the bound
-        schedule's canonical state — including the shared
-        :class:`Network`, mirrored at draw time so state-dependent draws
-        see the same topology on every backend.  This applies each
-        occurrence to the executing engine and the dead set, refreshes
-        the enabled set (from scratch when links or liveness changed: a
-        topology change can flip guards anywhere), rebases the round
-        counter, and notifies probes through the schedule's hook.
+        A churn occurrence's links are already mirrored into the shared
+        :class:`Network` at draw time.  This applies each occurrence to
+        the configuration and the dead set, refreshes the enabled set
+        (from scratch when links or liveness changed: a topology change
+        can flip guards anywhere), rebases the round counter, and
+        notifies probes through the schedule's hook.
         """
-        rewired = False
         victims: set[int] = set()
         for occ in due:
             self.dead.update(occ.crashed)
             self.dead.difference_update(occ.joined)
             victims.update(occ.victims)
-        if self.backend == "kernel":
-            for occ in due:
-                rewired = self._kernel.disturb(occ) or rewired
-            self._cfg_dirty = True
-            # A resolved vectorized daemon twin snapshots CSR arrays at
-            # construction; keep it current for any later fused stretch.
-            if rewired and self._vec_daemon not in (_VEC_UNRESOLVED, None):
-                self._vec_daemon.refresh_topology(self._program.csr)
-            if self._shadow is not None:
-                for occ in due:
-                    for u, var, value in occ.assignments:
-                        self._shadow.set(u, var, value)
-            self._enabled = self._kernel.enabled_map()
-            self._check_exclusion_kernel()
-            if self._shadow is not None:
-                self._compare_shadow_enabled()
+            for u, var, value in occ.assignments:
+                self.cfg.set(u, var, value)
+        if any(occ.drops or occ.adds or occ.crashed or occ.joined for occ in due):
+            self._recompute_all_enabled()
         else:
-            for occ in due:
-                for u, var, value in occ.assignments:
-                    self.cfg.set(u, var, value)
-            if any(occ.drops or occ.adds or occ.crashed or occ.joined
-                   for occ in due):
-                self._recompute_all_enabled()
-            else:
-                self._update_enabled(victims)
+            self._update_enabled(victims)
         self._enabled_snapshot = tuple(self._enabled)
         self.rounds.rebase(self._enabled)
         if self.probes:
@@ -537,7 +457,7 @@ class Simulator:
     def _poll(self) -> bool:
         """Fire due occurrences; ``False`` = re-poll before stepping.
 
-        The fused driver's pull-forward rule
+        The array driver's pull-forward rule
         (:meth:`~repro.core.kernel.engine.KernelRuntime.drive`): the
         schedules are polled in order (faults, then churn); each fires
         its due occurrences or, at a terminal configuration, pulls its
@@ -559,23 +479,6 @@ class Simulator:
                 return False
         return True
 
-    def _sync_churn_topology(self) -> None:
-        """Adopt the bound schedule's canonical topology after a fused run.
-
-        The schedule mirrors every link delta into the shared
-        :class:`~repro.core.graph.Network` at draw time, so the edge
-        diff below is normally empty (it is kept as a cheap invariant
-        repair); the :attr:`dead` set, which only the stepped loops
-        track occurrence by occurrence, always catches up here.
-        """
-        current = set(self.churn.current_edges())
-        have = {tuple(sorted(e)) for e in self.network.edges()}
-        drops = sorted(have - current)
-        adds = sorted(current - have)
-        if drops or adds:
-            self.network.apply_delta(drops, adds)
-        self.dead = set(self.churn.dead())
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -591,11 +494,29 @@ class Simulator:
     # Stepping
     # ------------------------------------------------------------------
     def step(self) -> StepRecord | None:
-        """Execute one atomic step; returns ``None`` at a terminal config."""
-        advanced = self._advance()
-        if advanced is None:
+        """Execute one atomic step; returns ``None`` at a terminal config.
+
+        A one-step :meth:`run` that ignores stop requests: due
+        disturbances land before the step (and those due right after
+        it, exactly as a run's budget stop would), and every probe
+        observes the step through ``on_step``.  On the kernel backend
+        the daemon selects itself (no array twin), so external
+        ``step()`` loops replay :meth:`run` step for step.
+        """
+        if self.backend == "kernel":
+            return self._drive(1, step=True)[1]
+        while not self._poll():
+            pass
+        if not self._enabled:
             return None
-        selection, enabled_before, enabled_after = advanced
+        record = self._step_dict()
+        while not self._poll():
+            pass
+        return record
+
+    def _step_dict(self) -> StepRecord:
+        """One dict-engine step, recorded and shown to trace and probes."""
+        selection, enabled_before, enabled_after = self._advance()
         record = StepRecord(
             index=self.step_count - 1,
             selection=dict(selection),
@@ -603,7 +524,7 @@ class Simulator:
             enabled_after=enabled_after,
             rounds_completed=self.rounds.completed,
         )
-        # Same stride-sampled phase timing as the fused driver; the
+        # Same stride-sampled phase timing as the array driver; the
         # index matches _advance's so one step's phases share a sample.
         stats = telemetry.collector()
         sampling = (
@@ -613,8 +534,6 @@ class Simulator:
             t_mark = telemetry.timer()
         if self.trace is not None:
             self.trace.append(record, self.cfg)
-        for obs in self.observers:
-            obs(self, record)
         for probe in self.probes:
             probe.on_step(self, record)
         if sampling:
@@ -622,20 +541,9 @@ class Simulator:
             stats.counts[telemetry.PROBE] += 1
         return record
 
-    def _step_fast(self) -> None:
-        """:meth:`step` minus :class:`StepRecord` construction.
-
-        Used by :meth:`run` when no trace and no observers are attached —
-        the per-step record would be built only to be discarded.
-        """
-        self._advance()
-
-    def _advance(self) -> tuple[dict[int, str], tuple[int, ...], tuple[int, ...]] | None:
-        """The step relation: select, apply, account.  ``None`` at terminal."""
-        if not self._enabled:
-            return None
-
-        # Stride-sampled phase timing, shared with the fused driver (see
+    def _advance(self) -> tuple[dict[int, str], tuple[int, ...], tuple[int, ...]]:
+        """The dict step relation: select, apply, account."""
+        # Stride-sampled phase timing, shared with the array driver (see
         # repro.telemetry.phases); when telemetry is off this costs one
         # None check per step.
         stats = telemetry.collector()
@@ -645,42 +553,28 @@ class Simulator:
             t_mark = telemetry.timer()
 
         enabled_before = self._enabled_snapshot
-        daemon_cfg = self._cfg_view if self.backend == "kernel" else self.cfg
-        selection = self.daemon.select(daemon_cfg, self._enabled, self.rng, self.step_count)
+        selection = self.daemon.select(self.cfg, self._enabled, self.rng, self.step_count)
         if self.strict:
-            self._check_selection(selection)
+            self._check_selection(selection, self._enabled)
         if sampling:
             t_now = telemetry.timer()
             ttimes[telemetry.DAEMON] += t_now - t_mark
             tcounts[telemetry.DAEMON] += 1
             t_mark = t_now
 
-        if self.backend == "kernel":
-            self._kernel.apply(selection)
-            self._cfg_dirty = True
-            if sampling:
-                t_now = telemetry.timer()
-                ttimes[telemetry.APPLY] += t_now - t_mark
-                tcounts[telemetry.APPLY] += 1
-                t_mark = t_now
-            self._enabled = self._kernel.enabled_map()
-            self._check_exclusion_kernel()
-            if self._shadow is not None:
-                self._lockstep_check(selection)
-        else:
-            # Composite atomicity: compute every action against the frozen
-            # pre-step configuration, then install all updates at once.
-            updates = {
-                u: self.algorithm.execute(rule, self.cfg, u)
-                for u, rule in selection.items()
-            }
-            self.cfg.apply(updates)
-            if sampling:
-                t_now = telemetry.timer()
-                ttimes[telemetry.APPLY] += t_now - t_mark
-                tcounts[telemetry.APPLY] += 1
-                t_mark = t_now
-            self._update_enabled(selection)
+        # Composite atomicity: compute every action against the frozen
+        # pre-step configuration, then install all updates at once.
+        updates = {
+            u: self.algorithm.execute(rule, self.cfg, u)
+            for u, rule in selection.items()
+        }
+        self.cfg.apply(updates)
+        if sampling:
+            t_now = telemetry.timer()
+            ttimes[telemetry.APPLY] += t_now - t_mark
+            tcounts[telemetry.APPLY] += 1
+            t_mark = t_now
+        self._update_enabled(selection)
         if sampling:
             t_now = telemetry.timer()
             ttimes[telemetry.GUARD] += t_now - t_mark
@@ -711,6 +605,11 @@ class Simulator:
             for u, rule in selection.items()
         }
         shadow.apply(updates)
+        self._compare_shadow()
+
+    def _compare_shadow(self) -> None:
+        """Compare the kernel with the dict reference: states, enabled set."""
+        shadow = self._shadow
         decoded = self.cfg
         for u in self.network.processes():
             if not state_equal(decoded[u], shadow[u]):
@@ -719,10 +618,6 @@ class Simulator:
                     f"{u} after step {self.step_count}: kernel={decoded[u]} "
                     f"reference={shadow[u]}"
                 )
-        self._compare_shadow_enabled()
-
-    def _compare_shadow_enabled(self) -> None:
-        shadow = self._shadow
         reference_enabled = {
             u: rules
             for u in self.network.processes()
@@ -736,130 +631,60 @@ class Simulator:
                 f"reference={reference_enabled}"
             )
 
-    def _check_selection(self, selection: dict[int, str]) -> None:
+    def _check_selection(self, selection: dict[int, str], enabled) -> None:
         if not selection:
             raise DaemonError("daemon selected an empty set at a non-terminal configuration")
         for u, rule in selection.items():
-            if u not in self._enabled:
+            if u not in enabled:
                 raise DaemonError(f"daemon activated disabled process {u}")
-            if rule not in self._enabled[u]:
+            if rule not in enabled[u]:
                 raise DaemonError(f"daemon picked disabled rule {rule!r} at process {u}")
 
     # ------------------------------------------------------------------
-    # Fused kernel loop
+    # The kernel backend: one lane of the array driver
     # ------------------------------------------------------------------
-    def _vectorized_daemon(self):
-        """The daemon's array twin, or ``None`` (resolved once, cached)."""
-        if self._vec_daemon is _VEC_UNRESOLVED:
-            if self.backend == "kernel":
-                from .kernel.daemons import vectorize
-
-                self._vec_daemon = vectorize(self.daemon, self.network)
-            else:
-                self._vec_daemon = None
-        return self._vec_daemon
-
     @property
     def fusion_available(self) -> bool:
-        """Whether :meth:`run` will use the fused kernel loop.
+        """Whether :meth:`run` needs no per-step Python callback.
 
-        Requires the kernel backend, a vectorizable daemon, ``fuse`` left
-        on, and no per-step Python boundary crossing: no trace, no
-        legacy observers, no paranoid lockstep, and every attached probe
-        advertising the array-native tier (``wants_decode()`` false —
-        such probes are served *inside* the fused loop).  (A
-        ``stop_when`` predicate also disables fusion — it must observe
-        the simulator between steps; express it as a
-        :class:`repro.probes.StopProbe` mask to keep the fast path.)
+        Requires the kernel backend, a vectorizable daemon, no trace, no
+        paranoid lockstep, and every attached probe advertising the
+        array-native tier (``wants_decode()`` false — such probes are
+        served *inside* the driver).  (A ``stop_when`` predicate also
+        needs the per-step hook — it must observe the simulator between
+        steps; express it as a :class:`repro.probes.StopProbe` mask to
+        keep the fast path.)  Results are identical either way.
         """
-        return (
-            self.backend == "kernel"
-            and self.fuse
-            and not self.paranoid
-            and self.trace is None
-            and not self.observers
-            and all(not probe.wants_decode() for probe in self.probes)
-            and self._vectorized_daemon() is not None
-        )
+        if self.backend != "kernel" or self.paranoid or self.trace is not None:
+            return False
+        from .kernel.daemons import vectorize
 
-    def _run_fused(self, max_steps: int, until=None) -> RunResult:
-        """Drive the kernel's fused loop and merge its accounting back."""
-        from .rounds import ArrayRoundCounter
+        return (all(not probe.wants_decode() for probe in self.probes)
+                and vectorize(self.daemon, self.network) is not None)
 
-        vec = self._vectorized_daemon()
-        vec.load_state(self.daemon)
-        rounds = ArrayRoundCounter.from_counter(self.rounds, self.network.n)
-        check = self.strict and self.algorithm.mutually_exclusive_rules
-        view = None
-        if self.probes or self._schedules:
-            # Disturbances need the view too: its steps preset anchors
-            # the schedules' absolute step clock on resumed executions.
-            from ..probes.view import ColumnView
+    def _drive(self, max_steps: int, *, stop_when=None, until=None,
+               step: bool = False):
+        """One lane of the array driver: ``(stop_reason, last_record)``
+        (see :func:`repro.core.kernel.adapters.drive`)."""
+        from .kernel.adapters import drive
 
-            view = ColumnView(self._program)
-            view.steps = self.step_count
-            view.moves = self.move_count
-        result = self._kernel.run(
-            vec,
-            self.rng,
-            max_steps,
-            until=until,
-            rounds=rounds,
-            exclusion_name=self.algorithm.name if check else None,
-            probes=self.probes,
-            view=view,
-            faults=self.faults,
-            churn=self.churn,
-        )
-        vec.store_state(self.daemon)
-        rounds.into_counter(self.rounds)
-        if any(sched.fired for sched in self._schedules):
-            self._cfg_dirty = True  # zero-step runs can still have landed some
-        if self.churn is not None and self.churn.fired:
-            self._sync_churn_topology()
-        if result.steps:
-            self.step_count += result.steps
-            self.move_count += result.moves
-            self.moves_per_process = [
-                have + int(delta)
-                for have, delta in zip(
-                    self.moves_per_process, result.moves_per_process.tolist()
-                )
-            ]
-            moves_per_rule = self.moves_per_rule
-            for rule, count in result.moves_per_rule.items():
-                moves_per_rule[rule] = moves_per_rule.get(rule, 0) + count
-            self._cfg_dirty = True
-        self._enabled = self._kernel.enabled_map()
-        self._enabled_snapshot = tuple(self._enabled)
-        for probe in self.probes:
-            probe.on_finish(self)
-        return RunResult(
-            steps=self.step_count,
-            moves=self.move_count,
-            rounds=self.rounds.completed,
-            terminal=not self._enabled,
-            stop_reason=result.stop_reason,
-        )
+        return drive(self, max_steps, stop_when=stop_when, until=until, step=step)
 
     def run_until_mask(self, mask_fn, max_steps: int = 1_000_000) -> RunResult:
-        """Fused :meth:`run` with a vectorized convergence predicate.
+        """:meth:`run` with a vectorized convergence predicate.
 
         ``mask_fn(columns) -> bool ndarray`` is the per-process legitimacy
         mask (e.g. a kernel program's ``normal_mask``); the run stops the
         first time it holds everywhere — evaluated on the initial
         configuration too, exactly like ``stop_when`` — with stop reason
-        ``"predicate"``.  Only valid while :attr:`fusion_available`.
-        (The experiment runners measure through
-        :class:`repro.probes.StabilizationProbe` instead, which also
-        records the hit accounting and closure violations.)
+        ``"predicate"``.  Kernel backend only.  (The experiment runners
+        measure through :class:`repro.probes.StabilizationProbe`
+        instead, which also records the hit accounting and closure
+        violations.)
         """
-        if not self.fusion_available:
-            raise RuntimeError(
-                "run_until_mask requires the fused kernel loop "
-                "(check Simulator.fusion_available first)"
-            )
-        return self._run_fused(max_steps, until=mask_fn)
+        if self.backend != "kernel":
+            raise RuntimeError("run_until_mask requires the kernel backend")
+        return self._finish(self._drive(max_steps, until=mask_fn)[0])
 
     # ------------------------------------------------------------------
     # Driving loops
@@ -876,58 +701,52 @@ class Simulator:
         already satisfied stops immediately with zero steps; a
         probe-requested stop reports ``stop_reason="probe"``.
 
-        When the kernel backend is active and nothing needs to observe
-        individual *decoded* steps (no ``stop_when``, trace, legacy
-        observers, decode-tier probes, or paranoid mode) the loop runs
-        *fused* inside the kernel — see :attr:`fusion_available` — with
-        identical results and rng consumption, decoding to Python only
-        on exit.  Vector-tier probes are served inside that loop.
+        On the kernel backend the run is one lane of the array driver;
+        when nothing needs individual *decoded* steps (see
+        :attr:`fusion_available`) no per-step Python callback runs, and
+        results and rng consumption are identical either way.
         """
-        if stop_when is None and self.fusion_available:
-            return self._run_fused(max_steps)
+        if self.backend == "kernel":
+            return self._finish(self._drive(max_steps, stop_when=stop_when)[0])
+        return self._finish(self._run_dict(max_steps, stop_when))
+
+    def _run_dict(self, max_steps: int, stop_when) -> str:
+        """The dict engine's driving loop; returns the stop reason."""
         probes = self.probes
-        stop_reason = "budget"
         if stop_when is not None and stop_when(self):
-            stop_reason = "predicate"
-        elif probes and any(probe.done() for probe in probes):
-            stop_reason = "probe"
-        else:
-            stepper = (
-                self._step_fast
-                if self.trace is None and not self.observers and not probes
-                else self.step
-            )
-            executed = 0
-            # Loop order mirrors the fused driver exactly: disturbance
-            # poll, terminal check, budget check, step, stop checks.
-            # (A ``False`` poll means a finite-schedule pull left the
-            # configuration terminal with occurrences still pending, so
-            # the loop re-polls — the run only ends terminal once no
-            # schedule can disturb it again.)
-            while True:
-                if not self._poll():
-                    continue
-                if self.is_terminal():
-                    stop_reason = "terminal"
-                    break
-                if executed >= max_steps:
-                    stop_reason = "budget"
-                    break
-                stepper()
-                executed += 1
-                if stop_when is not None and stop_when(self):
-                    stop_reason = "predicate"
-                    break
-                if probes and any(probe.done() for probe in probes):
-                    stop_reason = "probe"
-                    break
-        for probe in probes:
+            return "predicate"
+        if probes and any(probe.done() for probe in probes):
+            return "probe"
+        # Nothing observes a step without a trace or probes: no record.
+        stepper = (
+            self._advance if self.trace is None and not probes else self._step_dict
+        )
+        executed = 0
+        # The array driver's loop order: poll (re-polled while a finite
+        # schedule's pull leaves the configuration terminal), terminal
+        # check, budget check, step, stop checks.
+        while True:
+            if not self._poll():
+                continue
+            if not self._enabled:
+                return "terminal"
+            if executed >= max_steps:
+                return "budget"
+            stepper()
+            executed += 1
+            if stop_when is not None and stop_when(self):
+                return "predicate"
+            if probes and any(probe.done() for probe in probes):
+                return "probe"
+
+    def _finish(self, stop_reason: str) -> RunResult:
+        for probe in self.probes:
             probe.on_finish(self)
         return RunResult(
             steps=self.step_count,
             moves=self.move_count,
             rounds=self.rounds.completed,
-            terminal=self.is_terminal(),
+            terminal=not self._enabled,
             stop_reason=stop_reason,
         )
 

@@ -15,8 +15,8 @@ index, occurrence index)``.  Unlike faults, a churn draw is
 *state-dependent* — which links can drop depends on which links exist —
 so the bound schedule owns the canonical topology state (liveness
 vector + current adjacency) and updates it at draw time.  Both engines
-replay the identical occurrence stream, so dict, stepped-kernel, and
-fused executions see byte-identical topology sequences under one seed.
+replay the identical occurrence stream, so dict, kernel and batched
+executions see byte-identical topology sequences under one seed.
 
 Spec grammar reuses the fault timing surface (``at/every/storm/burst``
 with ``start/count/gap/cadence/until``), the action carries ``k``::
@@ -35,7 +35,7 @@ occurrence records the resulting component count either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 from typing import Sequence
 
@@ -112,7 +112,8 @@ class ChurnInfo:
     reports its incident links under ``dropped``, join its reconnections
     under ``added``); ``components`` and ``live`` describe the live
     subgraph *after* the mutation.  ``step``/``moves``/``rounds`` are
-    the execution's accounting totals at the mutated configuration.
+    the execution's accounting totals at the mutated configuration;
+    ``assignments`` the landed register triples (a join's fresh state).
     """
 
     step: int
@@ -126,6 +127,9 @@ class ChurnInfo:
     live: int
     moves: int = 0
     rounds: int = 0
+    assignments: tuple[tuple[int, str, object], ...] = field(
+        default=(), repr=False, compare=False
+    )
 
 
 class ChurnSchedule(Schedule):
@@ -427,6 +431,7 @@ class BoundChurnSchedule(BoundSchedule):
             live=occ.live,
             moves=moves,
             rounds=rounds,
+            assignments=occ.assignments,
         )
 
 

@@ -178,7 +178,8 @@ class FaultInfo:
     ``step``/``moves``/``rounds`` are the execution's accounting totals at
     the injected configuration (injection itself adds none of the three).
     ``nominal_step`` differs from ``step`` only when a terminal
-    configuration pulled the occurrence forward.
+    configuration pulled the occurrence forward.  ``assignments`` are the
+    landed ``(process, variable, value)`` triples.
     """
 
     step: int
@@ -188,6 +189,9 @@ class FaultInfo:
     variables: tuple[str, ...]
     moves: int = 0
     rounds: int = 0
+    assignments: tuple[tuple[int, str, object], ...] = field(
+        default=(), repr=False, compare=False
+    )
 
 
 class Schedule:
@@ -433,6 +437,7 @@ class BoundFaultSchedule(BoundSchedule):
             variables=tuple(self._allowed[occ.event]),
             moves=moves,
             rounds=rounds,
+            assignments=occ.assignments,
         )
 
 

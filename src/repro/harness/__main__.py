@@ -27,8 +27,8 @@ byte-identical with telemetry on or off.
 
 ``--backend {auto,dict,kernel}`` selects the simulator execution engine
 for every trial (array kernel vs dict reference); ``--probe`` selects
-the measurement tier (``auto`` rides the fused loop, ``decode`` forces
-the per-step decoded observer path) or attaches a named auxiliary probe
+the measurement tier (``auto`` measures on vectorized masks, ``decode``
+through decode-tier probes served per step) or attaches a named auxiliary probe
 (``accounting:100``, ``trace:50``, ``sdr-moves``).  Measured
 moves/rounds/steps are independent of all of these; only wall time
 differs.
@@ -246,9 +246,9 @@ def run_sweep(argv: list[str]) -> int:
                         help="simulator execution backend for every trial "
                              "(default: auto — array kernel when available)")
     parser.add_argument("--probe", default=None, metavar="SEL",
-                        help="measurement tier (auto: fused vectorized "
-                             "legitimacy mask; decode: per-step decoded "
-                             "observer path) or a named auxiliary probe, "
+                        help="measurement tier (auto: vectorized "
+                             "legitimacy mask; decode: decode-tier probes "
+                             "served per step) or a named auxiliary probe, "
                              "e.g. accounting:100, trace:50, sdr-moves "
                              "(stored results are identical for all of them)")
     parser.add_argument("--faults", default=None, metavar="SPEC",

@@ -105,12 +105,11 @@ class ExperimentResult:
 class SdrMoveCounter(Probe):
     """Two-tier probe tallying SDR-rule moves per process (Corollary 4).
 
-    Per-step rule attribution used to force the decode tier; the fused
-    drivers now expose the executed dispatch as
-    ``ColumnView.chosen_rules``, so vectorizable executions count SDR
-    moves without leaving the fused loop (one boolean gather per step).
-    Adversarial-daemon experiments still fall back to the decode tier —
-    both tiers produce identical counts.
+    The array driver exposes the executed dispatch as
+    ``ColumnView.chosen_rules``, so kernel executions count SDR moves
+    with one boolean gather per step; the dict backend and
+    ``Simulator.step`` use the decode tier — both tiers produce
+    identical counts.
     """
 
     name = "sdr-move-counter"
@@ -125,7 +124,7 @@ class SdrMoveCounter(Probe):
     def wants_decode(self) -> bool:
         return False
 
-    # Decode tier (dict backend, unvectorizable daemons, tracing) ------
+    # Decode tier (dict backend, Simulator.step) ----------------------
     def on_step(self, sim, record) -> None:
         for u, rule in record.selection.items():
             if rule in self.rules:

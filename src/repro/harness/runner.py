@@ -521,7 +521,7 @@ def run_network_trial(
     if not isinstance(daemon, Daemon):
         daemon = make_daemon(daemon, network)
     sim = Simulator(algo, daemon, config=cfg, seed=seed,
-                    backend=backend, fuse=probe != "decode", probes=probes,
+                    backend=backend, probes=probes,
                     faults=kit.faults if kit else None,
                     churn=kit.churn if kit else None)
     result = sim.run(max_steps=max_steps)

@@ -1,16 +1,15 @@
 """repro.probes — capability-tiered observation of executions.
 
 The paper's claims are *measurements* — stabilization times in rounds
-and moves under the neutralization-faithful accounting of Section 2.4 —
-yet the legacy observer API made any measurement disable the fused
-kernel loop.  This subsystem makes observation a first-class, declared
-capability of the model interface instead of an opaque callback bolted
-onto the run loop (the DEVS tradition of structuring what a simulator
-exposes to instrumentation):
+and moves under the neutralization-faithful accounting of Section 2.4.
+This subsystem makes observation a first-class, declared capability of
+the model interface instead of an opaque callback bolted onto the run
+loop (the DEVS tradition of structuring what a simulator exposes to
+instrumentation):
 
-* :class:`Probe` — the protocol: a decoded per-step hook (today's
-  observer contract) plus an optional vectorized hook served inline by
-  the fused driver.  ``Simulator.run`` stays fused whenever every
+* :class:`Probe` — the protocol: a decoded per-step hook plus an
+  optional vectorized hook served inline by the array driver.
+  ``Simulator.run`` needs no per-step Python callback whenever every
   attached probe advertises the array-native path.
 * :class:`StabilizationProbe` / :class:`StopProbe` — stabilization
   measurement, closure (``run_past``) monitoring, and stop predicates
@@ -20,22 +19,16 @@ exposes to instrumentation):
 * :class:`RecoveryProbe` / :class:`SdrWaveProbe` — per-fault-burst
   recovery stopwatches and SDR reset-wave counters, armed by the
   drivers' ``on_fault`` notification (see :mod:`repro.faults.schedule`).
-* :class:`LegacyObserverProbe` / :func:`as_probe` — the deprecation
-  shim wrapping legacy observer callables.
 
-Migration from the legacy API::
+Measuring stabilization on the array-native path::
 
-    # before: observer path, fused loop disabled
-    det, _ = measure_stabilization(sim, sdr.is_normal)
-
-    # after: fused end-to-end when the program provides the mask
     probe = StabilizationProbe(sdr.is_normal, mask="normal_mask")
     sim.add_probe(probe)
     sim.run(max_steps=...)
     probe.require_hit()
 """
 
-from .base import LegacyObserverProbe, Probe, as_probe
+from .base import Probe
 from .recovery import RecoveryProbe, SdrWaveProbe
 from .registry import PROBE_NAMES, is_named_probe, make_probe
 from .sampling import AccountingProbe, TraceProbe
@@ -45,8 +38,6 @@ from .view import ColumnView
 __all__ = [
     "Probe",
     "ColumnView",
-    "LegacyObserverProbe",
-    "as_probe",
     "StabilizationProbe",
     "StopProbe",
     "AccountingProbe",

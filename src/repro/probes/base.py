@@ -2,28 +2,23 @@
 
 Every measurement in this repository — stabilization times, closure
 assertions, accounting snapshots, trace samples — is an *observation*
-of an execution.  The legacy observer contract (a callable invoked with
-``(simulator, record)`` after every step) forces the simulator to build
-a decoded :class:`~repro.core.trace.StepRecord` per step, which kicks
-execution off the fused kernel loop: the experiments that matter most
-ran orders of magnitude slower than the engine allows, purely to be
-measured.
+of an execution.  A decoded :class:`~repro.core.trace.StepRecord` per
+step costs the array driver a Python callback per step, so
+:class:`Probe` declares what it needs in two capability tiers:
 
-:class:`Probe` replaces that contract with two declared capability
-tiers:
-
-* the **decode tier** — ``on_start(sim)`` / ``on_step(sim, record)``,
-  exactly the legacy contract.  Every probe supports it; it is the
-  fallback whenever the execution itself cannot fuse (dict backend,
-  unvectorizable daemon, tracing, paranoid mode).
+* the **decode tier** — ``on_start(sim)`` / ``on_step(sim, record)``.
+  Every probe supports it: the dict backend and ``Simulator.step`` use
+  it, and on the kernel backend a decode-tier probe puts the per-step
+  decode hook (:class:`repro.core.kernel.adapters.DecodeAdapter`) on
+  the run's lane.
 * the **vector tier** — ``on_columns(view)`` over a
-  :class:`~repro.probes.view.ColumnView`, invoked *inline* by the fused
+  :class:`~repro.probes.view.ColumnView`, invoked *inline* by the array
   driver (:meth:`repro.core.kernel.engine.KernelRuntime.drive`, which
   serves single runs and batched trials alike) with no per-step
   decode.  A probe advertises this tier by returning ``False`` from
   :meth:`Probe.wants_decode`; :attr:`Simulator.fusion_available` stays
-  true when *every* attached probe does, so measurement never costs the
-  fused loop.
+  true when *every* attached probe does, so measurement never costs a
+  per-step callback.
 
 Both tiers must report identical measurements for identical executions
 (the probe-equivalence property suite asserts byte-equality); a probe
@@ -46,7 +41,7 @@ if TYPE_CHECKING:  # import cycle: the simulator imports this package
     from ..core.simulator import Simulator
     from ..core.trace import StepRecord
 
-__all__ = ["Probe", "LegacyObserverProbe", "as_probe"]
+__all__ = ["Probe"]
 
 
 class Probe:
@@ -66,10 +61,10 @@ class Probe:
     def wants_decode(self) -> bool:
         """Whether this probe needs per-step decoded records.
 
-        ``True`` (the default) keeps the execution on the step-by-step
-        loop.  Probes returning ``False`` MUST implement
-        :meth:`on_columns` and are then served inline by the fused
-        drivers.  Consulted after :meth:`on_start` ran, so probes may
+        ``True`` (the default) makes a kernel run call the per-step
+        decode hook.  Probes returning ``False`` MUST implement
+        :meth:`on_columns` and are then served inline by the array
+        driver.  Consulted after :meth:`on_start` ran, so probes may
         resolve their capability against the simulator they are
         attached to (e.g. whether its kernel program provides the mask
         they need).
@@ -87,7 +82,7 @@ class Probe:
         return None
 
     # ------------------------------------------------------------------
-    # Decode tier (the legacy observer contract)
+    # Decode tier
     # ------------------------------------------------------------------
     def on_start(self, sim: "Simulator") -> None:
         """Observe the initial configuration, before any step."""
@@ -109,7 +104,7 @@ class Probe:
     def on_stop(self, view: ColumnView) -> None:
         """Observe the final configuration once, when a fused run stops.
 
-        The vector twin of :meth:`on_finish`: the fused driver calls it
+        The vector twin of :meth:`on_finish`: the array driver calls it
         (``view.phase == "stop"``, no ``chosen``) on every probe of a
         lane the moment the lane stops — in a batch there is no
         simulator to finish.  Default: no-op.
@@ -165,48 +160,3 @@ class Probe:
         stops the run with ``stop_reason="probe"``.
         """
         return False
-
-    # ------------------------------------------------------------------
-    # Legacy interoperability: a probe can be handed to code that still
-    # calls observers as plain ``observer(sim, record)`` callables.
-    # ------------------------------------------------------------------
-    def __call__(self, sim: "Simulator", record: "StepRecord") -> None:
-        self.on_step(sim, record)
-
-
-class LegacyObserverProbe(Probe):
-    """Deprecation shim: a legacy observer callable as a decode-tier probe.
-
-    Wraps today's observer contract — ``observer(simulator, record)``
-    per step, optional ``on_start(simulator)`` attribute — unchanged.
-    Wrapped observers never fuse (the callable's needs are unknowable),
-    which is exactly the legacy behavior; port the observer to a
-    :class:`Probe` subclass with a vector tier to get the fused loop
-    back.
-    """
-
-    __slots__ = ("observer",)
-    name = "legacy-observer"
-
-    def __init__(self, observer: Callable[["Simulator", "StepRecord"], Any]):
-        if not callable(observer):
-            raise TypeError(f"observer {observer!r} is not callable")
-        self.observer = observer
-
-    def on_start(self, sim: "Simulator") -> None:
-        on_start = getattr(self.observer, "on_start", None)
-        if on_start is not None:
-            on_start(sim)
-
-    def on_step(self, sim: "Simulator", record: "StepRecord") -> None:
-        self.observer(sim, record)
-
-    def __repr__(self) -> str:
-        return f"LegacyObserverProbe({self.observer!r})"
-
-
-def as_probe(observer: Any) -> Probe:
-    """Coerce a legacy observer callable (or a probe) into a probe."""
-    if isinstance(observer, Probe):
-        return observer
-    return LegacyObserverProbe(observer)

@@ -1,12 +1,10 @@
 """Stabilization measurement as a capability-tiered probe.
 
-:class:`StabilizationProbe` is the vectorized successor of
-:class:`~repro.core.detectors.StabilizationDetector`: it records the
-``(step, rounds, moves)`` totals at the first configuration satisfying a
-legitimacy notion, keeps counting violations afterwards (closure
-assertions for predicates claimed closed — the ROADMAP's ``run_past``
-suffix monitoring, now fused), and optionally stops the run at the hit
-(plus ``run_past`` extra steps).
+:class:`StabilizationProbe` records the ``(step, rounds, moves)``
+totals at the first configuration satisfying a legitimacy notion, keeps
+counting violations afterwards (closure assertions for predicates
+claimed closed — ``run_past`` suffix monitoring), and optionally stops
+the run at the hit (plus ``run_past`` extra steps).
 
 The legitimacy notion is given twice, once per tier:
 
@@ -155,7 +153,7 @@ class StabilizationProbe(Probe):
     # Decode tier
     # ------------------------------------------------------------------
     def _holds(self, sim) -> bool:
-        # Even off the fused loop, prefer the mask over the kernel
+        # Even on the decode tier, prefer the mask over the kernel
         # columns: no configuration decode, identical result.
         if self._mask_fn is not None and sim._kernel is not None:
             return bool(self._mask_fn(sim._kernel.read).all())

@@ -13,7 +13,7 @@ Checks are split into:
   variables", 2b's "own variables only"), validated by scrambling the
   variables the predicate must not depend on;
 * :func:`check_reset_establishes` — Requirement 2e;
-* :class:`RequirementObserver` — a simulator observer enforcing all of the
+* :class:`RequirementObserver` — a decode-tier probe enforcing all of the
   above plus Requirement 1 (input rules write only input variables) and the
   closure part of 2a along every step of a live execution.
 """
@@ -25,6 +25,7 @@ from random import Random
 from ..core.configuration import Configuration
 from ..core.exceptions import RequirementViolation
 from ..core.trace import StepRecord
+from ..probes.base import Probe
 from .sdr import DIST, SDR, SDR_RULES, ST
 
 __all__ = [
@@ -126,8 +127,8 @@ def check_requirements(
         check_reset_establishes(sdr, cfg, u)
 
 
-class RequirementObserver:
-    """Simulator observer validating the requirements along an execution.
+class RequirementObserver(Probe):
+    """Decode-tier probe validating the requirements along an execution.
 
     Checks per step:
 
@@ -140,6 +141,8 @@ class RequirementObserver:
 
     Intended for tests (it snapshots the configuration every step).
     """
+
+    name = "requirements"
 
     def __init__(self, sdr: SDR):
         self.sdr = sdr
@@ -156,7 +159,7 @@ class RequirementObserver:
             self.sdr.input.p_icorrect(cfg, u) for u in self.sdr.network.processes()
         ]
 
-    def __call__(self, sim, record: StepRecord) -> None:
+    def on_step(self, sim, record: StepRecord) -> None:
         cfg = sim.cfg
         prev = self._prev
         assert prev is not None and self._prev_icorrect is not None

@@ -15,6 +15,7 @@ from typing import Iterable
 from ..core.configuration import Configuration
 from ..core.graph import Network
 from ..core.trace import Trace
+from ..probes.base import Probe
 
 __all__ = [
     "circularly_close",
@@ -49,14 +50,16 @@ def safety_holds(
     return not safety_violations(network, cfg, period, clock_var)
 
 
-class SafetyMonitor:
-    """Simulator observer counting configurations that violate safety.
+class SafetyMonitor(Probe):
+    """Decode-tier probe counting configurations that violate safety.
 
     Attach after stabilization (or from the start, to measure how long the
     system stays unsafe).  ``violations`` counts post-step configurations
     with at least one unsafe edge; ``first_safe_step`` records when the
     predicate first held.
     """
+
+    name = "safety"
 
     def __init__(self, network: Network, period: int, clock_var: str = "c"):
         self.network = network
@@ -68,7 +71,7 @@ class SafetyMonitor:
     def on_start(self, sim) -> None:
         self._check(sim, step=0)
 
-    def __call__(self, sim, record) -> None:
+    def on_step(self, sim, record) -> None:
         self._check(sim, step=sim.step_count)
 
     def _check(self, sim, step: int) -> None:

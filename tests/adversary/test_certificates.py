@@ -30,7 +30,7 @@ def search_run(n=6, spec="greedy", max_steps=8):
     initial = clock_split(sdr)
     daemon = make_search_daemon(spec)
     sim = Simulator(sdr, daemon, config=initial, seed=0,
-                    backend="kernel", fuse=False)
+                    backend="kernel")
     result = sim.run(max_steps=max_steps)
     cert = certificate_from_daemon(
         daemon,

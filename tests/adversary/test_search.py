@@ -133,7 +133,7 @@ class TestKernelSnapshot:
     def test_snapshot_restore_round_trip(self):
         sdr = SDR(Unison(ring(6)))
         sim = Simulator(sdr, make_daemon("synchronous"), seed=0,
-                        backend="kernel", fuse=False)
+                        backend="kernel")
         sim.run(max_steps=2)
         kernel = sim._kernel
         snap = kernel.snapshot()
@@ -156,7 +156,7 @@ class TestKernelSnapshot:
 
         sdr = SDR(Unison(ring(4)))
         sim = Simulator(sdr, make_daemon("synchronous"), seed=0,
-                        backend="kernel", fuse=False)
+                        backend="kernel")
         sim.run(max_steps=1)
         kernel = sim._kernel
         rng = Random(42)
@@ -176,7 +176,7 @@ class TestSearchDaemonAdapter:
         net = ring(6)
         sdr = SDR(Unison(net))
         daemon = make_search_daemon("greedy")
-        sim = Simulator(sdr, daemon, seed=0, backend="kernel", fuse=False)
+        sim = Simulator(sdr, daemon, seed=0, backend="kernel")
         sim.run(max_steps=5)
         assert len(daemon.log) == 5
         assert all(sel for sel in daemon.log)
@@ -198,8 +198,7 @@ class TestSearchDaemonAdapter:
         for seed in (0, 1):
             daemon = make_search_daemon("beam-2x2")
             sdr = SDR(Unison(net))
-            sim = Simulator(sdr, daemon, seed=seed, backend="kernel",
-                            fuse=False)
+            sim = Simulator(sdr, daemon, seed=seed, backend="kernel")
             sim.run(max_steps=6)
             results.append(list(daemon.log))
         assert results[0] == results[1]
@@ -211,7 +210,7 @@ class TestSearchDaemonAdapter:
         for spec in ("greedy", "beam-1x1"):
             daemon = make_search_daemon(spec)
             sim = Simulator(SDR(Unison(net)), daemon, seed=0,
-                            backend="kernel", fuse=False)
+                            backend="kernel")
             sim.run(max_steps=6)
             logs.append(list(daemon.log))
         assert logs[0] == logs[1]

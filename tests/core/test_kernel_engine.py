@@ -92,9 +92,11 @@ class TestKernelRuntime:
         enabled = runtime.enabled_map()
         assert list(enabled) == sorted(enabled)
         assert enabled == {u: ("rule_U",) for u in range(8)}
-        # unchanged state -> the same dict object is reused
-        runtime._masks = None
+        # one guard evaluation -> one dict; a fresh evaluation rebuilds it
         assert runtime.enabled_map() is enabled
+        runtime._masks = None
+        rebuilt = runtime.enabled_map()
+        assert rebuilt == enabled and rebuilt is not enabled
 
     def test_apply_is_composite_atomic(self):
         net = ring(4)

@@ -1,4 +1,4 @@
-"""Unit tests for repro.probes: protocol, shim, sampling, stop semantics."""
+"""Unit tests for repro.probes: protocol, sampling, stop semantics."""
 
 from random import Random
 
@@ -8,12 +8,10 @@ from repro.core import Simulator, make_daemon
 from repro.core.configuration import state_equal
 from repro.probes import (
     AccountingProbe,
-    LegacyObserverProbe,
     Probe,
     StabilizationProbe,
     StopProbe,
     TraceProbe,
-    as_probe,
 )
 from repro.reset import SDR
 from repro.topology import ring
@@ -32,10 +30,10 @@ def make_sim(seed=0, n=9, **kwargs):
 
 
 # ======================================================================
-# The deprecation shim
+# The decode tier
 # ======================================================================
-class RecordingObserver:
-    """A legacy observer callable with the optional on_start attribute."""
+class RecordingProbe(Probe):
+    """A decode-tier probe recording both of its hooks."""
 
     def __init__(self):
         self.started = 0
@@ -44,49 +42,25 @@ class RecordingObserver:
     def on_start(self, sim):
         self.started += 1
 
-    def __call__(self, sim, record):
+    def on_step(self, sim, record):
         self.steps.append(record.index)
 
 
-def test_as_probe_wraps_callables_and_passes_probes_through():
+@pytest.mark.parametrize("backend", ["kernel", "dict"])
+def test_decode_probe_sees_start_and_every_step(backend):
+    probe = RecordingProbe()
+    sim, _ = make_sim(probes=[probe], backend=backend)
+    assert probe.started == 1
+    sim.step()
+    sim.step()
+    sim.run(max_steps=3)
+    assert probe.steps == [0, 1, 2, 3, 4]
+
+
+def test_vector_probe_sees_steps_through_its_decode_hook():
+    """step() shows every probe the decoded step, as the dict engine does."""
     probe = AccountingProbe()
-    assert as_probe(probe) is probe
-    wrapped = as_probe(lambda sim, record: None)
-    assert isinstance(wrapped, LegacyObserverProbe)
-    with pytest.raises(TypeError):
-        LegacyObserverProbe(42)
-
-
-def test_legacy_observer_probe_delegates_both_hooks():
-    observer = RecordingObserver()
-    sim, _ = make_sim(probes=[as_probe(observer)])
-    assert observer.started == 1
-    sim.step()
-    sim.step()
-    assert observer.steps == [0, 1]
-
-
-def test_wrapped_observer_disables_fusion_like_observers_did():
-    sim, _ = make_sim(probes=[as_probe(lambda sim, record: None)])
-    assert sim.backend == "kernel"
-    assert not sim.fusion_available
-
-
-def test_legacy_observers_kwarg_still_works_and_blocks_fusion():
-    observer = RecordingObserver()
-    sim, _ = make_sim(observers=[observer])
-    assert observer.started == 1
-    assert not sim.fusion_available
-    sim.step()
-    assert observer.steps == [0]
-
-
-def test_probe_is_callable_as_a_legacy_observer():
-    """Code appending probes to sim.observers keeps working."""
-    probe = AccountingProbe()
-    sim, _ = make_sim()
-    probe.on_start(sim)
-    sim.observers.append(probe)
+    sim, _ = make_sim(probes=[probe])
     sim.step()
     assert probe.samples[-1][0] == 1
 
@@ -127,32 +101,43 @@ def test_stabilization_probe_with_missing_mask_attr_falls_back():
 # ======================================================================
 # Sampling probes: fused == decode
 # ======================================================================
+#: Lane variants: plain, hooked (a no-op decode-tier probe puts the
+#: per-step decode hook on the lane), and the dict engine, where the
+#: sampling probes run their decode tier.
+VARIANTS = {
+    "plain": dict(),
+    "hooked": dict(probes=[Probe()]),
+    "dict": dict(backend="dict"),
+}
+
+
 def test_accounting_probe_samples_identical_fused_and_decoded():
     runs = []
-    for fuse in (True, False):
-        sim, _ = make_sim(seed=4, fuse=fuse)
+    for variant, kwargs in VARIANTS.items():
+        sim, _ = make_sim(seed=4, **kwargs)
         probe = AccountingProbe(every=7)
         sim.add_probe(probe)
-        assert sim.fusion_available is fuse
+        assert sim.fusion_available is (variant == "plain")
         sim.run(max_steps=140)
         runs.append(probe.samples)
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
     assert runs[0][0] == (0, 0, 0)
     assert len(runs[0]) == 1 + 140 // 7
 
 
 def test_trace_probe_samples_identical_fused_and_decoded():
     runs = []
-    for fuse in (True, False):
-        sim, _ = make_sim(seed=4, fuse=fuse)
+    for kwargs in VARIANTS.values():
+        sim, _ = make_sim(seed=4, **kwargs)
         probe = TraceProbe(every=20)
         sim.add_probe(probe)
         sim.run(max_steps=100)
         runs.append(probe.samples)
-    assert [step for step, _ in runs[0]] == [step for step, _ in runs[1]]
-    for (_, fused_cfg), (_, decoded_cfg) in zip(*runs):
-        for u in range(len(fused_cfg)):
-            assert state_equal(fused_cfg[u], decoded_cfg[u])
+    for other in runs[1:]:
+        assert [step for step, _ in runs[0]] == [step for step, _ in other]
+        for (_, fused_cfg), (_, decoded_cfg) in zip(runs[0], other):
+            for u in range(len(fused_cfg)):
+                assert state_equal(fused_cfg[u], decoded_cfg[u])
 
 
 @pytest.mark.parametrize("cls", [AccountingProbe, TraceProbe])
@@ -183,12 +168,13 @@ def test_stop_probe_equals_stop_when_and_reports_probe_reason():
 
 
 def test_initial_hit_stops_with_zero_steps_on_both_tiers():
-    for fuse in (True, False):
+    for hooked in (False, True):
         net = ring(9)
         sdr = SDR(Unison(net))
         sim = Simulator(
             sdr, make_daemon("distributed-random", net),
-            config=sdr.initial_configuration(), seed=0, fuse=fuse,
+            config=sdr.initial_configuration(), seed=0,
+            probes=[Probe()] if hooked else [],
         )
         probe = StabilizationProbe(sdr.is_normal, mask="normal_mask")
         sim.add_probe(probe)

@@ -14,6 +14,7 @@ from repro.core import (
     Trace,
 )
 from repro.core.daemon import DistributedRandomDaemon
+from repro.probes import Probe
 from tests.toys import CopyNeighbor, Countdown, MaxFlood
 
 PATH = Network([(0, 1), (1, 2), (2, 3)])
@@ -194,25 +195,26 @@ class TestObserversAndTrace:
     def test_observer_called_each_step(self):
         calls = []
 
-        def observer(sim, record):
-            calls.append(record.index)
+        class Observer(Probe):
+            def on_step(self, sim, record):
+                calls.append(record.index)
 
         algo = Countdown(PAIR, start=3)
-        sim = Simulator(algo, SynchronousDaemon(), seed=0, observers=[observer])
+        sim = Simulator(algo, SynchronousDaemon(), seed=0, probes=[Observer()])
         sim.run_to_termination()
         assert calls == [0, 1, 2]
 
     def test_on_start_hook(self):
         seen = []
 
-        class Obs:
+        class Obs(Probe):
             def on_start(self, sim):
                 seen.append("start")
 
-            def __call__(self, sim, record):
+            def on_step(self, sim, record):
                 seen.append(record.index)
 
         algo = Countdown(PAIR, start=1)
-        sim = Simulator(algo, SynchronousDaemon(), seed=0, observers=[Obs()])
+        sim = Simulator(algo, SynchronousDaemon(), seed=0, probes=[Obs()])
         sim.run_to_termination()
         assert seen == ["start", 0]

@@ -67,7 +67,7 @@ class TestFullStackWithObservers:
             config=sdr.random_configuration(Random(3)),
             seed=3,
             trace=trace,
-            observers=[observer],
+            probes=[observer],
             paranoid=True,
         )
         detector, _ = measure_stabilization(sim, sdr.is_normal, max_steps=200_000)

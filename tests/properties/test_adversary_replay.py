@@ -63,7 +63,7 @@ def fresh_algorithm(name):
 def search(name, algo, initial, strategy, max_steps=40):
     daemon = make_search_daemon(strategy)
     sim = Simulator(algo, daemon, config=initial.copy(), seed=0,
-                    backend="kernel", fuse=False)
+                    backend="kernel")
     result = sim.run(max_steps=max_steps)
     cert = certificate_from_daemon(
         daemon, algorithm=name, seed=0, initial=initial,
@@ -110,7 +110,7 @@ class TestScheduleReplay:
         other = Simulator(
             fresh_algorithm(name),
             ScriptedDaemon([dict(s) for s in cert.selections]),
-            config=initial.copy(), seed=0, backend="kernel", fuse=False)
+            config=initial.copy(), seed=0, backend="kernel")
         for i in range(cert.steps):
             other.step()
             assert config_digest(other.cfg) == hashes[i], f"step {i}"

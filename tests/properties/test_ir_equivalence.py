@@ -21,7 +21,6 @@ from random import Random
 import numpy as np
 import pytest
 
-import repro.core.simulator as simulator_module
 from repro.baselines.bfs_tree import PARENT_VAR, BfsTree
 from repro.baselines.leader_election import LeaderElection
 from repro.baselines.mono_reset import MonoReset
@@ -106,35 +105,6 @@ def test_every_registered_kernel_program_is_ir_generated():
         assert getattr(inner, "ir_generated", False), (
             f"{label}: kernel program is not IR-generated"
         )
-
-
-def test_simulator_warns_once_about_handwritten_programs(caplog):
-    class Handwritten(BfsTree):
-        name = "bfs-tree-handwritten"
-
-        def kernel_program(self):
-            program = super().kernel_program()
-            program.ir_generated = False  # masquerade as a numpy twin
-            return program
-
-    simulator_module._HANDWRITTEN_WARNED.discard("bfs-tree-handwritten")
-    net = ring(6)
-
-    def boot(algo):
-        Simulator(
-            algo, make_daemon("central", net),
-            config=algo.initial_configuration(), seed=0, backend="kernel",
-        ).run(max_steps=1)
-
-    with caplog.at_level("WARNING", logger=simulator_module.__name__):
-        boot(Handwritten(net))
-        boot(Handwritten(net))
-        boot(BfsTree(net))  # the IR program must stay silent
-    warnings = [
-        rec for rec in caplog.records if "handwritten" in rec.getMessage()
-    ]
-    assert len(warnings) == 1
-    assert "bfs-tree-handwritten" in warnings[0].getMessage()
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Property regression: probe tiers measure identically.
 
-A :class:`StabilizationProbe` can observe one execution four ways — the
-fused kernel loop (vector tier), the step-by-step kernel loop with the
-mask, the step-by-step kernel loop with the predicate, and the dict
+A :class:`StabilizationProbe` can observe one execution four ways — a
+plain kernel lane (vector tier), a decode-hooked kernel lane with the
+mask, a kernel lane with the predicate (decode tier), and the dict
 backend with the predicate.  For every algorithm × daemon × seed the
 four must report *byte-identical* ``(step, rounds, moves,
 violations_after_hit)``: measurement must never depend on how the
@@ -17,7 +17,7 @@ from repro.baselines.mono_reset import MonoReset
 from repro.core import Simulator, make_daemon
 from repro.core.detectors import measure_stabilization
 from repro.faults.injector import corrupt_processes
-from repro.probes import StabilizationProbe
+from repro.probes import Probe, StabilizationProbe
 from repro.reset import SDR
 from repro.topology import grid, ring
 from repro.unison import Unison
@@ -59,10 +59,11 @@ ALGORITHMS = {
     ),
 }
 
-#: tier → (backend, fuse, use mask)
+#: tier → (backend, decode-hooked lane, use mask).  A hooked lane carries
+#: a no-op decode-tier probe, so the driver runs its per-step decode hook.
 TIERS = {
-    "fused": ("kernel", True, True),
-    "kernel-mask-step": ("kernel", False, True),
+    "fused": ("kernel", False, True),
+    "kernel-mask-hooked": ("kernel", True, True),
     "kernel-decode": ("kernel", False, False),
     "dict-decode": ("dict", False, False),
 }
@@ -70,12 +71,12 @@ TIERS = {
 
 def measure(algo_name, net, daemon_kind, seed, tier, run_past=0):
     factory, start, predicate_attr, mask_attr = ALGORITHMS[algo_name]
-    backend, fuse, use_mask = TIERS[tier]
+    backend, hooked, use_mask = TIERS[tier]
     algo = factory(net)
     cfg = start(algo, seed)
     sim = Simulator(
         algo, make_daemon(daemon_kind, net), config=cfg, seed=seed,
-        backend=backend, fuse=fuse,
+        backend=backend, probes=[Probe()] if hooked else [],
     )
     probe = StabilizationProbe(
         getattr(algo, predicate_attr),
@@ -141,12 +142,12 @@ def test_nonclosed_predicate_violations_match_across_tiers():
     net = ring(8)
     readings = []
     for tier in ("fused", "dict-decode"):
-        backend, fuse, use_mask = TIERS[tier]
+        backend, hooked, use_mask = TIERS[tier]
         sdr = SDR(Unison(net))
         cfg = sdr.random_configuration(Random(11))
         sim = Simulator(
             sdr, make_daemon("distributed-random", net), config=cfg, seed=11,
-            backend=backend, fuse=fuse,
+            backend=backend, probes=[Probe()] if hooked else [],
         )
         probe = StabilizationProbe(
             predicate=lambda c: all(c[u]["c"] % 2 == 0 for u in net.processes()),

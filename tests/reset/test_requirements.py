@@ -49,7 +49,7 @@ class TestConformingInputs:
         sim = Simulator(
             sdr, DistributedRandomDaemon(0.5),
             config=sdr.random_configuration(Random(5)), seed=5,
-            observers=[observer],
+            probes=[observer],
         )
         sim.run(max_steps=400)
 
@@ -60,7 +60,7 @@ class TestConformingInputs:
         sim = Simulator(
             sdr, DistributedRandomDaemon(0.5),
             config=sdr.random_configuration(Random(6)), seed=6,
-            observers=[observer],
+            probes=[observer],
         )
         sim.run_to_termination(max_steps=100_000)
 
@@ -135,7 +135,7 @@ class TestViolationsCaught:
         observer = RequirementObserver(sdr)
         sim = Simulator(
             sdr, DistributedRandomDaemon(0.9),
-            config=sdr.initial_configuration(), seed=0, observers=[observer],
+            config=sdr.initial_configuration(), seed=0, probes=[observer],
             strict=False,
         )
         with pytest.raises(RequirementViolation, match="Req 1"):

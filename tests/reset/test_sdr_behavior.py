@@ -96,7 +96,7 @@ class TestStabilizationBounds:
         counter = SdrMoveCounter(net.n)
         sim = Simulator(
             sdr, DistributedRandomDaemon(0.5), config=cfg, seed=seed,
-            observers=[counter],
+            probes=[counter],
         )
         measure_stabilization(sim, sdr.is_normal, max_steps=500_000)
         sim.run(max_steps=200)  # whole-execution bound: keep going

@@ -46,7 +46,7 @@ class TestSafetyMonitor:
         cfg = clocks(0, 1, 2)
         monitor = SafetyMonitor(net, 5)
         sim = Simulator(
-            u, ScriptedDaemon([[0], [0]]), config=cfg, seed=0, observers=[monitor]
+            u, ScriptedDaemon([[0], [0]]), config=cfg, seed=0, probes=[monitor]
         )
         sim.step()  # 0 ticks to 1: still safe
         sim.step()  # 0 ticks to 2: edge (0,1) = (2,1) safe; stays safe
@@ -57,7 +57,7 @@ class TestSafetyMonitor:
         monitor = SafetyMonitor(PATH, 5)
         u = Unison(PATH, period=5)
         cfg = clocks(0, 2, 2)
-        Simulator(u, ScriptedDaemon([[2]]), config=cfg, seed=0, observers=[monitor])
+        Simulator(u, ScriptedDaemon([[2]]), config=cfg, seed=0, probes=[monitor])
         assert monitor.first_safe_step is None
         assert monitor.violations == 1
 
