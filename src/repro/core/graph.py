@@ -6,13 +6,17 @@ communication links (Section 2.1).  :class:`Network` freezes such a graph
 into an index-based adjacency structure optimised for the hot path of the
 simulator: guard evaluation repeatedly iterates over closed neighborhoods.
 
+The sorted adjacency tuples are the one link set (the input graph is
+read once, not kept); one breadth-first search serves connectivity, the
+diameter and churn's component counts.
+
 The structure is immutable under normal operation; the one sanctioned
 mutation surface is :meth:`Network.apply_delta`, used by topology churn
 (:mod:`repro.faults.churn`) to drop/add links mid-run.  The process set
 (and hence every index and identifier) never changes — a crashed process
-merely loses all of its links — and every derived view (adjacency
-tuples, degree vector, cached CSR, cached diameter) is rebuilt or
-invalidated atomically so no reader can observe a stale topology.
+merely loses all of its links — and the touched rows are rewritten and
+the cached CSR and diameter dropped atomically, so no reader can observe
+a stale topology.
 
 Processes are identified *internally* by integers ``0 .. n-1``.  This does
 not contradict the anonymity assumption of the paper: anonymous algorithms
@@ -23,13 +27,50 @@ receive an explicit ``ids`` assignment.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+import copy
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import networkx as nx
 
 from .exceptions import TopologyError
 
 __all__ = ["Network"]
+
+
+def _bfs(adj: Sequence[Sequence[int]], source: int, seen: bytearray,
+         total: int) -> tuple[int, int]:
+    """Search from ``source`` through processes unmarked in ``seen``, marking them.
+
+    Returns ``(reached, eccentricity of source)``; stops as soon as
+    ``total`` processes are reached, mid-level.
+    """
+    seen[source] = 1
+    frontier, reached, depth = [source], 1, 0
+    while reached < total:
+        level = []
+        for u in frontier:
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = 1
+                    level.append(v)
+            if reached + len(level) >= total:
+                return total, depth + 1
+        if not level:
+            break
+        reached += len(level)
+        depth += 1
+        frontier = level
+    return reached, depth
+
+
+def _checked_ids(names: tuple, ids: Mapping[object, int]) -> tuple[int, ...]:
+    try:
+        assigned = tuple(int(ids[name]) for name in names)
+    except KeyError as missing:
+        raise TopologyError(f"ids mapping misses node {missing}") from None
+    if len(set(assigned)) != len(assigned):
+        raise TopologyError("process identifiers must be unique")
+    return assigned
 
 
 class Network:
@@ -39,8 +80,9 @@ class Network:
     ----------
     edges:
         Iterable of ``(u, v)`` pairs over hashable node names, or a
-        :class:`networkx.Graph`.  Node names are mapped to dense indices
-        ``0..n-1`` in sorted order when sortable (insertion order otherwise).
+        :class:`networkx.Graph` (read once, not kept).  Node names are
+        mapped to dense indices ``0..n-1`` in sorted order when sortable
+        (insertion order otherwise).
     ids:
         Optional mapping from node name to a unique integer identifier, used
         by identified-network algorithms (e.g. FGA).  Defaults to the dense
@@ -58,7 +100,6 @@ class Network:
     """
 
     __slots__ = (
-        "_graph",
         "_names",
         "_index_of",
         "_adj",
@@ -75,52 +116,44 @@ class Network:
         edges: Iterable[tuple[object, object]] | nx.Graph,
         ids: Mapping[object, int] | None = None,
     ):
-        if isinstance(edges, nx.Graph):
-            graph = nx.Graph(edges)
-        else:
-            graph = nx.Graph()
-            graph.add_edges_from(edges)
-        if graph.number_of_nodes() == 0:
+        links = getattr(edges, "adj", None)  # a networkx graph's name → neighbors
+        if links is None:
+            links = {}
+            for u, v in edges:
+                links.setdefault(u, set()).add(v)
+                links.setdefault(v, set()).add(u)
+        if not links:
             raise TopologyError("the network must contain at least one process")
-        if any(u == v for u, v in graph.edges()):
+        if any(u in links[u] for u in links):
             raise TopologyError("self-loops are not allowed (simple graph required)")
-        if not nx.is_connected(graph):
-            raise TopologyError("the network must be connected")
 
         try:
-            names: list = sorted(graph.nodes())
+            self._names: tuple = tuple(sorted(links))
         except TypeError:
-            names = list(graph.nodes())
-        self._names: tuple = tuple(names)
-        self._index_of = {name: i for i, name in enumerate(self._names)}
-        self._graph = graph
+            self._names = tuple(links)
+        index_of = self._index_of = {name: i for i, name in enumerate(self._names)}
+        n = len(self._names)
+        # empty placeholders: _set_rows writes every row next
+        self._adj = self._closed_adj = self._adj_sets = self._degrees = ((),) * n
+        self._set_rows({
+            u: [index_of[w] for w in links[name]] for u, name in enumerate(self._names)
+        })
+        if _bfs(self._adj, 0, bytearray(n), n)[0] < n:
+            raise TopologyError("the network must be connected")
+        self._ids = tuple(range(n)) if ids is None else _checked_ids(self._names, ids)
 
-        adjacency: list[tuple[int, ...]] = []
-        for name in self._names:
-            neigh = sorted(self._index_of[w] for w in graph.neighbors(name))
-            adjacency.append(tuple(neigh))
-        self._adj: tuple[tuple[int, ...], ...] = tuple(adjacency)
-        self._closed_adj: tuple[tuple[int, ...], ...] = tuple(
-            (u, *neigh) for u, neigh in enumerate(self._adj)
-        )
-        self._adj_sets: tuple[frozenset[int], ...] = tuple(
-            frozenset(a) for a in self._adj
-        )
-        self._degrees: tuple[int, ...] = tuple(len(a) for a in self._adj)
-        self._csr = None
-
-        if ids is None:
-            self._ids: tuple[int, ...] = tuple(range(len(self._names)))
-        else:
-            try:
-                assigned = tuple(int(ids[name]) for name in self._names)
-            except KeyError as missing:
-                raise TopologyError(f"ids mapping misses node {missing}") from None
-            if len(set(assigned)) != len(assigned):
-                raise TopologyError("process identifiers must be unique")
-            self._ids = assigned
-
-        self._diameter: int | None = None
+    def _set_rows(self, rows: Mapping[int, Collection[int]]) -> None:
+        """Make ``rows[u]`` the neighbors of each listed ``u``; re-derive those rows."""
+        adj, closed = list(self._adj), list(self._closed_adj)
+        sets, degrees = list(self._adj_sets), list(self._degrees)
+        for u, row in rows.items():
+            adj[u] = tuple(sorted(row))
+            closed[u] = (u, *adj[u])
+            sets[u] = frozenset(row)
+            degrees[u] = len(row)
+        self._adj, self._closed_adj = tuple(adj), tuple(closed)
+        self._adj_sets, self._degrees = tuple(sets), tuple(degrees)
+        self._csr = self._diameter = None
 
     # ------------------------------------------------------------------
     # Sizes and identifiers
@@ -133,7 +166,7 @@ class Network:
     @property
     def m(self) -> int:
         """Number of edges (the paper's ``m``)."""
-        return self._graph.number_of_edges()
+        return sum(self._degrees) // 2
 
     @property
     def names(self) -> tuple:
@@ -180,6 +213,26 @@ class Network:
     def are_neighbors(self, u: int, v: int) -> bool:
         return v in self._adj_sets[u]
 
+    def components(self, dead: Collection[int] = (),
+                   without: tuple[int, int] | None = None) -> int:
+        """Components once processes ``dead`` and link ``without`` are left out.
+
+        Churn weighs candidate crashes and drops with it; nothing changes."""
+        adj = list(self._adj)
+        if without is not None:
+            u, v = without
+            adj[u] = tuple(w for w in adj[u] if w != v)
+            adj[v] = tuple(w for w in adj[v] if w != u)
+        n, count = self.n, 0
+        seen = bytearray(n)
+        for u in dead:
+            seen[u] = 1
+        for s in range(n):
+            if not seen[s]:
+                count += 1
+                _bfs(adj, s, seen, n)
+        return count
+
     # ------------------------------------------------------------------
     # Topology churn (the only sanctioned mutation surface)
     # ------------------------------------------------------------------
@@ -194,40 +247,31 @@ class Network:
         process set is fixed — churn silences processes by removing
         their links, it never deletes them — so the result may be
         disconnected; connectivity policy is the churn scheduler's job,
-        not this method's.  Dropping an absent link or adding a present
-        or degenerate one is a :class:`TopologyError`.  All derived
-        views (adjacency, degrees, CSR cache, diameter cache) are
-        rebuilt before returning.
+        not this method's.  All-or-nothing: a :class:`TopologyError`
+        (an index outside ``0..n-1``, a link named twice, dropping an
+        absent link, adding a present one or a self-loop) leaves every
+        view as it was.  Only the touched rows are rewritten.
         """
-        drops = tuple(drops)
-        adds = tuple(adds)
-        for u, v in drops:
-            if v not in self._adj_sets[u]:
-                raise TopologyError(f"cannot drop absent link ({u}, {v})")
-        for u, v in adds:
+        n, sets = self.n, self._adj_sets
+        named = set()
+        for dropping, (u, v) in [(True, e) for e in drops] + [(False, e) for e in adds]:
+            if not (0 <= u < n and 0 <= v < n):
+                raise TopologyError(f"link ({u}, {v}) names a process outside 0..{n - 1}")
             if u == v:
                 raise TopologyError(f"self-loop ({u}, {u}) is not allowed")
-            if v in self._adj_sets[u]:
-                raise TopologyError(f"cannot add present link ({u}, {v})")
-        names = self._names
-        for u, v in drops:
-            self._graph.remove_edge(names[u], names[v])
-        for u, v in adds:
-            self._graph.add_edge(names[u], names[v])
-        self._rebuild_adjacency()
-
-    def _rebuild_adjacency(self) -> None:
-        """Re-derive every adjacency view from ``_graph`` and drop caches."""
-        adjacency = []
-        for name in self._names:
-            neigh = sorted(self._index_of[w] for w in self._graph.neighbors(name))
-            adjacency.append(tuple(neigh))
-        self._adj = tuple(adjacency)
-        self._closed_adj = tuple((u, *neigh) for u, neigh in enumerate(self._adj))
-        self._adj_sets = tuple(frozenset(a) for a in self._adj)
-        self._degrees = tuple(len(a) for a in self._adj)
-        self._csr = None
-        self._diameter = None
+            if (min(u, v), max(u, v)) in named:
+                raise TopologyError(f"link ({u}, {v}) is repeated in one delta")
+            named.add((min(u, v), max(u, v)))
+            if (v in sets[u]) != dropping:
+                raise TopologyError(
+                    f"cannot {'drop absent' if dropping else 'add present'} link ({u}, {v})"
+                )
+        # Validated, every named link flips: drops are present, adds absent.
+        rows = {u: set(sets[u]) for pair in named for u in pair}
+        for u, v in named:
+            rows[u] ^= {v}
+            rows[v] ^= {u}
+        self._set_rows(rows)
 
     def csr(self) -> tuple:
         """Adjacency in CSR form: ``(indptr, indices)`` numpy int64 arrays.
@@ -252,21 +296,26 @@ class Network:
 
     @property
     def diameter(self) -> int:
-        """Network diameter ``D`` (cached; ``0`` for a single process)."""
+        """Network diameter ``D`` (cached; ``0`` for a single process).
+
+        A :class:`TopologyError` once churn has disconnected the network.
+        """
         if self._diameter is None:
-            if self.n == 1:
-                self._diameter = 0
-            else:
-                self._diameter = nx.diameter(self._graph)
+            n = self.n
+            sweeps = [_bfs(self._adj, s, bytearray(n), n) for s in range(n)]
+            if sweeps[0][0] < n:
+                raise TopologyError("a disconnected network has no diameter")
+            self._diameter = max(depth for _, depth in sweeps)
         return self._diameter
 
     # ------------------------------------------------------------------
     # Interop and dunder helpers
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.Graph:
-        """A *copy* of the underlying graph relabeled to dense indices."""
-        relabel = {name: i for i, name in enumerate(self._names)}
-        return nx.relabel_nodes(self._graph, relabel, copy=True)
+        """A new :class:`networkx.Graph` over dense indices, in index order."""
+        graph = nx.empty_graph(self.n)
+        graph.add_edges_from(self.edges())
+        return graph
 
     def processes(self) -> range:
         """Iterable over process indices ``0..n-1``."""
@@ -296,11 +345,10 @@ class Network:
     @classmethod
     def single(cls) -> "Network":
         """The one-process network (no edges)."""
-        graph = nx.Graph()
-        graph.add_node(0)
-        return cls(graph)
+        return cls(nx.empty_graph(1))
 
     def with_ids(self, ids: Sequence[int]) -> "Network":
         """A copy of this network with explicit identifiers (index order)."""
-        mapping = {name: int(ids[i]) for i, name in enumerate(self._names)}
-        return Network(self._graph, ids=mapping)
+        net = copy.copy(self)
+        net._ids = _checked_ids(self._names, dict(zip(self._names, ids)))
+        return net

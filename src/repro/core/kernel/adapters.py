@@ -77,7 +77,7 @@ def drive(sim, max_steps: int, *, stop_when=None, until=None,
     rounds.into_counter(counter)
     sim._rounds_mirror = counter._pending
     if sim.churn is not None and sim.churn.fired:
-        # The schedule mirrors its links into the network at draw time.
+        # The schedule edits the network's links at draw time.
         sim.dead = set(sim.churn.dead())
     sim._cfg_dirty = True
     if step and hook is None:  # nothing landed after the step: decode it now

@@ -242,6 +242,9 @@ class Simulator:
         #: Crashed-and-not-rejoined process ids under topology churn
         #: (kept out of the enabled set on every backend).
         self.dead: set[int] = set()
+        #: Ex-neighbors from links churn dropped: a pointer set before a
+        #: drop still names one, so a guard may read past the current graph.
+        self._former: dict[int, set[int]] = {}
 
         cfg = config.copy() if config is not None else algorithm.initial_configuration()
         if len(cfg) != self.network.n:
@@ -367,6 +370,7 @@ class Simulator:
             nxt: set[int] = set()
             for u in frontier:
                 nxt.update(neighbors(u))
+                nxt.update(self._former.get(u, ()))
             nxt -= affected
             affected |= nxt
             frontier = nxt
@@ -428,18 +432,21 @@ class Simulator:
     def _land(self, sched, due) -> None:
         """Land fired occurrences on the dict configuration, no step.
 
-        A churn occurrence's links are already mirrored into the shared
-        :class:`Network` at draw time.  This applies each occurrence to
-        the configuration and the dead set, refreshes the enabled set
-        (from scratch when links or liveness changed: a topology change
-        can flip guards anywhere), rebases the round counter, and
-        notifies probes through the schedule's hook.
+        A churn occurrence's links are already in the shared
+        :class:`Network`, edited at draw time.  This applies each
+        occurrence to the configuration, the dead set and the
+        ex-neighbors, refreshes the enabled set (from scratch when links
+        or liveness changed: a topology change can flip guards
+        anywhere), rebases the round counter, and notifies probes.
         """
         victims: set[int] = set()
         for occ in due:
             self.dead.update(occ.crashed)
             self.dead.difference_update(occ.joined)
             victims.update(occ.victims)
+            for u, v in occ.drops:
+                self._former.setdefault(u, set()).add(v)
+                self._former.setdefault(v, set()).add(u)
             for u, var, value in occ.assignments:
                 self.cfg.set(u, var, value)
         if any(occ.drops or occ.adds or occ.crashed or occ.joined for occ in due):

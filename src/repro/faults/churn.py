@@ -14,9 +14,10 @@ draws from a dedicated SHA-256-derived PRNG keyed on ``(seed, event
 index, occurrence index)``.  Unlike faults, a churn draw is
 *state-dependent* — which links can drop depends on which links exist —
 so the bound schedule owns the canonical topology state (liveness
-vector + current adjacency) and updates it at draw time.  Both engines
-replay the identical occurrence stream, so dict, kernel and batched
-executions see byte-identical topology sequences under one seed.
+vector + the algorithm's ``Network``, edited in place) and updates it at
+draw time.  Both engines replay the identical occurrence stream, so
+dict, kernel and batched executions see byte-identical topology
+sequences under one seed.
 
 Spec grammar reuses the fault timing surface (``at/every/storm/burst``
 with ``start/count/gap/cadence/until``), the action carries ``k``::
@@ -176,40 +177,19 @@ class ChurnSchedule(Schedule):
         return BoundChurnSchedule(self, algorithm, seed)
 
 
-def _count_components(adj, live) -> int:
-    """Connected components of the live subgraph (dead processes excluded)."""
-    seen = set()
-    count = 0
-    for s in range(len(adj)):
-        if not live[s] or s in seen:
-            continue
-        count += 1
-        stack = [s]
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if live[v] and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-    return count
-
-
 class BoundChurnSchedule(BoundSchedule):
     """A schedule bound to an algorithm and a seed — the applicable form.
 
-    Owns the *canonical topology state*: the liveness vector, the current
-    adjacency, and the deployment ("base") adjacency that joins reconnect
-    into.  Draws happen at pop time and mutate this canonical state —
-    including the shared :class:`~repro.core.graph.Network`, mirrored
-    immediately so state-dependent draws (junk pointers sampled from a
-    rejoined process's neighborhood) read the same topology regardless
-    of which engine replays the stream.  The occurrence stream therefore
-    depends only on the schedule and seed; engines mirror each
-    occurrence's ``drops``/``adds``/``assignments`` into their own
+    Owns the *canonical topology state*: the liveness vector and the
+    algorithm's :class:`~repro.core.graph.Network` — the one current link
+    set, which draws edit in place at pop time, so every later draw
+    (crash eligibility, a rejoined process's junk pointers) reads the
+    same topology whichever engine replays the stream.  ``base`` keeps
+    the deployment links a rejoining process reclaims.  Engines mirror
+    each occurrence's ``drops``/``adds``/``assignments`` into their own
     structures (:meth:`repro.core.kernel.csr.CSRAdjacency.apply_delta`
     plus the liveness mask on the kernel side — the dict side reads the
-    already-mirrored ``Network`` directly).
+    ``Network`` directly).
 
     The pop protocol is :class:`~repro.faults.schedule.BoundSchedule`'s,
     shared with fault schedules, including terminal pull-forward: a
@@ -221,19 +201,14 @@ class BoundChurnSchedule(BoundSchedule):
     def __init__(self, schedule: ChurnSchedule, algorithm, seed: int):
         super().__init__(schedule, algorithm, seed)
         network = algorithm.network
-        #: The live :class:`~repro.core.graph.Network`, mirrored *at draw
-        #: time*: every committed delta is applied here immediately, so
-        #: state-dependent draws (a rejoined process's junk pointer is
-        #: sampled from its current neighborhood) read identical topology
-        #: no matter which engine replays the occurrence stream.
+        #: The live :class:`~repro.core.graph.Network`, edited *at draw
+        #: time*: the current link set every draw reads.
         self.network = network
         self.n = network.n
         #: Canonical liveness (all processes start live).
         self.live = [True] * self.n
-        #: Canonical current adjacency (mutated at draw time).
-        self.adj = [set(network.neighbors(u)) for u in range(self.n)]
         #: Deployment adjacency — the links a rejoining process reclaims.
-        self.base = tuple(tuple(network.neighbors(u)) for u in range(self.n))
+        self.base = tuple(network.neighbors(u) for u in range(self.n))
         self._preserve = schedule.connectivity == "preserve"
         self._variables = tuple(algorithm.variables())
 
@@ -242,12 +217,7 @@ class BoundChurnSchedule(BoundSchedule):
     # ------------------------------------------------------------------
     def current_edges(self) -> tuple[tuple[int, int], ...]:
         """The canonical link set as sorted ``(u, v)`` pairs, ``u < v``."""
-        return tuple(
-            (u, v)
-            for u in range((self.n))
-            for v in sorted(self.adj[u])
-            if u < v
-        )
+        return tuple(self.network.edges())
 
     def dead(self) -> tuple[int, ...]:
         """Currently crashed process indices, ascending."""
@@ -255,7 +225,7 @@ class BoundChurnSchedule(BoundSchedule):
 
     def components(self) -> int:
         """Component count of the canonical live subgraph."""
-        return _count_components(self.adj, self.live)
+        return self.network.components(self.dead())
 
     # ------------------------------------------------------------------
     # Draws (state-dependent, committed at pop time)
@@ -278,28 +248,21 @@ class BoundChurnSchedule(BoundSchedule):
         occ.live = sum(self.live)
         occ.drawn = True
 
-    def _splits(self, u: int) -> bool:
-        """Would silencing live process ``u`` grow the component count?"""
-        before = _count_components(self.adj, self.live)
-        self.live[u] = False
-        after = _count_components(self.adj, self.live)
-        self.live[u] = True
-        return after > before
-
     def _crash_eligible(self, pool) -> list[int]:
         cands = [u for u in pool if self.live[u]]
         if sum(self.live) <= 1:
             return []  # never silence the last live process
-        if self._preserve:
-            cands = [u for u in cands if not self._splits(u)]
+        if self._preserve:  # silencing u must not split the live subgraph
+            dead, before = self.dead(), self.components()
+            cands = [u for u in cands
+                     if self.network.components(dead + (u,)) <= before]
         return cands
 
     def _apply_crash(self, u: int, drops: list) -> None:
         self.live[u] = False
-        for v in sorted(self.adj[u]):
-            self.adj[v].discard(u)
-            drops.append((u, v) if u < v else (v, u))
-        self.adj[u].clear()
+        links = [(min(u, v), max(u, v)) for v in self.network.neighbors(u)]
+        self.network.apply_delta(links, ())
+        drops.extend(links)
 
     def _draw_crash(self, occ: Occurrence, event: ChurnEvent, rng: Random) -> None:
         pool = event.procs or range(self.n)
@@ -309,7 +272,7 @@ class BoundChurnSchedule(BoundSchedule):
             cands = self._crash_eligible(pool)
             if cands:
                 seed = cands[rng.randrange(len(cands))]
-                frontier = sorted(self.adj[seed])
+                frontier = list(self.network.neighbors(seed))
                 self._apply_crash(seed, drops)
                 victims.append(seed)
                 seen = {seed}
@@ -320,7 +283,7 @@ class BoundChurnSchedule(BoundSchedule):
                     seen.add(v)
                     if v not in self._crash_eligible((v,)):
                         continue
-                    neigh = sorted(self.adj[v])
+                    neigh = self.network.neighbors(v)
                     self._apply_crash(v, drops)
                     victims.append(v)
                     frontier.extend(w for w in neigh if w not in seen)
@@ -332,8 +295,6 @@ class BoundChurnSchedule(BoundSchedule):
                 u = cands[rng.randrange(len(cands))]
                 self._apply_crash(u, drops)
                 victims.append(u)
-        if drops:
-            self.network.apply_delta(drops, ())
         occ.victims = tuple(sorted(victims))
         occ.drops = tuple(drops)
 
@@ -353,13 +314,9 @@ class BoundChurnSchedule(BoundSchedule):
                 break
             u = cands[rng.randrange(len(cands))]
             self.live[u] = True
-            reclaimed = []
-            for v in self.base[u]:
-                if self.live[v] and v not in self.adj[u]:
-                    self.adj[u].add(v)
-                    self.adj[v].add(u)
-                    reclaimed.append((u, v) if u < v else (v, u))
-            # Mirror the reclaimed links before drawing junk: the junk
+            reclaimed = [(min(u, v), max(u, v)) for v in self.base[u]
+                         if self.live[v] and not self.network.are_neighbors(u, v)]
+            # Link the reclaimed edges before drawing junk: the junk
             # pointer domain is the process's *post-join* neighborhood.
             if reclaimed:
                 self.network.apply_delta((), reclaimed)
@@ -377,24 +334,14 @@ class BoundChurnSchedule(BoundSchedule):
         for _ in range(event.k):
             cands = list(self.current_edges())
             if self._preserve:
-                base = _count_components(self.adj, self.live)
-                keep = []
-                for u, v in cands:
-                    self.adj[u].discard(v)
-                    self.adj[v].discard(u)
-                    if _count_components(self.adj, self.live) == base:
-                        keep.append((u, v))
-                    self.adj[u].add(v)
-                    self.adj[v].add(u)
-                cands = keep
+                dead, before = self.dead(), self.components()
+                cands = [e for e in cands
+                         if self.network.components(dead, without=e) == before]
             if not cands:
                 break
-            u, v = cands[rng.randrange(len(cands))]
-            self.adj[u].discard(v)
-            self.adj[v].discard(u)
-            drops.append((u, v))
-        if drops:
-            self.network.apply_delta(drops, ())
+            edge = cands[rng.randrange(len(cands))]
+            self.network.apply_delta((edge,), ())
+            drops.append(edge)
         occ.drops = tuple(drops)
 
     def _draw_add(self, occ: Occurrence, event: ChurnEvent, rng: Random) -> None:
@@ -405,16 +352,13 @@ class BoundChurnSchedule(BoundSchedule):
                 (u, v)
                 for i, u in enumerate(live)
                 for v in live[i + 1:]
-                if v not in self.adj[u]
+                if not self.network.are_neighbors(u, v)
             ]
             if not cands:
                 break
-            u, v = cands[rng.randrange(len(cands))]
-            self.adj[u].add(v)
-            self.adj[v].add(u)
-            adds.append((u, v))
-        if adds:
-            self.network.apply_delta((), adds)
+            edge = cands[rng.randrange(len(cands))]
+            self.network.apply_delta((), (edge,))
+            adds.append(edge)
         occ.adds = tuple(adds)
 
     def info(self, occ: Occurrence, step: int,

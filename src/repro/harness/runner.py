@@ -581,7 +581,7 @@ def can_batch(spec: "TrialSpec") -> bool:
         or params.get("adversary")
         or params.get("backend") == "dict" or params.get("probe") == "decode"
         # The trials of a churn cell share one Network that every bound
-        # churn schedule mirrors its deltas into, and compaction re-tiles
+        # churn schedule edits in place, and compaction re-tiles
         # from the base CSR, dropping per-lane deltas.
         or params.get("churn")
     ):

@@ -437,8 +437,8 @@ class IRKernelProgram(KernelProgram):
     a rule set.  Declared predicates are served as ``<name>_mask``
     methods (``normal_mask``, ``legitimate_mask``, …) for the probes."""
 
-    #: Marks programs produced by the IR compilers — the simulator's
-    #: legacy-authoring deprecation check keys on this.
+    #: Marks programs produced by the IR compilers;
+    #: ``test_every_registered_kernel_program_is_ir_generated`` reads it.
     ir_generated = True
 
     def __init__(self, rule_set):

@@ -142,6 +142,22 @@ class TestChurnDelta:
             net.apply_delta(adds=[(0, 1)])
         with pytest.raises(TopologyError, match="[Ss]elf-loop"):
             net.apply_delta(adds=[(1, 1)])
+        with pytest.raises(TopologyError, match="repeated"):
+            net.apply_delta(drops=[(0, 1), (1, 0)])
+        with pytest.raises(TopologyError, match="repeated"):
+            net.apply_delta(adds=[(0, 2), (0, 2)])
+        with pytest.raises(TopologyError, match="repeated"):
+            net.apply_delta(drops=[(0, 1)], adds=[(1, 0)])
+        with pytest.raises(TopologyError, match="outside"):
+            net.apply_delta(adds=[(-1, 2)])
+        with pytest.raises(TopologyError, match="outside"):
+            net.apply_delta(drops=[(1, 2)], adds=[(0, 7)])
+        # every rejected call left every view as it was
+        assert net.m == 2
+        assert [net.neighbors(u) for u in range(3)] == [(1,), (0, 2), (1,)]
+        assert net.degrees == (1, 2, 1)
+        assert list(net.edges()) == [(0, 1), (1, 2)]
+        assert net.diameter == 2
 
     def test_disconnection_is_permitted(self):
         """Connectivity policy lives in the churn scheduler, not here."""

@@ -1,5 +1,7 @@
 """Unit tests for the execution engine (composite atomicity, accounting)."""
 
+from random import Random
+
 import pytest
 
 from repro.core import (
@@ -12,9 +14,12 @@ from repro.core import (
     Simulator,
     SynchronousDaemon,
     Trace,
+    make_daemon,
 )
 from repro.core.daemon import DistributedRandomDaemon
+from repro.harness.runner import ALGORITHMS
 from repro.probes import Probe
+from repro.topology import ring
 from tests.toys import CopyNeighbor, Countdown, MaxFlood
 
 PATH = Network([(0, 1), (1, 2), (2, 3)])
@@ -87,6 +92,26 @@ class TestEnabledMaintenance:
         sim = Simulator(algo, DistributedRandomDaemon(0.5), seed=5, paranoid=True)
         sim.run_to_termination()  # ModelViolation would fire on divergence
         assert sim.cfg.variable("x") == [3, 3, 3, 3]
+
+    def test_incremental_follows_a_pointer_past_a_dropped_link(self):
+        """The drop takes out link (0, 1) while ``ptr_0 = 1``; FGA's guard
+        at 0 keeps reading ``col_1`` through that pointer, so when 1 moves
+        the incremental enabled set must re-evaluate 0 even though they
+        are no longer neighbors."""
+        runs = {}
+        for backend in ("dict", "kernel"):
+            net = ring(4)
+            algo = ALGORITHMS["fga"].build(net)
+            sim = Simulator(
+                algo, make_daemon("central", net),
+                config=algo.random_configuration(Random(309)), seed=309,
+                backend=backend, churn="at=19,drop_edge=1",
+                paranoid=backend == "dict",  # a stale entry raises ModelViolation
+            )
+            result = sim.run(max_steps=300)
+            runs[backend] = (result.steps, result.moves, sim.cfg.states())
+        assert sim.churn.fired == 1 and not net.are_neighbors(0, 1)
+        assert runs["dict"] == runs["kernel"]
 
     def test_enabled_map_is_current(self):
         algo = MaxFlood(PATH)
