@@ -271,14 +271,10 @@ class FGA(InputAlgorithm):
     # Array backend
     # ------------------------------------------------------------------
     def input_rule_set(self):
-        try:
-            from .kernelized import fga_rule_set
+        from .kernelized import fga_rule_set
 
+        try:
             return fga_rule_set(self)
-        except ModuleNotFoundError as exc:
-            if exc.name and exc.name.split(".")[0] == "numpy":
-                return None  # numpy missing: dict backend only
-            raise
         except AlgorithmError:  # ids overflow the kernel's pointer keys
             return None
 

@@ -49,16 +49,10 @@ from ..ir import (
     sign,
     where,
 )
-from ..ir.kernelc import IRInputKernelProgram, IRKernelProgram
 from .fga import CANQ, COL, PTR, SCR
 from .turau import IN, MSTATE, OUT, WAIT
 
-__all__ = [
-    "fga_rule_set",
-    "turau_rule_set",
-    "FGAKernelProgram",
-    "TurauKernelProgram",
-]
+__all__ = ["fga_rule_set", "turau_rule_set"]
 
 _NO_KEY = np.iinfo(np.int64).max
 
@@ -203,17 +197,3 @@ def turau_rule_set(algorithm) -> RuleSet:
                  [Assign(MSTATE, _OUT)]),
         ],
     )
-
-
-class FGAKernelProgram(IRInputKernelProgram):
-    """Generated kernel program of the paper's Algorithm FGA."""
-
-    def __init__(self, algorithm):
-        super().__init__(fga_rule_set(algorithm))
-
-
-class TurauKernelProgram(IRKernelProgram):
-    """Generated kernel program of the Turau-style MIS baseline."""
-
-    def __init__(self, algorithm):
-        super().__init__(turau_rule_set(algorithm))

@@ -112,12 +112,8 @@ class TurauMIS(Algorithm):
 
     def rule_set(self):
         """IR definition (see :mod:`repro.alliance.kernelized`)."""
-        try:
-            from .kernelized import turau_rule_set
-        except ModuleNotFoundError as exc:
-            if exc.name and exc.name.split(".")[0] == "numpy":
-                return None  # numpy missing: dict backend only
-            raise
+        from .kernelized import turau_rule_set
+
         return turau_rule_set(self)
 
     # ------------------------------------------------------------------

@@ -39,11 +39,10 @@ from ..ir import (
     proc_index,
     where,
 )
-from ..ir.kernelc import IRKernelProgram
 from .bfs_tree import DIST_VAR, PARENT_VAR
 from .mono_reset import MODE, MODES, WAVE_RULES
 
-__all__ = ["mono_rule_set", "MonoResetKernelProgram"]
+__all__ = ["mono_rule_set"]
 
 #: Integer codes of the ``mode`` enum (indices into MODES).
 _IDLE, _REQ, _RESET, _ACK = 0, 1, 2, 3
@@ -121,9 +120,7 @@ def mono_rule_set(algorithm, input_rule_set) -> RuleSet:
              [Assign(DIST_VAR, where(is_root, 0, want)),
               Assign(PARENT_VAR, where(is_root, -1, best_v))]),
     ]
-    for rule in input_rule_set.rules:
-        guard = clean & rule.guard if rule.clean_gated else rule.guard
-        rules.append(Rule(rule.label, guard, rule.action))
+    rules += input_rule_set.gated_rules(clean)
 
     return RuleSet(
         f"mono-reset({input_rule_set.name})",
@@ -138,13 +135,6 @@ def mono_rule_set(algorithm, input_rule_set) -> RuleSet:
         predicates={"normal": idle & icorrect},
         tile_check=input_rule_set.tile_check,
     )
-
-
-class MonoResetKernelProgram(IRKernelProgram):
-    """Generated ``I ∘ MonoReset`` program for an IR-ported input."""
-
-    def __init__(self, algorithm, input_program):
-        super().__init__(mono_rule_set(algorithm, input_program.rule_set))
 
 
 assert tuple(WAVE_RULES) == (

@@ -185,26 +185,9 @@ class MonoReset(Algorithm):
     # ------------------------------------------------------------------
     def rule_set(self):
         """``I ∘ MonoReset`` composed at the IR level, when ``I`` is ported."""
-        try:
-            from .kernelized import mono_rule_set
-        except ModuleNotFoundError as exc:
-            if exc.name and exc.name.split(".")[0] == "numpy":
-                return None  # numpy missing: dict backend only
-            raise
+        from .kernelized import mono_rule_set
+
         input_rule_set = self.input.input_rule_set()
         if input_rule_set is None:
             return None
         return mono_rule_set(self, input_rule_set)
-
-    def kernel_program(self):
-        """Array-backend program: available when the input algorithm is ported."""
-        try:
-            from .kernelized import MonoResetKernelProgram
-        except ModuleNotFoundError as exc:
-            if exc.name and exc.name.split(".")[0] == "numpy":
-                return None  # numpy missing: dict backend only
-            raise
-        input_program = self.input.kernel_input_program()
-        if input_program is None:
-            return None
-        return MonoResetKernelProgram(self, input_program)

@@ -112,16 +112,12 @@ class Algorithm(abc.ABC):
         return None
 
     def kernel_program(self):
-        """Array-backed execution program for :mod:`repro.core.kernel`.
-
-        The default routes through :meth:`rule_set`: algorithms that
-        declare one get a generated
-        :class:`~repro.core.kernel.programs.KernelProgram` whose guards
-        and actions operate on flat per-variable columns; the simulator
-        then offers ``backend="kernel"`` (and ``backend="auto"`` prefers
-        it).  ``None`` means no rule set (or numpy missing): dict backend
-        only.  Overriding this with a handwritten program still works but
-        is deprecated — the simulator warns once per algorithm.
+        """Array-backed execution program for :mod:`repro.core.kernel`:
+        the :class:`~repro.ir.kernelc.IRKernelProgram` that
+        :meth:`rule_set` compiles to, whose guards and actions operate on
+        flat per-variable columns.  The simulator then offers
+        ``backend="kernel"`` (and ``backend="auto"`` prefers it).
+        ``None`` means no rule set: dict backend only.
         """
         rs = self.rule_set()
         return None if rs is None else rs.compile_kernel()

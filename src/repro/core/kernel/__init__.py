@@ -11,9 +11,11 @@ contents and ordering, move/round accounting — are identical by
 construction and machine-checked by the simulator's paranoid lockstep
 mode (see ``Simulator(backend="kernel", paranoid=True)``).
 
-Import of this package requires numpy; callers that must degrade
-gracefully should go through :func:`kernel_available` or the lazily
-imported ``Algorithm.kernel_program`` hooks.
+Every program the kernel runs is an
+:class:`~repro.ir.kernelc.IRKernelProgram`, generated from the
+algorithm's rule set (``Algorithm.rule_set().compile_kernel()``); the
+runtime only duck-types it (``schema``, ``rules``, ``guard_masks``,
+``apply`` and ``tiled``; ``csr`` under topology churn).
 """
 
 from __future__ import annotations
@@ -22,35 +24,16 @@ __all__ = [
     "BatchResult",
     "CSRAdjacency",
     "FusedResult",
-    "InputKernelProgram",
-    "KernelProgram",
     "KernelRuntime",
     "Schema",
-    "StandaloneInputProgram",
     "TrialOutcome",
     "Var",
-    "kernel_available",
     "run_batch",
     "vectorize",
 ]
 
-
-def kernel_available() -> bool:
-    """Whether the array backend's only external dependency (numpy) exists."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-from .batch import BatchResult, TrialOutcome, run_batch  # noqa: E402
-from .csr import CSRAdjacency  # noqa: E402
-from .daemons import vectorize  # noqa: E402
-from .engine import FusedResult, KernelRuntime  # noqa: E402
-from .programs import (  # noqa: E402
-    InputKernelProgram,
-    KernelProgram,
-    StandaloneInputProgram,
-)
-from .schema import Schema, Var  # noqa: E402
+from .batch import BatchResult, TrialOutcome, run_batch
+from .csr import CSRAdjacency
+from .daemons import vectorize
+from .engine import FusedResult, KernelRuntime
+from .schema import Schema, Var

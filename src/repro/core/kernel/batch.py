@@ -22,7 +22,7 @@ rounds per block.
 from __future__ import annotations
 
 from random import Random
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,12 +30,14 @@ from ..exceptions import UnbatchableError
 from ..rounds import ArrayRoundCounter
 from .daemons import vectorize
 from .engine import KernelRuntime, Lane
-from .programs import KernelProgram
+
+if TYPE_CHECKING:
+    from ...ir.kernelc import IRKernelProgram
 
 __all__ = ["TrialOutcome", "BatchResult", "run_batch"]
 
 Columns = Mapping[str, np.ndarray]
-UntilFn = Callable[[KernelProgram, Columns], np.ndarray]
+UntilFn = Callable[["IRKernelProgram", Columns], np.ndarray]
 
 
 class TrialOutcome:
@@ -78,7 +80,7 @@ class BatchResult:
 
 
 def run_batch(
-    program: KernelProgram,
+    program: IRKernelProgram,
     cfgs: Sequence,
     daemons: Sequence,
     rngs: Sequence[Random],

@@ -28,7 +28,7 @@ a :class:`~repro.core.configuration.Configuration` on demand.
 from __future__ import annotations
 
 from random import Random
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
@@ -36,7 +36,9 @@ from ...telemetry import phases as telemetry
 from ..configuration import Configuration
 from ..exceptions import ModelViolation
 from .daemons import VectorDaemon, open_stream
-from .programs import KernelProgram
+
+if TYPE_CHECKING:
+    from ...ir.kernelc import IRKernelProgram
 
 __all__ = ["KernelRuntime", "KernelSnapshot", "FusedResult", "Lane"]
 
@@ -285,11 +287,11 @@ class KernelRuntime:
         "_map",
     )
 
-    def __init__(self, program: KernelProgram, cfg: Configuration):
+    def __init__(self, program: IRKernelProgram, cfg: Configuration):
         self._bind(program, program.schema.encode(cfg))
 
     @classmethod
-    def tiled(cls, program: KernelProgram, cfgs) -> "KernelRuntime | None":
+    def tiled(cls, program: IRKernelProgram, cfgs) -> "KernelRuntime | None":
         """One runtime over ``len(cfgs)`` executions of ``program``, side
         by side (:meth:`Schema.encode_tiled`), or ``None`` when the
         program cannot be tiled."""
@@ -300,8 +302,8 @@ class KernelRuntime:
         runtime._bind(prog, program.schema.encode_tiled(cfgs), base=program)
         return runtime
 
-    def _bind(self, program: KernelProgram, columns: dict[str, np.ndarray],
-              base: KernelProgram | None = None) -> None:
+    def _bind(self, program: IRKernelProgram, columns: dict[str, np.ndarray],
+              base: IRKernelProgram | None = None) -> None:
         self.program = program
         #: The untiled program (compaction re-tiles it to fewer blocks).
         self.base = base if base is not None else program

@@ -20,10 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-try:  # ArrayRoundCounter only; the set-based counter stays numpy-free.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 __all__ = ["RoundCounter", "ArrayRoundCounter"]
 

@@ -16,9 +16,10 @@ Two interchangeable backends implement the step relation:
   which the set ``S`` moved, only processes within graph distance
   ``guard_locality`` of ``S`` can change enabled status.
 * ``"kernel"`` — the array driver (:mod:`repro.core.kernel`).  Algorithms
-  that declare a typed variable schema (``Algorithm.kernel_program``)
-  execute on flat numpy columns over CSR adjacency; guards become
-  vectorized masks and actions mutate a double buffer.  Every execution
+  that declare a :mod:`repro.ir` rule set execute its generated program
+  (``Algorithm.kernel_program``) on flat numpy columns over CSR
+  adjacency; guards become vectorized masks and actions mutate a double
+  buffer.  Every execution
   — :meth:`Simulator.run`, :meth:`Simulator.step`, ``stop_when``,
   :meth:`Simulator.run_until_mask`, paranoid mode — is one lane of
   :meth:`~repro.core.kernel.engine.KernelRuntime.drive`; daemons without
@@ -27,11 +28,11 @@ Two interchangeable backends implement the step relation:
   :mod:`repro.core.kernel.adapters`.
 
 ``backend="auto"`` (the default) picks the kernel whenever the algorithm
-provides a program and numpy is importable, and falls back to the dict
-engine otherwise.  The two backends are observationally identical: both
-present the enabled map to daemons in ascending process order (a contract
-this class guarantees), so with equal seeds they produce step-for-step
-identical executions — equality that the backend-equivalence property
+declares a rule set, and falls back to the dict engine otherwise.  The
+two backends are observationally identical: both present the enabled map
+to daemons in ascending process order (a contract this class
+guarantees), so with equal seeds they produce step-for-step identical
+executions — equality that the backend-equivalence property
 tests assert and that ``paranoid`` mode machine-checks in-process.
 
 ``paranoid`` mode is backend-specific validation: under the dict backend
@@ -75,10 +76,9 @@ def _warn_auto_fallback(name: str) -> None:
     if name not in _FALLBACK_WARNED:
         _FALLBACK_WARNED.add(name)
         _logger.warning(
-            "algorithm %r provides no kernel program (or numpy is missing); "
-            "backend='auto' is falling back to the dict engine — declare a "
-            "repro.ir rule set (see repro/unison/kernelized.py) to use the "
-            "array kernel",
+            "algorithm %r declares no rule set; backend='auto' is falling "
+            "back to the dict engine — declare a repro.ir rule set "
+            "(Algorithm.rule_set) to use the array kernel",
             name,
         )
 
@@ -167,10 +167,10 @@ class Simulator:
         configurations and enabled sets after every step.
     backend:
         ``"auto"`` (default), ``"dict"`` or ``"kernel"``.  ``"kernel"``
-        requires the algorithm to provide a kernel program (see
-        ``Algorithm.kernel_program``) and numpy to be installed; ``"auto"``
-        falls back to ``"dict"`` when either is missing (logging one
-        warning per algorithm so silent slowdowns stay visible).
+        requires the algorithm to declare a rule set (see
+        ``Algorithm.kernel_program``); ``"auto"`` falls back to ``"dict"``
+        when it does not (logging one warning per algorithm so silent
+        slowdowns stay visible).
     trace:
         Optional :class:`~repro.core.trace.Trace` to record into.
     probes:
@@ -316,8 +316,8 @@ class Simulator:
         if requested == "kernel":
             raise AlgorithmError(
                 f"{self.algorithm.name}: backend='kernel' requires the algorithm "
-                "to provide a kernel program (typed variable schema) and numpy "
-                "to be installed; use backend='auto' to fall back gracefully"
+                "to declare a rule set (Algorithm.rule_set); use "
+                "backend='auto' to fall back gracefully"
             )
         # Loud-but-once: the fallback is silent per run, but the first run
         # of each unported algorithm names itself in the log.

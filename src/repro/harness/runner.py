@@ -566,14 +566,14 @@ def run_trial(spec: "TrialSpec", seed: int | None = None) -> Trial:
 def can_batch(spec: "TrialSpec") -> bool:
     """Whether a cell of replicates of ``spec`` can run as one batch.
 
-    Requires a registered algorithm, a daemon with an exact vector twin,
-    and numpy — and no explicit ``backend=dict`` or ``probe=decode``:
+    Requires a registered algorithm and a daemon with an exact vector
+    twin — and no explicit ``backend=dict`` or ``probe=decode``:
     batching never changes results, but a user who asked for the dict
     engine or the decoded measurement path must get it.  Named probe
     selections do batch (one instance per replicate).
     """
     params = dict(spec.params)
-    if (
+    return not (
         spec.algorithm not in ALGORITHMS
         # Search daemons have no vector twin: they *are* the scheduler,
         # driving the runtime through snapshots.
@@ -584,13 +584,7 @@ def can_batch(spec: "TrialSpec") -> bool:
         # churn schedule edits in place, and compaction re-tiles
         # from the base CSR, dropping per-lane deltas.
         or params.get("churn")
-    ):
-        return False
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
+    )
 
 
 def run_trial_batch(
@@ -689,7 +683,7 @@ def _batch_until(mask_attr: str):
         mask_fn = resolve_mask(prog, mask_attr)
         if mask_fn is None:
             raise UnbatchableError(
-                f"kernel program {type(prog).__name__} provides no "
+                f"kernel program of {prog.rule_set.name} provides no "
                 f"{mask_attr} — cell cannot be batched"
             )
         return mask_fn(cols)

@@ -11,10 +11,12 @@ forms —
   ``Algorithm.guard``/``execute`` dict contract
   (:mod:`~repro.ir.dictc`), used to machine-check IR definitions against
   handwritten guards;
-* :meth:`RuleSet.compile_kernel` /
-  :meth:`InputRuleSet.compile_input_kernel` → generated numpy programs
-  over CSR columns (:mod:`~repro.ir.kernelc`), consumed unchanged by the
-  kernel/fused/batched engines.
+* :meth:`RuleSet.compile_kernel` → the generated numpy program over
+  CSR columns (:class:`~repro.ir.kernelc.IRKernelProgram`, the one
+  program type the kernel/fused/batched engines run).  A composed system
+  (``I ∘ SDR``, ``I ∘ MonoReset``) embeds its input's
+  :class:`InputRuleSet` into the host's rule set, so it compiles the
+  same way.
 
 ``python -m repro.ir check`` lints every registered rule set: it
 compiles both backends and verifies rule-label parity, schema parity,

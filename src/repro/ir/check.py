@@ -38,6 +38,8 @@ from __future__ import annotations
 
 from random import Random
 
+import numpy as np
+
 from .registry import SAMPLE_TOPOLOGIES, registered_algorithms
 from .rules import InputRuleSet
 
@@ -77,30 +79,21 @@ def check_algorithm(label: str, algorithm) -> list[str]:
         return problems
 
     dict_program = rule_set.compile_dict()
-    try:
-        import numpy  # noqa: F401
-
-        kernel_program = rule_set.compile_kernel()
-    except ModuleNotFoundError:
-        kernel_program = None
-    if kernel_program is None:
-        problems.append(f"{label}: compile_kernel() returned None")
+    kernel_program = rule_set.compile_kernel()
 
     is_input = isinstance(rule_set, InputRuleSet)
     processes = algorithm.network.processes()
     for c, cfg in enumerate(_configurations(algorithm)):
         # rule → {enabled process: native update}
         native: dict = {rule: {} for rule in rule_set.rule_labels}
-        masks = None
-        if kernel_program is not None:
-            cols = kernel_program.schema.encode(cfg)
-            masks = kernel_program.guard_masks(cols)
-            stray = set(masks) - set(rule_set.rule_labels)
-            if stray:
-                problems.append(f"{label}: masks for unknown rules {stray}")
+        cols = kernel_program.schema.encode(cfg)
+        masks = kernel_program.guard_masks(cols)
+        stray = set(masks) - set(rule_set.rule_labels)
+        if stray:
+            problems.append(f"{label}: masks for unknown rules {stray}")
 
         for rule in rule_set.rule_labels:
-            mask = None if masks is None else masks.get(rule)
+            mask = masks.get(rule)
             for u in processes:
                 want = algorithm.guard(rule, cfg, u)
                 got = dict_program.guard(rule, cfg, u)
@@ -110,13 +103,12 @@ def check_algorithm(label: str, algorithm) -> list[str]:
                         f"IR={got} native={want}"
                     )
                     continue
-                if masks is not None:
-                    kernel_enabled = bool(mask[u]) if mask is not None else False
-                    if kernel_enabled != want:
-                        problems.append(
-                            f"{label}: kernel mask {rule!r} at {u} (cfg {c}): "
-                            f"IR={kernel_enabled} native={want}"
-                        )
+                kernel_enabled = bool(mask[u]) if mask is not None else False
+                if kernel_enabled != want:
+                    problems.append(
+                        f"{label}: kernel mask {rule!r} at {u} (cfg {c}): "
+                        f"IR={kernel_enabled} native={want}"
+                    )
                 if want:
                     got_upd = dict_program.execute(rule, cfg, u)
                     want_upd = native[rule][u] = algorithm.execute(rule, cfg, u)
@@ -126,19 +118,18 @@ def check_algorithm(label: str, algorithm) -> list[str]:
                             f"IR={got_upd!r} native={want_upd!r}"
                         )
 
-        if kernel_program is not None:
-            rng = Random(c)
-            for rule, updates in native.items():
-                enabled = sorted(updates)
-                selections = [enabled]
-                if len(enabled) > 1:
-                    k = rng.randrange(1, len(enabled))
-                    selections.append(sorted(rng.sample(enabled, k)))
-                for selection in selections:
-                    problems += _check_kernel_action(
-                        label, kernel_program, rule, cfg, cols, updates,
-                        selection, c,
-                    )
+        rng = Random(c)
+        for rule, updates in native.items():
+            enabled = sorted(updates)
+            selections = [enabled]
+            if len(enabled) > 1:
+                k = rng.randrange(1, len(enabled))
+                selections.append(sorted(rng.sample(enabled, k)))
+            for selection in selections:
+                problems += _check_kernel_action(
+                    label, kernel_program, rule, cfg, cols, updates,
+                    selection, c,
+                )
 
         if is_input:
             for name, native_pred in (
@@ -148,18 +139,14 @@ def check_algorithm(label: str, algorithm) -> list[str]:
                 if name not in rule_set.predicates:
                     problems.append(f"{label}: missing predicate {name!r}")
                     break
-                kmask = (
-                    None
-                    if kernel_program is None
-                    else getattr(kernel_program, f"{name}_mask")(cols)
-                )
+                kmask = getattr(kernel_program, f"{name}_mask")(cols)
                 for u in processes:
                     want = native_pred(cfg, u)
                     if dict_program.predicate(name, cfg, u) != want:
                         problems.append(
                             f"{label}: dict predicate {name!r} at {u} (cfg {c})"
                         )
-                    if kmask is not None and bool(kmask[u]) != want:
+                    if bool(kmask[u]) != want:
                         problems.append(
                             f"{label}: kernel predicate {name!r} at {u} (cfg {c})"
                         )
@@ -172,8 +159,6 @@ def _check_kernel_action(label, program, rule, cfg, cols, updates,
                          selection, c) -> list[str]:
     """Apply ``rule``'s kernel action at ``selection`` and compare every
     register with the native updates (the pre-step value elsewhere)."""
-    import numpy as np
-
     write = {name: column.copy() for name, column in cols.items()}
     program.apply(rule, np.asarray(selection, dtype=np.int64), cols, write)
     chosen = set(selection)

@@ -29,7 +29,7 @@ Lowering rules:
   function computes it once;
 * a :class:`~repro.ir.rules.FastPath` compiles to a cheap whole-system
   test guarding a reduced mask dict (omitted masks are all-false by the
-  :class:`~repro.core.kernel.programs.KernelProgram` contract).
+  :meth:`IRKernelProgram.guard_masks` contract).
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ import numpy as np
 
 from ..core.exceptions import AlgorithmError
 from ..core.kernel.csr import CSRAdjacency
-from ..core.kernel.programs import InputKernelProgram, KernelProgram
 from . import exprs as E
 
-__all__ = ["compile_rule_set", "IRKernelProgram", "IRInputKernelProgram"]
+__all__ = ["compile_rule_set", "IRKernelProgram"]
 
 
 _BIN_FMT = {
@@ -346,19 +345,13 @@ class _KernelCode:
     """The exec'd output of :func:`compile_rule_set`, shared by every
     program instance (base and tiled) of one rule set."""
 
-    __slots__ = (
-        "guard_fn", "apply_fns", "pred_fns", "reset_fn", "params",
-        "clean_gated", "source",
-    )
+    __slots__ = ("guard_fn", "apply_fns", "pred_fns", "params", "source")
 
-    def __init__(self, guard_fn, apply_fns, pred_fns, reset_fn, params,
-                 clean_gated, source):
+    def __init__(self, guard_fn, apply_fns, pred_fns, params, source):
         self.guard_fn = guard_fn
         self.apply_fns = apply_fns
         self.pred_fns = pred_fns
-        self.reset_fn = reset_fn
         self.params = params
-        self.clean_gated = clean_gated
         self.source = source
 
 
@@ -410,36 +403,39 @@ def compile_rule_set(rule_set) -> _KernelCode:
         comp.fns.append(fn)
         apply_names[rule.label] = fn.name
 
-    reset_name = None
-    reset_action = getattr(rule_set, "reset_action", ())
-    if reset_action:
-        fn = _Fn(comp, "apply_reset", ("idx", "read", "write", "C"), "read")
-        for assign in reset_action:
-            fn.emit_assign(assign)
-        comp.fns.append(fn)
-        reset_name = fn.name
-
     source = "\n\n".join(fn.render() for fn in comp.fns)
     ns = _exec_cached(source, rule_set.name)
     return _KernelCode(
         guard_fn=ns["guard_masks"],
         apply_fns={label: ns[fname] for label, fname in apply_names.items()},
         pred_fns={name: ns[fname] for name, fname in pred_names.items()},
-        reset_fn=ns[reset_name] if reset_name else None,
         params=tuple(comp.params),
-        clean_gated=tuple(r.label for r in rule_set.rules if r.clean_gated),
         source=source,
     )
 
 
-class IRKernelProgram(KernelProgram):
-    """A :class:`~repro.core.kernel.programs.KernelProgram` generated from
-    a rule set.  Declared predicates are served as ``<name>_mask``
-    methods (``normal_mask``, ``legitimate_mask``, …) for the probes."""
+class IRKernelProgram:
+    """The array program of one rule set: the only program type the
+    kernel runtime executes (``Algorithm.rule_set().compile_kernel()``).
 
-    #: Marks programs produced by the IR compilers;
-    #: ``test_every_registered_kernel_program_is_ir_generated`` reads it.
-    ir_generated = True
+    Guards are evaluated as boolean masks over *all* processes at once;
+    a rule's action runs on a whole index vector of selected processes,
+    reading the frozen pre-step columns and writing the next-step ones
+    (the runtime's double buffer realizes composite atomicity).
+    Declared predicates are served as ``<name>_mask`` methods
+    (``normal_mask``, ``legitimate_mask``, ``icorrect_mask``, …) for the
+    probes.
+
+    Attributes
+    ----------
+    schema:
+        The :class:`~repro.core.kernel.schema.Schema` of the columns this
+        program reads and writes.
+    rules:
+        Rule labels in the dict algorithm's order
+        (``Algorithm.rule_names``), so the two backends are
+        interchangeable in traces and accounting.
+    """
 
     def __init__(self, rule_set):
         self._init_from(
@@ -469,11 +465,18 @@ class IRKernelProgram(KernelProgram):
             self._arange = np.arange(self.csr.n, dtype=np.int64)
         return self._arange
 
-    # -- KernelProgram contract ----------------------------------------
+    # -- program contract ----------------------------------------------
     def guard_masks(self, cols):
+        """Boolean enabled-mask per rule, evaluated on every process.
+
+        A rule whose guard is everywhere false may be omitted (the fast
+        path does): consumers read a missing key as an all-false mask.
+        """
         return self._code.guard_fn(cols, self)
 
     def apply(self, rule, idx, read, write):
+        """Execute ``rule`` at the processes in ``idx``: reads come from
+        ``read`` (the frozen pre-step columns), writes go to ``write``."""
         try:
             fn = self._code.apply_fns[rule]
         except KeyError:
@@ -483,6 +486,10 @@ class IRKernelProgram(KernelProgram):
         fn(idx, read, write, self)
 
     def tiled(self, copies):
+        """This program over ``copies`` disjoint copies of its network
+        (one block-diagonal CSR; per-process parameters tiled, ``schema``
+        and ``rules`` shared), or ``None`` when the rule set's
+        ``tile_check`` refuses the layout (serial fallback)."""
         check = self.rule_set.tile_check
         total = self._copies * copies
         if check is not None and not check(total):
@@ -510,28 +517,3 @@ class IRKernelProgram(KernelProgram):
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}"
         )
-
-
-class IRInputKernelProgram(IRKernelProgram, InputKernelProgram):
-    """Generated program additionally implementing the SDR input contract
-    (from an :class:`~repro.ir.rules.InputRuleSet`)."""
-
-    def guard_masks(self, cols, clean=None):
-        masks = self._code.guard_fn(cols, self)
-        if clean is not None:
-            for label in self._code.clean_gated:
-                mask = masks.get(label)
-                if mask is not None:
-                    masks[label] = mask & clean
-        return masks
-
-    def icorrect_mask(self, cols):
-        return self._code.pred_fns["icorrect"](cols, self)
-
-    def reset_mask(self, cols):
-        return self._code.pred_fns["reset"](cols, self)
-
-    def apply_reset(self, idx, read, write):
-        fn = self._code.reset_fn
-        if fn is not None:
-            fn(idx, read, write, self)

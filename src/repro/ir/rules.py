@@ -4,12 +4,14 @@ A :class:`RuleSet` bundles an algorithm's schema, guarded rules, named
 predicates (legitimacy/normality tests the probes read as ``<name>_mask``)
 and an optional fast path.  :meth:`RuleSet.compile_dict` interprets it
 against the per-process dict contract, :meth:`RuleSet.compile_kernel`
-generates a vectorized :class:`~repro.core.kernel.programs.KernelProgram`.
+generates the vectorized :class:`~repro.ir.kernelc.IRKernelProgram`.
 
 :class:`InputRuleSet` extends it with the SDR input-composition contract
 (Devismes & Johnen's ``I ∘ SDR``): an ``icorrect`` predicate, a ``reset``
 completion predicate, and the reset action, with guards that the host
-gates behind its cleanliness predicate (``clean_gated``).
+gates behind its cleanliness predicate (``clean_gated``,
+:meth:`InputRuleSet.gated_rules`).  A host embeds all of it into its own
+rule set, so a composed system compiles to one program like any other.
 :func:`merge_rule_sets` concatenates independent rule sets into one
 (namespaced) set — the IR form of :class:`repro.core.composition.Composition`.
 """
@@ -131,13 +133,9 @@ class RuleSet:
         return DictProgram(self)
 
     def compile_kernel(self):
-        """Generate the vectorized program, or ``None`` without numpy."""
-        try:
-            from .kernelc import IRKernelProgram
-        except ModuleNotFoundError as exc:  # pragma: no cover - no-numpy envs
-            if exc.name and exc.name.split(".")[0] == "numpy":
-                return None
-            raise
+        """Generate the vectorized :class:`~repro.ir.kernelc.IRKernelProgram`."""
+        from .kernelc import IRKernelProgram
+
         return IRKernelProgram(self)
 
     def kernel_code(self):
@@ -158,9 +156,10 @@ class InputRuleSet(RuleSet):
 
     ``icorrect`` and ``reset`` become the ``icorrect``/``reset``
     predicates (servable as masks), ``reset_action`` is the effect of the
-    host's reset move on the input's variables.  Rules marked
-    ``clean_gated`` are ANDed with the host's cleanliness mask when run
-    under a host; standalone (trivial-host) runs leave them ungated.
+    host's reset move on the input's variables, which a host embeds into
+    its reset rules.  Rules marked ``clean_gated`` are ANDed with the
+    host's cleanliness predicate under a host (:meth:`gated_rules`);
+    standalone (trivial-host) runs compile them ungated.
     """
 
     def __init__(self, name: str, network, schema, rules, *,
@@ -177,16 +176,15 @@ class InputRuleSet(RuleSet):
             reset_action = (reset_action,)
         self.reset_action = tuple(reset_action)
 
-    def compile_input_kernel(self):
-        """Generate an :class:`~repro.core.kernel.programs.InputKernelProgram`,
-        or ``None`` without numpy."""
-        try:
-            from .kernelc import IRInputKernelProgram
-        except ModuleNotFoundError as exc:  # pragma: no cover - no-numpy envs
-            if exc.name and exc.name.split(".")[0] == "numpy":
-                return None
-            raise
-        return IRInputKernelProgram(self)
+    def gated_rules(self, clean: Expr) -> tuple[Rule, ...]:
+        """This input's rules under a host whose cleanliness predicate is
+        ``clean``: ``clean`` ANDed onto every ``clean_gated`` guard, the
+        other rules unchanged."""
+        return tuple(
+            Rule(rule.label, clean & rule.guard if rule.clean_gated
+                 else rule.guard, rule.action)
+            for rule in self.rules
+        )
 
 
 def merge_rule_sets(name: str, network, parts) -> RuleSet:

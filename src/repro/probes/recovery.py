@@ -319,7 +319,7 @@ class SdrWaveProbe(Probe):
 
     def __init__(self):
         # Late import: keep repro.probes importable without the reset
-        # package (and without numpy).
+        # package.
         from ..reset.sdr import C, SDR_RULES, ST
 
         self._st = ST

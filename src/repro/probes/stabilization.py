@@ -18,7 +18,7 @@ The legitimacy notion is given twice, once per tier:
 When the mask resolves, :meth:`wants_decode` answers ``False`` and the
 probe rides the fused loop; when it does not (dict backend, unported
 program), the probe falls back to the decode tier — loudly, once per
-program type, when a kernel program lacks the expected mask attribute.
+rule set, when a kernel program lacks the expected mask attribute.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ Predicate = Callable[[Any], bool]
 
 _logger = logging.getLogger(__name__)
 
-#: ``ProgramType.mask_attr`` combinations already warned about — one
+#: ``rule_set_name.mask_attr`` combinations already warned about — one
 #: warning per combination (campaigns build thousands of probes).
 _MASK_FALLBACK_WARNED: set[str] = set()
 
@@ -55,13 +55,15 @@ def resolve_mask(program, mask) -> Callable | None:
         return mask
     fn = getattr(program, mask, None) if program is not None else None
     if program is not None and fn is None:
-        key = f"{type(program).__name__}.{mask}"
+        name = program.rule_set.name
+        key = f"{name}.{mask}"
         if key not in _MASK_FALLBACK_WARNED:
             _MASK_FALLBACK_WARNED.add(key)
             _logger.warning(
-                "kernel program %s provides no %s; stabilization detection "
-                "falls back to per-step decoding (slower, same results)",
-                type(program).__name__,
+                "kernel program of %s provides no %s; stabilization "
+                "detection falls back to per-step decoding (slower, same "
+                "results)",
+                name,
                 mask,
             )
     return fn

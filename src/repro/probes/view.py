@@ -22,8 +22,8 @@ class ColumnView:
     Attributes
     ----------
     program:
-        The :class:`~repro.core.kernel.programs.KernelProgram` whose
-        columns are being observed.  In batched runs this is the *base*
+        The :class:`~repro.ir.kernelc.IRKernelProgram` whose columns are
+        being observed.  In batched runs this is the *base*
         (untiled) program: the view's columns are one trial's block, so
         base-program masks evaluate per trial exactly as in a single
         run.  ``opt_index`` columns are re-localized by the batch driver

@@ -119,36 +119,16 @@ class InputAlgorithm(Algorithm):
         return None
 
     def rule_set(self):
-        """Standalone view: the input rule set itself (trivial host).
+        """Standalone view: the input rule set itself (trivial host), or
+        ``None`` while a host is attached — an attached input algorithm is
+        simulated through its host's composed rule set instead.
 
-        Rules marked ``clean_gated`` run ungated when compiled from here,
-        which is exactly the trivial host's ``P_Clean ≡ true``.
+        Rules marked ``clean_gated`` compile ungated from here, which is
+        exactly the trivial host's ``P_Clean ≡ true``.
         """
-        return self.input_rule_set()
-
-    def kernel_input_program(self):
-        """Schema-typed kernel port of this input algorithm, or ``None``.
-
-        The default compiles :meth:`input_rule_set` into an
-        :class:`~repro.core.kernel.programs.InputKernelProgram` exposing
-        vectorized ``P_ICorrect`` / ``P_reset`` masks and ``reset(u)``
-        column updates, which a reset host's kernel program composes
-        with.  ``None`` means no rule set (or numpy missing): the
-        simulator falls back to the dict backend.
-        """
-        rs = self.input_rule_set()
-        return None if rs is None else rs.compile_input_kernel()
-
-    def kernel_program(self):
-        """Standalone kernel program (host ``P_Clean ≡ true``).
-
-        Only available while detached from SDR: an attached input
-        algorithm is simulated through its host's program instead.
-        """
-        if self._host is not _TRIVIAL_HOST and not isinstance(self._host, TrivialHost):
+        if not isinstance(self._host, TrivialHost):
             return None
-        prog = self.kernel_input_program()
-        return None if prog is None else prog.as_standalone()
+        return self.input_rule_set()
 
     # ------------------------------------------------------------------
     # Convenience

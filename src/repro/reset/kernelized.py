@@ -33,10 +33,9 @@ from ..ir import (
     neigh,
     own,
 )
-from ..ir.kernelc import IRKernelProgram
 from .sdr import DIST, SDR_RULES, ST, STATUSES
 
-__all__ = ["sdr_rule_set", "SDRKernelProgram"]
+__all__ = ["sdr_rule_set"]
 
 #: Integer codes of the ``st`` enum (indices into STATUSES = (C, RB, RF)).
 _C, _RB, _RF = 0, 1, 2
@@ -90,9 +89,7 @@ def sdr_rule_set(sdr, input_rule_set) -> RuleSet:
         Rule("rule_R", p_up,
              [Assign(ST, _RB), Assign(DIST, 0), *reset_action]),
     ]
-    for rule in input_rule_set.rules:
-        guard = clean & rule.guard if rule.clean_gated else rule.guard
-        rules.append(Rule(rule.label, guard, rule.action))
+    rules += input_rule_set.gated_rules(clean)
 
     # Normal-configuration fast path (Theorem 1's attractor, where every
     # stabilized execution lives): with all statuses C, P_Clean ≡ true,
@@ -117,13 +114,6 @@ def sdr_rule_set(sdr, input_rule_set) -> RuleSet:
         fast_path=FastPath(st == _C, fast_guards),
         tile_check=input_rule_set.tile_check,
     )
-
-
-class SDRKernelProgram(IRKernelProgram):
-    """Generated ``I ∘ SDR`` program for an IR-ported input algorithm."""
-
-    def __init__(self, sdr, input_program):
-        super().__init__(sdr_rule_set(sdr, input_program.rule_set))
 
 
 assert tuple(SDR_RULES) == ("rule_RB", "rule_RF", "rule_C", "rule_R")

@@ -291,12 +291,8 @@ class SDR(Algorithm):
 
     def rule_set(self):
         """``I ∘ SDR`` composed at the IR level, when the input is ported."""
-        try:
-            from .kernelized import sdr_rule_set
-        except ModuleNotFoundError as exc:
-            if exc.name and exc.name.split(".")[0] == "numpy":
-                return None  # numpy missing: dict backend only
-            raise
+        from .kernelized import sdr_rule_set
+
         input_rule_set = self.input.input_rule_set()
         if input_rule_set is None:
             return None

@@ -179,12 +179,8 @@ class BoulinierUnison(Algorithm):
 
     def rule_set(self):
         """IR definition (see :mod:`repro.unison.kernelized`)."""
-        try:
-            from .kernelized import boulinier_rule_set
-        except ModuleNotFoundError as exc:
-            if exc.name and exc.name.split(".")[0] == "numpy":
-                return None  # numpy missing: dict backend only
-            raise
+        from .kernelized import boulinier_rule_set
+
         return boulinier_rule_set(self)
 
     # ------------------------------------------------------------------

@@ -37,16 +37,10 @@ from ..ir import (
     own,
     where,
 )
-from ..ir.kernelc import IRInputKernelProgram, IRKernelProgram
 from .boulinier import RCLOCK
 from .unison import CLOCK
 
-__all__ = [
-    "unison_rule_set",
-    "boulinier_rule_set",
-    "UnisonKernelProgram",
-    "BoulinierKernelProgram",
-]
+__all__ = ["unison_rule_set", "boulinier_rule_set"]
 
 
 def unison_rule_set(algorithm) -> InputRuleSet:
@@ -110,17 +104,3 @@ def boulinier_rule_set(algorithm) -> RuleSet:
         ],
         predicates={"legitimate": normal & all_neighbors(comparable)},
     )
-
-
-class UnisonKernelProgram(IRInputKernelProgram):
-    """Generated kernel program of the paper's Algorithm U."""
-
-    def __init__(self, algorithm):
-        super().__init__(unison_rule_set(algorithm))
-
-
-class BoulinierKernelProgram(IRKernelProgram):
-    """Generated kernel program of the reset-tail unison baseline."""
-
-    def __init__(self, algorithm):
-        super().__init__(boulinier_rule_set(algorithm))

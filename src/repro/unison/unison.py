@@ -102,12 +102,8 @@ class Unison(InputAlgorithm):
         return {CLOCK: 0}
 
     def input_rule_set(self):
-        try:
-            from .kernelized import unison_rule_set
-        except ModuleNotFoundError as exc:
-            if exc.name and exc.name.split(".")[0] == "numpy":
-                return None  # numpy missing: dict backend only
-            raise
+        from .kernelized import unison_rule_set
+
         return unison_rule_set(self)
 
     def initial_state(self, u: int) -> dict[str, Any]:

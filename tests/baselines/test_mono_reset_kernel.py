@@ -4,10 +4,10 @@ from random import Random
 
 import pytest
 
-from repro.baselines.kernelized import MonoResetKernelProgram
 from repro.baselines.mono_reset import MonoReset
 from repro.core import Simulator, make_daemon
 from repro.faults.injector import corrupt_processes
+from repro.ir.kernelc import IRKernelProgram
 from repro.probes import StabilizationProbe
 from repro.topology import by_name, grid, ring
 from repro.unison import Unison
@@ -23,7 +23,7 @@ def corrupted(mono, seed, k=2):
 
 def test_backend_auto_picks_the_kernel():
     mono = MonoReset(Unison(ring(8)))
-    assert isinstance(mono.kernel_program(), MonoResetKernelProgram)
+    assert isinstance(mono.kernel_program(), IRKernelProgram)
     sim = Simulator(mono, make_daemon("distributed-random", mono.network), seed=0)
     assert sim.backend == "kernel"
 
@@ -32,7 +32,7 @@ def test_unported_input_keeps_the_dict_backend():
     from repro.reset.interface import InputAlgorithm
 
     class Unported(Unison):
-        def kernel_input_program(self):
+        def input_rule_set(self):
             return None
 
     mono = MonoReset(Unported(ring(8)))

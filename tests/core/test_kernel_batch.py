@@ -105,18 +105,6 @@ class TestProgramTiling:
             assert tiled.rules == program.rules
             assert tiled.csr.n == 4 * net.n
 
-    def test_untileable_program_returns_none(self):
-        from repro.core.kernel.programs import KernelProgram
-
-        class Bare(KernelProgram):
-            def guard_masks(self, cols):  # pragma: no cover
-                return {}
-
-            def apply(self, rule, idx, read, write):  # pragma: no cover
-                pass
-
-        assert Bare().tiled(2) is None
-
 
 class TestRunBatch:
     def _unison_batch(self, seeds, max_steps=400, until=True):
@@ -167,9 +155,7 @@ class TestRunBatch:
             )
 
     def test_exclusion_check_names_trial(self):
-        from repro.core.kernel.programs import KernelProgram
-
-        class Broken(KernelProgram):
+        class Broken:
             """Two rules enabled at once at every process."""
 
             def __init__(self, net):

@@ -15,7 +15,7 @@ from repro.core import (
 )
 from repro.core.configuration import Configuration
 from repro.core.exceptions import AlgorithmError
-from repro.core.kernel import CSRAdjacency, KernelRuntime, Schema, Var, kernel_available
+from repro.core.kernel import CSRAdjacency, KernelRuntime, Schema, Var
 from repro.core.graph import Network
 from repro.reset import SDR
 from repro.topology import grid, ring, star
@@ -108,9 +108,7 @@ class TestKernelRuntime:
     def test_multi_rule_enabled_map_is_not_cached_stale(self):
         """Two multi-rule states with the same *shape* but different rule
         sets must not hit the unchanged-state cache (regression)."""
-        from repro.core.kernel import KernelProgram
-
-        class ThreeRules(KernelProgram):
+        class ThreeRules:
             # A always enabled; B on even x; C on odd x — so x=0 -> {A,B}
             # and x=1 -> {A,C} produce identical sentinel patterns.
             schema = Schema(Var.int("x"))
@@ -137,7 +135,7 @@ class TestBackendSelection:
         net = ring(6)
         for algo in (Unison(net), SDR(Unison(net)), FGA(net, 1, 1), SDR(FGA(net, 1, 1))):
             sim = Simulator(algo, SynchronousDaemon(), seed=0)
-            assert sim.backend == ("kernel" if kernel_available() else "dict")
+            assert sim.backend == "kernel"
 
     def test_dict_backend_forced(self):
         sim = Simulator(Unison(ring(4)), SynchronousDaemon(), seed=0, backend="dict")

@@ -98,6 +98,31 @@ def test_stabilization_probe_with_missing_mask_attr_falls_back():
     probe.require_hit()
 
 
+def test_missing_mask_warns_once_per_rule_set(caplog):
+    """Every program is an IRKernelProgram, so the warn-once key is the
+    rule set: one rule set's missing mask must not silence another's."""
+    import logging
+
+    from repro.alliance import FGA
+    from repro.probes import stabilization
+    from repro.probes.stabilization import resolve_mask
+
+    net = ring(6)
+    programs = [SDR(Unison(net)).kernel_program(),
+                SDR(FGA(net, 1, 1)).kernel_program()]
+    for program in programs:
+        stabilization._MASK_FALLBACK_WARNED.discard(
+            f"{program.rule_set.name}.legitimate_mask"
+        )
+    with caplog.at_level(logging.WARNING, logger="repro.probes.stabilization"):
+        for program in programs * 2:
+            assert resolve_mask(program, "legitimate_mask") is None
+    messages = [record.getMessage() for record in caplog.records]
+    assert len(messages) == 2
+    for program, message in zip(programs, messages):
+        assert program.rule_set.name in message
+
+
 # ======================================================================
 # Sampling probes: fused == decode
 # ======================================================================

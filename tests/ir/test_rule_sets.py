@@ -24,6 +24,7 @@ from repro.ir import (
     col,
     const,
     merge_rule_sets,
+    param,
 )
 from repro.ir.check import check_algorithm, main, run_check
 from repro.ir.registry import registered_algorithms
@@ -139,16 +140,24 @@ def _input_rule_set(net):
 
 def test_clean_gating_ands_host_mask_onto_gated_rules_only():
     net = network()
-    program = _input_rule_set(net).compile_input_kernel()
+    input_rule_set = _input_rule_set(net)
     cfg = Configuration([{C: v} for v in [0, 3, 7, 11, 4, 12]])
-    cols = program.schema.encode(cfg)
+    standalone = input_rule_set.compile_kernel()
+    cols = standalone.schema.encode(cfg)
 
-    ungated = program.guard_masks(cols)
+    ungated = standalone.guard_masks(cols)
     assert list(ungated["step"]) == [True, True, False, False, True, False]
     assert list(ungated["fix"]) == [False, False, False, True, False, True]
 
-    clean = np.array([True, False, True, True, False, True])
-    gated = program.guard_masks(cols, clean)
+    clean = param((True, False, True, True, False, True), "clean")
+    rules = input_rule_set.gated_rules(clean)
+    assert [r.label for r in rules] == ["step", "fix"]
+    # Actions pass through untouched; ungated guards are the same nodes.
+    assert [r.action for r in rules] == [r.action for r in input_rule_set.rules]
+    assert rules[1].guard is input_rule_set.rules[1].guard
+
+    host = RuleSet("toy-host", net, input_rule_set.schema, rules)
+    gated = host.compile_kernel().guard_masks(cols)
     assert list(gated["step"]) == [True, False, False, False, False, False]
     # Ungated rules ignore the host's cleanliness mask.
     assert list(gated["fix"]) == list(ungated["fix"])
@@ -159,7 +168,7 @@ def test_input_predicates_and_reset_action_lower_identically():
     rule_set = _input_rule_set(net)
     cfg = Configuration([{C: v} for v in [0, 3, 7, 11, 4, 12]])
     dict_program = rule_set.compile_dict()
-    program = rule_set.compile_input_kernel()
+    program = rule_set.compile_kernel()
     cols = program.schema.encode(cfg)
 
     for name, mask in (
@@ -170,8 +179,11 @@ def test_input_predicates_and_reset_action_lower_identically():
             dict_program.predicate(name, cfg, u) for u in net.processes()
         ]
 
+    # A host embeds the reset action into one of its own rules.
+    host = RuleSet("toy-host", net, rule_set.schema,
+                   [Rule("do_reset", col(C) >= 0, rule_set.reset_action)])
     write = {name: column.copy() for name, column in cols.items()}
-    program.apply_reset(np.array([2, 3]), cols, write)
+    host.compile_kernel().apply("do_reset", np.array([2, 3]), cols, write)
     assert list(write[C]) == [0, 3, 0, 0, 4, 12]
 
 

@@ -27,6 +27,7 @@ from repro.baselines.mono_reset import MonoReset
 from repro.core import Simulator, Trace, make_daemon
 from repro.core.composition import Composition
 from repro.core.kernel.batch import run_batch
+from repro.ir.kernelc import IRKernelProgram
 from repro.ir.registry import registered_algorithms
 from repro.probes import Probe
 from repro.topology import grid, random_connected, random_tree, ring
@@ -100,9 +101,7 @@ def test_ir_backend_identical_traces(topology, daemon, algorithm):
 def test_every_registered_kernel_program_is_ir_generated():
     for label, factory in registered_algorithms():
         program = factory().kernel_program()
-        assert program is not None, label
-        inner = getattr(program, "inner", program)
-        assert getattr(inner, "ir_generated", False), (
+        assert isinstance(program, IRKernelProgram), (
             f"{label}: kernel program is not IR-generated"
         )
 
