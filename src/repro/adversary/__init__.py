@@ -13,9 +13,11 @@ tightened curves instead of unexercised upper bounds:
   (reset-distance mass, unison skew, FGA election churn, enabled-moves
   preservation) evaluated directly on the kernel's columns;
 * :mod:`repro.adversary.search` — :class:`GreedyAdversary` (1-step
-  lookahead over scratch buffers) and :class:`BeamAdversary` (width-W
-  beam over :meth:`KernelRuntime.snapshot` rollouts), adapted into the
-  daemon contract by :class:`SearchDaemon`;
+  lookahead) and :class:`BeamAdversary` (width-W beam over bounded
+  rollouts), both rolling out on column dicts of their own — the
+  kernel runtime is only read — and adapted into the daemon contract
+  by :class:`SearchDaemon` (kernel backend only; ``adversarial:delay``
+  runs on both);
 * :mod:`repro.adversary.certificates` — every search emits a replayable
   schedule certificate that :class:`~repro.core.daemon.ScriptedDaemon`
   re-executes byte-identically on the dict backend.

@@ -4,23 +4,26 @@ Two column-tier searches drive the kernel engine toward worst-case
 executions:
 
 * :class:`GreedyAdversary` — 1-step lookahead: every enabled
-  ``(process, rule)`` candidate is applied on a scratch buffer and the
-  successor configurations are ranked by potential
+  ``(process, rule)`` candidate's successor configuration
+  (:func:`successor`) is ranked by potential
   (:mod:`repro.adversary.potential`); the best candidate is scheduled.
-* :class:`BeamAdversary` — width-W beam over bounded rollouts: branches
-  are explored on the *live* :class:`~repro.core.kernel.engine.KernelRuntime`
-  via :meth:`~repro.core.kernel.engine.KernelRuntime.snapshot` /
-  :meth:`~repro.core.kernel.engine.KernelRuntime.restore`, scoring each
-  partial plan by moves-spent-so-far plus successor potential, and the
-  first move of the best plan is scheduled.
+* :class:`BeamAdversary` — width-W beam over bounded rollouts: each beam
+  state is a successor column dict plus the plan's first move, scored by
+  moves spent so far plus successor potential, and the first move of the
+  best plan is scheduled.
+
+Rollouts are pure functions of column dicts: a search reads the live
+:class:`~repro.core.kernel.engine.KernelRuntime`'s program, columns and
+liveness but never writes them — only the driver advances the runtime.
 
 :class:`SearchDaemon` adapts a strategy into the daemon contract, so
 ``Simulator(daemon=...)``, the campaign engine, and trial keys work
-unchanged.  On the kernel backend it reaches the runtime through the
-simulator's lazy config view; on the dict backend it degrades to the
-decode-tier scored heuristic (:class:`AdversarialDaemon`, folded in here
-from ``repro.core.daemon`` — the old import path still works through a
-deprecation shim).  Every selection is logged so
+unchanged.  It reaches the runtime through the simulator's lazy config
+view, so a column-tier strategy needs the kernel backend and raises
+:class:`~repro.core.exceptions.DaemonError` without one.  The scored
+heuristic (``adversarial:delay``, a :class:`ScoredStrategy` selecting
+through :class:`AdversarialDaemon`) reads only the configuration and
+runs the same schedule on both backends.  Every selection is logged so
 :mod:`repro.adversary.certificates` can emit a replayable certificate.
 
 Searches are deterministic: they never consume the simulator's RNG, and
@@ -38,8 +41,9 @@ import numpy as np
 from ..core.configuration import Configuration
 from ..core.daemon import Daemon
 from ..core.exceptions import DaemonError
+from ..core.kernel.engine import enabled_map, live_masks
 from ..reset.sdr import SDR_RULES
-from .potential import Potential, default_potential
+from .potential import Columns, Potential, default_potential
 
 __all__ = [
     "SearchStrategy",
@@ -49,6 +53,7 @@ __all__ = [
     "SearchDaemon",
     "AdversarialDaemon",
     "delay_strategy",
+    "successor",
     "make_search_daemon",
     "known_strategy",
     "STRATEGY_KINDS",
@@ -63,8 +68,7 @@ def delay_strategy(cfg: Configuration, u: int, rule: str, step: int) -> float:
 
     Stretches executions toward the move-complexity worst case: the
     daemon lets the input algorithm churn before letting resets make
-    progress.  Backend-independent (reads only the configuration), so it
-    doubles as the decode-tier fallback of every search strategy.
+    progress.  Backend-independent: it reads only the configuration.
     """
     if rule not in SDR_RULES:
         return 3.0
@@ -81,9 +85,8 @@ class AdversarialDaemon(Daemon):
     The strategy callback receives ``(cfg, u, rule, step)`` and returns a
     score; the canonical ``(score, -u, rule)`` key picks the winner —
     highest score first, ties to the lowest process index, then the
-    lexicographically greatest rule name.  This is the decode-tier
-    fallback of :class:`SearchDaemon` and remains importable from
-    :mod:`repro.core.daemon` through a deprecation shim.
+    lexicographically greatest rule name.  :class:`SearchDaemon`
+    selects through it for a :class:`ScoredStrategy`.
     """
 
     name = "adversarial"
@@ -104,17 +107,33 @@ class AdversarialDaemon(Daemon):
         return {best[0]: best[1]}
 
 
+def successor(program, cols: Columns, selection: Selection) -> dict[str, np.ndarray]:
+    """The configuration one atomic step of ``selection`` leads to from ``cols``.
+
+    Pure: ``cols`` stays untouched and the successor lands in fresh
+    columns, every activated process reading the same frozen ``cols``
+    (composite atomicity).
+    """
+    nxt = {name: col.copy() for name, col in cols.items()}
+    by_rule: dict[str, list[int]] = {}
+    for u, rule in selection.items():
+        by_rule.setdefault(rule, []).append(u)
+    for rule, members in sorted(by_rule.items()):
+        program.apply(rule, np.asarray(sorted(members), dtype=np.int64), cols, nxt)
+    return nxt
+
+
 # ======================================================================
 # Column-tier strategies
 # ======================================================================
 class SearchStrategy:
-    """One schedule-search policy over the kernel runtime.
+    """One schedule-search policy over the kernel runtime's columns.
 
     ``choose_columns`` picks a selection given the live runtime and its
-    enabled map; ``score`` is the decode-tier scalar fallback used when
-    no runtime is available (dict backend).  Strategies are
-    deterministic and stateless across steps apart from cached scratch
-    buffers, which ``reset`` drops between executions.
+    enabled map, rolling out on column dicts of its own (the runtime is
+    only read).  Strategies are deterministic and stateless across steps
+    apart from the potential and stop mask they resolve against the
+    runtime's program, which ``reset`` drops between executions.
     """
 
     spec = "strategy"
@@ -130,11 +149,9 @@ class SearchStrategy:
     def __init__(self, potential: Potential | None = None):
         self._potential = potential
         self._explicit = potential is not None
-        self._scratch: dict[str, np.ndarray] | None = None
         self._stop_fn = None
 
     def reset(self) -> None:
-        self._scratch = None
         self._stop_fn = None
         if not self._explicit:
             self._potential = None
@@ -142,26 +159,26 @@ class SearchStrategy:
     def choose_columns(self, kernel, enabled: EnabledMap, step: int) -> Selection:
         raise NotImplementedError
 
-    def score(self, cfg, u: int, rule: str, step: int) -> float:
-        return delay_strategy(cfg, u, rule, step)
-
     # ------------------------------------------------------------------
-    def _materialize(self, kernel) -> tuple[Potential, dict[str, np.ndarray]]:
+    def _materialize(self, kernel) -> Potential:
         if self._potential is None:
             self._potential = default_potential(kernel.program)
-        if self._scratch is None:
-            self._scratch = {
-                name: np.empty_like(col) for name, col in kernel.read.items()
-            }
         if self._stop_fn is None and self.stop_mask is not None:
             from ..probes.stabilization import resolve_mask
 
             self._stop_fn = resolve_mask(kernel.program, self.stop_mask)
-        return self._potential, self._scratch
+        return self._potential
 
     def _stopped(self, cols) -> bool:
         """Whether ``cols`` is a configuration the measured run stops at."""
         return self._stop_fn is not None and bool(self._stop_fn(cols).all())
+
+    @staticmethod
+    def _enabled(kernel, cols: Columns) -> EnabledMap:
+        """The enabled map of rollout state ``cols`` (crashed processes
+        stay disabled, as in the runtime's own masks)."""
+        masks = live_masks(kernel.program.guard_masks(cols), kernel.live)
+        return enabled_map(masks, kernel.rules, next(iter(cols.values())).shape[0])
 
     @staticmethod
     def _candidate_selections(enabled: EnabledMap) -> list[Selection]:
@@ -203,39 +220,26 @@ class SearchStrategy:
         add({u: enabled[u][0] for u in sorted(enabled)})
         return singles + macros
 
-    def _apply_scratch(self, kernel, sel: Selection,
-                       scratch: dict[str, np.ndarray]) -> None:
-        """Apply ``sel`` on the scratch buffer (read columns untouched)."""
-        read, program = kernel.read, kernel.program
-        for name, col in read.items():
-            scratch[name][:] = col
-        by_rule: dict[str, list[int]] = {}
-        for u, rule in sel.items():
-            by_rule.setdefault(rule, []).append(u)
-        for rule, members in sorted(by_rule.items()):
-            idx = np.asarray(sorted(members), dtype=np.int64)
-            program.apply(rule, idx, read, scratch)
-
-    def _rank_candidates(self, kernel, enabled: EnabledMap):
+    def _rank_candidates(self, kernel, cols: Columns, enabled: EnabledMap):
         """Score every candidate selection by moves-spent plus potential.
 
-        Each candidate is applied alone on the scratch buffer and scored
-        ``len(selection) + potential(successor)`` — the moves the step
-        spends plus an estimate of the moves the successor still owes.
-        A successor the measured run stops at (:attr:`stop_mask`) owes
-        nothing, whatever the potential says.  Returns
-        ``[(score, selection), ...]`` sorted descending by score; ties
-        break on the canonical serialized selection (ascending), so the
-        ranking is deterministic.
+        Each candidate's successor of ``cols`` (:func:`successor`) is
+        scored ``len(selection) + potential(successor)`` — the moves the
+        step spends plus an estimate of the moves the successor still
+        owes.  A successor the measured run stops at (:attr:`stop_mask`)
+        owes nothing, whatever the potential says.  Returns
+        ``[(score, selection, successor, potential), ...]`` sorted
+        descending by score, ``potential`` being ``None`` at a stopping
+        successor; ties break on the canonical serialized selection
+        (ascending), so the ranking is deterministic.
         """
-        potential, scratch = self._materialize(kernel)
+        potential = self._materialize(kernel)
         program = kernel.program
         ranked = []
         for sel in self._candidate_selections(enabled):
-            self._apply_scratch(kernel, sel, scratch)
-            pot = (0.0 if self._stopped(scratch)
-                   else potential.score(scratch, program))
-            ranked.append((float(len(sel)) + pot, sel))
+            nxt = successor(program, cols, sel)
+            pot = None if self._stopped(nxt) else potential.score(nxt, program)
+            ranked.append((float(len(sel)) + (pot or 0.0), sel, nxt, pot))
         ranked.sort(key=lambda t: (-t[0], tuple(sorted(t[1].items()))))
         return ranked
 
@@ -249,22 +253,21 @@ class GreedyAdversary(SearchStrategy):
     spec = "greedy"
 
     def choose_columns(self, kernel, enabled, step):
-        _, sel = self._rank_candidates(kernel, enabled)[0]
-        return dict(sel)
+        return dict(self._rank_candidates(kernel, kernel.read, enabled)[0][1])
 
 
 class BeamAdversary(SearchStrategy):
-    """Width-W beam over bounded rollouts of the live kernel runtime.
+    """Width-W beam over bounded rollouts from the live configuration.
 
-    Rollouts branch off :meth:`KernelRuntime.snapshot`: each beam state
-    is a snapshot plus the plan's first move, scored by moves spent so
-    far plus the successor potential.  Per depth, each surviving state
-    expands its ``branch`` best candidates (ranked by the same 1-step
-    lookahead as :class:`GreedyAdversary`); after ``horizon`` plies the
-    first move of the best plan is scheduled and the runtime is restored
-    untouched.  Terminal rollout states persist in the beam with their
-    accumulated score, so a plan that ends the execution early is only
-    chosen if nothing longer-lived outscores it.
+    Each beam state is a rollout's columns plus the plan's first move,
+    scored by moves spent so far plus the successor potential.  Per
+    depth, each surviving state expands its ``branch`` best candidates
+    (ranked by the same 1-step lookahead as :class:`GreedyAdversary`,
+    whose successors become the next states); after ``horizon`` plies
+    the first move of the best plan is scheduled.  Terminal rollout
+    states persist in the beam with their accumulated score, so a plan
+    that ends the execution early is only chosen if nothing
+    longer-lived outscores it.
     """
 
     spec = "beam"
@@ -282,48 +285,34 @@ class BeamAdversary(SearchStrategy):
         self.branch = branch
         self.spec = f"beam-{width}x{horizon}"
 
+    def _expand(self, kernel, cols, enabled, moves: int, first=None):
+        """The ``branch`` best successor states of one beam state."""
+        for _score, sel, nxt, pot in self._rank_candidates(
+            kernel, cols, enabled
+        )[: self.branch]:
+            em = {} if pot is None else self._enabled(kernel, nxt)
+            yield (moves + len(sel) + (pot if em else 0.0), moves + len(sel),
+                   sel if first is None else first, nxt, em)
+
     def choose_columns(self, kernel, enabled, step):
-        potential, _ = self._materialize(kernel)
-        program = kernel.program
-        base = kernel.snapshot()
-        try:
-            # Depth 1: every candidate from the live configuration.
-            states = []  # (total score, moves in plan, first selection, snap, enabled)
-            for _score, sel in self._rank_candidates(kernel, enabled)[: self.branch]:
-                kernel.restore(base)
-                kernel.apply(sel)
-                stopped = self._stopped(kernel.read)
-                em = {} if stopped else dict(kernel.enabled_map())
-                pot = 0.0 if not em else potential.score(kernel.read, program)
-                states.append((len(sel) + pot, len(sel), sel,
-                               kernel.snapshot(), em))
-            # Stable sort on the score alone: ties keep the canonical
-            # candidate ranking, so the whole search stays deterministic.
-            states.sort(key=lambda s: s[0], reverse=True)
-            for _depth in range(1, self.horizon):
-                states = states[: self.width]
-                if all(not s[4] for s in states):
-                    break
-                nxt = []
-                for total, moves, first, snap, em in states:
-                    if not em:
-                        nxt.append((total, moves, first, snap, em))
-                        continue
-                    kernel.restore(snap)
-                    ranked = self._rank_candidates(kernel, em)[: self.branch]
-                    for _score, sel in ranked:
-                        kernel.restore(snap)
-                        kernel.apply(sel)
-                        stopped = self._stopped(kernel.read)
-                        em2 = {} if stopped else dict(kernel.enabled_map())
-                        pot = (0.0 if not em2
-                               else potential.score(kernel.read, program))
-                        nxt.append((moves + len(sel) + pot, moves + len(sel),
-                                    first, kernel.snapshot(), em2))
-                nxt.sort(key=lambda s: s[0], reverse=True)
-                states = nxt
-        finally:
-            kernel.restore(base)
+        # (total score, moves in plan, first selection, columns, enabled)
+        states = list(self._expand(kernel, kernel.read, enabled, 0))
+        # Stable sort on the score alone: ties keep the canonical
+        # candidate ranking, so the whole search stays deterministic.
+        states.sort(key=lambda s: s[0], reverse=True)
+        for _depth in range(1, self.horizon):
+            states = states[: self.width]
+            if all(not s[4] for s in states):
+                break
+            nxt = []
+            for state in states:
+                _total, moves, first, cols, em = state
+                if em:
+                    nxt.extend(self._expand(kernel, cols, em, moves, first))
+                else:
+                    nxt.append(state)
+            nxt.sort(key=lambda s: s[0], reverse=True)
+            states = nxt
         return dict(states[0][2])
 
 
@@ -340,11 +329,8 @@ class ScoredStrategy(SearchStrategy):
     def __init__(self, score_fn: Callable[[Configuration, int, str, int], float],
                  spec: str = "delay"):
         super().__init__()
-        self._score_fn = score_fn
+        self.score = score_fn
         self.spec = spec
-
-    def score(self, cfg, u, rule, step):
-        return self._score_fn(cfg, u, rule, step)
 
 
 # ======================================================================
@@ -356,9 +342,12 @@ class SearchDaemon(Daemon):
     On the kernel backend the simulator hands daemons a lazy config
     view; the adapter reaches through it to the live
     :class:`~repro.core.kernel.engine.KernelRuntime` and runs the
-    column-tier search without decoding anything.  On the dict backend
-    (or for scored-only strategies) it falls back to the decode-tier
-    :class:`AdversarialDaemon` with the strategy's score function.
+    column-tier search without decoding anything.  A column-tier
+    strategy without a runtime (the dict backend) raises
+    :class:`~repro.core.exceptions.DaemonError`: it has no dict twin, and
+    a silent stand-in would land a different schedule under the same
+    trial key.  A :class:`ScoredStrategy` selects through
+    :class:`AdversarialDaemon` on either backend.
 
     Every returned selection is appended to :attr:`log` (cleared by
     ``reset``, which the simulator calls once per execution), so a
@@ -372,21 +361,26 @@ class SearchDaemon(Daemon):
         self.strategy = strategy
         self.spec = f"adversarial:{strategy.spec}"
         self.log: list[Selection] = []
-        self._fallback = AdversarialDaemon(strategy.score)
+        self._scored = (
+            None if strategy.column_tier else AdversarialDaemon(strategy.score)
+        )
 
     def reset(self) -> None:
         self.log.clear()
         self.strategy.reset()
 
     def select(self, cfg, enabled, rng, step):
-        kernel = None
-        if self.strategy.column_tier:
-            sim = getattr(cfg, "_sim", None)
-            kernel = getattr(sim, "_kernel", None)
-        if kernel is not None:
-            selection = self.strategy.choose_columns(kernel, enabled, step)
+        if self._scored is not None:
+            selection = self._scored.select(cfg, enabled, rng, step)
         else:
-            selection = self._fallback.select(cfg, enabled, rng, step)
+            kernel = getattr(getattr(cfg, "_sim", None), "_kernel", None)
+            if kernel is None:
+                raise DaemonError(
+                    f"{self.spec} requires the kernel backend: the search "
+                    "rolls out on the kernel runtime's columns (replay its "
+                    "certificate on the dict backend instead)"
+                )
+            selection = self.strategy.choose_columns(kernel, enabled, step)
         self.log.append(dict(selection))
         return selection
 

@@ -16,9 +16,9 @@ exists to drive benchmarks toward interesting corners of that ∀-quantifier:
 * :class:`ScriptedDaemon` — exact replay for unit tests (and the replay
   vehicle of adversarial schedule certificates).
 
-The greedy scored ``AdversarialDaemon`` moved to
-:mod:`repro.adversary.search`, where it is the decode-tier fallback of
-the schedule-search daemons.  :func:`make_daemon` accepts ``adversarial`` and
+The greedy scored ``AdversarialDaemon`` lives in
+:mod:`repro.adversary.search`, where it selects for the scored
+``adversarial:delay`` search.  :func:`make_daemon` accepts ``adversarial`` and
 ``adversarial:<strategy>`` (e.g. ``adversarial:greedy``,
 ``adversarial:beam-2x2``, ``adversarial:delay``) and builds the search
 daemon lazily.

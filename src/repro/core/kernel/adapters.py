@@ -6,6 +6,11 @@ selects through :class:`DaemonAdapter`, a :class:`VectorDaemon`; whatever
 needs the decoded execution per step (a trace, decode-tier probes,
 ``stop_when``, the paranoid lockstep) is served by :class:`DecodeAdapter`,
 a vector-tier lane probe.  Plain lanes attach neither.
+
+Neither adapter writes the runtime: a daemon that looks ahead (the
+adversarial searches) reads the runtime's columns and rolls out on its
+own copies, so the driver's buffers hold the same contents under the
+same parity before and after every selection.
 """
 
 from __future__ import annotations
@@ -21,8 +26,7 @@ from .daemons import VectorDaemon, vectorize
 __all__ = ["DaemonAdapter", "DecodeAdapter", "drive"]
 
 
-def drive(sim, max_steps: int, *, stop_when=None, until=None,
-          step: bool = False):
+def drive(sim, max_steps: int, *, stop_when=None, step: bool = False):
     """Advance ``sim``'s columns through one lane of the array driver.
 
     The lane's daemon is the array twin of ``sim``'s daemon, else — and
@@ -65,7 +69,6 @@ def drive(sim, max_steps: int, *, stop_when=None, until=None,
         vec,
         sim.rng,
         max_steps,
-        until=until,
         rounds=rounds,
         exclusion_name=sim.algorithm.name if check else None,
         probes=probes,
@@ -143,20 +146,11 @@ class DaemonAdapter(VectorDaemon):
 
     def select(self, enabled_idx, stream):
         sim = self.sim
-        kernel = sim._kernel
-        read, write = kernel.read, kernel.write
-        enabled = kernel.enabled_map()
+        enabled = sim._kernel.enabled_map()
         sim._cfg_dirty = True
         selection = sim.daemon.select(sim._cfg_view, enabled, sim.rng, self.step)
         if sim.strict:
             sim._check_selection(selection, enabled)
-        if kernel.read is not read:
-            # A column-tier search rolled the runtime out and back
-            # (apply/restore), leaving the contents under the other
-            # parity: hand them back to the buffers the driver holds.
-            for name, col in kernel.read.items():
-                read[name][:] = col
-            kernel.read, kernel.write = read, write
         self.step += 1
         self.selection = selection
         return np.array(sorted(selection), dtype=np.int64)

@@ -15,9 +15,11 @@ buffers: every kernel-backend :class:`~repro.core.simulator.Simulator`
 execution is one lane (:meth:`KernelRuntime.run`; daemons without an
 array twin and decode-tier consumers plug in through
 :mod:`repro.core.kernel.adapters`), a batched cell
-(:func:`repro.core.kernel.batch.run_batch`) one lane per trial.
-:meth:`KernelRuntime.apply` steps the runtime outside the driver only
-for the adversarial searches' scratch rollouts.
+(:func:`repro.core.kernel.batch.run_batch`) one lane per trial.  Only
+the driver and :meth:`KernelRuntime.disturb` write a runtime's buffers:
+lookahead (the adversarial searches) rolls out on its own column dicts,
+through the program's actions and the module-level :func:`live_masks`
+and :func:`enabled_map`.
 
 At the boundary the runtime produces the enabled map as a
 ``{process: (rules…)}`` dict in ascending process order (the order
@@ -28,7 +30,7 @@ a :class:`~repro.core.configuration.Configuration` on demand.
 from __future__ import annotations
 
 from random import Random
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .daemons import VectorDaemon, open_stream
 if TYPE_CHECKING:
     from ...ir.kernelc import IRKernelProgram
 
-__all__ = ["KernelRuntime", "KernelSnapshot", "FusedResult", "Lane"]
+__all__ = ["KernelRuntime", "FusedResult", "Lane", "enabled_map", "live_masks"]
 
 #: Deferred per-process move accounting flushes into a bincount once this
 #: many buffered moves accumulate — keeps fused-loop memory O(n) on
@@ -196,6 +198,49 @@ def exclusion_offender(masks, rules, size):
     return u, offending
 
 
+def live_masks(masks, live):
+    """Guard ``masks`` restricted to live processes (``live`` a bool
+    column, or ``None`` while nothing crashed): a crashed process is
+    never enabled, never selected, never counted."""
+    if live is None:
+        return masks
+    return {
+        rule: mask & live for rule, mask in masks.items() if mask is not None
+    }
+
+
+def enabled_map(masks, rules, size, *, dispatch=None) -> dict[int, tuple[str, ...]]:
+    """``{u: enabled rules}`` of guard ``masks`` in ascending process order.
+
+    ``size`` is the process count.  ``dispatch`` is an already made
+    :func:`dispatch_rules` of these masks, ``(enabled_mask, only_rule,
+    total, rule_idx)``; without one the dispatch runs on scratch buffers.
+    """
+    if dispatch is None:
+        rule_idx = np.empty(size, dtype=np.int8)
+        enabled_mask, only, total = dispatch_rules(
+            masks, rules, rule_idx, [0] * len(rules)
+        )
+    else:
+        enabled_mask, only, total, rule_idx = dispatch
+    idx = np.flatnonzero(enabled_mask)
+    if only >= 0:
+        return dict.fromkeys(idx.tolist(), (rules[only],))
+    singles = [(rule,) for rule in rules]
+    enabled = dict(zip(
+        idx.tolist(), map(singles.__getitem__, rule_idx[idx].tolist())
+    ))
+    if total > idx.shape[0]:  # some process has several rules enabled
+        for u in idx.tolist():
+            several = tuple(
+                rule for rule in rules
+                if (mask := masks.get(rule)) is not None and mask[u]
+            )
+            if len(several) > 1:
+                enabled[u] = several
+    return enabled
+
+
 class Lane:
     """One execution inside the fused driver: a block of the columns.
 
@@ -245,28 +290,6 @@ class Lane:
             if (step := sched.peek_next()) is not None
         ]
         return min(pending) if pending else None
-
-
-class KernelSnapshot:
-    """Frozen copy of a :class:`KernelRuntime`'s mutable state.
-
-    Captures both buffer parities (read *and* write column contents),
-    the liveness column, and — when the caller passes them to
-    :meth:`KernelRuntime.snapshot` — the round-counter state and the
-    daemon RNG state, so a restore rewinds everything an adversarial
-    rollout could have disturbed.  Snapshots are plain value objects:
-    they never alias the runtime's buffers and survive any number of
-    interleaved ``apply``/``restore`` calls.
-    """
-
-    __slots__ = ("read", "write", "live", "rng_state", "rounds_state")
-
-    def __init__(self, read, write, live, rng_state, rounds_state):
-        self.read = read
-        self.write = write
-        self.live = live
-        self.rng_state = rng_state
-        self.rounds_state = rounds_state
 
 
 class KernelRuntime:
@@ -336,18 +359,13 @@ class KernelRuntime:
     # ------------------------------------------------------------------
     def guard_masks(self) -> dict[str, np.ndarray]:
         if self._masks is None:
-            masks = self.program.guard_masks(self.read)
-            if self.live is not None:
-                masks = {
-                    rule: mask & self.live
-                    for rule, mask in masks.items()
-                    if mask is not None
-                }
-            self._masks = masks
+            self._masks = live_masks(self.program.guard_masks(self.read),
+                                     self.live)
         return self._masks
 
     def enabled_map(self) -> dict[int, tuple[str, ...]]:
-        """``{u: enabled rules}`` in ascending process order.
+        """``{u: enabled rules}`` in ascending process order
+        (:func:`enabled_map`).
 
         Built once per guard evaluation, from the rule dispatch the
         driver already made when it evaluated these guards: repeated
@@ -357,103 +375,28 @@ class KernelRuntime:
         masks = self.guard_masks()
         if self._map[0] is masks:
             return self._map[1]
-        rules = self.rules
         dispatch = self._dispatch
-        if dispatch is not None and dispatch[0] is masks:
-            _, enabled_mask, only, total = dispatch
-            rule_idx = self._rule_idx
-        else:  # scratch buffers: a drive may be holding the runtime's
-            rule_idx = np.empty(self._rule_idx.shape[0], dtype=np.int8)
-            enabled_mask, only, total = dispatch_rules(
-                masks, rules, rule_idx, [0] * len(rules)
-            )
-        idx = np.flatnonzero(enabled_mask)
-        if only >= 0:
-            enabled = dict.fromkeys(idx.tolist(), (rules[only],))
-        else:
-            singles = [(rule,) for rule in rules]
-            enabled = dict(zip(
-                idx.tolist(), map(singles.__getitem__, rule_idx[idx].tolist())
-            ))
-            if total > idx.shape[0]:  # some process has several rules enabled
-                for u in idx.tolist():
-                    several = tuple(
-                        rule for rule in rules
-                        if (mask := masks.get(rule)) is not None and mask[u]
-                    )
-                    if len(several) > 1:
-                        enabled[u] = several
+        enabled = enabled_map(
+            masks, self.rules, self._rule_idx.shape[0],
+            dispatch=(*dispatch[1:], self._rule_idx)
+            if dispatch is not None and dispatch[0] is masks else None,
+        )
         self._map = (masks, enabled)
         return enabled
 
     # ------------------------------------------------------------------
-    # Stepping
+    # Disturbances
     # ------------------------------------------------------------------
-    def apply(self, selection: Mapping[int, str]) -> None:
-        """One atomic step: execute ``selection`` against the read buffer.
+    def disturb(self, occ, offset: int = 0) -> bool:
+        """Land one fault or churn occurrence on the block at ``offset``.
 
-        Outside :meth:`drive` — the adversarial searches' scratch
-        rollouts (:mod:`repro.adversary.search`) step the live runtime
-        with it between :meth:`snapshot` and :meth:`restore`.
-        """
-        by_rule: dict[str, list[int]] = {}
-        for u, rule in selection.items():
-            by_rule.setdefault(rule, []).append(u)
-        read, write = self.read, self.write
-        for name, col in read.items():
-            write[name][:] = col
-        for rule, processes in by_rule.items():
-            processes.sort()
-            idx = np.asarray(processes, dtype=np.int64)
-            self.program.apply(rule, idx, read, write)
-        self.read, self.write = write, read
-        self._masks = None
-
-    def snapshot(self, rng: Random | None = None, rounds=None) -> KernelSnapshot:
-        """Copy the runtime's mutable state into a :class:`KernelSnapshot`.
-
-        ``rng`` (a :class:`random.Random`) and ``rounds`` (a started
-        :class:`~repro.core.rounds.RoundCounter`) are optional: when
-        given, their state is captured too and :meth:`restore` rewinds
-        them alongside the columns.  Used by the adversarial beam search
-        (:mod:`repro.adversary.search`) to branch rollouts off the live
-        runtime without cloning it.
-        """
-        return KernelSnapshot(
-            {name: col.copy() for name, col in self.read.items()},
-            {name: col.copy() for name, col in self.write.items()},
-            None if self.live is None else self.live.copy(),
-            None if rng is None else rng.getstate(),
-            None if rounds is None else (rounds.completed, rounds.pending),
-        )
-
-    def restore(self, snap: KernelSnapshot, rng: Random | None = None,
-                rounds=None) -> None:
-        """Rewind the runtime to ``snap`` (inverse of :meth:`snapshot`).
-
-        Column contents are copied back *in place* into whichever buffer
-        currently holds each parity — buffer identity is irrelevant, only
-        contents matter — and the guard-mask cache is invalidated so the
-        next query sees the restored configuration.
-        """
-        for name, col in snap.read.items():
-            self.read[name][:] = col
-        for name, col in snap.write.items():
-            self.write[name][:] = col
-        if snap.live is None:
-            self.live = None
-        elif self.live is None:
-            self.live = snap.live.copy()
-        else:
-            self.live[:] = snap.live
-        self._masks = None
-        if rng is not None and snap.rng_state is not None:
-            rng.setstate(snap.rng_state)
-        if rounds is not None and snap.rounds_state is not None:
-            rounds.resume(*snap.rounds_state)
-
-    def inject(self, assignments, offset: int = 0) -> None:
-        """Corrupt registers in place: ``(process, variable, value)`` triples.
+        Rewires the program's CSR adjacency in place
+        (:meth:`~repro.core.kernel.csr.CSRAdjacency.apply_delta`),
+        maintains the liveness column, and corrupts the registers of the
+        occurrence's ``(process, variable, value)`` assignments.  A
+        crashed process's registers stay frozen in the columns —
+        neighbors can no longer read them because its edges are gone,
+        and the liveness mask keeps it out of every enabled set.
 
         Values are *decoded* (the same plain-Python values the dict
         backend writes via ``Configuration.set``); each is encoded
@@ -461,30 +404,8 @@ class KernelRuntime:
         smuggle an out-of-domain value into a column.  ``offset`` is the
         first process of the target block in a tiled runtime: processes
         shift by it, and so do ``opt_index`` values (globalized exactly
-        like :meth:`Schema.encode_tiled`).  Invalidates the guard-mask
-        cache — the next ``enabled_map`` / ``guard_masks`` call sees the
-        corrupted configuration.
-        """
-        schema_vars = {var.name: var for var in self.program.schema.vars}
-        for u, name, value in assignments:
-            var = schema_vars[name]
-            code = var.encode_value(value)
-            if offset and var.kind == "opt_index" and code >= 0:
-                code += offset
-            self.read[name][u + offset] = code
-        self._masks = None
-
-    def disturb(self, occ, offset: int = 0) -> bool:
-        """Land one fault or churn occurrence on the block at ``offset``.
-
-        Rewires the program's CSR adjacency in place
-        (:meth:`~repro.core.kernel.csr.CSRAdjacency.apply_delta`),
-        maintains the liveness column, and writes the occurrence's
-        register assignments through :meth:`inject`.  A crashed
-        process's registers stay frozen in the columns — neighbors can
-        no longer read them because its edges are gone, and the
-        liveness mask keeps it out of every enabled set.  Returns
-        whether links changed (topology-aware daemons must follow).
+        like :meth:`Schema.encode_tiled`).  Returns whether links
+        changed (topology-aware daemons must follow).
         """
         rewired = bool(occ.drops or occ.adds)
         if rewired:
@@ -499,7 +420,13 @@ class KernelRuntime:
         if occ.joined and self.live is not None:
             self.live[[u + offset for u in occ.joined]] = True
         if occ.assignments:
-            self.inject(occ.assignments, offset)
+            schema_vars = {var.name: var for var in self.program.schema.vars}
+            for u, name, value in occ.assignments:
+                var = schema_vars[name]
+                code = var.encode_value(value)
+                if offset and var.kind == "opt_index" and code >= 0:
+                    code += offset
+                self.read[name][u + offset] = code
         self._masks = None
         return rewired
 
@@ -512,7 +439,6 @@ class KernelRuntime:
         rng: Random,
         max_steps: int,
         *,
-        until: Callable[[Mapping[str, np.ndarray]], np.ndarray] | None = None,
         rounds=None,
         exclusion_name: str | None = None,
         probes=(),
@@ -522,11 +448,8 @@ class KernelRuntime:
     ) -> FusedResult:
         """Run this runtime's one execution through :meth:`drive`.
 
-        The single lane covers the runtime's own buffers.  ``until`` is
-        an optional per-process predicate over the read columns (the run
-        stops with ``stop_reason="predicate"`` once it holds everywhere,
-        the initial configuration included); ``rounds`` an optional,
-        already started :class:`~repro.core.rounds.ArrayRoundCounter`,
+        The single lane covers the runtime's own buffers.  ``rounds`` is
+        an optional, already started :class:`~repro.core.rounds.ArrayRoundCounter`,
         updated in place; ``exclusion_name`` enables the per-step
         mutual-exclusion check (the value names the algorithm in the
         error).  ``probes`` are vector-tier :class:`repro.probes.Probe`
@@ -542,7 +465,6 @@ class KernelRuntime:
         acc = self.drive(
             [lane],
             max_steps=max_steps,
-            until=None if until is None else (lambda prog, cols: until(cols)),
             rounds=rounds,
             exclusion_name=exclusion_name,
         )
@@ -641,16 +563,11 @@ class KernelRuntime:
             (of ``masks``, or of freshly evaluated guards)."""
             dispatch = self._dispatch
             if masks is None:
-                masks = program.guard_masks(read)
                 live = self.live
-                if live is not None:
-                    live = live[:size]
-                    masks = {
-                        rule: mask & live
-                        for rule, mask in masks.items()
-                        if mask is not None
-                    }
-                self._masks = masks
+                masks = self._masks = live_masks(
+                    program.guard_masks(read),
+                    None if live is None else live[:size],
+                )
             if dispatch is not None and dispatch[0] is masks:
                 _, enabled, only, grand = dispatch
             else:

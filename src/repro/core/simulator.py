@@ -21,7 +21,7 @@ Two interchangeable backends implement the step relation:
   adjacency; guards become vectorized masks and actions mutate a double
   buffer.  Every execution
   — :meth:`Simulator.run`, :meth:`Simulator.step`, ``stop_when``,
-  :meth:`Simulator.run_until_mask`, paranoid mode — is one lane of
+  paranoid mode — is one lane of
   :meth:`~repro.core.kernel.engine.KernelRuntime.drive`; daemons without
   an array twin and decode-tier consumers (traces, decode probes,
   ``stop_when``, the lockstep) plug into it through
@@ -669,29 +669,12 @@ class Simulator:
         return (all(not probe.wants_decode() for probe in self.probes)
                 and vectorize(self.daemon, self.network) is not None)
 
-    def _drive(self, max_steps: int, *, stop_when=None, until=None,
-               step: bool = False):
+    def _drive(self, max_steps: int, *, stop_when=None, step: bool = False):
         """One lane of the array driver: ``(stop_reason, last_record)``
         (see :func:`repro.core.kernel.adapters.drive`)."""
         from .kernel.adapters import drive
 
-        return drive(self, max_steps, stop_when=stop_when, until=until, step=step)
-
-    def run_until_mask(self, mask_fn, max_steps: int = 1_000_000) -> RunResult:
-        """:meth:`run` with a vectorized convergence predicate.
-
-        ``mask_fn(columns) -> bool ndarray`` is the per-process legitimacy
-        mask (e.g. a kernel program's ``normal_mask``); the run stops the
-        first time it holds everywhere — evaluated on the initial
-        configuration too, exactly like ``stop_when`` — with stop reason
-        ``"predicate"``.  Kernel backend only.  (The experiment runners
-        measure through :class:`repro.probes.StabilizationProbe`
-        instead, which also records the hit accounting and closure
-        violations.)
-        """
-        if self.backend != "kernel":
-            raise RuntimeError("run_until_mask requires the kernel backend")
-        return self._finish(self._drive(max_steps, until=mask_fn)[0])
+        return drive(self, max_steps, stop_when=stop_when, step=step)
 
     # ------------------------------------------------------------------
     # Driving loops

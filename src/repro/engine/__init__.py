@@ -40,7 +40,7 @@ functions (``runner``).
 """
 
 from .campaign import Campaign, TrialSpec
-from .pool import FailurePolicy, default_chunksize, execute_trial, run_specs
+from .pool import FailurePolicy, execute_trial, run_specs
 from .reports import (
     aggregate,
     scaling_figure,
@@ -65,7 +65,6 @@ __all__ = [
     "execute_trial",
     "run_specs",
     "FailurePolicy",
-    "default_chunksize",
     "SCHEMA_VERSION",
     "ResultStore",
     "StoreError",

@@ -36,7 +36,6 @@ __all__ = [
     "execute_trial",
     "execute_batch",
     "run_specs",
-    "default_chunksize",
     "FailurePolicy",
 ]
 
@@ -259,7 +258,7 @@ def _worker(
     return records, error, meta
 
 
-def default_chunksize(total: int, workers: int) -> int:
+def _chunksize(total: int, workers: int) -> int:
     """Chunk so each worker sees ~4 batches: big enough to amortize IPC,
     small enough to keep the tail balanced when trial costs vary."""
     return max(1, total // (workers * 4) or 1)
@@ -523,7 +522,6 @@ def run_specs(
     *,
     campaign: str = "",
     workers: int = 0,
-    chunksize: int | None = None,
     progress: ProgressFn | None = None,
     store: ResultStore | None = None,
     batch: bool = True,
@@ -686,11 +684,7 @@ def run_specs(
             land_unit(_worker(args), absorb_phases=False)
     else:
         workers = min(workers, len(units))
-        chunk = (
-            chunksize
-            if chunksize is not None
-            else default_chunksize(len(units), workers)
-        )
+        chunk = _chunksize(len(units), workers)
         with multiprocessing.Pool(workers) as pool:
             for result in pool.imap_unordered(_worker, payload, chunksize=chunk):
                 land_unit(result, absorb_phases=True)

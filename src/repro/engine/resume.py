@@ -71,7 +71,6 @@ def run_campaign(
     store: ResultStore | None = None,
     workers: int = 0,
     resume: bool = False,
-    chunksize: int | None = None,
     progress: ProgressFn | None = None,
     batch: bool = True,
     events=None,
@@ -126,7 +125,6 @@ def run_campaign(
         campaign.seed,
         campaign=campaign.name,
         workers=workers,
-        chunksize=chunksize,
         progress=progress,
         store=store,
         batch=batch,

@@ -166,12 +166,6 @@ def _measure(sim: Simulator, predicate, mask: str,
     return probe
 
 
-#: The delay heuristic moved to :mod:`repro.adversary.search` (it is the
-#: decode-tier fallback score of every search strategy); keep the old
-#: private name for the experiment bodies below.
-_delay_strategy = delay_strategy
-
-
 def _daemon_menu(network):
     return {
         "synchronous": SynchronousDaemon(),

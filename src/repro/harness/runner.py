@@ -381,7 +381,7 @@ def _adversary_daemon(adversary: str, daemon, backend: str, faults, churn,
     column-tier search has no dict twin, so cross-backend confidence
     comes from replaying its certificate on the dict backend instead.
     Faults and churn are rejected (a disturbance mid-rollout would
-    invalidate every snapshot score).  ``stop_mask`` is the trial's
+    invalidate every rollout score).  ``stop_mask`` is the trial's
     legitimacy mask: the search treats configurations satisfying it as
     terminal, since the measured run stops there.
     """
@@ -576,7 +576,7 @@ def can_batch(spec: "TrialSpec") -> bool:
     return not (
         spec.algorithm not in ALGORITHMS
         # Search daemons have no vector twin: they *are* the scheduler,
-        # driving the runtime through snapshots.
+        # looking ahead from the runtime's columns every step.
         or spec.daemon not in DAEMON_KINDS or spec.daemon == "adversarial"
         or params.get("adversary")
         or params.get("backend") == "dict" or params.get("probe") == "decode"

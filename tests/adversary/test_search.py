@@ -14,12 +14,15 @@ from repro.adversary.search import (
     delay_strategy,
     known_strategy,
     make_search_daemon,
+    successor,
 )
 from repro.core.daemon import DAEMON_KINDS, daemon_kind_known, make_daemon
 from repro.core.exceptions import DaemonError
 from repro.core.simulator import Simulator
+from repro.faults.scenarios import clock_split
+from repro.harness.runner import run_network_trial
 from repro.reset import SDR
-from repro.topology import ring
+from repro.topology import by_name, ring
 from repro.unison import Unison
 
 
@@ -129,46 +132,41 @@ class TestDaemonRegistry:
         assert not daemon_kind_known("nope")
 
 
-class TestKernelSnapshot:
-    def test_snapshot_restore_round_trip(self):
-        sdr = SDR(Unison(ring(6)))
-        sim = Simulator(sdr, make_daemon("synchronous"), seed=0,
-                        backend="kernel")
+class TestRolloutsLeaveTheRuntime:
+    """Searches roll out on their own columns: the runtime is only read."""
+
+    @pytest.mark.parametrize("spec", ["beam-1x1x1", "beam-2x2"])
+    def test_choose_columns_keeps_buffers_and_enabled_map(self, spec):
+        sdr = SDR(Unison(ring(8)))
+        sim = Simulator(sdr, make_daemon("synchronous"),
+                        config=clock_split(sdr), seed=0, backend="kernel")
         sim.run(max_steps=2)
         kernel = sim._kernel
-        snap = kernel.snapshot()
-        before = {name: col.copy() for name, col in kernel.read.items()}
-        enabled_before = dict(kernel.enabled_map())
-        # Drive the runtime forward, then rewind.
-        for _ in range(3):
-            em = dict(kernel.enabled_map())
-            if not em:
-                break
-            u = min(em)
-            kernel.apply({u: em[u][0]})
-        kernel.restore(snap)
-        for name, col in before.items():
-            assert (kernel.read[name] == col).all()
-        assert dict(kernel.enabled_map()) == enabled_before
+        read, write = kernel.read, kernel.write
+        before = [{name: col.copy() for name, col in buf.items()}
+                  for buf in (read, write)]
+        enabled = kernel.enabled_map()
+        assert enabled
+        strategy = make_search_daemon(spec).strategy
+        selection = strategy.choose_columns(kernel, enabled, 2)
+        assert selection
+        assert kernel.read is read and kernel.write is write
+        for buf, copy in zip((read, write), before):
+            for name, col in copy.items():
+                assert (buf[name] == col).all()
+        assert kernel.enabled_map() is enabled
 
-    def test_snapshot_carries_rng_and_rounds(self):
-        from repro.core.rounds import RoundCounter
-
+    def test_successor_is_pure(self):
         sdr = SDR(Unison(ring(4)))
         sim = Simulator(sdr, make_daemon("synchronous"), seed=0,
                         backend="kernel")
-        sim.run(max_steps=1)
         kernel = sim._kernel
-        rng = Random(42)
-        rounds = RoundCounter()
-        rounds.resume(3, set(range(4)))
-        snap = kernel.snapshot(rng=rng, rounds=rounds)
-        state = rng.getstate()
-        rng.random()
-        rounds.resume(7, set())
-        kernel.restore(snap, rng=rng, rounds=rounds)
-        assert rng.getstate() == state
-        assert rounds.completed == 3
+        before = {name: col.copy() for name, col in kernel.read.items()}
+        nxt = successor(kernel.program, kernel.read,
+                        {u: "rule_U" for u in range(4)})
+        assert nxt["c"].tolist() == [1, 1, 1, 1]
+        for name, col in before.items():
+            assert (kernel.read[name] == col).all()
 
 
 class TestSearchDaemonAdapter:
@@ -183,14 +181,27 @@ class TestSearchDaemonAdapter:
         daemon.reset()
         assert daemon.log == []
 
-    def test_dict_backend_falls_back_to_scored_tier(self):
-        net = ring(6)
-        sdr = SDR(Unison(net))
-        daemon = make_search_daemon("greedy")
-        sim = Simulator(sdr, daemon, seed=0, backend="dict")
-        sim.run(max_steps=4)
-        # Decode-tier fallback activates exactly one process per step.
-        assert [len(sel) for sel in daemon.log] == [1, 1, 1, 1]
+    @pytest.mark.parametrize("daemon", [
+        "adversarial", "adversarial:greedy", "adversarial:beam-2x2",
+    ])
+    def test_column_tier_searches_raise_on_dict_backend(self, daemon):
+        # No silent stand-in schedule under the same trial key.
+        with pytest.raises(DaemonError, match="requires the kernel backend"):
+            run_network_trial("unison", by_name("ring", 8, seed=4), seed=0,
+                              scenario="split", daemon=daemon, backend="dict")
+
+    def test_delay_trials_equal_on_both_backends(self):
+        trials = [
+            run_network_trial("unison", by_name("ring", 8, seed=4), seed=0,
+                              scenario="split", daemon="adversarial:delay",
+                              backend=backend)
+            for backend in ("kernel", "dict")
+        ]
+        kernel, dict_ = [
+            (t.moves, t.rounds, t.steps, t.metrics, t.extra) for t in trials
+        ]
+        assert kernel == dict_
+        assert kernel[:3] == (37, 7, 37)
 
     def test_searches_are_seed_independent(self):
         net = ring(6)

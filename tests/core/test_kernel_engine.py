@@ -16,7 +16,9 @@ from repro.core import (
 from repro.core.configuration import Configuration
 from repro.core.exceptions import AlgorithmError
 from repro.core.kernel import CSRAdjacency, KernelRuntime, Schema, Var
+from repro.core.kernel.engine import enabled_map
 from repro.core.graph import Network
+from repro.faults.schedule import Occurrence
 from repro.reset import SDR
 from repro.topology import grid, ring, star
 from repro.unison import Unison
@@ -98,12 +100,11 @@ class TestKernelRuntime:
         rebuilt = runtime.enabled_map()
         assert rebuilt == enabled and rebuilt is not enabled
 
-    def test_apply_is_composite_atomic(self):
-        net = ring(4)
-        algo = Unison(net)
-        runtime = KernelRuntime(algo.kernel_program(), algo.initial_configuration())
-        runtime.apply({u: "rule_U" for u in range(4)})
-        assert runtime.decode().variable("c") == [1, 1, 1, 1]
+    def test_step_is_composite_atomic(self):
+        algo = Unison(ring(4))
+        sim = Simulator(algo, SynchronousDaemon(), seed=0, backend="kernel")
+        sim.step()
+        assert sim._kernel.decode().variable("c") == [1, 1, 1, 1]
 
     def test_multi_rule_enabled_map_is_not_cached_stale(self):
         """Two multi-rule states with the same *shape* but different rule
@@ -123,8 +124,12 @@ class TestKernelRuntime:
 
         runtime = KernelRuntime(ThreeRules(), Configuration([{"x": 0}]))
         assert runtime.enabled_map() == {0: ("A", "B")}
-        runtime.apply({0: "A"})
+        runtime.disturb(Occurrence(0, 0, 0, assignments=((0, "x", 1),)))
         assert runtime.enabled_map() == {0: ("A", "C")}
+        masks = ThreeRules().guard_masks({"x": np.array([0, 1])})
+        assert enabled_map(masks, ThreeRules.rules, 2) == {
+            0: ("A", "B"), 1: ("A", "C"),
+        }
 
 
 class TestBackendSelection:

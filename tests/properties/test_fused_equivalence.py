@@ -22,7 +22,7 @@ from repro.alliance.turau import TurauMIS
 from repro.baselines.mono_reset import MonoReset
 from repro.core import DistributedRandomDaemon, Simulator, Trace, make_daemon
 from repro.core.detectors import measure_stabilization
-from repro.probes import Probe
+from repro.probes import Probe, StopProbe
 from repro.reset import SDR
 from repro.topology import grid, random_connected, random_tree, ring
 from repro.unison import Unison
@@ -171,8 +171,8 @@ def test_fused_then_step_continues_seamlessly():
 
 
 @pytest.mark.parametrize("daemon", DAEMONS)
-def test_run_until_mask_equals_detector(daemon):
-    """The vectorized convergence predicate stops at the detector's step."""
+def test_stop_probe_mask_equals_detector(daemon):
+    """A vectorized StopProbe mask stops at the detector's step."""
     net = ring(10)
     for seed in (0, 1, 2):
         sdr = SDR(Unison(net))
@@ -187,27 +187,26 @@ def test_run_until_mask_equals_detector(daemon):
 
         fused = Simulator(
             sdr, make_daemon(daemon, net), config=cfg.copy(), seed=seed,
-            backend="kernel",
+            backend="kernel", probes=[StopProbe(mask="normal_mask")],
         )
-        result = fused.run_until_mask(
-            fused._program.normal_mask, max_steps=50_000
-        )
-        assert result.stop_reason == "predicate"
+        result = fused.run(max_steps=50_000)
+        assert result.stop_reason == "probe"
         assert (result.steps, result.rounds, result.moves) == (
             detector.step, detector.rounds, detector.moves
         )
         assert fused.cfg.snapshot() == reference.cfg.snapshot()
 
 
-def test_run_until_mask_initial_hit():
+def test_stop_probe_mask_initial_hit():
     net = ring(6)
     sdr = SDR(Unison(net))
     sim = Simulator(
         sdr, make_daemon("synchronous", net),
         config=sdr.initial_configuration(), seed=0, backend="kernel",
+        probes=[StopProbe(mask="normal_mask")],
     )
-    result = sim.run_until_mask(sim._program.normal_mask, max_steps=100)
-    assert (result.steps, result.stop_reason) == (0, "predicate")
+    result = sim.run(max_steps=100)
+    assert (result.steps, result.stop_reason) == (0, "probe")
 
 
 def test_fused_budget_and_terminal_stop_reasons():
