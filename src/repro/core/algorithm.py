@@ -59,6 +59,9 @@ class Algorithm(abc.ABC):
     #: (Lemma 5); when ``True`` the simulator asserts it in strict mode.
     mutually_exclusive_rules: bool = False
 
+    #: The rule set :meth:`kernel_program` compiles (``...`` until built).
+    _kernel_rule_set: Any = ...
+
     def __init__(self, network: Network):
         self.network = network
 
@@ -118,8 +121,16 @@ class Algorithm(abc.ABC):
         flat per-variable columns.  The simulator then offers
         ``backend="kernel"`` (and ``backend="auto"`` prefers it).
         ``None`` means no rule set: dict backend only.
+
+        The rule set is built on the first call and kept, so its
+        generated code is shared by every later program of this
+        instance.  Each call still returns a new program with its own
+        :class:`~repro.core.kernel.csr.CSRAdjacency`, which churn edits
+        in place.
         """
-        rs = self.rule_set()
+        if self._kernel_rule_set is ...:
+            self._kernel_rule_set = self.rule_set()
+        rs = self._kernel_rule_set
         return None if rs is None else rs.compile_kernel()
 
     def initial_configuration(self) -> Configuration:

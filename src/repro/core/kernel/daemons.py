@@ -135,7 +135,9 @@ class MTStream(RandomStream):
             raise ValueError(f"unsupported Random state version {version}")
         self._rng = rng
         self._gauss = gauss
-        self._bg = np.random.MT19937()
+        # Any seed: the state is overwritten next, and a fixed one skips
+        # gathering OS entropy.
+        self._bg = np.random.MT19937(0)
         self._bg.state = {
             "bit_generator": "MT19937",
             "state": {
@@ -181,7 +183,7 @@ class MTStream(RandomStream):
         if not self._dirty:
             return
         state = self._bg.state["state"]
-        internal = tuple(int(w) for w in state["key"]) + (int(state["pos"]),)
+        internal = tuple(state["key"].tolist()) + (int(state["pos"]),)
         self._rng.setstate((3, internal, self._gauss))
         self._dirty = False
 

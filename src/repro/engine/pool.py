@@ -614,14 +614,14 @@ def run_specs(
     units = _execution_units(specs, batch)
     payload = [(kind, item, campaign_seed, campaign) for kind, item in units]
     if events is not None:
-        for kind, item in units:
-            cell = item[0].cell_key() if kind == "batch" else item.cell_key()
-            events.emit(
-                "cell_composed",
-                cell=cell,
-                trials=len(item) if kind == "batch" else 1,
-                kind=kind,
-            )
+        events.emit_many(
+            ("cell_composed", {
+                "cell": item[0].cell_key() if kind == "batch" else item.cell_key(),
+                "trials": len(item) if kind == "batch" else 1,
+                "kind": kind,
+            })
+            for kind, item in units
+        )
 
     def land_unit(
         result: tuple[list[dict], Exception | None, dict],

@@ -16,6 +16,7 @@ written once:
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass, field
@@ -357,6 +358,13 @@ def _extra(entry: AlgorithmEntry, algo, final, kit: _Disturbances | None) -> dic
 
 
 def _topology(network: Network) -> tuple[int, int, int, int]:
+    """The record's ``(n, m, diameter, max_degree)``, taken before the run.
+
+    Churn mutates the network in place, and a crashed-for-good process
+    leaves the final graph disconnected (diameter undefined).  The trial
+    record describes the experiment's *parameter* topology; the final
+    shape lands in ``extra["churn_final"]``.
+    """
     return network.n, network.m, network.diameter, network.max_degree
 
 
@@ -490,7 +498,22 @@ def run_network_trial(
     """
     entry = _entry(algorithm)
     _check_probe_mode(probe)
-    algo = entry.build(network, **params)
+    return _run_built(
+        entry, algorithm, network, entry.build(network, **params),
+        _topology(network), seed=seed, daemon=daemon, scenario=scenario,
+        max_steps=max_steps, backend=backend, probe=probe, faults=faults,
+        churn=churn, adversary=adversary,
+    )
+
+
+def _run_built(entry: AlgorithmEntry, algorithm: str, network: Network, algo,
+               topology: tuple, *, seed: int, daemon, scenario: str,
+               max_steps: int | None = None, backend: str = "auto",
+               probe: str = "auto", faults=None, churn=None,
+               adversary: str | None = None) -> Trial:
+    """:func:`run_network_trial` past the build: run ``algo`` (built by
+    ``entry`` on ``network``, whose :func:`_topology` is ``topology``);
+    only a churn trial may edit ``network``."""
     cfg = scenario_start(algorithm, scenario)(algo, Random(seed))
     if max_steps is None:
         max_steps = entry.max_steps
@@ -512,12 +535,6 @@ def run_network_trial(
             name="legitimate",
         )
         probes.append(measure)
-    # Snapshot the seed topology's descriptors now: churn mutates the
-    # network in place, and a crashed-for-good process leaves the final
-    # graph disconnected (diameter undefined).  The trial record
-    # describes the experiment's *parameter* topology; the final shape
-    # lands in ``extra["churn_final"]``.
-    topology = _topology(network)
     if not isinstance(daemon, Daemon):
         daemon = make_daemon(daemon, network)
     sim = Simulator(algo, daemon, config=cfg, seed=seed,
@@ -551,13 +568,58 @@ def run_trial(spec: "TrialSpec", seed: int | None = None) -> Trial:
     daemon, and any extra keyword params; ``seed`` is the trial's PRNG seed
     (the engine derives it from the campaign seed and the spec key; when
     omitted, the replicate index is used so bare specs stay runnable).
+    The network and algorithm come from the process's setup memo
+    (:func:`_setup`), except for churn trials, which own theirs.
     """
-    network = by_name(spec.topology, spec.n, seed=spec.topology_seed)
-    return run_network_trial(
-        spec.algorithm, network,
+    entry = _entry(spec.algorithm)
+    params, options = _split_params(spec)
+    _check_probe_mode(options.get("probe", "auto"))
+    return _run_built(
+        entry, spec.algorithm, *_setup(entry, spec, params, options.get("churn")),
         seed=spec.trial if seed is None else seed,
-        daemon=spec.daemon, scenario=spec.scenario, **dict(spec.params),
+        daemon=spec.daemon, scenario=spec.scenario, **options,
     )
+
+
+# ----------------------------------------------------------------------
+# Per-process setup
+# ----------------------------------------------------------------------
+#: Spec params that steer a run (the keyword options of
+#: :func:`run_network_trial`); every other param builds the algorithm.
+_RUN_OPTIONS = frozenset(
+    {"max_steps", "backend", "probe", "faults", "churn", "adversary"}
+)
+
+
+def _split_params(spec: "TrialSpec") -> tuple[tuple, dict]:
+    """``spec.params`` as (sorted build-param pairs, run options)."""
+    params = tuple((k, v) for k, v in spec.params if k not in _RUN_OPTIONS)
+    options = {k: v for k, v in spec.params if k in _RUN_OPTIONS}
+    return params, options
+
+
+def _build(build, topology: str, n: int, topology_seed: int,
+           params: tuple) -> tuple[Network, Any, tuple]:
+    network = by_name(topology, n, seed=topology_seed)
+    return network, build(network, **dict(params)), _topology(network)
+
+
+_shared_setup = functools.lru_cache(maxsize=16)(_build)
+
+
+def _setup(entry: AlgorithmEntry, spec: "TrialSpec", params: tuple,
+           churn=None) -> tuple[Network, Any, tuple]:
+    """The trial's ``(Network, algorithm, topology descriptors)``, shared
+    by every trial of the process with the same entry ``build``,
+    topology, n, topology seed and build params: a run cannot change
+    them, so the rule set, its generated code and the diameter are
+    computed once."""
+    args = (entry.build, spec.topology, spec.n, spec.topology_seed, params)
+    if churn is not None:
+        # Churn edits its Network in place: a churn trial builds its own
+        # network and algorithm, and never sees or leaves a shared one.
+        return _build(*args)
+    return _shared_setup(*args)
 
 
 # ----------------------------------------------------------------------
@@ -614,15 +676,13 @@ def run_trial_batch(
     from ..core.kernel.batch import run_batch
 
     entry = ALGORITHMS[spec.algorithm]
-    network = by_name(spec.topology, spec.n, seed=spec.topology_seed)
-    params = dict(spec.params)
+    params, options = _split_params(spec)
     # Execution options: batching implies the kernel backend with
     # vectorized measurement (can_batch routed explicit opt-outs away).
-    params.pop("backend", None)
-    probe = params.pop("probe", "auto")
-    faults = params.pop("faults", None)
-    max_steps = params.pop("max_steps", entry.max_steps)
-    algo = entry.build(network, **params)
+    probe = options.get("probe", "auto")
+    faults = options.get("faults")
+    max_steps = options.get("max_steps", entry.max_steps)
+    network, algo, topology = _setup(entry, spec, params)
     program = algo.kernel_program()
     if program is None:
         raise UnbatchableError(
@@ -652,7 +712,6 @@ def run_trial_batch(
         faults=[kit.faults if kit else None for kit in kits],
     )
 
-    topology = _topology(network)
     finished: list[tuple[int, Trial]] = []
     first_failure = None
     for t, (seed, daemon, outcome, kit) in enumerate(

@@ -5,10 +5,11 @@ emits one event per lifecycle transition — campaign started/finished,
 batch cell composed, trial finished/failed, periodic heartbeats — to a
 pluggable *sink*.  The default sink is a JSONL file next to the result
 store (``results.jsonl`` → ``results.events.jsonl``), written with the
-same append-one-line-fsync discipline as the store itself, so a crashed
-or still-running sweep leaves a log whose intact prefix is always
-readable (:func:`read_events` tolerates a truncated tail exactly like
-``ResultStore.iter_records``).
+same append-and-fsync discipline as the store itself (one fsync per
+:meth:`EventSink.emit`, or per :meth:`EventSink.emit_many` batch), so a
+crashed or still-running sweep leaves a log whose intact prefix is
+always readable (:func:`read_events` tolerates a truncated tail exactly
+like ``ResultStore.iter_records``).
 
 Event shape (schema version 1)::
 
@@ -47,7 +48,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
@@ -117,21 +118,28 @@ def events_path_for(store_path: str | os.PathLike) -> Path:
 # Sinks
 # ----------------------------------------------------------------------
 class EventSink:
-    """Where lifecycle events go.  Subclasses override :meth:`emit`."""
+    """Where lifecycle events go.  Subclasses override :meth:`_write`."""
 
     def emit(self, event_type: str, **payload) -> dict:
         """Stamp the envelope, validate, and record one event."""
-        event = {
-            "v": EVENT_SCHEMA_VERSION,
-            "ts": round(time.time(), 3),
-            "event": event_type,
-            **payload,
-        }
-        validate_event(event)
-        self._write(event)
-        return event
+        return self.emit_many([(event_type, payload)])[0]
 
-    def _write(self, event: dict) -> None:  # pragma: no cover - abstract
+    def emit_many(self, events: Iterable[tuple[str, dict]]) -> list[dict]:
+        """Stamp and validate every ``(event_type, payload)``, then record
+        them in order as one write; nothing is written if one is invalid."""
+        ts = round(time.time(), 3)
+        stamped = [
+            validate_event(
+                {"v": EVENT_SCHEMA_VERSION, "ts": ts, "event": event_type,
+                 **payload}
+            )
+            for event_type, payload in events
+        ]
+        if stamped:
+            self._write(stamped)
+        return stamped
+
+    def _write(self, events: list[dict]) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def close(self) -> None:
@@ -150,16 +158,17 @@ class MemoryEventSink(EventSink):
     def __init__(self):
         self.events: list[dict] = []
 
-    def _write(self, event: dict) -> None:
-        self.events.append(event)
+    def _write(self, events: list[dict]) -> None:
+        self.events.extend(events)
 
 
 class JsonlEventSink(EventSink):
-    """Append events to a JSONL file, one fsynced line per event.
+    """Append events to a JSONL file, one line per event and one fsync
+    per write.
 
     The same durability discipline as ``ResultStore.append``: a crash
-    mid-write can corrupt at most the final line, which
-    :func:`read_events` skips.
+    mid-write can corrupt at most the final line written, which
+    :func:`read_events` skips, so the lines before it read as a prefix.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -167,11 +176,13 @@ class JsonlEventSink(EventSink):
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh: IO[str] | None = open(self.path, "a", encoding="utf-8")
 
-    def _write(self, event: dict) -> None:
+    def _write(self, events: list[dict]) -> None:
         if self._fh is None:
             raise EventError(f"event sink for {self.path} is closed")
-        line = json.dumps(event, sort_keys=True, separators=(",", ":"))
-        self._fh.write(line + "\n")
+        self._fh.write("".join(
+            json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
+            for event in events
+        ))
         self._fh.flush()
         os.fsync(self._fh.fileno())
 

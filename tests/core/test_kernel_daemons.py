@@ -75,6 +75,27 @@ class TestStreams:
         # ... and the two Randoms continue identically.
         assert [probe.random() for _ in range(5)] == [ref.random() for _ in range(5)]
 
+    def test_kernel_drive_leaves_the_dict_engines_random_state(self):
+        """After a fused distributed-random run, the trial's ``Random``
+        is exactly where the dict engine leaves it."""
+        from repro.core.simulator import Simulator
+        from repro.reset.sdr import SDR
+        from repro.unison.unison import Unison
+
+        net = random_connected(14, seed=6)
+        states = {}
+        for backend in ("kernel", "dict"):
+            algo = SDR(Unison(net))
+            sim = Simulator(
+                algo, make_daemon("distributed-random", net),
+                config=algo.random_configuration(Random(4)), seed=9,
+                backend=backend,
+            )
+            sim.run(max_steps=400)
+            assert sim.step_count == 400
+            states[backend] = sim.rng.getstate()
+        assert states["kernel"] == states["dict"]
+
     def test_pystream_draws_through_the_random(self):
         probe, ref = Random(8), Random(8)
         stream = PyStream(probe)

@@ -98,3 +98,62 @@ class TestJsonlRoundTrip:
                                  "reason": "error", "retries": 0}) + "\n")
         # Non-strict reads must not resynchronize past corruption.
         assert [e["key"] for e in read_events(path)] == ["a"]
+
+
+class TestEmitMany:
+    """A sweep's ``cell_composed`` events go out as one write."""
+
+    CAMPAIGN_FIELDS = dict(
+        seed=5, algorithms=("unison", "boulinier"), topologies=("ring",),
+        sizes=(5, 7), trials=2,
+    )
+    #: Fields that time the run rather than describe it.
+    VOLATILE = {"ts", "elapsed_s", "trials_per_s", "eta_s", "utilization",
+                "phase_stats"}
+
+    def stable(self, events):
+        return [
+            {k: v for k, v in e.items() if k not in self.VOLATILE}
+            for e in events if e["event"] != "heartbeat"
+        ]
+
+    def test_invalid_event_writes_nothing(self, tmp_path):
+        path = tmp_path / "r.events.jsonl"
+        sink = JsonlEventSink(path)
+        with pytest.raises(EventError):
+            sink.emit_many([
+                ("cell_composed", {"cell": "c", "trials": 1, "kind": "serial"}),
+                ("cell_composed", {"cell": "d"}),
+            ])
+        sink.close()
+        assert path.read_text() == ""
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_sweep_log_equals_the_memory_sequence(self, tmp_path, batch):
+        from repro.engine import Campaign, run_campaign
+
+        campaign = Campaign("emit-many", **self.CAMPAIGN_FIELDS)
+        path = tmp_path / "r.events.jsonl"
+        with JsonlEventSink(path) as sink:
+            run_campaign(campaign, batch=batch, events=sink)
+        memory = MemoryEventSink()
+        run_campaign(campaign, batch=batch, events=memory)
+        logged = list(read_events(path, strict=True))
+        assert self.stable(logged) == self.stable(memory.events)
+        composed = [e for e in logged if e["event"] == "cell_composed"]
+        assert len(composed) == (4 if batch else 8)
+
+    def test_log_torn_inside_the_batch_reads_as_a_prefix(self, tmp_path):
+        from repro.engine import Campaign, run_specs
+
+        campaign = Campaign("emit-many-torn", **self.CAMPAIGN_FIELDS)
+        path = tmp_path / "r.events.jsonl"
+        with JsonlEventSink(path) as sink:
+            run_specs(campaign.specs(), campaign.seed, batch=False, events=sink)
+        full = list(read_events(path, strict=True))
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert [e["event"] for e in full[:8]] == ["cell_composed"] * 8
+        # A crash in the middle of the fourth cell_composed line.
+        torn = b"".join(lines[:3]) + lines[3][: len(lines[3]) // 2]
+        path.write_bytes(torn)
+        assert list(read_events(path)) == full[:3]
