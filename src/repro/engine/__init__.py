@@ -11,11 +11,11 @@ at full hardware speed without giving up reproducibility:
 * :mod:`~repro.engine.seeds` — per-trial seeds derived by hashing the
   campaign master seed with the trial key, so results are identical for
   any execution order or worker count;
-* :mod:`~repro.engine.pool` — a ``multiprocessing`` executor with chunked
-  fan-out, progress callbacks, an in-process serial fallback, and — under
-  a :class:`FailurePolicy` — a supervised mode with per-trial deadlines,
-  bounded retries, a batch → serial → dict degradation ladder, and
-  poison-trial quarantine;
+* :mod:`~repro.engine.pool` — an in-process serial executor and one
+  multi-process executor (long-lived supervised workers that survive a
+  worker dying or hanging), with progress callbacks and — under a
+  :class:`FailurePolicy` — per-trial deadlines, bounded retries, a
+  batch → serial → dict ladder, and poison-trial quarantine;
 * :mod:`~repro.engine.store` — an append-only JSONL store with atomic
   writes, schema versioning, and query helpers;
 * :mod:`~repro.engine.resume` — diff a grid against the store and run only

@@ -1,17 +1,19 @@
-"""Trial executor: batched cells, multiprocessing fan-out, serial fallback.
+"""Trial executor: batched cells, supervised worker processes.
 
 ``run_specs`` drives a list of :class:`~repro.engine.campaign.TrialSpec`
 descriptors to completion.  Replicate trials that share a grid cell are
 *batched* (``batch="auto"``): the whole cell runs as one tiled
 multi-trial simulation (:func:`repro.harness.runner.run_trial_batch`),
-one guard evaluation serving every replicate per step.  With
-``workers >= 2`` the execution units — batches and leftover single
-trials — fan out to a ``multiprocessing.Pool`` via ``imap_unordered``
-(chunked to amortize IPC); with ``workers <= 1`` they run in-process,
-which keeps debugging, coverage, and tracing trivial.  Either way results
-stream back to the parent, which is the *only* writer of the result
-store — workers compute, the parent persists, so no file locking is
-needed.
+one guard evaluation serving every replicate per step.  The execution
+units — batches and leftover single trials — run in-process when
+``workers <= 1`` and no :class:`FailurePolicy` is given, which keeps
+debugging, coverage, and tracing trivial.  Otherwise they run on the
+one multi-process executor, :func:`_run_supervised`: long-lived forked
+workers, each fed one unit at a time over its own pipe, so a worker
+that dies or hangs is noticed instead of stalling the sweep.  Either
+way results stream back to the parent, which is the *only* writer of
+the result store — workers compute, the parent persists, so no file
+locking is needed.
 
 Because every trial's seed derives from its descriptor (not from
 execution order, worker count, or batch shape), all paths produce
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
+import pickle
 import signal
 import time
 from dataclasses import dataclass, replace
@@ -50,20 +53,18 @@ HEARTBEAT_EVERY = 10.0
 
 @dataclass(frozen=True)
 class FailurePolicy:
-    """Graceful degradation for campaign execution.
+    """What a failing unit does: retry, step down, then quarantine.
 
-    Without a policy, ``run_specs`` keeps its historical contract: the
-    first failing unit re-raises mid-sweep.  With one, execution moves
-    to a *supervised* executor — at most ``max(1, workers)`` long-lived
-    worker processes, each fed units and returning results over its own
-    pipe, respawned only after a crash, a hang or a failing unit — which
-    survives what a ``multiprocessing.Pool`` cannot: a worker dying
-    (``kill -9``, OOM, segfault) or hanging past its deadline.  A
-    failing unit is
+    Without a policy, the first failing unit aborts the sweep on every
+    path: its landed records stay, its other trials get a
+    ``trial_failed`` event (0 retries), every worker is stopped, and the
+    unit's own exception is raised — a
+    :class:`~repro.core.exceptions.ReproError` when a worker died or
+    the exception does not pickle.  With one, a failing unit is
 
     1. **retried** on the same tier up to ``max_retries`` times with
        exponential backoff (``backoff * 2**attempt`` seconds), then
-    2. **degraded** one rung down the ladder *batch → serial →
+    2. **stepped down** one rung of the ladder *batch → serial →
        dict* — a failing batch splits into single trials, a failing
        single trial re-runs on the dict reference engine (an execution
        option, so its key and record bytes are unchanged), then
@@ -73,6 +74,7 @@ class FailurePolicy:
        of the grid keeps running.  Siblings of a failed replicate land
        exactly once.
 
+    A policy runs even a ``workers <= 1`` sweep on a supervised worker.
     ``trial_timeout`` is a per-trial wall-clock deadline in seconds
     (a batch unit's deadline scales with its replicate count); ``None``
     disables deadlines.  Budget exhaustion (``NotStabilized``) is
@@ -83,7 +85,6 @@ class FailurePolicy:
     trial_timeout: float | None = None
     max_retries: int = 2
     backoff: float = 0.5
-    degrade: bool = True
 
     def __post_init__(self):
         if self.trial_timeout is not None and self.trial_timeout <= 0:
@@ -222,33 +223,32 @@ def _worker(
 ) -> tuple[list[dict], Exception | None, dict]:
     """Run one execution unit; returns ``(records, error, meta)``.
 
-    ``NotStabilized`` is not a defect — one replicate ran out of budget:
-    the records that did land reach the parent (and the store)
-    *alongside* the failure (see :func:`execute_batch`), and the parent
-    re-raises after landing them.  Genuine defects raise.
+    A unit never raises: ``error`` is whatever stopped it.  For
+    ``NotStabilized`` (one replicate ran out of budget) the records that
+    did land come back *alongside* it (see :func:`execute_batch`); for a
+    genuine defect ``records`` is empty.  The caller lands the records
+    first, then decides what the failure does.
 
     ``meta`` describes how the unit actually executed: ``kind`` as
-    dispatched, ``fallback`` when a batch degraded to serial trials, and
+    dispatched, ``fallback`` when a batch fell back to serial trials, and
     ``phases`` — this unit's telemetry delta (a
     :meth:`~repro.telemetry.phases.PhaseStats.since` snapshot), so the
     parent of a worker *process* can fold hot-path phase timings back
     into its own collector.  ``None`` when telemetry is off.
     """
-    from ..core.exceptions import NotStabilized
-
     kind, payload, campaign_seed, campaign = args
     stats = telemetry.collector()
     mark = stats.mark() if stats is not None else None
+    records: list[dict] = []
+    error: Exception | None = None
     fallback = False
     try:
         if kind != "batch":
-            records, error = [execute_trial(payload, campaign_seed, campaign)], None
+            records = [execute_trial(payload, campaign_seed, campaign)]
         else:
             records, error, fallback = execute_batch(payload, campaign_seed, campaign)
-    except NotStabilized as exc:
-        # Single-trial budget exhaustion: nothing landed, but the parent
-        # still owns the raise (so it can emit the failure event first).
-        records, error = [], exc
+    except Exception as exc:
+        error = exc
     meta = {
         "kind": kind,
         "fallback": fallback,
@@ -258,10 +258,14 @@ def _worker(
     return records, error, meta
 
 
-def _chunksize(total: int, workers: int) -> int:
-    """Chunk so each worker sees ~4 batches: big enough to amortize IPC,
-    small enough to keep the tail balanced when trial costs vary."""
-    return max(1, total // (workers * 4) or 1)
+def _failure(error: Exception) -> tuple[str, str]:
+    """``(reason, message)`` for a unit's error: budget exhaustion is
+    deterministic, anything else is a defect."""
+    from ..core.exceptions import NotStabilized
+
+    if isinstance(error, NotStabilized):
+        return "budget", str(error)
+    return "error", f"{type(error).__name__}: {error}"
 
 
 def _unit_keys(kind: str, item: Any) -> list[str]:
@@ -272,7 +276,7 @@ def _unit_keys(kind: str, item: Any) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Supervised execution (FailurePolicy)
+# Supervised execution (every multi-process sweep, and any FailurePolicy)
 # ----------------------------------------------------------------------
 @dataclass
 class _WorkItem:
@@ -300,9 +304,10 @@ def _supervised_worker(conn, args) -> None:
     ``None`` sentinel or EOF, and returns normally.  SIGINT is ignored:
     the parent owns the worker's lifetime.
 
-    A unit never raises into the sweep: a genuine defect (poison trial)
-    is reported as an ``error`` failure so the parent can
-    retry/degrade/quarantine it.  The chaos hook fires *before* each
+    A unit never raises into the sweep: a failing unit's ``info`` is
+    ``{reason, message, error}`` (see :func:`_failure`), where ``error``
+    is the exception itself for the parent to re-raise, or ``None`` when
+    it does not survive pickling.  The chaos hook fires *before* each
     unit executes (see :mod:`repro.engine.chaos`), so a tripped unit
     cannot have landed partial results.
     """
@@ -310,26 +315,21 @@ def _supervised_worker(conn, args) -> None:
     for other in inherited:
         other.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    from ..core.exceptions import NotStabilized
     from . import chaos
 
     try:
         while (unit := conn.recv()) is not None:
             kind, payload = unit
-            keys = _unit_keys(kind, payload)
-            chaos.trip(keys)
-            try:
-                records, error, meta = _worker(
-                    (kind, payload, campaign_seed, campaign)
-                )
-                info = None
-                if error is not None:
-                    reason = "budget" if isinstance(error, NotStabilized) else "error"
-                    info = {"reason": reason, "message": str(error)}
-            except Exception as exc:
-                records = []
-                info = {"reason": "error", "message": f"{type(exc).__name__}: {exc}"}
-                meta = {"kind": kind, "fallback": False, "keys": keys, "phases": None}
+            chaos.trip(_unit_keys(kind, payload))
+            records, error, meta = _worker((kind, payload, campaign_seed, campaign))
+            info = None
+            if error is not None:
+                reason, message = _failure(error)
+                try:
+                    pickle.loads(pickle.dumps(error))
+                except Exception:
+                    error = None
+                info = {"reason": reason, "message": message, "error": error}
             conn.send((records, info, meta))
     except (EOFError, OSError):
         pass  # the parent is gone
@@ -341,7 +341,7 @@ def _dict_fallback(spec: TrialSpec) -> TrialSpec:
     """The same trial pinned to the dict reference engine.
 
     ``backend`` is an execution option: excluded from the trial key, so
-    the degraded record is byte-identical to what the kernel tier would
+    the dict-tier record is byte-identical to what the kernel tier would
     have produced.  The decoded measurement tier rides along implicitly
     (the dict engine never fuses).
     """
@@ -361,13 +361,13 @@ def _run_supervised(
     campaign: str,
     *,
     workers: int,
-    policy: FailurePolicy,
+    policy: FailurePolicy | None,
     land_records: Callable[[list[dict], dict], None],
     quarantine: Callable[[str, str, int, str], None],
     landed: Callable[[str], bool],
     absorb: Callable[[dict], None],
 ) -> None:
-    """Drive all units to completion under a :class:`FailurePolicy`.
+    """Drive all units to completion on supervised worker processes.
 
     At most ``max(1, workers)`` long-lived worker processes, forked
     lazily when a unit needs a slot and none is idle, each with its own
@@ -375,9 +375,10 @@ def _run_supervised(
     channel, never a shared queue.  A unit's deadline starts when it is
     sent.  A worker that times out is killed, one that crashes is
     dropped, and one that reports an ``error`` is retired, so a retry
-    never runs in the process that just failed.  On return or exception
-    every worker is stopped and joined.  The parent is the only writer
-    of the store, exactly as on the pool path.
+    never runs in the process that just failed.  A failing unit follows
+    ``policy``, or aborts the sweep without one (see
+    :class:`FailurePolicy`).  On return or exception every worker is
+    stopped and joined.
     """
     ctx = multiprocessing.get_context()
     capacity = max(1, workers)
@@ -399,28 +400,39 @@ def _run_supervised(
     def unlanded(item: _WorkItem) -> list[str]:
         return [key for key in item.keys if not landed(key)]
 
-    def fail(item: _WorkItem, reason: str, message: str) -> None:
-        now = time.monotonic()
-        if item.retries < policy.max_retries:
-            item.retries += 1
-            item.not_before = now + policy.backoff * (2 ** (item.retries - 1))
-            pending.append(item)
-            return
-        if policy.degrade and item.kind == "batch":
-            # One rung down: the cell's replicates as single trials.
-            pending.extend(
-                _WorkItem("single", spec, tier="single")
-                for spec in item.payload
-                if not landed(spec.key())
-            )
-            return
-        if policy.degrade and item.tier == "single":
-            pending.append(
-                _WorkItem("single", _dict_fallback(item.payload), tier="dict")
-            )
-            return
+    def fail(
+        item: _WorkItem, reason: str, message: str,
+        error: Exception | None = None,
+    ) -> None:
+        # Budget exhaustion is deterministic: a seeded trial cannot
+        # stabilize on a retry or on another rung.
+        if policy is not None and reason != "budget":
+            if item.retries < policy.max_retries:
+                item.retries += 1
+                item.not_before = (
+                    time.monotonic() + policy.backoff * (2 ** (item.retries - 1))
+                )
+                pending.append(item)
+                return
+            if item.kind == "batch":
+                # One rung down: the cell's replicates as single trials.
+                pending.extend(
+                    _WorkItem("single", spec, tier="single")
+                    for spec in item.payload
+                    if not landed(spec.key())
+                )
+                return
+            if item.tier == "single":
+                pending.append(
+                    _WorkItem("single", _dict_fallback(item.payload), tier="dict")
+                )
+                return
         for key in unlanded(item):
             quarantine(key, reason, item.retries, message)
+        if policy is None:
+            from ..core.exceptions import ReproError
+
+            raise error if error is not None else ReproError(message)
 
     def spawn() -> dict:
         parent_conn, child_conn = ctx.Pipe()
@@ -439,7 +451,7 @@ def _run_supervised(
     def dispatch(item: _WorkItem) -> None:
         entry = next((e for e in live if e["item"] is None), None) or spawn()
         entry["item"] = item
-        if policy.trial_timeout is not None:
+        if policy is not None and policy.trial_timeout is not None:
             entry["deadline"] = (
                 time.monotonic() + policy.trial_timeout * len(item.keys)
             )
@@ -461,18 +473,22 @@ def _run_supervised(
         entry["conn"].close()
         entry["proc"].join()
 
+    def fill() -> None:
+        """Hand every due pending unit to an idle (or a new) worker."""
+        now = time.monotonic()
+        while len(live) < capacity or any(e["item"] is None for e in live):
+            idx = next(
+                (i for i, it in enumerate(pending) if it.not_before <= now),
+                None,
+            )
+            if idx is None:
+                break
+            dispatch(pending.pop(idx))
+
     try:
         while pending or any(e["item"] is not None for e in live):
+            fill()
             now = time.monotonic()
-            while len(live) < capacity or any(e["item"] is None for e in live):
-                idx = next(
-                    (i for i, it in enumerate(pending) if it.not_before <= now),
-                    None,
-                )
-                if idx is None:
-                    break
-                dispatch(pending.pop(idx))
-
             busy = [e for e in live if e["item"] is not None]
             wakeups = [e["deadline"] for e in busy if e["deadline"] is not None]
             wakeups += [it.not_before for it in pending if it.not_before > now]
@@ -495,17 +511,13 @@ def _run_supervised(
                     entry["item"] = entry["deadline"] = None
                     if info is not None and info["reason"] == "error":
                         stop(entry)  # retries never reuse a failed process
+                    # Refill first: workers compute while the parent
+                    # lands (and fsyncs) this unit's records.
+                    fill()
                     absorb(meta.get("phases"))
                     land_records(records, meta)
                     if info is not None:
-                        if info["reason"] == "budget":
-                            # Deterministic: a seeded trial cannot stabilize
-                            # on retry.  Siblings already landed above.
-                            for key in unlanded(item):
-                                quarantine(key, "budget", item.retries,
-                                           info["message"])
-                        else:
-                            fail(item, info["reason"], info["message"])
+                        fail(item, info["reason"], info["message"], info["error"])
                 elif entry["deadline"] is not None and now >= entry["deadline"]:
                     stop(entry)
                     fail(item, "timeout",
@@ -533,10 +545,11 @@ def run_specs(
     """Execute all ``specs``; return their records in spec order.
 
     Replicates sharing a grid cell run as one vectorized batch unless
-    ``batch=False`` (records are identical either way).  ``workers <= 1``
-    runs serially in-process; ``workers >= 2`` fans out to that many OS
-    processes (capped by the number of batches and single trials), one
-    batch or single trial per work item.  Completed
+    ``batch=False`` (records are identical either way).  With
+    ``workers <= 1`` and no ``policy`` the units run serially
+    in-process; otherwise they run on up to ``max(1, workers)``
+    supervised worker processes (:func:`_run_supervised`), one batch or
+    single trial per work item.  Completed
     records are appended to ``store`` (if given) as they arrive, so an
     interrupted run keeps everything that finished —
     :func:`repro.engine.resume.run_campaign` picks up the rest.
@@ -549,21 +562,19 @@ def run_specs(
     ``events`` (an :class:`repro.telemetry.events.EventSink`, optional)
     receives the campaign lifecycle: ``cell_composed`` when units are
     dispatched, ``trial_finished`` per landed record, ``trial_failed``
-    for a unit's unlanded trials before the failure re-raises, and a
+    per failed trial, and a
     throttled ``heartbeat`` (every ``heartbeat_every`` seconds) with
-    utilization and throughput.  On the multiprocessing path each
-    worker's hot-path phase timings are folded back into the parent's
-    telemetry collector, so a sweep's phase breakdown covers the
-    children's work too.
+    utilization and throughput.  Each worker process's hot-path phase
+    timings are folded back into the parent's telemetry collector, so a
+    sweep's phase breakdown covers the children's work too.
 
-    ``policy`` (a :class:`FailurePolicy`) switches to the *supervised*
-    executor: per-trial deadlines, bounded retries with backoff for
-    crashed workers, a batch → serial → dict degradation ladder, and
-    poison-trial quarantine.  With a policy, a failing trial no longer
-    aborts the sweep: the rest of the grid completes, quarantined
-    trials are appended to ``failures`` (a caller-supplied list of
-    ``{key, reason, retries, error}`` dicts) and the returned list
-    covers only the trials that landed.
+    ``policy`` (a :class:`FailurePolicy`) decides what a failing unit
+    does: retry, step down and quarantine it while the rest of the grid
+    completes.  Without one the first failure aborts the sweep, on
+    every path alike (see :class:`FailurePolicy`).  Failed trials are
+    appended to ``failures`` (a caller-supplied list of ``{key, reason,
+    retries, error}`` dicts); the returned list covers only the trials
+    that landed.
     """
     specs = list(specs)
     total = len(specs)
@@ -592,27 +603,39 @@ def run_specs(
             eta_s=round((total - done) / rate, 1) if rate > 0 else None,
         )
 
-    def land(record: dict, meta: dict) -> None:
-        if record["key"] in records_by_key:
-            return  # already landed (e.g. duplicate across units): once only
-        records_by_key[record["key"]] = record
-        if store is not None:
-            store.append(record)
+    def land_records(records: list[dict], meta: dict) -> None:
+        for record in records:
+            if record["key"] in records_by_key:
+                continue  # already landed (e.g. duplicate across units): once only
+            records_by_key[record["key"]] = record
+            if store is not None:
+                store.append(record)
+            if events is not None:
+                events.emit(
+                    "trial_finished",
+                    key=record["key"],
+                    status="ok",
+                    steps=record.get("result", {}).get("steps"),
+                    unit=meta.get("kind"),
+                    fallback=meta.get("fallback", False),
+                )
+            if progress is not None:
+                progress(len(records_by_key), total, record)
+            heartbeat()
+
+    def quarantine(key: str, reason: str, retries: int, message: str) -> None:
+        if failures is not None:
+            failures.append(
+                {"key": key, "reason": reason, "retries": retries,
+                 "error": message}
+            )
         if events is not None:
             events.emit(
-                "trial_finished",
-                key=record["key"],
-                status="ok",
-                steps=record.get("result", {}).get("steps"),
-                unit=meta.get("kind"),
-                fallback=meta.get("fallback", False),
+                "trial_failed", key=key, error=message,
+                reason=reason, retries=retries,
             )
-        if progress is not None:
-            progress(len(records_by_key), total, record)
-        heartbeat()
 
     units = _execution_units(specs, batch)
-    payload = [(kind, item, campaign_seed, campaign) for kind, item in units]
     if events is not None:
         events.emit_many(
             ("cell_composed", {
@@ -623,48 +646,19 @@ def run_specs(
             for kind, item in units
         )
 
-    def land_unit(
-        result: tuple[list[dict], Exception | None, dict],
-        absorb_phases: bool,
-    ) -> None:
-        records, error, meta = result
-        # Worker *processes* timed their hot paths into their own
-        # collectors; fold the delta into ours.  In-process units already
-        # accumulated here — absorbing again would double count.
-        if absorb_phases and stats is not None:
-            stats.absorb(meta.get("phases"))
-        for record in records:
-            land(record, meta)
-        if error is not None:
-            if events is not None:
-                from ..core.exceptions import NotStabilized
-
-                reason = "budget" if isinstance(error, NotStabilized) else "error"
-                for key in meta.get("keys", ()):
+    if policy is None and workers <= 1:
+        # In-process units accumulate phase timings straight into our
+        # collector: nothing to absorb.
+        for kind, item in units:
+            records, error, meta = _worker((kind, item, campaign_seed, campaign))
+            land_records(records, meta)
+            if error is not None:
+                reason, message = _failure(error)
+                for key in meta["keys"]:
                     if key not in records_by_key:
-                        events.emit(
-                            "trial_failed", key=key, error=str(error),
-                            reason=reason, retries=0,
-                        )
-            raise error
-
-    if policy is not None:
-        def quarantine(key: str, reason: str, retries: int, message: str) -> None:
-            if failures is not None:
-                failures.append(
-                    {"key": key, "reason": reason, "retries": retries,
-                     "error": message}
-                )
-            if events is not None:
-                events.emit(
-                    "trial_failed", key=key, error=message,
-                    reason=reason, retries=retries,
-                )
-
-        def land_records(records: list[dict], meta: dict) -> None:
-            for record in records:
-                land(record, meta)
-
+                        quarantine(key, reason, 0, message)
+                raise error
+    else:
         _run_supervised(
             units, campaign_seed, campaign,
             workers=workers, policy=policy,
@@ -673,20 +667,8 @@ def run_specs(
             landed=lambda key: key in records_by_key,
             absorb=(stats.absorb if stats is not None else lambda delta: None),
         )
-        return [
-            records_by_key[spec.key()]
-            for spec in specs
-            if spec.key() in records_by_key
-        ]
-
-    if workers <= 1 or total <= 1:
-        for args in payload:
-            land_unit(_worker(args), absorb_phases=False)
-    else:
-        workers = min(workers, len(units))
-        chunk = _chunksize(len(units), workers)
-        with multiprocessing.Pool(workers) as pool:
-            for result in pool.imap_unordered(_worker, payload, chunksize=chunk):
-                land_unit(result, absorb_phases=True)
-
-    return [records_by_key[spec.key()] for spec in specs]
+    return [
+        records_by_key[spec.key()]
+        for spec in specs
+        if spec.key() in records_by_key
+    ]

@@ -92,9 +92,9 @@ def run_campaign(
     A crashed run leaves the log without a finish event, which is how
     the ``status`` reader distinguishes running/crashed from done.
 
-    ``policy`` (a :class:`~repro.engine.pool.FailurePolicy`) switches
-    execution to the supervised, crash-tolerant path: a failing trial is
-    retried, degraded down the batch → serial → dict ladder, and finally
+    Without a ``policy`` the first failing trial aborts the sweep.  With
+    a :class:`~repro.engine.pool.FailurePolicy` a failing trial is
+    retried, stepped down the batch → serial → dict ladder, and finally
     quarantined into ``outcome.failures`` instead of aborting the sweep
     — the rest of the grid always completes, and the returned records
     cover every trial that landed.

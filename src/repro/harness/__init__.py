@@ -9,9 +9,9 @@ Layered as follows (bottom-up):
   :func:`run_trial` for one :class:`repro.engine.TrialSpec`, and the
   batched twin :func:`~repro.harness.runner.run_trial_batch`;
 * :mod:`repro.engine` — the campaign engine: declarative parameter grids,
-  deterministic per-trial seed derivation, a multiprocessing executor with
-  serial fallback, an append-only JSONL result store, and resume (run only
-  the grid cells missing from the store);
+  deterministic per-trial seed derivation, an in-process executor and
+  supervised worker processes, an append-only JSONL result store, and
+  resume (run only the grid cells missing from the store);
 * :mod:`~repro.harness.experiments` — the per-claim experiment registry;
   the sweep-shaped ones (T3/T4, T5, F1/F2) route their grids through the
   engine and accept ``workers``/``store`` arguments;

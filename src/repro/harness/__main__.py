@@ -43,11 +43,13 @@ mid-run; churn cells always execute serially (never batched).
 adversarial schedule search (:mod:`repro.adversary`) — also part of the
 trial key; adversary cells run serially on the kernel backend and every
 found schedule is replay-verified on the dict backend.
-``--trial-timeout`` / ``--max-retries`` enable the supervised
-crash-tolerant executor (:class:`repro.engine.pool.FailurePolicy`):
-failing trials are retried, degraded batch → serial → dict, and finally
-quarantined — the sweep completes the rest of the grid and exits
-nonzero, printing the quarantine report.
+Without a failure policy the first failing trial (a dead worker
+process included) ends the sweep with ``error: ...``, exit status 1.
+``--trial-timeout`` / ``--max-retries`` set one
+(:class:`repro.engine.pool.FailurePolicy`): failing trials are retried,
+stepped down batch → serial → dict, and finally quarantined — the sweep
+completes the rest of the grid and exits nonzero, printing the
+quarantine report.
 """
 
 from __future__ import annotations
@@ -271,14 +273,17 @@ def run_sweep(argv: list[str]) -> int:
                              "the dict backend")
     parser.add_argument("--trial-timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="per-trial wall-clock deadline; enables the "
-                             "supervised crash-tolerant executor")
+                        help="per-trial wall-clock deadline; sets a failure "
+                             "policy: failing trials are retried and "
+                             "quarantined instead of ending the sweep")
     parser.add_argument("--max-retries", type=int, default=None, metavar="N",
-                        help="retries per failing unit before degrading "
+                        help="retries per failing unit before stepping down "
                              "batch -> serial -> dict and quarantining "
-                             "(default 2); enables the supervised executor")
+                             "(default 2); sets a failure policy")
     parser.add_argument("--workers", type=int, default=0,
-                        help="worker processes; 0 or 1 runs serially in-process")
+                        help="supervised worker processes; 0 or 1 runs "
+                             "serially in-process unless a failure policy "
+                             "is set")
     parser.add_argument("--no-batch", action="store_true",
                         help="run every trial separately instead of batching "
                              "a cell's replicates into one vectorized run "

@@ -31,7 +31,8 @@ def summarize_status(store_path: str | os.PathLike) -> dict:
     Returned fields: ``store`` (path), ``records`` (landed trials),
     ``total`` (campaign size from events, else null), ``by_algorithm``
     and ``by_daemon`` tallies, ``failures`` (list of ``{key, error,
-    reason, retries}``),
+    reason, retries}`` for failed trials the store does not hold — a
+    later ``--resume`` that landed a trial clears its failure),
     ``last_event`` (type + age of the newest event), ``throughput``
     (latest heartbeat/finish metrics), ``running`` (best-effort: events
     exist and no ``campaign_finished`` yet), and ``manifest`` (the
@@ -44,8 +45,10 @@ def summarize_status(store_path: str | os.PathLike) -> dict:
     by_algorithm: dict[str, int] = {}
     by_daemon: dict[str, int] = {}
     records = 0
+    landed: set[str] = set()
     for record in store.iter_records():
         records += 1
+        landed.add(record.get("key"))
         spec = record.get("spec") or {}
         algorithm = spec.get("algorithm")
         if algorithm:
@@ -67,7 +70,7 @@ def summarize_status(store_path: str | os.PathLike) -> dict:
         if etype == "campaign_started":
             total = event["total"]
             finished = False
-        elif etype == "trial_failed":
+        elif etype == "trial_failed" and event["key"] not in landed:
             failures.append(
                 {
                     "key": event["key"],

@@ -96,12 +96,14 @@ class TestQuarantine:
     def test_persistent_crash_quarantines_and_siblings_land(
         self, monkeypatch, tmp_path
     ):
+        # Every rung crashes (no once-only marker): the batch, its single
+        # trials and their dict re-runs, so each trial quarantines.
         chaos(monkeypatch, tmp_path, "crash:algorithm=unison")
         sink = MemoryEventSink()
         outcome = run_campaign(
             CAMPAIGN, workers=2, events=sink,
             policy=FailurePolicy(trial_timeout=60, max_retries=0,
-                                 backoff=0.05, degrade=False),
+                                 backoff=0.05),
         )
         assert len(outcome.failures) == 2
         for failure in outcome.failures:

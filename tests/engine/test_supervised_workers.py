@@ -1,5 +1,8 @@
 """Lifecycle of the supervised executor's long-lived worker processes.
 
+Every multi-process sweep runs on these workers, with or without a
+``FailurePolicy``; without one, the first failure aborts the sweep.
+
 Workers are counted by wrapping ``pool._supervised_worker`` (the entry
 point of each worker process) and unit attempts by wrapping
 ``pool._worker``: forked children inherit the patched module, so every
@@ -9,11 +12,15 @@ worker process and every attempt leaves a line in ``tmp_path``.
 import json
 import multiprocessing
 import os
+import signal
+import time
 
 import pytest
 
-from repro.engine import Campaign, FailurePolicy, pool, run_specs
+from repro.core.exceptions import ReproError
+from repro.engine import Campaign, FailurePolicy, ResultStore, pool, run_specs
 from repro.engine.campaign import TrialSpec
+from repro.telemetry.events import MemoryEventSink
 
 from .test_policy import CAMPAIGN, POLICY, chaos, record_bytes
 
@@ -49,6 +56,15 @@ def attempts(monkeypatch, tmp_path):
 
     monkeypatch.setattr(pool, "_worker", logged)
     return lambda: [json.loads(line) for line in log.read_text().splitlines()]
+
+
+def poison_spec():
+    good = CAMPAIGN.specs()[0]
+    return TrialSpec(
+        algorithm="unison", topology="ring", n=6,
+        scenario="no-such-scenario", daemon="central",
+        trial=0, params=good.params,
+    )
 
 
 class TestWorkerCounts:
@@ -93,12 +109,7 @@ class TestWorkerCounts:
         assert spawns() == 2
 
     def test_poison_retries_never_reuse_the_failed_process(self, attempts):
-        good = CAMPAIGN.specs()[0]
-        poison = TrialSpec(
-            algorithm="unison", topology="ring", n=6,
-            scenario="no-such-scenario", daemon="central",
-            trial=0, params=good.params,
-        )
+        good, poison = CAMPAIGN.specs()[0], poison_spec()
         failures = []
         run_specs(
             [good, poison], CAMPAIGN.seed, workers=1,
@@ -114,21 +125,107 @@ class TestWorkerCounts:
         assert attempts()[0][0] == pids[0]
 
 
+@pytest.mark.parametrize("policy", [None, POLICY], ids=["no-policy", "policy"])
 class TestNoWorkerOutlivesRunSpecs:
-    def test_after_a_clean_sweep(self):
-        run_specs(CAMPAIGN.specs(), CAMPAIGN.seed, workers=2, policy=POLICY)
+    def test_after_a_clean_sweep(self, policy):
+        run_specs(CAMPAIGN.specs(), CAMPAIGN.seed, workers=2, policy=policy)
         assert multiprocessing.active_children() == []
 
-    def test_after_progress_raises_mid_sweep(self, spawns):
+    def test_after_progress_raises_mid_sweep(self, spawns, policy):
         def progress(done, total, record):
             raise RuntimeError("progress callback failed")
 
         with pytest.raises(RuntimeError, match="progress callback failed"):
             run_specs(
                 CAMPAIGN.specs(), CAMPAIGN.seed, workers=2, batch=False,
-                policy=POLICY, progress=progress,
+                policy=policy, progress=progress,
             )
         assert spawns() == 2
+        assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def deadline():
+    """Fail, instead of stalling the suite, if the test body hangs."""
+    def expire(signum, frame):
+        raise TimeoutError("run_specs hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestWithoutPolicyTheFirstFailureAborts:
+    def test_dead_worker_raises_instead_of_hanging(
+        self, monkeypatch, tmp_path, deadline
+    ):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched run_trial reaches workers through fork")
+        from repro.harness import runner
+
+        specs = CAMPAIGN.specs()
+        victim = specs[-1].key()
+        run_trial = runner.run_trial
+
+        def oom_killed(spec, seed):
+            if spec.key() == victim:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_trial(spec, seed=seed)
+
+        monkeypatch.setattr(runner, "run_trial", oom_killed)
+        sink = MemoryEventSink()
+        store = ResultStore(tmp_path / "r.jsonl")
+        started = time.monotonic()
+        with pytest.raises(ReproError, match="worker died"):
+            run_specs(specs, CAMPAIGN.seed, workers=2, batch=False,
+                      events=sink, store=store)
+        assert time.monotonic() - started < 10
+        failed = [e for e in sink.events if e["event"] == "trial_failed"]
+        assert [(e["key"], e["reason"]) for e in failed] == [(victim, "crash")]
+        finished = {e["key"] for e in sink.events
+                    if e["event"] == "trial_finished"}
+        # The victim is dispatched only after an earlier trial landed.
+        assert finished and victim not in finished
+        assert {r["key"] for r in store.iter_records()} == finished
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_error_arrives_as_repro_error(self, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched run_trial reaches workers through fork")
+        from repro.harness import runner
+
+        class Unpicklable(RuntimeError):
+            """A local class: pickle cannot find it by name."""
+
+        def broken(spec, seed):
+            raise Unpicklable("cannot cross the pipe")
+
+        monkeypatch.setattr(runner, "run_trial", broken)
+        sink = MemoryEventSink()
+        with pytest.raises(ReproError, match="Unpicklable: cannot cross the pipe"):
+            run_specs(CAMPAIGN.specs()[:1], CAMPAIGN.seed, workers=2,
+                      events=sink)
+        assert [e["reason"] for e in sink.events
+                if e["event"] == "trial_failed"] == ["error"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_poison_trial_raises_its_own_error(self, workers):
+        good, poison = CAMPAIGN.specs()[0], poison_spec()
+        sink = MemoryEventSink()
+        with pytest.raises(ValueError) as raised:
+            run_specs([good, poison], CAMPAIGN.seed, workers=workers,
+                      events=sink)
+        assert str(raised.value) == (
+            "unknown unison scenario 'no-such-scenario'; choose from "
+            "['random', 'gradient', 'split', 'fake-wave', 'faults:<k>']"
+        )
+        failed = [e for e in sink.events if e["event"] == "trial_failed"]
+        assert [(e["key"], e["reason"], e["retries"]) for e in failed] == [
+            (poison.key(), "error", 0)
+        ]
         assert multiprocessing.active_children() == []
 
 

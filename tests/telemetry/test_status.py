@@ -86,3 +86,16 @@ class TestPartialSweep:
         assert summary["running"] is True
         assert ("FAILED some|trial [budget, 1 retries]: budget exhausted"
                 in render_status(summary))
+
+    def test_failures_a_later_resume_landed_are_dropped(self, tmp_path):
+        store = run_sweep(tmp_path)
+        landed = next(store.iter_records())["key"]
+        sink = JsonlEventSink(events_path_for(store.path))
+        sink.emit("trial_failed", key=landed, error="worker died",
+                  reason="crash", retries=0)
+        sink.emit("trial_failed", key="other|trial", error="worker died",
+                  reason="crash", retries=0)
+        sink.close()
+        summary = summarize_status(store.path)
+        assert [f["key"] for f in summary["failures"]] == ["other|trial"]
+        assert f"FAILED {landed} " not in render_status(summary)
