@@ -37,7 +37,9 @@ if TYPE_CHECKING:
 __all__ = ["TrialOutcome", "BatchResult", "run_batch"]
 
 Columns = Mapping[str, np.ndarray]
-UntilFn = Callable[["IRKernelProgram", Columns], np.ndarray]
+#: A declared predicate's name, or a per-process mask over the tiled
+#: program and its columns.
+UntilFn = str | Callable[["IRKernelProgram", Columns], np.ndarray]
 
 
 class TrialOutcome:
@@ -97,9 +99,11 @@ def run_batch(
     ``cfgs``/``daemons``/``rngs`` are per-trial: the initial
     configuration, a fresh dict daemon instance (state bridged into its
     vector twin), and the trial's seeded generator.  ``until`` is an
-    optional per-process convergence mask ``until(tiled_program, cols)``;
-    a trial freezes with ``stop_reason="predicate"`` the first time its
-    block satisfies it everywhere (initial configuration included).
+    optional convergence test: the name of a declared predicate of the
+    program (read off the driver's guard evaluation), or a per-process
+    mask ``until(tiled_program, cols)``; a trial freezes with
+    ``stop_reason="predicate"`` the first time its block satisfies it
+    everywhere (initial configuration included).
     ``probes`` (optional) carries one sequence of vector-tier
     :class:`repro.probes.Probe` instances *per trial*; each trial's
     probes see its block of the tiled buffers as a

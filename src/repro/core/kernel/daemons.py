@@ -125,6 +125,11 @@ class MTStream(RandomStream):
     one C call.  The bit generator is never pre-fetched: its position is
     always the exact number of 32-bit words the mirrored ``Random`` would
     have consumed, making ``close()`` a direct state write-back.
+
+    The ``(MT19937, Generator)`` pair is borrowed from :data:`_IDLE`
+    and returned by ``close()``, after which the stream draws no more:
+    a trial's stream costs a state load (complete — MT19937 buffers no
+    words), not a twister construction.
     """
 
     __slots__ = ("_rng", "_gauss", "_bg", "_gen", "_dirty")
@@ -135,9 +140,13 @@ class MTStream(RandomStream):
             raise ValueError(f"unsupported Random state version {version}")
         self._rng = rng
         self._gauss = gauss
-        # Any seed: the state is overwritten next, and a fixed one skips
-        # gathering OS entropy.
-        self._bg = np.random.MT19937(0)
+        if _IDLE:
+            self._bg, self._gen = _IDLE.pop()
+        else:
+            # Any seed: the state is overwritten next, and a fixed one
+            # skips gathering OS entropy.
+            self._bg = np.random.MT19937(0)
+            self._gen = np.random.Generator(self._bg)
         self._bg.state = {
             "bit_generator": "MT19937",
             "state": {
@@ -145,7 +154,6 @@ class MTStream(RandomStream):
                 "pos": internal[-1],
             },
         }
-        self._gen = np.random.Generator(self._bg)
         self._dirty = False
 
     # ------------------------------------------------------------------
@@ -179,14 +187,22 @@ class MTStream(RandomStream):
             x[i], x[j] = x[j], x[i]
 
     def close(self) -> None:
-        """Write the advanced twister state back into the ``Random``."""
-        if not self._dirty:
+        """Write the advanced twister state back into the ``Random`` and
+        return the twister to the free list (idempotent)."""
+        bg = self._bg
+        if bg is None:
             return
-        state = self._bg.state["state"]
-        internal = tuple(state["key"].tolist()) + (int(state["pos"]),)
-        self._rng.setstate((3, internal, self._gauss))
-        self._dirty = False
+        if self._dirty:
+            state = bg.state["state"]
+            internal = tuple(state["key"].tolist()) + (int(state["pos"]),)
+            self._rng.setstate((3, internal, self._gauss))
+        _IDLE.append((bg, self._gen))
+        self._bg = self._gen = None
 
+
+#: Idle ``(MT19937, Generator)`` pairs: at most as many as streams were
+#: ever open at once in this process (a batch's lanes hold one each).
+_IDLE: list[tuple] = []
 
 _MIRROR_OK: bool | None = None
 

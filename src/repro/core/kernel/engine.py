@@ -4,7 +4,9 @@
 execution — or of a batch's trials side by side (:meth:`KernelRuntime.tiled`)
 — and advances them step by step: guard masks are recomputed
 vectorized after every step (full recomputation is cheap in array form —
-no incremental bookkeeping needed), and actions mutate a double buffer
+no incremental bookkeeping needed), in the same generated function as the
+program's declared predicates, so measurement reads the predicate masks
+the guard pass already produced; actions mutate a double buffer
 (write columns rebased from the read columns, then swapped) so every
 activated process reads the same frozen pre-step configuration —
 composite atomicity by construction.
@@ -42,7 +44,8 @@ from .daemons import VectorDaemon, open_stream
 if TYPE_CHECKING:
     from ...ir.kernelc import IRKernelProgram
 
-__all__ = ["KernelRuntime", "FusedResult", "Lane", "enabled_map", "live_masks"]
+__all__ = ["KernelRuntime", "FusedResult", "Frame", "Lane", "enabled_map",
+           "live_masks"]
 
 #: Deferred per-process move accounting flushes into a bincount once this
 #: many buffered moves accumulate — keeps fused-loop memory O(n) on
@@ -198,6 +201,16 @@ def exclusion_offender(masks, rules, size):
     return u, offending
 
 
+def evaluate(program, cols):
+    """``(guard masks, predicate masks)`` of ``program`` on ``cols``
+    (``IRKernelProgram.evaluate``).  The runtime duck-types its program:
+    one serving only ``guard_masks`` declares no predicates."""
+    fn = getattr(program, "evaluate", None)
+    if fn is None:
+        return program.guard_masks(cols), {}
+    return fn(cols)
+
+
 def live_masks(masks, live):
     """Guard ``masks`` restricted to live processes (``live`` a bool
     column, or ``None`` while nothing crashed): a crashed process is
@@ -239,6 +252,79 @@ def enabled_map(masks, rules, size, *, dispatch=None) -> dict[int, tuple[str, ..
             if len(several) > 1:
                 enabled[u] = several
     return enabled
+
+
+class Frame:
+    """The current step as every lane's :class:`repro.probes.ColumnView`
+    reads it.
+
+    :meth:`KernelRuntime.drive` refreshes it after every guard
+    evaluation (columns, enabled mask, liveness, predicate masks) and
+    every step (the moves and their rule indices, ``kinds is None`` when
+    all executed ``step_rule``).  A lane's share is derived on first
+    read; predicate bits and rule counts for all lanes at once, so one
+    ``reduceat`` per predicate and one ``bincount`` per step serve a
+    whole batch.
+    """
+
+    __slots__ = ("n", "nrules", "starts", "opt_index_cols", "read",
+                 "enabled", "live", "preds", "chosen", "kinds", "step_rule",
+                 "bits", "counts")
+
+    def __init__(self, n: int, nrules: int, starts, opt_index_cols):
+        self.n, self.nrules = n, nrules
+        self.starts, self.opt_index_cols = starts, opt_index_cols
+        self.read = self.enabled = self.live = self.preds = None
+        self.chosen = self.kinds = self.counts = None
+        self.step_rule = 0
+        self.bits: dict = {}
+
+    def column(self, index: int, name: str):
+        """Lane ``index``'s block of column ``name`` (``opt_index``
+        values re-localized to the block)."""
+        lo = index * self.n
+        col = self.read[name][lo : lo + self.n]
+        if lo and name in self.opt_index_cols:
+            col = np.where(col >= 0, col - lo, col)
+        return col
+
+    def holds(self, name: str, live: bool) -> list[bool]:
+        """Per lane, whether predicate ``name`` holds on its whole block
+        (on its live processes with ``live``)."""
+        got = self.bits.get((name, live))
+        if got is None:
+            mask = self.preds[name]
+            if live and self.live is not None:
+                mask = mask | ~self.live
+            lanes = self.starts.shape[0]
+            mask = mask[: lanes * self.n]  # compaction may have cut lanes
+            if lanes == 1:
+                got = [bool(mask.all())]
+            else:
+                got = np.logical_and.reduceat(mask, self.starts).tolist()
+            self.bits[name, live] = got
+        return got
+
+    def chosen_rules(self, index: int, chosen):
+        """Rule indices of lane ``index``'s moves ``chosen``."""
+        if self.kinds is None:
+            return np.full(chosen.shape[0], self.step_rule, dtype=np.int8)
+        # The step's moves ascend, so a lane's are the run at its block.
+        at = int(np.searchsorted(self.chosen, index * self.n))
+        return self.kinds[at : at + chosen.shape[0]]
+
+    def rule_counts(self, index: int, chosen) -> list[int]:
+        """Lane ``index``'s moves per rule index this step."""
+        if self.kinds is None:
+            counts = [0] * self.nrules
+            counts[self.step_rule] = chosen.shape[0]
+            return counts
+        if self.counts is None:
+            lanes, nrules = self.starts.shape[0], self.nrules
+            keys = self.chosen // self.n * nrules + self.kinds
+            self.counts = np.bincount(keys, minlength=lanes * nrules).reshape(
+                lanes, nrules).tolist()
+        return self.counts[index]
 
 
 class Lane:
@@ -303,6 +389,7 @@ class KernelRuntime:
         "write",
         "live",
         "_masks",
+        "_preds",
         "rule_index",
         "_rule_idx",
         "_rule_counts",
@@ -341,7 +428,10 @@ class KernelRuntime:
         #: vector ANDed into every guard mask: a crashed process is never
         #: enabled, never selected, never counted.
         self.live: np.ndarray | None = None
+        #: The current configuration's guard masks (liveness applied)
+        #: and predicate masks, evaluated together (``program.evaluate``).
         self._masks: dict[str, np.ndarray] | None = None
+        self._preds: dict[str, np.ndarray] = {}
         #: Rule name → index into :attr:`rules`.
         self.rule_index = {rule: k for k, rule in enumerate(self.rules)}
         #: The driver's rule dispatch buffers (see :func:`dispatch_rules`)
@@ -359,9 +449,22 @@ class KernelRuntime:
     # ------------------------------------------------------------------
     def guard_masks(self) -> dict[str, np.ndarray]:
         if self._masks is None:
-            self._masks = live_masks(self.program.guard_masks(self.read),
-                                     self.live)
+            masks, self._preds = evaluate(self.program, self.read)
+            self._masks = live_masks(masks, self.live)
         return self._masks
+
+    def holds(self, mask, live: bool = False) -> bool:
+        """Whether ``mask`` holds at every process (every live one with
+        ``live``): a declared predicate's name, read off the cached
+        guard evaluation, or a ``cols -> ndarray`` callable."""
+        if isinstance(mask, str):
+            self.guard_masks()
+            vals = self._preds[mask]
+        else:
+            vals = mask(self.read)
+        if live and self.live is not None:
+            vals = vals[self.live]
+        return bool(vals.all())
 
     def enabled_map(self) -> dict[int, tuple[str, ...]]:
         """``{u: enabled rules}`` in ascending process order
@@ -477,7 +580,7 @@ class KernelRuntime:
         lanes: list[Lane],
         *,
         max_steps: int,
-        until: Callable | None = None,
+        until: str | Callable | None = None,
         rounds=None,
         exclusion_name: str | None = None,
     ) -> MoveAccumulator:
@@ -491,10 +594,12 @@ class KernelRuntime:
         independently and freeze — a frozen block receives no further
         selections, so its columns and accounting stay exactly at its
         stopping configuration: at a terminal configuration, when
-        ``until(prog, cols)`` (a per-process mask over the working
-        program and columns) holds on the whole block — checked on the
-        initial configuration too — when one of the lane's probes is
-        ``done()``, or after ``max_steps`` steps.
+        ``until`` holds on the whole block — checked on the initial
+        configuration too — when one of the lane's probes is
+        ``done()``, or after ``max_steps`` steps.  ``until`` names a
+        declared predicate of the program (read off the guard
+        evaluation), or is a callable ``until(prog, cols)`` returning a
+        per-process mask over the working program and columns.
 
         A single lane's daemon may pick rules itself
         (:attr:`VectorDaemon.picks_rules`), overriding the lowest-rule
@@ -504,7 +609,11 @@ class KernelRuntime:
 
         Probes see their lane's block as a
         :class:`repro.probes.ColumnView` once at the start and after
-        every step the lane executes.  ``rounds`` (an
+        every step the lane executes.  One :class:`Frame` backs every
+        view: each step's ``program.evaluate`` yields the guard masks
+        and the predicate masks at once, and a predicate bit or per-rule
+        move count any probe (or ``until``) reads is reduced once for
+        all lanes.  ``rounds`` (an
         :class:`~repro.core.rounds.ArrayRoundCounter` with one block per
         lane, started here unless it already is) counts rounds per lane.
 
@@ -546,28 +655,29 @@ class KernelRuntime:
         )
         flip = 0
         size = total
-        # Block boundaries and ``opt_index`` names serve only tiled
-        # layouts: the globalized indices there are re-localized for probes.
-        block_bounds = None if single else np.arange(0, total + 1, n)
+        block_bounds = np.arange(0, total + 1, n)
         rule_idx, rule_counts = self._rule_idx, self._rule_counts
         # When every enabled process has the same single rule enabled,
         # rule dispatch is trivial; ``only_rule[0]`` holds its index then.
         only_rule = [0 if nrules == 1 else -1]
         acc = MoveAccumulator(total, n, nrules)
-        opt_index_cols = () if single else tuple(
+        opt_index_cols = tuple(
             var.name for var in self.base.schema.vars if var.kind == "opt_index"
         )
+        frame = Frame(n, nrules, block_bounds[:-1], opt_index_cols)
 
         def compute_enabled(masks=None) -> np.ndarray:
             """Refresh rule dispatch state and return the enabled mask
             (of ``masks``, or of freshly evaluated guards)."""
             dispatch = self._dispatch
+            live = self.live
+            if live is not None:
+                live = live[:size]
             if masks is None:
-                live = self.live
-                masks = self._masks = live_masks(
-                    program.guard_masks(read),
-                    None if live is None else live[:size],
-                )
+                masks, self._preds = evaluate(program, read)
+                masks = self._masks = live_masks(masks, live)
+            frame.read, frame.live, frame.preds = read, live, self._preds
+            frame.bits.clear()
             if dispatch is not None and dispatch[0] is masks:
                 _, enabled, only, grand = dispatch
             else:
@@ -576,6 +686,7 @@ class KernelRuntime:
                 )
                 self._dispatch = (masks, enabled, only, grand)
             only_rule[0] = only
+            frame.enabled = enabled
             if (
                 check_exclusion
                 and only == -2
@@ -592,7 +703,7 @@ class KernelRuntime:
                 )
             return enabled
 
-        def observe(lane: Lane, phase: str, chosen, kinds) -> bool:
+        def observe(lane: Lane, phase: str, chosen=None) -> bool:
             """Show the lane's block to its probes; ``True`` = freeze it.
 
             Phase ``"stop"`` hands the final configuration to
@@ -600,28 +711,8 @@ class KernelRuntime:
             """
             view = lane.view
             view.phase = phase
-            if single:
-                view.cols = read
-                view.enabled_mask = enabled_mask
-                view.rule_idx = rule_idx if only_rule[0] == -2 else None
-                view.live = self.live
-            else:
-                lo = lane.lo
-                hi = lo + n
-                cols = {name: col[lo:hi] for name, col in read.items()}
-                if lo:
-                    for name in opt_index_cols:
-                        block = cols[name]
-                        cols[name] = np.where(block >= 0, block - lo, block)
-                view.cols = cols
-                view.enabled_mask = enabled_mask[lo:hi]
-                # dispatch_rules only materializes rule_idx in the
-                # multi-rule case; the single-rule fast path leaves it
-                # stale.
-                view.rule_idx = rule_idx[lo:hi] if only_rule[0] == -2 else None
-                view.live = None if self.live is None else self.live[lo:hi]
+            view._cols = view._chosen_rules = None
             view.chosen = chosen
-            view.chosen_rules = kinds
             view.steps = lane.steps0 + steps
             view.moves = lane.moves0 + lane.moves
             view.rounds = rounds.completed[lane.index] if rounds is not None else 0
@@ -694,15 +785,16 @@ class KernelRuntime:
             lane.hit = converged
             lane.steps = steps
             if lane.probes:
-                observe(lane, "stop", None, None)
+                observe(lane, "stop")
 
         def check_until() -> bool:
             """Freeze every lane whose block satisfies ``until``."""
-            mask = until(program, read)
-            if single:
-                hit = [bool(mask.all())]
+            if isinstance(until, str):
+                hit = frame.holds(until, False)
             else:
-                hit = np.logical_and.reduceat(mask, block_bounds[:-1]).tolist()
+                hit = np.logical_and.reduceat(
+                    until(program, read), block_bounds[:-1]
+                ).tolist()
             froze = False
             for lane in active:
                 if not lane.stop_reason and hit[lane.index]:
@@ -726,7 +818,11 @@ class KernelRuntime:
         steps = 0
         active = lanes
         picker = lanes[0].daemon if single and lanes[0].daemon.picks_rules else None
-        watching = any(lane.probes for lane in lanes)
+        watching = False
+        for lane in lanes:
+            if lane.probes:
+                watching = True
+                lane.view.frame, lane.view.index = frame, lane.index
         parts: list[np.ndarray] = []
         try:
             # The runtime's cached masks when the caller already asked.
@@ -734,7 +830,7 @@ class KernelRuntime:
             if rounds is not None and not rounds.started:
                 rounds.start(enabled_mask)
             for lane in lanes:
-                if lane.probes and observe(lane, "start", None, None):
+                if lane.probes and observe(lane, "start"):
                     freeze(lane, "probe")
             if until is not None:
                 check_until()
@@ -774,6 +870,7 @@ class KernelRuntime:
                         program = self.base.tiled(blocks)
                         rule_idx = rule_idx[:cut]
                         enabled_mask = enabled_mask[:cut]
+                        frame.starts = block_bounds[:-1]
                         if rounds is not None:
                             rounds.truncate(blocks)
                         if tel:
@@ -891,20 +988,12 @@ class KernelRuntime:
                         tcounts[T_ROUNDS] += 1
                         t_mark = t_now
                 if watching:
+                    frame.chosen, frame.kinds, frame.step_rule = chosen, kinds, k0
+                    frame.counts = None
                     for lane in active:
                         if not lane.probes or lane.stop_reason:
                             continue
-                        if kinds is None:
-                            lane_kinds = np.full(lane.chosen.shape[0], k0,
-                                                 dtype=np.int8)
-                        elif single:
-                            lane_kinds = kinds
-                        else:
-                            # ``chosen`` ascends, so a lane's moves are
-                            # the run starting at its block offset.
-                            at = int(np.searchsorted(chosen, lane.lo))
-                            lane_kinds = kinds[at : at + lane.chosen.shape[0]]
-                        if observe(lane, "step", lane.chosen, lane_kinds):
+                        if observe(lane, "step", lane.chosen):
                             freeze(lane, "probe")
                             froze = True
                     if sampling:

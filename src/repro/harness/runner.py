@@ -35,7 +35,7 @@ from ..faults.scenarios import clock_gradient, clock_split, fake_reset_wave, hol
 from ..faults.churn import parse_churn
 from ..faults.schedule import parse_schedule
 from ..probes import RecoveryProbe, SdrWaveProbe, StabilizationProbe
-from ..probes.stabilization import resolve_mask
+from ..probes.stabilization import lane_mask
 from ..reset.sdr import SDR
 from ..topology import by_name
 from ..unison.boulinier import BoulinierUnison
@@ -706,7 +706,7 @@ def run_trial_batch(
     result = run_batch(
         program, cfgs, daemons, [Random(seed) for seed in seeds], network,
         max_steps=max_steps,
-        until=_batch_until(entry.mask) if faults is None and entry.mask else None,
+        until=_batch_until(program, entry.mask) if faults is None else None,
         exclusion_name=algo.name if algo.mutually_exclusive_rules else None,
         probes=trial_probes,
         faults=[kit.faults if kit else None for kit in kits],
@@ -734,17 +734,16 @@ def run_trial_batch(
     return [trial for _, trial in finished]
 
 
-def _batch_until(mask_attr: str):
-    """A per-process freeze mask, resolved against the *tiled* program;
-    a program lacking it makes the cell unbatchable (serial fallback)."""
-
-    def until(prog, cols):
-        mask_fn = resolve_mask(prog, mask_attr)
-        if mask_fn is None:
-            raise UnbatchableError(
-                f"kernel program of {prog.rule_set.name} provides no "
-                f"{mask_attr} — cell cannot be batched"
-            )
-        return mask_fn(cols)
-
-    return until
+def _batch_until(program, mask_attr: str | None) -> str | None:
+    """The declared predicate that freezes a trial (the driver reads it
+    off its guard evaluation), or ``None`` for a terminal entry; a
+    program lacking it makes the cell unbatchable (serial fallback)."""
+    if mask_attr is None:
+        return None
+    name = lane_mask(program, mask_attr)
+    if not isinstance(name, str):
+        raise UnbatchableError(
+            f"kernel program of {program.rule_set.name} provides no "
+            f"{mask_attr} — cell cannot be batched"
+        )
+    return name

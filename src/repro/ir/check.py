@@ -19,6 +19,11 @@ For every registered algorithm (:mod:`repro.ir.registry`) the lint
   enabled set is where a wrong row layout would show);
 * for input rule sets, checks the ``icorrect``/``reset`` predicates
   (both compilations) against ``p_icorrect``/``p_reset``;
+* checks every declared predicate the generated ``evaluate`` returns
+  beside the guards (what the driver's probes read) against the
+  standalone ``<name>_mask`` and, process by process, the dict
+  compilation — on the fast path (the initial configuration) and the
+  general one;
 * domain soundness: every value ``algorithm.random_state`` can draw must
   encode within its schema column's declared dtype and the tiled batch
   layout (:func:`check_domains`) — the fault injector corrupts registers
@@ -87,7 +92,7 @@ def check_algorithm(label: str, algorithm) -> list[str]:
         # rule → {enabled process: native update}
         native: dict = {rule: {} for rule in rule_set.rule_labels}
         cols = kernel_program.schema.encode(cfg)
-        masks = kernel_program.guard_masks(cols)
+        masks, preds = kernel_program.evaluate(cols)
         stray = set(masks) - set(rule_set.rule_labels)
         if stray:
             problems.append(f"{label}: masks for unknown rules {stray}")
@@ -150,9 +155,29 @@ def check_algorithm(label: str, algorithm) -> list[str]:
                         problems.append(
                             f"{label}: kernel predicate {name!r} at {u} (cfg {c})"
                         )
+        if set(preds) != set(rule_set.predicates):
+            problems.append(f"{label}: evaluate returns predicates "
+                            f"{sorted(preds)} != {sorted(rule_set.predicates)}")
+        problems += _check_predicates(
+            label, kernel_program, dict_program, cfg, cols, preds, c
+        )
         if problems:
             break  # one configuration's findings are enough detail
     return problems
+
+
+def _check_predicates(label, program, dict_program, cfg, cols, preds,
+                      c) -> list[str]:
+    """The predicates ``evaluate`` returned beside the guards (``preds``)
+    against their standalone masks and the dict compilation."""
+    for name, got in preds.items():
+        want = [dict_program.predicate(name, cfg, u) for u in range(len(cfg))]
+        standalone = getattr(program, f"{name}_mask")(cols)
+        if not np.array_equal(got, standalone) or got.tolist() != want:
+            return [f"{label}: predicate {name!r} (cfg {c}): evaluate "
+                    f"{got.tolist()} standalone {standalone.tolist()} "
+                    f"dict {want}"]
+    return []
 
 
 def _check_kernel_action(label, program, rule, cfg, cols, updates,

@@ -1,9 +1,10 @@
 """Kernel compiler: generate vectorized numpy programs from a rule set.
 
 This is a source generator, not a tree-walking interpreter: each rule
-set compiles once into straight-line numpy code (one ``guard_masks``
-function, one ``apply`` function per rule, one function per declared
-predicate), which is then ``exec``'d and cached.  Per-step cost is
+set compiles once into straight-line numpy code (one ``evaluate``
+function computing every guard *and* every declared predicate, one
+``apply`` function per rule, one standalone function per predicate for
+off-loop callers), which is then ``exec``'d and cached.  Per-step cost is
 therefore identical in shape to the handwritten kernel programs this
 replaces — a fixed sequence of array ops with shared temporaries — and
 the generated source is kept on the code object for inspection
@@ -24,12 +25,20 @@ Lowering rules:
   ``Neigh(x)`` gathers ``x`` at those rows' neighbors, ``Own(x)`` repeats
   the idx-space ``x`` once per row slot) and folded per selected row, so
   an action costs the moving processes' edges, not the whole graph's;
-* common subexpressions are shared by node identity — build an
-  expression once, reference it from every guard, and the generated
-  function computes it once;
+* common subexpressions are shared by *structure*: two nodes with the
+  same operator and structurally equal operands (a ``Const`` keyed by
+  type and value, so ``True`` is not ``1``; a ``Param`` by identity) are
+  computed once per generated function, however often the rule set
+  rebuilt them;
+* the ``evaluate`` function returns ``(guard masks, predicate masks)``:
+  the declared predicates (``normal``, ``legitimate``, …) ride the
+  guards' temporaries, so the driver's probes read them at the cost of
+  the few ops the guards did not already compute;
 * a :class:`~repro.ir.rules.FastPath` compiles to a cheap whole-system
   test guarding a reduced mask dict (omitted masks are all-false by the
-  :meth:`IRKernelProgram.guard_masks` contract).
+  :meth:`IRKernelProgram.guard_masks` contract) plus the predicates;
+  inside it the trigger lowers to the all-true ``C.ones`` and
+  ``x & trigger`` to ``x``.
 """
 
 from __future__ import annotations
@@ -75,6 +84,7 @@ _PROLOGUE = (
     ("_IX", "_CSR.indices"),
     ("_SRC", "_CSR.edge_src"),
     ("_AR", "C.arange"),
+    ("_ONES", "C.ones"),
 )
 _NEEDS_CSR = frozenset({"_N", "_IX", "_SRC"})
 
@@ -96,6 +106,9 @@ class _Fn:
         self._ememo: dict[int, str] = {}
         self._rows: str | None = None
         self._saved = None
+        #: Key of an expression known to hold everywhere (the fast-path
+        #: trigger inside its block), or ``None``.
+        self._truth: int | None = None
 
     # -- emission helpers ----------------------------------------------
     def use(self, name: str) -> str:
@@ -110,21 +123,25 @@ class _Fn:
         self.line(f"{name} = {src}")
         return name
 
-    def begin_block(self) -> None:
-        """Enter the fast-path ``if`` body: temps emitted inside are
-        forgotten on exit (they don't exist on the general path)."""
+    def begin_block(self, truth: E.Expr) -> None:
+        """Enter the fast-path ``if`` body, where ``truth`` holds at
+        every process: temps emitted inside are forgotten on exit (they
+        don't exist on the general path)."""
         self._saved = (dict(self._fmemo), dict(self._lmemo),
                        dict(self._ememo), self._rows)
+        self._truth = self.compiler.key(truth)
         self.indent += 1
 
     def end_block(self) -> None:
         self._fmemo, self._lmemo, self._ememo, self._rows = self._saved
-        self._saved = None
+        self._saved = self._truth = None
         self.indent -= 1
 
     # -- full (column-vector) lowering ---------------------------------
     def full(self, node: E.Expr) -> str:
-        key = id(node)
+        key = self.compiler.key(node)
+        if key == self._truth:
+            return self.use("_ONES")
         got = self._fmemo.get(key)
         if got is None:
             got = self._full(node)
@@ -158,6 +175,8 @@ class _Fn:
             return self.temp(f"{inner}[{self.use('_SRC')}]")
         if isinstance(node, E.BinOp):
             a, b = self.full(node.a), self.full(node.b)
+            if node.op == "&" and "_ONES" in (a, b):  # x & true is x
+                return b if a == "_ONES" else a
             return self.temp(_BIN_FMT[node.op].format(a, b))
         if isinstance(node, E.UnOp):
             return self.temp(_UN_FMT[node.op].format(self.full(node.a)))
@@ -187,7 +206,7 @@ class _Fn:
 
     # -- local (idx-space) lowering ------------------------------------
     def local(self, node: E.Expr) -> str:
-        key = id(node)
+        key = self.compiler.key(node)
         got = self._lmemo.get(key)
         if got is None:
             got = self._local(node)
@@ -233,7 +252,7 @@ class _Fn:
         return self._rows
 
     def edge(self, node: E.Expr) -> str:
-        key = id(node)
+        key = self.compiler.key(node)
         got = self._ememo.get(key)
         if got is None:
             got = self._edge(node)
@@ -282,9 +301,14 @@ class _Fn:
         else:
             self.line(f"{target}[{sub}] = {self.local(assign.value)}[{cond}]")
 
-    def emit_mask_return(self, mask_srcs: dict) -> None:
-        body = ", ".join(f"{label!r}: {src}" for label, src in mask_srcs.items())
-        self.line("return {" + body + "}")
+    def emit_masks_return(self, guards: dict, predicates: dict) -> None:
+        """``return {rule: mask…}, {predicate: mask…}``, guards first so
+        the predicates reuse their temporaries."""
+        parts = []
+        for exprs in (guards, predicates):
+            srcs = [f"{name!r}: {self.full(e)}" for name, e in exprs.items()]
+            parts.append("{" + ", ".join(srcs) + "}")
+        self.line(f"return {parts[0]}, {parts[1]}")
 
     # -- rendering -----------------------------------------------------
     def render(self) -> str:
@@ -307,11 +331,37 @@ class _Compiler:
         self._temp = 0
         self._param_slots: dict[int, str] = {}
         self.params: list[tuple[str, np.ndarray]] = []
+        #: Structural keys: node id → canonical id, and the canonical
+        #: table (operator plus child canonical ids → canonical id).
+        self._keys: dict[int, int] = {}
+        self._canon: dict[tuple, int] = {}
+        self._keyed: list[E.Expr] = []  # keeps every keyed id alive
 
     def next_temp(self) -> str:
         name = f"_t{self._temp}"
         self._temp += 1
         return name
+
+    def key(self, node) -> int:
+        """Structural CSE key of ``node``: equal for structurally equal
+        expressions, whichever objects built them."""
+        got = self._keys.get(id(node))
+        if got is None:
+            got = self._canon.setdefault(self._shape(node), len(self._canon))
+            self._keys[id(node)] = got
+            self._keyed.append(node)
+        return got
+
+    def _shape(self, node) -> tuple:
+        """Node type plus its fields: operands by their keys, anything
+        else by type and value (``True`` is not ``1``); a ``Param``
+        keyed by identity."""
+        if isinstance(node, E.Param):
+            return (E.Param, id(node))
+        return (type(node), *(
+            self.key(value) if isinstance(value, E.Expr) else (type(value), value)
+            for value in map(node.__getattribute__, type(node).__slots__)
+        ))
 
     def param_slot(self, node: E.Param) -> str:
         slot = self._param_slots.get(id(node))
@@ -345,10 +395,10 @@ class _KernelCode:
     """The exec'd output of :func:`compile_rule_set`, shared by every
     program instance (base and tiled) of one rule set."""
 
-    __slots__ = ("guard_fn", "apply_fns", "pred_fns", "params", "source")
+    __slots__ = ("eval_fn", "apply_fns", "pred_fns", "params", "source")
 
-    def __init__(self, guard_fn, apply_fns, pred_fns, params, source):
-        self.guard_fn = guard_fn
+    def __init__(self, eval_fn, apply_fns, pred_fns, params, source):
+        self.eval_fn = eval_fn
         self.apply_fns = apply_fns
         self.pred_fns = pred_fns
         self.params = params
@@ -374,17 +424,16 @@ def compile_rule_set(rule_set) -> _KernelCode:
     """Generate and exec the numpy functions for one rule set."""
     comp = _Compiler(rule_set)
 
-    guard = _Fn(comp, "guard_masks", ("cols", "C"), "cols")
+    guard = _Fn(comp, "evaluate", ("cols", "C"), "cols")
+    predicates = rule_set.predicates
     fast = rule_set.fast_path
     if fast is not None:
         guard.line(f"if {_trigger_test(guard, fast.trigger)}:")
-        guard.begin_block()
-        guard.emit_mask_return(
-            {label: guard.full(g) for label, g in fast.guards.items()}
-        )
+        guard.begin_block(fast.trigger)
+        guard.emit_masks_return(fast.guards, predicates)
         guard.end_block()
-    guard.emit_mask_return(
-        {rule.label: guard.full(rule.guard) for rule in rule_set.rules}
+    guard.emit_masks_return(
+        {rule.label: rule.guard for rule in rule_set.rules}, predicates
     )
     comp.fns.append(guard)
 
@@ -406,7 +455,7 @@ def compile_rule_set(rule_set) -> _KernelCode:
     source = "\n\n".join(fn.render() for fn in comp.fns)
     ns = _exec_cached(source, rule_set.name)
     return _KernelCode(
-        guard_fn=ns["guard_masks"],
+        eval_fn=ns["evaluate"],
         apply_fns={label: ns[fname] for label, fname in apply_names.items()},
         pred_fns={name: ns[fname] for name, fname in pred_names.items()},
         params=tuple(comp.params),
@@ -422,9 +471,12 @@ class IRKernelProgram:
     a rule's action runs on a whole index vector of selected processes,
     reading the frozen pre-step columns and writing the next-step ones
     (the runtime's double buffer realizes composite atomicity).
-    Declared predicates are served as ``<name>_mask`` methods
-    (``normal_mask``, ``legitimate_mask``, ``icorrect_mask``, …) for the
-    probes.
+    :meth:`evaluate` returns the guard masks together with every
+    declared predicate's mask (one generated function, shared
+    temporaries) — what the driver evaluates once per step.  Each
+    predicate is also served standalone as a ``<name>_mask`` method
+    (``normal_mask``, ``legitimate_mask``, ``icorrect_mask``, …) for
+    callers outside the driving loop.
 
     Attributes
     ----------
@@ -435,6 +487,9 @@ class IRKernelProgram:
         Rule labels in the dict algorithm's order
         (``Algorithm.rule_names``), so the two backends are
         interchangeable in traces and accounting.
+    predicates:
+        Names of the declared predicates, the keys of :meth:`evaluate`'s
+        second dict.
     """
 
     def __init__(self, rule_set):
@@ -452,11 +507,12 @@ class IRKernelProgram:
         self.csr = csr
         self.schema = rule_set.schema
         self.rules = rule_set.rule_labels
+        self.predicates = tuple(rule_set.predicates)
         if params is None:
             params = dict(code.params)
         self._params = params
         self._copies = copies
-        self._arange = None
+        self._arange = self._ones = None
 
     # -- generated-code services ---------------------------------------
     @property
@@ -465,6 +521,15 @@ class IRKernelProgram:
             self._arange = np.arange(self.csr.n, dtype=np.int64)
         return self._arange
 
+    @property
+    def ones(self) -> np.ndarray:
+        """All-true per-process mask (read-only): a predicate the fast
+        path knows holds everywhere."""
+        if self._ones is None:
+            self._ones = np.ones(self.csr.n, dtype=np.bool_)
+            self._ones.setflags(write=False)
+        return self._ones
+
     # -- program contract ----------------------------------------------
     def guard_masks(self, cols):
         """Boolean enabled-mask per rule, evaluated on every process.
@@ -472,7 +537,14 @@ class IRKernelProgram:
         A rule whose guard is everywhere false may be omitted (the fast
         path does): consumers read a missing key as an all-false mask.
         """
-        return self._code.guard_fn(cols, self)
+        return self._code.eval_fn(cols, self)[0]
+
+    def evaluate(self, cols):
+        """``(guard masks, predicate masks)`` of one configuration, from
+        one generated function: the :meth:`guard_masks` dict, and every
+        declared predicate's per-process mask by name (never ANDed with
+        anything)."""
+        return self._code.eval_fn(cols, self)
 
     def apply(self, rule, idx, read, write):
         """Execute ``rule`` at the processes in ``idx``: reads come from

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from .base import Probe
-from .stabilization import resolve_mask
+from .stabilization import lane_mask, resolve_mask
 from .view import ColumnView
 
 __all__ = ["RecoveryProbe", "SdrWaveProbe"]
@@ -87,7 +87,8 @@ class RecoveryProbe(Probe):
         self.stop = stop
         self.bursts: list[dict] = []
         self._open: list[int] = []
-        self._mask_fn: Callable | None = mask if callable(mask) else None
+        #: The resolved ``lane_mask`` (``None`` until resolved).
+        self._test: str | Callable | None = mask if callable(mask) else None
         #: Crashed-and-not-rejoined process ids, learned from ``on_churn``
         #: notifications; legitimacy is judged on the live subsystem.
         self._dead: set[int] = set()
@@ -125,7 +126,7 @@ class RecoveryProbe(Probe):
     def wants_decode(self) -> bool:
         if self.terminal:
             return False
-        return self._mask_fn is None
+        return self._test is None
 
     def mask_fn(self, program) -> Callable | None:
         return resolve_mask(program, self.mask)
@@ -206,12 +207,8 @@ class RecoveryProbe(Probe):
     def _holds(self, sim) -> bool:
         if self.terminal:
             return sim.is_terminal()
-        if self._mask_fn is not None and sim._kernel is not None:
-            vals = self._mask_fn(sim._kernel.read)
-            alive = sim._kernel.live
-            if alive is not None:
-                return bool(vals[alive].all())
-            return bool(vals.all())
+        if self._test is not None and sim._kernel is not None:
+            return sim._kernel.holds(self._test, live=True)
         if self.predicate is None:
             raise ValueError(
                 f"recovery probe {self.name!r} has no decode-tier predicate "
@@ -223,8 +220,8 @@ class RecoveryProbe(Probe):
         return self.predicate(sim.cfg)
 
     def on_start(self, sim) -> None:
-        if self._mask_fn is None and not self.terminal:
-            self._mask_fn = resolve_mask(sim._program, self.mask)
+        if self._test is None and not self.terminal:
+            self._test = lane_mask(sim._program, self.mask)
 
     def on_step(self, sim, record) -> None:
         self._observe(
@@ -238,7 +235,7 @@ class RecoveryProbe(Probe):
         # closes here with zero steps/rounds/moves.
         if not self._open:
             return
-        if self._mask_fn is None and self.predicate is None and not self.terminal:
+        if self._test is None and self.predicate is None and not self.terminal:
             return  # mask never resolved: nothing was observable all run
         self._observe(
             self._holds(sim), sim.step_count, sim.rounds.completed, sim.move_count
@@ -248,22 +245,17 @@ class RecoveryProbe(Probe):
     # Vector tier
     # ------------------------------------------------------------------
     def on_columns(self, view: ColumnView) -> None:
-        if self.terminal:
-            if view.phase != "start":
-                self._observe(self._view_holds(view), view.steps,
-                              view.rounds, view.moves)
-            return
-        if self._mask_fn is None:
-            self._mask_fn = resolve_mask(view.program, self.mask)
-            if self._mask_fn is None:
+        if self._test is None and not self.terminal:
+            self._test = lane_mask(view.program, self.mask)
+            if self._test is None:
                 raise ValueError(
                     f"recovery probe {self.name!r}: mask {self.mask!r} did "
                     f"not resolve against {type(view.program).__name__}"
                 )
-        if view.phase == "start":
-            return
-        self._observe(self._view_holds(view), view.steps, view.rounds,
-                      view.moves)
+        # Only an open stopwatch can close: without one, nothing to test.
+        if view.phase != "start" and self._open:
+            self._observe(self._view_holds(view), view.steps, view.rounds,
+                          view.moves)
 
     def on_stop(self, view: ColumnView) -> None:
         # Vector twin of on_finish (same reason: a burst that leaves the
@@ -275,10 +267,7 @@ class RecoveryProbe(Probe):
     def _view_holds(self, view: ColumnView) -> bool:
         if self.terminal:
             return not bool(view.enabled_mask.any())
-        vals = self._mask_fn(view.cols)
-        if view.live is not None:
-            return bool(vals[view.live].all())
-        return bool(vals.all())
+        return view.holds(self._test, live=True)
 
     # ------------------------------------------------------------------
     def done(self) -> bool:
@@ -311,8 +300,10 @@ class SdrWaveProbe(Probe):
 
     Counts before the first injection accumulate in the ``"pre"``
     window (index ``-1`` in :attr:`windows` order).  Works on both
-    tiers; the vector tier never leaves the fused loop (one boolean
-    gather per step plus one column comparison).
+    tiers; the vector tier never leaves the fused loop: per step it
+    reads the lane's per-rule move counts and its ``status_c`` bit,
+    which the driver derives for every lane at once (one ``bincount``,
+    one boolean ``reduceat``).
     """
 
     name = "sdr-waves"
@@ -328,9 +319,8 @@ class SdrWaveProbe(Probe):
         self._sdr_rules = SDR_RULES
         self.windows: list[dict] = [self._window("pre")]
         self._dirty = False
-        # Vector-tier lookups, resolved against the observed program once.
+        # Vector-tier rule lookup, resolved against the observed program once.
         self._rule_cols = None
-        self._clean_code = None
 
     @staticmethod
     def _window(label) -> dict:
@@ -404,19 +394,14 @@ class SdrWaveProbe(Probe):
                 for k, rule in enumerate(rules)
                 if rule in self._rule_names
             }
-            st_var = next(
-                var for var in view.program.schema.vars if var.name == self._st
-            )
-            self._clean_code = st_var.encode_value(self._clean_status)
-        st = view.cols[self._st]
-        dirty = bool((st != self._clean_code).any())
+        dirty = not view.holds("status_c")
         if view.phase == "start":
             self._dirty = dirty
             return
         window = self.current
-        if view.chosen_rules is not None:
-            for k, key in self._rule_cols.items():
-                window[key] += int((view.chosen_rules == k).sum())
+        counts = view.rule_counts
+        for k, key in self._rule_cols.items():
+            window[key] += counts[k]
         if dirty and not self._dirty:
             window["epochs"] += 1
         self._dirty = dirty

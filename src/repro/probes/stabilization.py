@@ -18,7 +18,10 @@ The legitimacy notion is given twice, once per tier:
 When the mask resolves, :meth:`wants_decode` answers ``False`` and the
 probe rides the fused loop; when it does not (dict backend, unported
 program), the probe falls back to the decode tier — loudly, once per
-rule set, when a kernel program lacks the expected mask attribute.
+rule set, when a kernel program lacks the expected mask attribute.  A
+mask naming a declared predicate of the program (:func:`lane_mask`) is
+never evaluated by the probe: it reads the bit the driver reduced from
+its guard evaluation.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from ..core.exceptions import NotStabilized
 from .base import Probe
 from .view import ColumnView
 
-__all__ = ["StabilizationProbe", "StopProbe"]
+__all__ = ["StabilizationProbe", "StopProbe", "lane_mask"]
 
 Predicate = Callable[[Any], bool]
 
@@ -39,6 +42,19 @@ _logger = logging.getLogger(__name__)
 #: ``rule_set_name.mask_attr`` combinations already warned about — one
 #: warning per combination (campaigns build thousands of probes).
 _MASK_FALLBACK_WARNED: set[str] = set()
+
+
+def lane_mask(program, mask) -> str | Callable | None:
+    """What a probe tests for ``mask``: the name of the declared
+    predicate it names (``"normal_mask"`` → ``"normal"``), which the
+    driver evaluates with the guards — else :func:`resolve_mask`'s
+    callable.  ``ColumnView.holds`` and ``KernelRuntime.holds`` take
+    either."""
+    if isinstance(mask, str) and mask.endswith("_mask"):
+        name = mask[: -len("_mask")]
+        if name in getattr(program, "predicates", ()):
+            return name
+    return resolve_mask(program, mask)
 
 
 def resolve_mask(program, mask) -> Callable | None:
@@ -120,7 +136,8 @@ class StabilizationProbe(Probe):
         self.moves: int | None = None
         self.violations_after_hit = 0
         self._past = 0
-        self._mask_fn: Callable | None = mask if callable(mask) else None
+        #: The resolved :func:`lane_mask` (``None`` until resolved).
+        self._test: str | Callable | None = mask if callable(mask) else None
 
     # ------------------------------------------------------------------
     @property
@@ -135,7 +152,7 @@ class StabilizationProbe(Probe):
     # Capability declaration
     # ------------------------------------------------------------------
     def wants_decode(self) -> bool:
-        return self._mask_fn is None
+        return self._test is None
 
     def mask_fn(self, program) -> Callable | None:
         return resolve_mask(program, self.mask)
@@ -157,8 +174,8 @@ class StabilizationProbe(Probe):
     def _holds(self, sim) -> bool:
         # Even on the decode tier, prefer the mask over the kernel
         # columns: no configuration decode, identical result.
-        if self._mask_fn is not None and sim._kernel is not None:
-            return bool(self._mask_fn(sim._kernel.read).all())
+        if self._test is not None and sim._kernel is not None:
+            return sim._kernel.holds(self._test)
         if self.predicate is None:
             raise ValueError(
                 f"stabilization probe {self.name!r} has no decode-tier "
@@ -168,8 +185,8 @@ class StabilizationProbe(Probe):
         return self.predicate(sim.cfg)
 
     def on_start(self, sim) -> None:
-        if self._mask_fn is None:
-            self._mask_fn = resolve_mask(sim._program, self.mask)
+        if self._test is None:
+            self._test = lane_mask(sim._program, self.mask)
         if not self.hit and self._holds(sim):
             self.step = sim.step_count
             self.rounds = sim.rounds.completed
@@ -184,16 +201,16 @@ class StabilizationProbe(Probe):
     # Vector tier
     # ------------------------------------------------------------------
     def on_columns(self, view: ColumnView) -> None:
-        if self._mask_fn is None:
+        if self._test is None:
             # Batch-attached probes have no simulator (on_start never
             # ran): resolve a named mask against the view's program.
-            self._mask_fn = resolve_mask(view.program, self.mask)
-            if self._mask_fn is None:
+            self._test = lane_mask(view.program, self.mask)
+            if self._test is None:
                 raise ValueError(
                     f"stabilization probe {self.name!r}: mask {self.mask!r} "
                     f"did not resolve against {type(view.program).__name__}"
                 )
-        holds = bool(self._mask_fn(view.cols).all())
+        holds = view.holds(self._test)
         if view.phase == "start":
             if not self.hit and holds:
                 self.step = view.steps

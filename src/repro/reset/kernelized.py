@@ -110,7 +110,8 @@ def sdr_rule_set(sdr, input_rule_set) -> RuleSet:
         # Per-process conjunct of ``SDR.is_normal``: st = C ∧ P_ICorrect.
         # Its all-processes conjunction is exactly the normal configuration
         # predicate, so the fused loop detects stabilization undecoded.
-        predicates={"normal": st_is_c & icorrect},
+        # ``status_c`` (st = C) is what reset-wave accounting watches.
+        predicates={"normal": st_is_c & icorrect, "status_c": st_is_c},
         fast_path=FastPath(st == _C, fast_guards),
         tile_check=input_rule_set.tile_check,
     )
