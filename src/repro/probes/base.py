@@ -33,7 +33,7 @@ Python closure.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
 from .view import ColumnView
 
@@ -70,16 +70,6 @@ class Probe:
         they need).
         """
         return True
-
-    def mask_fn(self, program) -> Callable[[Any], Any] | None:
-        """Optional per-process boolean mask over ``program``'s columns.
-
-        Batched execution uses this to freeze a trial the first time
-        the mask holds on its whole block (the vectorized counterpart
-        of a ``stop_when`` predicate); ``None`` means the probe has no
-        mask to offer.
-        """
-        return None
 
     # ------------------------------------------------------------------
     # Decode tier

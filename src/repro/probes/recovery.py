@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from .base import Probe
-from .stabilization import lane_mask, resolve_mask
+from .stabilization import lane_mask
 from .view import ColumnView
 
 __all__ = ["RecoveryProbe", "SdrWaveProbe"]
@@ -127,9 +127,6 @@ class RecoveryProbe(Probe):
         if self.terminal:
             return False
         return self._test is None
-
-    def mask_fn(self, program) -> Callable | None:
-        return resolve_mask(program, self.mask)
 
     # ------------------------------------------------------------------
     # Fault notifications (tier-agnostic)

@@ -154,9 +154,6 @@ class StabilizationProbe(Probe):
     def wants_decode(self) -> bool:
         return self._test is None
 
-    def mask_fn(self, program) -> Callable | None:
-        return resolve_mask(program, self.mask)
-
     # ------------------------------------------------------------------
     # Shared recording logic (identical on both tiers)
     # ------------------------------------------------------------------
