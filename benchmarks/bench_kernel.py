@@ -16,8 +16,9 @@ and emits ``BENCH_core.json`` at the repo root:
   Python boundary crossing;
 * ``fused+probe`` — the fused loop with a vectorized
   :class:`repro.probes.StabilizationProbe` attached (the F1/F2
-  measurement configuration): the probe evaluates the program's
-  ``normal_mask`` every step *inside* the loop, and the run asserts the
+  measurement configuration): the probe reads the program's declared
+  ``normal`` predicate every step *inside* the loop (the bit the guard
+  evaluation already produced), and the run asserts the
   fused path stayed engaged — measurement must not kick execution off
   the fast path.
 * ``fused+telemetry`` — the fused loop with
@@ -173,7 +174,7 @@ def time_cell(
                 # stabilization probe riding the run (stop=False so the
                 # timed step count stays fixed across configurations).
                 sim.add_probe(StabilizationProbe(
-                    sdr.is_normal, mask="normal_mask", stop=False,
+                    sdr.is_normal, mask="normal", stop=False,
                 ))
                 if not sim.fusion_available:
                     raise SystemExit(

@@ -5,9 +5,9 @@ moves by the *successor* configuration's potential — a scalar that is
 large while the execution still owes many moves and shrinks as it
 approaches a legitimate configuration.  Each potential is a vectorized
 column function: it scores a ``{variable: ndarray}`` column mapping (the
-kernel's read buffer, a scratch successor buffer, or a
-:class:`~repro.probes.view.ColumnView`'s ``cols``) directly, without
-decoding a :class:`~repro.core.configuration.Configuration`.
+kernel's read buffer or a scratch successor buffer) together with the
+guard masks the caller already evaluated on it, without decoding a
+:class:`~repro.core.configuration.Configuration`.
 
 The potentials mirror the quantities the paper's proofs charge moves
 against:
@@ -62,16 +62,17 @@ _RF_CODE = STATUSES.index(RF)
 
 
 class Potential:
-    """Scalar score of a configuration given as columns (higher = farther)."""
+    """Scalar score of a configuration given as columns (higher = farther).
+
+    ``score(cols, program, masks)``: ``masks`` are the guard masks of
+    ``cols`` (``program.evaluate(cols)[0]``), which the search evaluated
+    once per successor.
+    """
 
     name = "potential"
 
-    def score(self, cols: Columns, program) -> float:
+    def score(self, cols: Columns, program, masks) -> float:
         raise NotImplementedError
-
-    def __call__(self, view) -> float:
-        """Convenience: evaluate on a :class:`~repro.probes.view.ColumnView`."""
-        return self.score(view.cols, view.program)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -87,9 +88,9 @@ class EnabledMoves(Potential):
 
     name = "enabled"
 
-    def score(self, cols: Columns, program) -> float:
+    def score(self, cols: Columns, program, masks) -> float:
         total = 0
-        for mask in program.guard_masks(cols).values():
+        for mask in masks.values():
             if mask is not None:
                 total += int(np.count_nonzero(mask))
         return float(total)
@@ -106,7 +107,7 @@ class ResetDistanceMass(Potential):
 
     name = "reset-mass"
 
-    def score(self, cols: Columns, program) -> float:
+    def score(self, cols: Columns, program, masks) -> float:
         st = cols.get(ST)
         if st is None:
             return 0.0
@@ -133,7 +134,7 @@ class UnisonSkew(Potential):
 
     name = "unison-skew"
 
-    def score(self, cols: Columns, program) -> float:
+    def score(self, cols: Columns, program, masks) -> float:
         c = cols.get(CLOCK)
         csr = getattr(program, "csr", None)
         if c is None or csr is None:
@@ -146,7 +147,7 @@ class FgaElectionChurn(Potential):
 
     name = "fga-churn"
 
-    def score(self, cols: Columns, program) -> float:
+    def score(self, cols: Columns, program, masks) -> float:
         total = 0.0
         canq = cols.get(CANQ)
         if canq is not None:
@@ -165,8 +166,8 @@ class WeightedPotential(Potential):
     def __init__(self, terms: Sequence[tuple[float, Potential]]):
         self.terms = tuple(terms)
 
-    def score(self, cols: Columns, program) -> float:
-        return sum(w * p.score(cols, program) for w, p in self.terms)
+    def score(self, cols: Columns, program, masks) -> float:
+        return sum(w * p.score(cols, program, masks) for w, p in self.terms)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{w:g}*{p.name}" for w, p in self.terms)

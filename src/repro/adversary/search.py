@@ -41,7 +41,7 @@ import numpy as np
 from ..core.configuration import Configuration
 from ..core.daemon import Daemon
 from ..core.exceptions import DaemonError
-from ..core.kernel.engine import enabled_map, live_masks
+from ..core.kernel.engine import check_predicate, enabled_map, live_masks
 from ..reset.sdr import SDR_RULES
 from .potential import Columns, Potential, default_potential
 
@@ -132,16 +132,16 @@ class SearchStrategy:
     ``choose_columns`` picks a selection given the live runtime and its
     enabled map, rolling out on column dicts of its own (the runtime is
     only read).  Strategies are deterministic and stateless across steps
-    apart from the potential and stop mask they resolve against the
+    apart from the potential and stop predicate they resolve against the
     runtime's program, which ``reset`` drops between executions.
     """
 
     spec = "strategy"
     #: Whether ``choose_columns`` is implemented (False = scored-only).
     column_tier = True
-    #: Kernel-program legitimacy mask of the measured run (an attribute
-    #: name like ``"normal_mask"``, or a ``cols -> ndarray`` callable).
-    #: The trial runner sets it so rollouts know the run *stops* at the
+    #: Name of the measured run's legitimacy predicate (``"normal"``),
+    #: one the kernel program declares and ``evaluate`` returns.  The
+    #: trial runner sets it so rollouts know the run *stops* at the
     #: first legitimate configuration — a plan crossing one is terminal
     #: and owes no further moves, no matter how enabled it looks.
     stop_mask: str | None = None
@@ -149,10 +149,10 @@ class SearchStrategy:
     def __init__(self, potential: Potential | None = None):
         self._potential = potential
         self._explicit = potential is not None
-        self._stop_fn = None
+        self._stop: str | None = None
 
     def reset(self) -> None:
-        self._stop_fn = None
+        self._stop = None
         if not self._explicit:
             self._potential = None
 
@@ -163,22 +163,16 @@ class SearchStrategy:
     def _materialize(self, kernel) -> Potential:
         if self._potential is None:
             self._potential = default_potential(kernel.program)
-        if self._stop_fn is None and self.stop_mask is not None:
-            from ..probes.stabilization import resolve_mask
-
-            self._stop_fn = resolve_mask(kernel.program, self.stop_mask)
+        if self._stop is None and self.stop_mask is not None:
+            self._stop = check_predicate(kernel.program, self.stop_mask)
         return self._potential
 
-    def _stopped(self, cols) -> bool:
-        """Whether ``cols`` is a configuration the measured run stops at."""
-        return self._stop_fn is not None and bool(self._stop_fn(cols).all())
-
     @staticmethod
-    def _enabled(kernel, cols: Columns) -> EnabledMap:
-        """The enabled map of rollout state ``cols`` (crashed processes
-        stay disabled, as in the runtime's own masks)."""
-        masks = live_masks(kernel.program.guard_masks(cols), kernel.live)
-        return enabled_map(masks, kernel.rules, next(iter(cols.values())).shape[0])
+    def _enabled(kernel, masks) -> EnabledMap:
+        """The enabled map of a rollout state's guard ``masks`` (crashed
+        processes stay disabled, as in the runtime's own masks)."""
+        return enabled_map(live_masks(masks, kernel.live), kernel.rules,
+                           kernel.program.csr.n)
 
     @staticmethod
     def _candidate_selections(enabled: EnabledMap) -> list[Selection]:
@@ -227,19 +221,25 @@ class SearchStrategy:
         scored ``len(selection) + potential(successor)`` — the moves the
         step spends plus an estimate of the moves the successor still
         owes.  A successor the measured run stops at (:attr:`stop_mask`)
-        owes nothing, whatever the potential says.  Returns
-        ``[(score, selection, successor, potential), ...]`` sorted
-        descending by score, ``potential`` being ``None`` at a stopping
-        successor; ties break on the canonical serialized selection
-        (ascending), so the ranking is deterministic.
+        owes nothing, whatever the potential says.  One ``evaluate`` per
+        successor serves the stop test, the potential and, later, the
+        successor's enabled map.  Returns ``[(score, selection,
+        successor, potential, guard masks), ...]`` sorted descending by
+        score, ``potential`` being ``None`` at a stopping successor; ties
+        break on the canonical serialized selection (ascending), so the
+        ranking is deterministic.
         """
         potential = self._materialize(kernel)
-        program = kernel.program
+        program, stop = kernel.program, self._stop
         ranked = []
         for sel in self._candidate_selections(enabled):
             nxt = successor(program, cols, sel)
-            pot = None if self._stopped(nxt) else potential.score(nxt, program)
-            ranked.append((float(len(sel)) + (pot or 0.0), sel, nxt, pot))
+            masks, preds = program.evaluate(nxt)
+            pot = (None if stop is not None and preds[stop].all()
+                   else potential.score(nxt, program, masks))
+            ranked.append(
+                (float(len(sel)) + (pot or 0.0), sel, nxt, pot, masks)
+            )
         ranked.sort(key=lambda t: (-t[0], tuple(sorted(t[1].items()))))
         return ranked
 
@@ -287,10 +287,10 @@ class BeamAdversary(SearchStrategy):
 
     def _expand(self, kernel, cols, enabled, moves: int, first=None):
         """The ``branch`` best successor states of one beam state."""
-        for _score, sel, nxt, pot in self._rank_candidates(
+        for _score, sel, nxt, pot, masks in self._rank_candidates(
             kernel, cols, enabled
         )[: self.branch]:
-            em = {} if pot is None else self._enabled(kernel, nxt)
+            em = {} if pot is None else self._enabled(kernel, masks)
             yield (moves + len(sel) + (pot if em else 0.0), moves + len(sel),
                    sel if first is None else first, nxt, em)
 

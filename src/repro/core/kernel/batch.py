@@ -14,7 +14,7 @@ identical to its serial run, record for record.
 Each trial is one *lane* of the fused driver
 (:meth:`~repro.core.kernel.engine.KernelRuntime.drive`), the same loop a
 single run drives with one lane: trials stop independently (convergence
-mask, terminal block, probe, or budget) and freeze while the rest of the
+predicate, terminal block, probe, or budget) and freeze while the rest of the
 batch runs on, and :class:`~repro.core.rounds.ArrayRoundCounter` counts
 rounds per block.
 """
@@ -22,9 +22,7 @@ rounds per block.
 from __future__ import annotations
 
 from random import Random
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from ..exceptions import UnbatchableError
 from ..rounds import ArrayRoundCounter
@@ -35,12 +33,6 @@ if TYPE_CHECKING:
     from ...ir.kernelc import IRKernelProgram
 
 __all__ = ["TrialOutcome", "BatchResult", "run_batch"]
-
-Columns = Mapping[str, np.ndarray]
-#: A declared predicate's name, or a per-process mask over the tiled
-#: program and its columns.
-UntilFn = str | Callable[["IRKernelProgram", Columns], np.ndarray]
-
 
 class TrialOutcome:
     """Accounting of one trial of a batch, frozen at its stopping step."""
@@ -89,7 +81,7 @@ def run_batch(
     network,
     *,
     max_steps: int,
-    until: UntilFn | None = None,
+    until: str | None = None,
     exclusion_name: str | None = None,
     probes: Sequence[Sequence] | None = None,
     faults: Sequence | None = None,
@@ -100,8 +92,7 @@ def run_batch(
     configuration, a fresh dict daemon instance (state bridged into its
     vector twin), and the trial's seeded generator.  ``until`` is an
     optional convergence test: the name of a declared predicate of the
-    program (read off the driver's guard evaluation), or a per-process
-    mask ``until(tiled_program, cols)``; a trial freezes with
+    program (read off the driver's guard evaluation); a trial freezes with
     ``stop_reason="predicate"`` the first time its block satisfies it
     everywhere (initial configuration included).
     ``probes`` (optional) carries one sequence of vector-tier

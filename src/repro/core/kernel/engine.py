@@ -32,7 +32,7 @@ a :class:`~repro.core.configuration.Configuration` on demand.
 from __future__ import annotations
 
 from random import Random
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,8 +44,8 @@ from .daemons import VectorDaemon, open_stream
 if TYPE_CHECKING:
     from ...ir.kernelc import IRKernelProgram
 
-__all__ = ["KernelRuntime", "FusedResult", "Frame", "Lane", "enabled_map",
-           "live_masks"]
+__all__ = ["KernelRuntime", "FusedResult", "Frame", "Lane", "check_predicate",
+           "enabled_map", "live_masks"]
 
 #: Deferred per-process move accounting flushes into a bincount once this
 #: many buffered moves accumulate — keeps fused-loop memory O(n) on
@@ -209,6 +209,22 @@ def evaluate(program, cols):
     if fn is None:
         return program.guard_masks(cols), {}
     return fn(cols)
+
+
+def check_predicate(program, name: str) -> str:
+    """``name``, checked to be a predicate ``program`` declares (a key of
+    :func:`evaluate`'s second dict) — the one vector-tier legitimacy
+    test.  Raises ``ValueError`` naming the rule set and its declared
+    predicates otherwise."""
+    declared = tuple(getattr(program, "predicates", ()))
+    if name not in declared:
+        owner = getattr(getattr(program, "rule_set", None), "name",
+                        type(program).__name__)
+        raise ValueError(
+            f"{owner} declares no predicate {name!r} "
+            f"(declared: {', '.join(declared) or 'none'})"
+        )
+    return name
 
 
 def live_masks(masks, live):
@@ -453,15 +469,12 @@ class KernelRuntime:
             self._masks = live_masks(masks, self.live)
         return self._masks
 
-    def holds(self, mask, live: bool = False) -> bool:
-        """Whether ``mask`` holds at every process (every live one with
-        ``live``): a declared predicate's name, read off the cached
-        guard evaluation, or a ``cols -> ndarray`` callable."""
-        if isinstance(mask, str):
-            self.guard_masks()
-            vals = self._preds[mask]
-        else:
-            vals = mask(self.read)
+    def holds(self, name: str, live: bool = False) -> bool:
+        """Whether the declared predicate ``name`` holds at every process
+        (every live one with ``live``), read off the cached guard
+        evaluation."""
+        self.guard_masks()
+        vals = self._preds[name]
         if live and self.live is not None:
             vals = vals[self.live]
         return bool(vals.all())
@@ -580,7 +593,7 @@ class KernelRuntime:
         lanes: list[Lane],
         *,
         max_steps: int,
-        until: str | Callable | None = None,
+        until: str | None = None,
         rounds=None,
         exclusion_name: str | None = None,
     ) -> MoveAccumulator:
@@ -597,9 +610,8 @@ class KernelRuntime:
         ``until`` holds on the whole block — checked on the initial
         configuration too — when one of the lane's probes is
         ``done()``, or after ``max_steps`` steps.  ``until`` names a
-        declared predicate of the program (read off the guard
-        evaluation), or is a callable ``until(prog, cols)`` returning a
-        per-process mask over the working program and columns.
+        declared predicate of the program (:func:`check_predicate`),
+        read off the guard evaluation.
 
         A single lane's daemon may pick rules itself
         (:attr:`VectorDaemon.picks_rules`), overriding the lowest-rule
@@ -635,6 +647,8 @@ class KernelRuntime:
         :class:`MoveAccumulator`, not yet flushed.
         """
         program, rules = self.program, self.rules
+        if until is not None:
+            check_predicate(program, until)
         nrules = len(rules)
         total = self._rule_idx.shape[0]
         blocks = len(lanes)
@@ -789,12 +803,7 @@ class KernelRuntime:
 
         def check_until() -> bool:
             """Freeze every lane whose block satisfies ``until``."""
-            if isinstance(until, str):
-                hit = frame.holds(until, False)
-            else:
-                hit = np.logical_and.reduceat(
-                    until(program, read), block_bounds[:-1]
-                ).tolist()
+            hit = frame.holds(until, False)
             froze = False
             for lane in active:
                 if not lane.stop_reason and hit[lane.index]:

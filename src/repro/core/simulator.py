@@ -659,8 +659,9 @@ class Simulator:
         array-native tier (``wants_decode()`` false — such probes are
         served *inside* the driver).  (A ``stop_when`` predicate also
         needs the per-step hook — it must observe the simulator between
-        steps; express it as a :class:`repro.probes.StopProbe` mask to
-        keep the fast path.)  Results are identical either way.
+        steps; name a predicate the rule set declares as a
+        :class:`repro.probes.StopProbe` mask to keep the fast path.)
+        Results are identical either way.
         """
         if self.backend != "kernel" or self.paranoid or self.trace is not None:
             return False

@@ -50,7 +50,7 @@ from ..core.daemon import (
 from ..core.detectors import measure_stabilization
 from ..core.simulator import Simulator
 from ..faults.injector import corrupt_processes
-from ..probes import Probe, StabilizationProbe
+from ..probes import Probe
 from ..reset.sdr import SDR, SDR_RULES
 from ..topology import by_name
 from ..unison.unison import Unison
@@ -150,22 +150,6 @@ class SdrMoveCounter(Probe):
         return int(np.count_nonzero(self.counts))
 
 
-def _measure(sim: Simulator, predicate, mask: str,
-             max_steps: int) -> StabilizationProbe:
-    """Fused-path stabilization measurement for the experiment bodies.
-
-    Attaches a two-tier probe and runs: vectorized executions measure on
-    the fused loop, everything else decodes per step — identical
-    numbers.  Raises :class:`~repro.core.exceptions.NotStabilized` when
-    the budget runs out.
-    """
-    probe = StabilizationProbe(predicate, mask=mask, name="legitimate")
-    sim.add_probe(probe)
-    sim.run(max_steps=max_steps)
-    probe.require_hit()
-    return probe
-
-
 def _daemon_menu(network):
     return {
         "synchronous": SynchronousDaemon(),
@@ -206,7 +190,9 @@ def experiment_t1_t2(
                         sdr, _daemon_menu(net)[daemon_name], config=cfg,
                         seed=seed, probes=[counter],
                     )
-                    detector, _ = measure_stabilization(sim, sdr.is_normal, max_steps=2_000_000)
+                    detector, _ = measure_stabilization(
+                        sim, sdr.is_normal, max_steps=2_000_000, mask="normal"
+                    )
                     # Run past stabilization: per-process SDR moves are a
                     # whole-execution bound, not just to stabilization.
                     sim.run(max_steps=20 * net.n)
@@ -629,7 +615,9 @@ def figure_f3(
             counter = SdrMoveCounter(net.n)
             sim = Simulator(sdr, DistributedRandomDaemon(0.5), config=cfg,
                             seed=seed, probes=[counter])
-            detector, _ = measure_stabilization(sim, sdr.is_normal, max_steps=1_000_000)
+            detector, _ = measure_stabilization(
+                sim, sdr.is_normal, max_steps=1_000_000, mask="normal"
+            )
             initiators.append(sim.moves_per_rule.get("rule_R", 0))
             footprints.append(counter.touched)
             per_proc.append(max(counter.counts))
@@ -701,7 +689,9 @@ def figure_f5(
             sdr = SDR(Unison(net))
             cfg = sdr.random_configuration(Random(seed))
             sim = Simulator(sdr, _daemon_menu(net)[daemon_name], config=cfg, seed=seed)
-            probe = _measure(sim, sdr.is_normal, "normal_mask", 2_000_000)
+            probe, _ = measure_stabilization(
+                sim, sdr.is_normal, max_steps=2_000_000, mask="normal"
+            )
             moves.append(probe.moves)
             rounds.append(probe.rounds)
         mean = lambda xs: sum(xs) / len(xs)
@@ -745,7 +735,9 @@ def figure_f6(
                 variables=("c",),
             )
             sim = Simulator(sdr, DistributedRandomDaemon(0.5), config=cfg, seed=seed)
-            det = _measure(sim, sdr.is_normal, "normal_mask", 1_000_000)
+            det, _ = measure_stabilization(
+                sim, sdr.is_normal, max_steps=1_000_000, mask="normal"
+            )
             sdr_m.append(det.moves)
             sdr_r.append(det.rounds)
 
@@ -755,7 +747,9 @@ def figure_f6(
                 variables=("c",),
             )
             sim = Simulator(mono, DistributedRandomDaemon(0.5), config=cfg, seed=seed)
-            det = _measure(sim, mono.is_normal, "normal_mask", 1_000_000)
+            det, _ = measure_stabilization(
+                sim, mono.is_normal, max_steps=1_000_000, mask="normal"
+            )
             mono_m.append(det.moves)
             mono_r.append(det.rounds)
         mean = lambda xs: sum(xs) / len(xs)

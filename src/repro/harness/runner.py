@@ -35,7 +35,6 @@ from ..faults.scenarios import clock_gradient, clock_split, fake_reset_wave, hol
 from ..faults.churn import parse_churn
 from ..faults.schedule import parse_schedule
 from ..probes import RecoveryProbe, SdrWaveProbe, StabilizationProbe
-from ..probes.stabilization import lane_mask
 from ..reset.sdr import SDR
 from ..topology import by_name
 from ..unison.boulinier import BoulinierUnison
@@ -90,11 +89,12 @@ class AlgorithmEntry:
     params.  ``scenarios`` maps each declared start scenario to its
     ``start(algorithm, rng)``; ``corruptible`` also declares
     ``faults:<k>`` (the initial configuration with ``k`` random processes
-    corrupted).  ``legitimacy`` is the ``(mask, predicate)`` attribute
-    pair of the legitimacy notion — the vectorized mask rides the fused
-    loop, the predicate the decoded one, and the mask tells an adversary
-    search where the measured run stops — or ``None`` when trials run to
-    termination (silent compositions).  ``max_steps`` is the default step
+    corrupted).  ``legitimacy`` is the ``(mask, predicate)`` pair of the
+    legitimacy notion — ``mask`` names the predicate the rule set
+    declares (it rides the fused loop, and tells an adversary search
+    where the measured run stops), ``predicate`` the algorithm's
+    decode-tier method — or ``None`` when trials run to termination
+    (silent compositions).  ``max_steps`` is the default step
     budget; ``extra(algorithm, final)`` returns the algorithm's own record
     fields, ``final()`` decoding the final configuration on demand.
     """
@@ -169,7 +169,7 @@ ALGORITHMS: dict[str, AlgorithmEntry] = {
             "fake-wave": fake_reset_wave,
         },
         max_steps=2_000_000,
-        legitimacy=("normal_mask", "is_normal"),
+        legitimacy=("normal", "is_normal"),
         corruptible=True,
     ),
     "boulinier": AlgorithmEntry(
@@ -183,7 +183,7 @@ ALGORITHMS: dict[str, AlgorithmEntry] = {
             "split": _boulinier_split,
         },
         max_steps=5_000_000,
-        legitimacy=("legitimate_mask", "is_legitimate"),
+        legitimacy=("legitimate", "is_legitimate"),
         extra=lambda algo, final: {"period": algo.period, "alpha": algo.alpha},
     ),
     "fga": AlgorithmEntry(
@@ -389,9 +389,9 @@ def _adversary_daemon(adversary: str, daemon, backend: str, faults, churn,
     column-tier search has no dict twin, so cross-backend confidence
     comes from replaying its certificate on the dict backend instead.
     Faults and churn are rejected (a disturbance mid-rollout would
-    invalidate every rollout score).  ``stop_mask`` is the trial's
-    legitimacy mask: the search treats configurations satisfying it as
-    terminal, since the measured run stops there.
+    invalidate every rollout score).  ``stop_mask`` names the trial's
+    legitimacy predicate: the search treats configurations satisfying it
+    as terminal, since the measured run stops there.
     """
     from ..adversary.search import make_search_daemon
 
@@ -706,7 +706,7 @@ def run_trial_batch(
     result = run_batch(
         program, cfgs, daemons, [Random(seed) for seed in seeds], network,
         max_steps=max_steps,
-        until=_batch_until(program, entry.mask) if faults is None else None,
+        until=entry.mask if faults is None else None,
         exclusion_name=algo.name if algo.mutually_exclusive_rules else None,
         probes=trial_probes,
         faults=[kit.faults if kit else None for kit in kits],
@@ -732,18 +732,3 @@ def run_trial_batch(
         why, steps = first_failure
         raise NotStabilized(why, steps=steps, partial=finished)
     return [trial for _, trial in finished]
-
-
-def _batch_until(program, mask_attr: str | None) -> str | None:
-    """The declared predicate that freezes a trial (the driver reads it
-    off its guard evaluation), or ``None`` for a terminal entry; a
-    program lacking it makes the cell unbatchable (serial fallback)."""
-    if mask_attr is None:
-        return None
-    name = lane_mask(program, mask_attr)
-    if not isinstance(name, str):
-        raise UnbatchableError(
-            f"kernel program of {program.rule_set.name} provides no "
-            f"{mask_attr} — cell cannot be batched"
-        )
-    return name

@@ -6,8 +6,10 @@ For every registered algorithm (:mod:`repro.ir.registry`) the lint
 * checks rule-label parity and variable parity with the algorithm's
   native dict contract;
 * evaluates every guard and action of the compiled dict program against
-  the handwritten ``guard``/``execute`` on the initial and several
-  random configurations, value for value;
+  the handwritten ``guard``/``execute`` on the initial configuration,
+  several random ones and, for a rule set with a fast path, random ones
+  put on the fast path's trigger (:func:`fast_path_column`), value for
+  value;
 * evaluates the generated kernel's guard masks on the same
   configurations and checks them against the dict guards (mask
   coverage: an omitted mask key must mean an everywhere-false guard);
@@ -20,10 +22,11 @@ For every registered algorithm (:mod:`repro.ir.registry`) the lint
 * for input rule sets, checks the ``icorrect``/``reset`` predicates
   (both compilations) against ``p_icorrect``/``p_reset``;
 * checks every declared predicate the generated ``evaluate`` returns
-  beside the guards (what the driver's probes read) against the
-  standalone ``<name>_mask`` and, process by process, the dict
-  compilation — on the fast path (the initial configuration) and the
-  general one;
+  beside the guards (what the driver's probes and the adversary's stop
+  test read) against the dict compilation, process by process, and
+  each legitimacy predicate's all-process conjunction against the
+  algorithm's hand-written twin (:data:`LEGITIMACY_TWINS`) — on the
+  fast path and the general one;
 * domain soundness: every value ``algorithm.random_state`` can draw must
   encode within its schema column's declared dtype and the tiled batch
   layout (:func:`check_domains`) — the fault injector corrupts registers
@@ -45,10 +48,12 @@ from random import Random
 
 import numpy as np
 
+from . import exprs as E
 from .registry import SAMPLE_TOPOLOGIES, registered_algorithms
 from .rules import InputRuleSet
 
-__all__ = ["check_algorithm", "check_domains", "run_check", "main"]
+__all__ = ["LEGITIMACY_TWINS", "check_algorithm", "check_domains",
+           "fast_path_column", "run_check", "main"]
 
 #: Random configurations probed per algorithm (plus the initial one).
 _SEEDS = (0, 1, 2)
@@ -56,10 +61,38 @@ _SEEDS = (0, 1, 2)
 #: Random-state draws per process for the domain-soundness lint.
 _DOMAIN_DRAWS = 8
 
+#: Legitimacy predicate name → the algorithm's hand-written
+#: ``Configuration -> bool`` twin (the dict-tier oracle).
+LEGITIMACY_TWINS = {"normal": "is_normal", "legitimate": "is_legitimate"}
 
-def _configurations(algorithm):
+
+def fast_path_column(rule_set):
+    """``(column, code)`` when the rule set's fast-path trigger is
+    ``Col == Const`` (the form every registered fast path uses), else
+    ``None``."""
+    fast = rule_set.fast_path
+    if fast is None:
+        return None
+    trigger = fast.trigger
+    if (isinstance(trigger, E.BinOp) and trigger.op == "=="
+            and isinstance(trigger.a, E.Col)
+            and isinstance(trigger.b, E.Const)):
+        return trigger.a.name, trigger.b.value
+    return None
+
+
+def _configurations(algorithm, rule_set):
+    """The initial configuration, random ones, and random ones put on the
+    fast path's trigger (every other register left random)."""
     cfgs = [algorithm.initial_configuration()]
     cfgs += [algorithm.random_configuration(Random(s)) for s in _SEEDS]
+    fast = fast_path_column(rule_set)
+    if fast is not None:
+        name, code = fast
+        for cfg in cfgs[1:]:
+            cols = rule_set.schema.encode(cfg)
+            cols[name][:] = code
+            cfgs.append(rule_set.schema.decode(cols))
     return cfgs
 
 
@@ -88,7 +121,7 @@ def check_algorithm(label: str, algorithm) -> list[str]:
 
     is_input = isinstance(rule_set, InputRuleSet)
     processes = algorithm.network.processes()
-    for c, cfg in enumerate(_configurations(algorithm)):
+    for c, cfg in enumerate(_configurations(algorithm, rule_set)):
         # rule → {enabled process: native update}
         native: dict = {rule: {} for rule in rule_set.rule_labels}
         cols = kernel_program.schema.encode(cfg)
@@ -144,7 +177,7 @@ def check_algorithm(label: str, algorithm) -> list[str]:
                 if name not in rule_set.predicates:
                     problems.append(f"{label}: missing predicate {name!r}")
                     break
-                kmask = getattr(kernel_program, f"{name}_mask")(cols)
+                kmask = preds[name]
                 for u in processes:
                     want = native_pred(cfg, u)
                     if dict_program.predicate(name, cfg, u) != want:
@@ -158,25 +191,30 @@ def check_algorithm(label: str, algorithm) -> list[str]:
         if set(preds) != set(rule_set.predicates):
             problems.append(f"{label}: evaluate returns predicates "
                             f"{sorted(preds)} != {sorted(rule_set.predicates)}")
-        problems += _check_predicates(
-            label, kernel_program, dict_program, cfg, cols, preds, c
-        )
+        problems += _check_predicates(label, algorithm, dict_program, cfg,
+                                      preds, c)
         if problems:
             break  # one configuration's findings are enough detail
     return problems
 
 
-def _check_predicates(label, program, dict_program, cfg, cols, preds,
+def _check_predicates(label, algorithm, dict_program, cfg, preds,
                       c) -> list[str]:
     """The predicates ``evaluate`` returned beside the guards (``preds``)
-    against their standalone masks and the dict compilation."""
+    against the dict compilation, process by process, and a legitimacy
+    predicate's conjunction against the algorithm's hand-written twin."""
     for name, got in preds.items():
         want = [dict_program.predicate(name, cfg, u) for u in range(len(cfg))]
-        standalone = getattr(program, f"{name}_mask")(cols)
-        if not np.array_equal(got, standalone) or got.tolist() != want:
+        if got.tolist() != want:
             return [f"{label}: predicate {name!r} (cfg {c}): evaluate "
-                    f"{got.tolist()} standalone {standalone.tolist()} "
-                    f"dict {want}"]
+                    f"{got.tolist()} dict {want}"]
+        twin = LEGITIMACY_TWINS.get(name)
+        if twin is None:
+            continue
+        everywhere, native = bool(got.all()), getattr(algorithm, twin)(cfg)
+        if everywhere != native:
+            return [f"{label}: predicate {name!r} (cfg {c}) holds everywhere: "
+                    f"{everywhere}, but {twin} says {native}"]
     return []
 
 

@@ -3,12 +3,11 @@
 This is a source generator, not a tree-walking interpreter: each rule
 set compiles once into straight-line numpy code (one ``evaluate``
 function computing every guard *and* every declared predicate, one
-``apply`` function per rule, one standalone function per predicate for
-off-loop callers), which is then ``exec``'d and cached.  Per-step cost is
-therefore identical in shape to the handwritten kernel programs this
-replaces — a fixed sequence of array ops with shared temporaries — and
-the generated source is kept on the code object for inspection
-(``rule_set.kernel_code().source``).
+``apply`` function per rule), which is then ``exec``'d and cached.
+Per-step cost is therefore identical in shape to the handwritten kernel
+programs this replaces — a fixed sequence of array ops with shared
+temporaries — and the generated source is kept on the code object for
+inspection (``rule_set.kernel_code().source``).
 
 Lowering rules:
 
@@ -32,8 +31,9 @@ Lowering rules:
   rebuilt them;
 * the ``evaluate`` function returns ``(guard masks, predicate masks)``:
   the declared predicates (``normal``, ``legitimate``, …) ride the
-  guards' temporaries, so the driver's probes read them at the cost of
-  the few ops the guards did not already compute;
+  guards' temporaries, so the driver's probes, the adversary's stop test
+  and the lint read them at the cost of the few ops the guards did not
+  already compute — a predicate is lowered nowhere else;
 * a :class:`~repro.ir.rules.FastPath` compiles to a cheap whole-system
   test guarding a reduced mask dict (omitted masks are all-false by the
   :meth:`IRKernelProgram.guard_masks` contract) plus the predicates;
@@ -395,12 +395,11 @@ class _KernelCode:
     """The exec'd output of :func:`compile_rule_set`, shared by every
     program instance (base and tiled) of one rule set."""
 
-    __slots__ = ("eval_fn", "apply_fns", "pred_fns", "params", "source")
+    __slots__ = ("eval_fn", "apply_fns", "params", "source")
 
-    def __init__(self, eval_fn, apply_fns, pred_fns, params, source):
+    def __init__(self, eval_fn, apply_fns, params, source):
         self.eval_fn = eval_fn
         self.apply_fns = apply_fns
-        self.pred_fns = pred_fns
         self.params = params
         self.source = source
 
@@ -437,13 +436,6 @@ def compile_rule_set(rule_set) -> _KernelCode:
     )
     comp.fns.append(guard)
 
-    pred_names = {}
-    for i, (name, expr) in enumerate(rule_set.predicates.items()):
-        fn = _Fn(comp, f"pred_{i}", ("cols", "C"), "cols")
-        fn.line(f"return {fn.full(expr)}")
-        comp.fns.append(fn)
-        pred_names[name] = fn.name
-
     apply_names = {}
     for i, rule in enumerate(rule_set.rules):
         fn = _Fn(comp, f"apply_{i}", ("idx", "read", "write", "C"), "read")
@@ -457,7 +449,6 @@ def compile_rule_set(rule_set) -> _KernelCode:
     return _KernelCode(
         eval_fn=ns["evaluate"],
         apply_fns={label: ns[fname] for label, fname in apply_names.items()},
-        pred_fns={name: ns[fname] for name, fname in pred_names.items()},
         params=tuple(comp.params),
         source=source,
     )
@@ -473,10 +464,9 @@ class IRKernelProgram:
     (the runtime's double buffer realizes composite atomicity).
     :meth:`evaluate` returns the guard masks together with every
     declared predicate's mask (one generated function, shared
-    temporaries) — what the driver evaluates once per step.  Each
-    predicate is also served standalone as a ``<name>_mask`` method
-    (``normal_mask``, ``legitimate_mask``, ``icorrect_mask``, …) for
-    callers outside the driving loop.
+    temporaries) — what the driver evaluates once per step.  A
+    predicate is read by its declared name from that second dict, and
+    nowhere else (:func:`repro.core.kernel.engine.check_predicate`).
 
     Attributes
     ----------
@@ -575,17 +565,3 @@ class IRKernelProgram:
             total,
         )
         return prog
-
-    def __getattr__(self, name):
-        if name.endswith("_mask"):
-            code = self.__dict__.get("_code")
-            if code is not None:
-                fn = code.pred_fns.get(name[: -len("_mask")])
-                if fn is not None:
-                    def mask(cols, _fn=fn, _program=self):
-                        return _fn(cols, _program)
-
-                    return mask
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )

@@ -1,8 +1,9 @@
 """Rule sets: the declarative unit both compilers consume.
 
 A :class:`RuleSet` bundles an algorithm's schema, guarded rules, named
-predicates (legitimacy/normality tests the probes read as ``<name>_mask``)
-and an optional fast path.  :meth:`RuleSet.compile_dict` interprets it
+predicates (legitimacy/normality tests, computed with the guards by the
+generated ``evaluate`` and read there by name) and an optional fast
+path.  :meth:`RuleSet.compile_dict` interprets it
 against the per-process dict contract, :meth:`RuleSet.compile_kernel`
 generates the vectorized :class:`~repro.ir.kernelc.IRKernelProgram`.
 
@@ -155,7 +156,7 @@ class InputRuleSet(RuleSet):
     """A rule set implementing the SDR input contract.
 
     ``icorrect`` and ``reset`` become the ``icorrect``/``reset``
-    predicates (servable as masks), ``reset_action`` is the effect of the
+    predicates, ``reset_action`` is the effect of the
     host's reset move on the input's variables, which a host embeds into
     its reset rules.  Rules marked ``clean_gated`` are ANDed with the
     host's cleanliness predicate under a host (:meth:`gated_rules`);

@@ -13,7 +13,7 @@ instrumentation):
   attached probe advertises the array-native path.
 * :class:`StabilizationProbe` / :class:`StopProbe` — stabilization
   measurement, closure (``run_past``) monitoring, and stop predicates
-  over vectorized legitimacy masks.
+  over the legitimacy predicates a rule set declares.
 * :class:`AccountingProbe` / :class:`TraceProbe` — periodic accounting
   snapshots and every-k-steps configuration sampling.
 * :class:`RecoveryProbe` / :class:`SdrWaveProbe` — per-fault-burst
@@ -22,7 +22,7 @@ instrumentation):
 
 Measuring stabilization on the array-native path::
 
-    probe = StabilizationProbe(sdr.is_normal, mask="normal_mask")
+    probe = StabilizationProbe(sdr.is_normal, mask="normal")
     sim.add_probe(probe)
     sim.run(max_steps=...)
     probe.require_hit()

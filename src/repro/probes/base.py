@@ -66,8 +66,8 @@ class Probe:
         :meth:`on_columns` and are then served inline by the array
         driver.  Consulted after :meth:`on_start` ran, so probes may
         resolve their capability against the simulator they are
-        attached to (e.g. whether its kernel program provides the mask
-        they need).
+        attached to (e.g. whether it runs a kernel program that declares
+        the predicate they read).
         """
         return True
 

@@ -6,10 +6,11 @@ stopwatch from γ0 to the first legitimate configuration, it keeps one
 stopwatch *per fault burst* — armed by the drivers' ``on_fault``
 notification, stopped the next time the legitimacy notion holds — so a
 storm of repeated corruptions yields a per-burst series of recovery
-steps/rounds/moves.  Like every probe it is capability-tiered: with a
-vectorized legitimacy mask it rides the fused loop (and batched cells);
-with only a predicate it decodes per step.  Both tiers, and both
-backends, report byte-identical burst series for identical executions.
+steps/rounds/moves.  Like every probe it is capability-tiered: with the
+name of a declared legitimacy predicate it rides the fused loop (and
+batched cells); with only a decode-tier predicate it decodes per step.
+Both tiers, and both backends, report byte-identical burst series for
+identical executions.
 
 :class:`SdrWaveProbe` adds the SDR-specific counters the paper's
 cooperative-reset story is about: per burst, how many resets were
@@ -24,8 +25,8 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from ..core.kernel.engine import check_predicate
 from .base import Probe
-from .stabilization import lane_mask
 from .view import ColumnView
 
 __all__ = ["RecoveryProbe", "SdrWaveProbe"]
@@ -41,8 +42,8 @@ class RecoveryProbe(Probe):
     predicate:
         Decode-tier legitimacy test (``Configuration -> bool``).
     mask:
-        Vector-tier legitimacy mask — a kernel-program attribute name
-        (``"normal_mask"``) or a ``cols -> ndarray`` callable.
+        Vector-tier legitimacy test — the name of a predicate the kernel
+        program declares (``"normal"``).
     terminal:
         For *silent* algorithms (``FGA ∘ SDR``): recovery means the
         configuration is terminal again — no process enabled.  Uses the
@@ -71,7 +72,7 @@ class RecoveryProbe(Probe):
     def __init__(
         self,
         predicate: Predicate | None = None,
-        mask=None,
+        mask: str | None = None,
         name: str = "recovery",
         terminal: bool = False,
         expected: int | None = None,
@@ -87,8 +88,9 @@ class RecoveryProbe(Probe):
         self.stop = stop
         self.bursts: list[dict] = []
         self._open: list[int] = []
-        #: The resolved ``lane_mask`` (``None`` until resolved).
-        self._test: str | Callable | None = mask if callable(mask) else None
+        #: ``mask`` once checked against a kernel program (``None``
+        #: until then, and on the dict backend).
+        self._test: str | None = None
         #: Crashed-and-not-rejoined process ids, learned from ``on_churn``
         #: notifications; legitimacy is judged on the live subsystem.
         self._dead: set[int] = set()
@@ -209,7 +211,7 @@ class RecoveryProbe(Probe):
         if self.predicate is None:
             raise ValueError(
                 f"recovery probe {self.name!r} has no decode-tier predicate "
-                "and its mask did not resolve against this simulator's backend"
+                "and no mask a kernel program declares"
             )
         if self._dead:
             live = [u for u in range(sim.network.n) if u not in self._dead]
@@ -217,8 +219,9 @@ class RecoveryProbe(Probe):
         return self.predicate(sim.cfg)
 
     def on_start(self, sim) -> None:
-        if self._test is None and not self.terminal:
-            self._test = lane_mask(sim._program, self.mask)
+        if (self._test is None and self.mask is not None
+                and sim._program is not None):
+            self._test = check_predicate(sim._program, self.mask)
 
     def on_step(self, sim, record) -> None:
         self._observe(
@@ -233,7 +236,7 @@ class RecoveryProbe(Probe):
         if not self._open:
             return
         if self._test is None and self.predicate is None and not self.terminal:
-            return  # mask never resolved: nothing was observable all run
+            return  # no kernel program read the mask: nothing was observable
         self._observe(
             self._holds(sim), sim.step_count, sim.rounds.completed, sim.move_count
         )
@@ -243,12 +246,7 @@ class RecoveryProbe(Probe):
     # ------------------------------------------------------------------
     def on_columns(self, view: ColumnView) -> None:
         if self._test is None and not self.terminal:
-            self._test = lane_mask(view.program, self.mask)
-            if self._test is None:
-                raise ValueError(
-                    f"recovery probe {self.name!r}: mask {self.mask!r} did "
-                    f"not resolve against {type(view.program).__name__}"
-                )
+            self._test = check_predicate(view.program, self.mask)
         # Only an open stopwatch can close: without one, nothing to test.
         if view.phase != "start" and self._open:
             self._observe(self._view_holds(view), view.steps, view.rounds,

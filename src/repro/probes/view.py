@@ -120,17 +120,11 @@ class ColumnView:
             return None
         return self.frame.rule_counts(self.index, self.chosen)
 
-    def holds(self, mask, live: bool = False) -> bool:
-        """Whether ``mask`` holds at every process of the lane's block
-        (every *live* one with ``live=True``): a declared predicate's
-        name reads the bit off the driver's guard evaluation, a
-        ``cols -> ndarray`` callable is evaluated on :attr:`cols`."""
-        if isinstance(mask, str):
-            return self.frame.holds(mask, live)[self.index]
-        vals = mask(self.cols)
-        if live and self.live is not None:
-            vals = vals[self.live]
-        return bool(vals.all())
+    def holds(self, name: str, live: bool = False) -> bool:
+        """Whether the declared predicate ``name`` holds at every process
+        of the lane's block (every *live* one with ``live=True``): the
+        bit the driver reduced from its guard evaluation."""
+        return self.frame.holds(name, live)[self.index]
 
     def __repr__(self) -> str:
         return (

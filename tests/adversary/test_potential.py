@@ -33,30 +33,31 @@ class TestEnabledMoves:
     def test_counts_guard_mask_bits(self):
         kernel = kernel_for(SDR(Unison(ring(6))))
         pot = EnabledMoves()
+        masks = kernel.program.guard_masks(kernel.read)
         total = sum(
             int(np.count_nonzero(mask))
-            for mask in kernel.program.guard_masks(kernel.read).values()
+            for mask in masks.values()
             if mask is not None
         )
-        assert pot.score(kernel.read, kernel.program) == float(total)
+        assert pot.score(kernel.read, kernel.program, masks) == float(total)
 
 
 class TestResetDistanceMass:
     def test_zero_without_status_column(self):
-        assert ResetDistanceMass().score({}, program=None) == 0.0
+        assert ResetDistanceMass().score({}, program=None, masks={}) == 0.0
 
     def test_weights_statuses(self):
         kernel = kernel_for(SDR(Unison(ring(4))))
         cols = {name: col.copy() for name, col in kernel.read.items()}
         cols["st"][:] = 0  # all C
-        base = ResetDistanceMass().score(cols, kernel.program)
+        base = ResetDistanceMass().score(cols, kernel.program, {})
         assert base == 0.0
         cols["st"][0] = 1  # one RB: weight 3
         cols["d"][0] = 0
-        assert ResetDistanceMass().score(cols, kernel.program) == 3.0
+        assert ResetDistanceMass().score(cols, kernel.program, {}) == 3.0
         cols["st"][1] = 2  # plus one RF: weight 2
         cols["d"][1] = 0
-        assert ResetDistanceMass().score(cols, kernel.program) == 5.0
+        assert ResetDistanceMass().score(cols, kernel.program, {}) == 5.0
 
     def test_distance_term_is_normalized(self):
         kernel = kernel_for(SDR(Unison(ring(4))))
@@ -64,7 +65,7 @@ class TestResetDistanceMass:
         cols["st"][:] = 0
         cols["st"][0] = 1
         cols["d"][0] = 2
-        score = ResetDistanceMass().score(cols, kernel.program)
+        score = ResetDistanceMass().score(cols, kernel.program, {})
         assert 3.0 < score < 4.0  # 3 + 2/n, never a whole move
 
 
@@ -73,14 +74,14 @@ class TestUnisonSkew:
         kernel = kernel_for(SDR(Unison(ring(5))))
         cols = {name: col.copy() for name, col in kernel.read.items()}
         cols["c"][:] = 7
-        assert UnisonSkew().score(cols, kernel.program) == 0.0
+        assert UnisonSkew().score(cols, kernel.program, {}) == 0.0
 
     def test_counts_unequal_neighbor_pairs(self):
         kernel = kernel_for(SDR(Unison(ring(4))))
         cols = {name: col.copy() for name, col in kernel.read.items()}
         cols["c"][:] = 0
         cols["c"][0] = 5  # two incident ring edges disagree
-        assert UnisonSkew().score(cols, kernel.program) == 2.0
+        assert UnisonSkew().score(cols, kernel.program, {}) == 2.0
 
 
 class TestWeightedPotential:
@@ -88,9 +89,10 @@ class TestWeightedPotential:
         kernel = kernel_for(SDR(Unison(ring(4))))
         e, s = EnabledMoves(), UnisonSkew()
         combo = WeightedPotential([(2.0, e), (0.5, s)])
-        expected = (2.0 * e.score(kernel.read, kernel.program)
-                    + 0.5 * s.score(kernel.read, kernel.program))
-        assert combo.score(kernel.read, kernel.program) == expected
+        masks = kernel.program.guard_masks(kernel.read)
+        expected = (2.0 * e.score(kernel.read, kernel.program, masks)
+                    + 0.5 * s.score(kernel.read, kernel.program, masks))
+        assert combo.score(kernel.read, kernel.program, masks) == expected
 
 
 class TestDefaultPotential:

@@ -156,6 +156,44 @@ class TestRolloutsLeaveTheRuntime:
                 assert (buf[name] == col).all()
         assert kernel.enabled_map() is enabled
 
+    def test_one_evaluation_per_candidate_successor(self, monkeypatch):
+        """The stop test, the potential and the beam's enabled maps read
+        one ``evaluate`` of each successor; ``guard_masks`` never runs."""
+        from repro.adversary import search
+        from repro.ir.kernelc import IRKernelProgram
+
+        made, evaluated, guarded = [], [], []
+        make, evaluate = search.successor, IRKernelProgram.evaluate
+        guard_masks = IRKernelProgram.guard_masks
+
+        def counted_successor(program, cols, selection):
+            made.append(make(program, cols, selection))  # alive: ids unique
+            return made[-1]
+
+        def counted_evaluate(self, cols):
+            evaluated.append(id(cols))
+            return evaluate(self, cols)
+
+        def counted_guard_masks(self, cols):
+            guarded.append(id(cols))
+            return guard_masks(self, cols)
+
+        monkeypatch.setattr(search, "successor", counted_successor)
+        monkeypatch.setattr(IRKernelProgram, "evaluate", counted_evaluate)
+        monkeypatch.setattr(IRKernelProgram, "guard_masks",
+                            counted_guard_masks)
+        trial = run_network_trial("unison", by_name("ring", 12, seed=4),
+                                  seed=0, scenario="split",
+                                  adversary="beam-2x2")
+        assert trial.extra["adversary"]["replay"]["ok"]
+        assert made
+        counts = {id(nxt): 0 for nxt in made}
+        for key in evaluated:
+            if key in counts:
+                counts[key] += 1
+        assert set(counts.values()) == {1}
+        assert not counts.keys() & set(guarded)
+
     def test_successor_is_pure(self):
         sdr = SDR(Unison(ring(4)))
         sim = Simulator(sdr, make_daemon("synchronous"), seed=0,

@@ -75,7 +75,7 @@ def test_fused_recovery_measurement_matches_dict_reference():
                 mono, make_daemon("distributed-random", net),
                 config=corrupted(mono, seed), seed=seed, backend=backend,
             )
-            probe = StabilizationProbe(mono.is_normal, mask="normal_mask")
+            probe = StabilizationProbe(mono.is_normal, mask="normal")
             sim.add_probe(probe)
             if backend == "kernel":
                 assert sim.fusion_available
@@ -100,7 +100,7 @@ def test_tiled_program_runs_batched_trials_identically():
     result = run_batch(
         program, cfgs, daemons, [Random(seed) for seed in seeds], net,
         max_steps=300_000,
-        until=lambda prog, cols: prog.normal_mask(cols),
+        until="normal",
     )
     for seed, cfg, outcome in zip(seeds, cfgs, result.outcomes):
         mono = MonoReset(Unison(net))
@@ -108,7 +108,7 @@ def test_tiled_program_runs_batched_trials_identically():
             mono, make_daemon("distributed-random", net), config=cfg.copy(),
             seed=seed,
         )
-        probe = StabilizationProbe(mono.is_normal, mask="normal_mask")
+        probe = StabilizationProbe(mono.is_normal, mask="normal")
         sim.add_probe(probe)
         sim.run(max_steps=300_000)
         probe.require_hit()

@@ -28,7 +28,9 @@ class TestMeasureStabilization:
         predicate = lambda cfg: all(s["k"] <= 1 for s in cfg)
         sim = Simulator(algo, SynchronousDaemon(), seed=0)
         probe, result = measure_stabilization(sim, predicate)
-        assert isinstance(probe, StabilizationProbe) and not probe.stop
+        assert isinstance(probe, StabilizationProbe) and probe.stop
+        assert (result.steps, result.stop_reason) == (2, "probe")
+        assert sim.probes == []  # detached: later runs go on
         assert probe.hit
         assert probe.step == 2
         assert probe.rounds == 2
@@ -70,6 +72,29 @@ class TestMeasureStabilization:
     def test_repr(self):
         probe = StabilizationProbe(lambda cfg: True, name="legit")
         assert "legit" in repr(probe)
+
+    def test_named_mask_measures_on_the_fused_loop(self):
+        from random import Random
+
+        from repro.core import make_daemon
+        from repro.reset import SDR
+        from repro.topology import ring
+        from repro.unison import Unison
+
+        readings = []
+        for mask in (None, "normal"):
+            net = ring(9)
+            sdr = SDR(Unison(net))
+            sim = Simulator(sdr, make_daemon("distributed-random", net),
+                            config=sdr.random_configuration(Random(3)), seed=3)
+            probe, result = measure_stabilization(
+                sim, sdr.is_normal, run_past=5, mask=mask
+            )
+            assert probe.wants_decode() is (mask is None)
+            assert result.steps == probe.step + 5
+            readings.append((probe.step, probe.rounds, probe.moves,
+                             probe.violations_after_hit, result.stop_reason))
+        assert readings[0] == readings[1]
 
     def test_terminal_predicate(self):
         algo = MaxFlood(PATH)

@@ -114,7 +114,7 @@ class TestRunBatch:
         cfgs = [sdr.random_configuration(Random(seed)) for seed in seeds]
         daemons = [make_daemon("distributed-random", net) for _ in seeds]
         rngs = [Random(seed) for seed in seeds]
-        mask = (lambda prog, cols: prog.normal_mask(cols)) if until else None
+        mask = "normal" if until else None
         return run_batch(
             program, cfgs, daemons, rngs, net,
             max_steps=max_steps, until=mask, exclusion_name=sdr.name,
@@ -219,7 +219,7 @@ class TestCompaction:
         spy = TiledSpy(sdr.kernel_program())
         result = run_batch(
             spy, cfgs, daemons, rngs, net, max_steps=50_000,
-            until=lambda prog, cols: prog.normal_mask(cols),
+            until="normal",
         )
         # Initial tile for all 8 trials, then a re-tile once the trailing
         # frozen blocks were dropped.
@@ -231,14 +231,14 @@ class TestCompaction:
         net, sdr, cfgs, daemons, rngs = self._mixed_batch()
         batched = run_batch(
             sdr.kernel_program(), cfgs, daemons, rngs, net, max_steps=50_000,
-            until=lambda prog, cols: prog.normal_mask(cols),
+            until="normal",
         )
         for t, cfg in enumerate(cfgs):
             single = run_batch(
                 sdr.kernel_program(), [cfg.copy()],
                 [make_daemon("distributed-random", net)], [Random(t)],
                 net, max_steps=50_000,
-                until=lambda prog, cols: prog.normal_mask(cols),
+                until="normal",
             )
             a, b = batched.outcomes[t], single.outcomes[0]
             assert (a.steps, a.moves, a.rounds, a.stop_reason, a.hit) == (
@@ -267,7 +267,7 @@ class TestBatchProbes:
             sdr.kernel_program(), [c.copy() for c in cfgs],
             [make_daemon("distributed-random", net) for _ in seeds],
             [Random(seed) for seed in seeds], net, max_steps=50_000,
-            until=lambda prog, cols: prog.normal_mask(cols),
+            until="normal",
             probes=probes,
         )
         for seed, cfg, plist in zip(seeds, cfgs, probes):
@@ -278,13 +278,27 @@ class TestBatchProbes:
             )
             reference = AccountingProbe(every=5)
             sim.add_probe(reference)
-            sim.add_probe(StabilizationProbe(fresh.is_normal, mask="normal_mask"))
+            sim.add_probe(StabilizationProbe(fresh.is_normal, mask="normal"))
             assert sim.fusion_available
             sim.run(max_steps=50_000)
             assert plist[0].samples == reference.samples
 
     def test_probe_done_freezes_its_trial_only(self):
-        from repro.probes import StopProbe
+        from repro.probes import Probe
+
+        class EvenStop(Probe):
+            """Done once every clock of its trial is even (``view.cols``)."""
+
+            hit = False
+
+            def wants_decode(self):
+                return False
+
+            def on_columns(self, view):
+                self.hit = self.hit or bool((view.cols["c"] % 2 == 0).all())
+
+            def done(self):
+                return self.hit
 
         net = ring(8)
         sdr = SDR(Unison(net))
@@ -292,7 +306,7 @@ class TestBatchProbes:
         cfgs = [sdr.random_configuration(Random(seed)) for seed in seeds]
         # Trial 0 stops via its probe after its clocks first all go even;
         # trial 1 runs to its budget.
-        stopper = StopProbe(mask=lambda cols: cols["c"] % 2 == 0, name="even")
+        stopper = EvenStop()
         result = run_batch(
             sdr.kernel_program(), cfgs,
             [make_daemon("distributed-random", net) for _ in seeds],
@@ -316,8 +330,8 @@ class TestBatchProbes:
             )
 
     def test_named_mask_probes_resolve_against_the_view_program(self):
-        """Batch-attached probes never see a simulator; a mask given by
-        attribute name must resolve against the view's base program."""
+        """Batch-attached probes never see a simulator; a mask naming a
+        predicate must resolve against the view's base program."""
         from repro.probes import StabilizationProbe
 
         net = ring(8)
@@ -325,14 +339,14 @@ class TestBatchProbes:
         seeds = [0, 1]
         cfgs = [sdr.random_configuration(Random(seed)) for seed in seeds]
         probes = [
-            [StabilizationProbe(mask="normal_mask", stop=False)]
+            [StabilizationProbe(mask="normal", stop=False)]
             for _ in seeds
         ]
         result = run_batch(
             sdr.kernel_program(), cfgs,
             [make_daemon("distributed-random", net) for _ in seeds],
             [Random(seed) for seed in seeds], net, max_steps=50_000,
-            until=lambda prog, cols: prog.normal_mask(cols),
+            until="normal",
             probes=probes,
         )
         for outcome, plist in zip(result.outcomes, probes):
@@ -346,7 +360,7 @@ class TestBatchProbes:
         net = ring(8)
         sdr = SDR(Unison(net))
         cfgs = [sdr.random_configuration(Random(0))]
-        with pytest.raises(ValueError, match="did not resolve"):
+        with pytest.raises(ValueError, match="declares no predicate"):
             run_batch(
                 sdr.kernel_program(), cfgs,
                 [make_daemon("distributed-random", net)], [Random(0)], net,

@@ -89,38 +89,32 @@ def test_stabilization_probe_without_mask_is_decode_tier():
     assert not sim.fusion_available
 
 
-def test_stabilization_probe_with_missing_mask_attr_falls_back():
+def test_undeclared_predicate_name_raises_naming_the_rule_set():
+    """A mask naming no declared predicate is an error wherever it is
+    read: a serial kernel run, a batched cell and a search's stop test."""
+    from repro.adversary.search import make_search_daemon
+    from repro.core.kernel.batch import run_batch
+
+    match = (r"sdr\(unison\) declares no predicate 'normal_mask' "
+             r"\(declared: normal, status_c\)")
     sim, sdr = make_sim()
-    probe = StabilizationProbe(sdr.is_normal, mask="no_such_mask")
-    sim.add_probe(probe)
-    assert probe.wants_decode()
-    sim.run(max_steps=50_000)
-    probe.require_hit()
+    with pytest.raises(ValueError, match=match):
+        sim.add_probe(StabilizationProbe(sdr.is_normal, mask="normal_mask"))
 
-
-def test_missing_mask_warns_once_per_rule_set(caplog):
-    """Every program is an IRKernelProgram, so the warn-once key is the
-    rule set: one rule set's missing mask must not silence another's."""
-    import logging
-
-    from repro.alliance import FGA
-    from repro.probes import stabilization
-    from repro.probes.stabilization import resolve_mask
-
-    net = ring(6)
-    programs = [SDR(Unison(net)).kernel_program(),
-                SDR(FGA(net, 1, 1)).kernel_program()]
-    for program in programs:
-        stabilization._MASK_FALLBACK_WARNED.discard(
-            f"{program.rule_set.name}.legitimate_mask"
+    net = sim.network
+    with pytest.raises(ValueError, match=match):
+        run_batch(
+            sdr.kernel_program(), [sdr.random_configuration(Random(0))] * 2,
+            [make_daemon("distributed-random", net) for _ in range(2)],
+            [Random(0), Random(1)], net, max_steps=10, until="normal_mask",
         )
-    with caplog.at_level(logging.WARNING, logger="repro.probes.stabilization"):
-        for program in programs * 2:
-            assert resolve_mask(program, "legitimate_mask") is None
-    messages = [record.getMessage() for record in caplog.records]
-    assert len(messages) == 2
-    for program, message in zip(programs, messages):
-        assert program.rule_set.name in message
+
+    search = make_search_daemon("greedy")
+    search.strategy.stop_mask = "normal_mask"
+    sim = Simulator(sdr, search, config=sdr.random_configuration(Random(0)),
+                    seed=0, backend="kernel")
+    with pytest.raises(ValueError, match=match):
+        sim.run(max_steps=5)
 
 
 # ======================================================================
@@ -178,7 +172,7 @@ def test_stop_probe_equals_stop_when_and_reports_probe_reason():
     predicate = lambda c: all(c[u]["st"] == "C" for u in range(9))
 
     sim, sdr = make_sim(seed=6)
-    probe = StopProbe(predicate, mask=lambda cols: cols["st"] == 0)
+    probe = StopProbe(predicate, mask="status_c")
     sim.add_probe(probe)
     assert sim.fusion_available
     fused = sim.run(max_steps=50_000)
@@ -201,7 +195,7 @@ def test_initial_hit_stops_with_zero_steps_on_both_tiers():
             config=sdr.initial_configuration(), seed=0,
             probes=[Probe()] if hooked else [],
         )
-        probe = StabilizationProbe(sdr.is_normal, mask="normal_mask")
+        probe = StabilizationProbe(sdr.is_normal, mask="normal")
         sim.add_probe(probe)
         result = sim.run(max_steps=1000)
         assert result.stop_reason == "probe"
@@ -211,7 +205,7 @@ def test_initial_hit_stops_with_zero_steps_on_both_tiers():
 
 def test_run_past_runs_exactly_that_many_extra_steps():
     sim, sdr = make_sim(seed=2)
-    probe = StabilizationProbe(sdr.is_normal, mask="normal_mask", run_past=30)
+    probe = StabilizationProbe(sdr.is_normal, mask="normal", run_past=30)
     sim.add_probe(probe)
     assert sim.fusion_available
     result = sim.run(max_steps=100_000)
@@ -231,6 +225,6 @@ def test_require_hit_raises_not_stabilized():
 
 def test_probe_without_predicate_needs_resolvable_mask():
     sim, _ = make_sim(backend="dict")
-    probe = StabilizationProbe(mask="normal_mask")
+    probe = StabilizationProbe(mask="normal")
     with pytest.raises(ValueError):
         sim.add_probe(probe)

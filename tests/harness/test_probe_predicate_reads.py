@@ -1,12 +1,13 @@
-"""Probes read the driver's predicate bits instead of re-evaluating masks.
+"""Probes read the driver's predicate bits; no predicate is lowered twice.
 
 The driver evaluates every declared predicate together with the guards,
-once per step, so a vector-tier probe naming ``normal_mask`` never calls
-the standalone ``normal_mask`` function.  A batched fault cell (its
-lanes carry recovery and SDR-wave probes, and ``until`` names the
-legitimacy predicate) and a serial trial measured by a
-``StabilizationProbe`` make no such call, and their records are the ones
-the mask-evaluating probes produced (pinned digests).
+once per step, and a predicate is lowered into that one generated
+``evaluate`` function only: no registered rule set's source holds a
+standalone predicate function.  A batched fault cell (its lanes carry
+recovery and SDR-wave probes, and ``until`` names the legitimacy
+predicate) and a serial trial measured by a ``StabilizationProbe`` run
+one drive each, and their records are the ones the mask-evaluating
+probes produced (pinned digests).
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ from repro.core.kernel.engine import KernelRuntime
 from repro.engine.campaign import TrialSpec
 from repro.engine.store import _json_default
 from repro.harness.runner import run_trial, run_trial_batch
-from repro.ir.kernelc import IRKernelProgram
+from repro.ir.registry import SAMPLE_TOPOLOGIES, registered_algorithms
 
 FAULTS = "burst=20,count=2,gap=40,k=2,scope=input"
 SEEDS = [11, 12, 13]
@@ -40,47 +41,38 @@ def _digest(trials) -> str:
 
 
 @pytest.fixture
-def mask_calls(monkeypatch):
-    """Standalone ``<name>_mask`` calls, and the number of drives run."""
-    calls = {"masks": [], "drives": 0}
-    lookup = IRKernelProgram.__getattr__
-
-    def counting(self, name):
-        fn = lookup(self, name)
-        if not name.endswith("_mask"):
-            return fn
-
-        def counted(cols):
-            calls["masks"].append(name)
-            return fn(cols)
-
-        return counted
-
+def drives(monkeypatch):
+    """The number of drives run."""
+    calls = {"drives": 0}
     drive = KernelRuntime.drive
 
     def counted_drive(self, *args, **kwargs):
         calls["drives"] += 1
         return drive(self, *args, **kwargs)
 
-    monkeypatch.setattr(IRKernelProgram, "__getattr__", counting)
     monkeypatch.setattr(KernelRuntime, "drive", counted_drive)
     return calls
 
 
-def test_batched_fault_cell_reads_predicate_bits(mask_calls):
+@pytest.mark.parametrize("topology", SAMPLE_TOPOLOGIES)
+def test_no_rule_set_lowers_a_standalone_predicate(topology):
+    for label, factory in registered_algorithms(topology):
+        source = factory().rule_set().kernel_code().source
+        assert "def pred_" not in source, label
+
+
+def test_batched_fault_cell_reads_predicate_bits(drives):
     trials = run_trial_batch([_spec(t, faults=FAULTS) for t in range(3)], SEEDS)
-    assert mask_calls["drives"] == 1  # one tiled drive, three lanes
-    assert mask_calls["masks"] == []
+    assert drives["drives"] == 1  # one tiled drive, three lanes
     assert all(t.extra["recovery"]["recovered"] == 2 for t in trials)
     assert _digest(trials) == (
         "5a555260099d22eba7ef67aa1942ae6e0e7f099e001563c7193c7c7254a53e31"
     )
 
 
-def test_serial_stabilization_probe_reads_predicate_bits(mask_calls):
+def test_serial_stabilization_probe_reads_predicate_bits(drives):
     trial = run_trial(_spec(0), SEEDS[0])
-    assert mask_calls["drives"] == 1
-    assert mask_calls["masks"] == []
+    assert drives["drives"] == 1
     assert _digest([trial]) == (
         "38bac0d2c599c5cfc2c58aa4a896d1e2d5a4b7986322d5aef6a7a817acfa399a"
     )

@@ -171,10 +171,9 @@ def test_input_predicates_and_reset_action_lower_identically():
     program = rule_set.compile_kernel()
     cols = program.schema.encode(cfg)
 
-    for name, mask in (
-        ("icorrect", program.icorrect_mask(cols)),
-        ("reset", program.reset_mask(cols)),
-    ):
+    _, preds = program.evaluate(cols)
+    for name in ("icorrect", "reset"):
+        mask = preds[name]
         assert [bool(v) for v in mask] == [
             dict_program.predicate(name, cfg, u) for u in net.processes()
         ]

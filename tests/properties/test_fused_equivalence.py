@@ -187,7 +187,7 @@ def test_stop_probe_mask_equals_detector(daemon):
 
         fused = Simulator(
             sdr, make_daemon(daemon, net), config=cfg.copy(), seed=seed,
-            backend="kernel", probes=[StopProbe(mask="normal_mask")],
+            backend="kernel", probes=[StopProbe(mask="normal")],
         )
         result = fused.run(max_steps=50_000)
         assert result.stop_reason == "probe"
@@ -203,7 +203,7 @@ def test_stop_probe_mask_initial_hit():
     sim = Simulator(
         sdr, make_daemon("synchronous", net),
         config=sdr.initial_configuration(), seed=0, backend="kernel",
-        probes=[StopProbe(mask="normal_mask")],
+        probes=[StopProbe(mask="normal")],
     )
     result = sim.run(max_steps=100)
     assert (result.steps, result.stop_reason) == (0, "probe")

@@ -7,9 +7,10 @@ included), on ring and random sample networks tiled 1–4 times, from
 configurations that take the fast path and ones that take the general
 path, this suite asserts:
 
-* each predicate mask ``evaluate`` returns equals the standalone
-  ``<name>_mask`` and, process by process, the dict compilation of the
-  same predicate;
+* each predicate mask ``evaluate`` returns equals, process by process,
+  the dict compilation of the same predicate, and a legitimacy
+  predicate's all-process conjunction equals the algorithm's
+  hand-written twin (``is_normal``, ``is_legitimate``) on every block;
 * the guard masks it returns are ``guard_masks``' own;
 * no generated function computes two temporaries with the same
   canonical right-hand side on one execution path.
@@ -24,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ir import exprs as E
+from repro.ir.check import LEGITIMACY_TWINS, fast_path_column
 from repro.ir.registry import SAMPLE_TOPOLOGIES, registered_algorithms
 
 LABELS = [label for label, _ in registered_algorithms()]
@@ -38,19 +40,6 @@ def _algorithm(topology: str, label: str):
     return _BUILT[key]
 
 
-def _fast_column(rule_set):
-    """``(column, code)`` when the fast-path trigger is ``Col == Const``
-    (the form every registered fast path uses), else ``None``."""
-    fast = rule_set.fast_path
-    if fast is None:
-        return None
-    trigger = fast.trigger
-    if (isinstance(trigger, E.BinOp) and trigger.op == "=="
-            and isinstance(trigger.a, E.Col) and isinstance(trigger.b, E.Const)):
-        return trigger.a.name, trigger.b.value
-    return None
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     topology=st.sampled_from(SAMPLE_TOPOLOGIES),
@@ -59,7 +48,7 @@ def _fast_column(rule_set):
     seeds=st.lists(st.integers(0, 2**16), min_size=4, max_size=4),
     clean=st.booleans(),
 )
-def test_evaluate_predicates_match_standalone_and_dict(
+def test_evaluate_predicates_match_dict_and_hand_written_twins(
     topology, label, blocks, seeds, clean
 ):
     algo = _algorithm(topology, label)
@@ -70,7 +59,7 @@ def test_evaluate_predicates_match_standalone_and_dict(
         program, blocks = base, 1
     schema = base.schema
     cfgs = [algo.random_configuration(Random(s)) for s in seeds[:blocks]]
-    fast = _fast_column(rule_set)
+    fast = fast_path_column(rule_set)
     if clean and fast is not None:
         # Put every block on the fast path's attractor.
         name, code = fast
@@ -90,13 +79,14 @@ def test_evaluate_predicates_match_standalone_and_dict(
     dict_program = rule_set.compile_dict()
     n = algo.network.n
     for name, mask in preds.items():
-        standalone = getattr(program, f"{name}_mask")(cols)
-        np.testing.assert_array_equal(mask, standalone, err_msg=name)
         assert mask.shape == (blocks * n,)
+        twin = LEGITIMACY_TWINS.get(name)
         for t, cfg in enumerate(cfgs):
             want = [bool(dict_program.predicate(name, cfg, u)) for u in range(n)]
             got = mask[t * n : (t + 1) * n].tolist()
             assert got == want, (label, topology, name, t)
+            if twin is not None:
+                assert all(got) == getattr(algo, twin)(cfg), (label, name, t)
 
 
 # ----------------------------------------------------------------------
@@ -190,3 +180,17 @@ def test_ir_check_flags_a_predicate_mismatch(monkeypatch):
     monkeypatch.setattr(IRKernelProgram, "evaluate", drifted)
     problems = check_algorithm(label, factory())
     assert any("predicate 'normal'" in p for p in problems)
+
+
+def test_ir_check_flags_a_predicate_its_hand_written_twin_rejects(monkeypatch):
+    """SDR's ``normal`` without ``P_ICorrect`` (``status_c`` alone): both
+    compilations still agree, only ``is_normal`` on a configuration put
+    on the fast path's trigger tells them apart."""
+    from repro.ir.check import check_algorithm
+
+    algo = dict(registered_algorithms("ring"))["sdr(unison)"]()
+    rule_set = algo.rule_set()
+    rule_set.predicates["normal"] = rule_set.predicates["status_c"]
+    monkeypatch.setattr(algo, "rule_set", lambda: rule_set)
+    problems = check_algorithm("sdr(unison)", algo)
+    assert any("but is_normal says False" in p for p in problems)

@@ -31,19 +31,19 @@ DAEMONS = (
     "weakly-fair",
 )
 
-#: name → (algorithm factory, start factory, predicate attr, mask attr)
+#: name → (algorithm factory, start factory, predicate attr, mask name)
 ALGORITHMS = {
     "unison-sdr": (
         lambda net: SDR(Unison(net)),
         lambda algo, seed: algo.random_configuration(Random(seed)),
         "is_normal",
-        "normal_mask",
+        "normal",
     ),
     "boulinier": (
         lambda net: BoulinierUnison(net),
         lambda algo, seed: algo.random_configuration(Random(seed)),
         "is_legitimate",
-        "legitimate_mask",
+        "legitimate",
     ),
     "mono-reset": (
         lambda net: MonoReset(Unison(net)),
@@ -55,7 +55,7 @@ ALGORITHMS = {
             variables=("c",),
         ),
         "is_normal",
-        "normal_mask",
+        "normal",
     ),
 }
 
@@ -70,7 +70,7 @@ TIERS = {
 
 
 def measure(algo_name, net, daemon_kind, seed, tier, run_past=0):
-    factory, start, predicate_attr, mask_attr = ALGORITHMS[algo_name]
+    factory, start, predicate_attr, mask_name = ALGORITHMS[algo_name]
     backend, hooked, use_mask = TIERS[tier]
     algo = factory(net)
     cfg = start(algo, seed)
@@ -80,7 +80,7 @@ def measure(algo_name, net, daemon_kind, seed, tier, run_past=0):
     )
     probe = StabilizationProbe(
         getattr(algo, predicate_attr),
-        mask=mask_attr if use_mask else None,
+        mask=mask_name if use_mask else None,
         run_past=run_past,
     )
     sim.add_probe(probe)
@@ -135,24 +135,25 @@ def test_run_past_suffix_monitoring_matches_across_tiers(daemon_kind):
 def test_nonclosed_predicate_violations_match_across_tiers():
     """A predicate that flickers counts the same violations fused/decoded.
 
-    "Every clock even" holds, breaks, and holds again along a unison
-    execution — exactly what violations_after_hit must count, on both
-    tiers, with a callable mask standing in for a program attribute.
+    "Every clock at zero" (Unison's declared ``reset`` predicate) holds
+    at the initial configuration, breaks, and holds again once per
+    period under the synchronous daemon — exactly what
+    violations_after_hit must count, on both tiers.
     """
     net = ring(8)
     readings = []
     for tier in ("fused", "dict-decode"):
         backend, hooked, use_mask = TIERS[tier]
-        sdr = SDR(Unison(net))
-        cfg = sdr.random_configuration(Random(11))
+        unison = Unison(net)
         sim = Simulator(
-            sdr, make_daemon("distributed-random", net), config=cfg, seed=11,
+            unison, make_daemon("synchronous", net),
+            config=unison.initial_configuration(), seed=11,
             backend=backend, probes=[Probe()] if hooked else [],
         )
         probe = StabilizationProbe(
-            predicate=lambda c: all(c[u]["c"] % 2 == 0 for u in net.processes()),
-            mask=(lambda cols: cols["c"] % 2 == 0) if use_mask else None,
-            name="all-even",
+            predicate=lambda c: all(c[u]["c"] == 0 for u in net.processes()),
+            mask="reset" if use_mask else None,
+            name="all-zero",
             stop=False,
         )
         sim.add_probe(probe)
@@ -163,7 +164,7 @@ def test_nonclosed_predicate_violations_match_across_tiers():
             (probe.step, probe.rounds, probe.moves, probe.violations_after_hit)
         )
     assert readings[0] == readings[1]
-    assert readings[0][3] > 0, "scenario should actually flicker"
+    assert 0 < readings[0][3] < 400, "scenario should actually flicker"
 
 
 def test_probe_agrees_with_legacy_measure_stabilization():
@@ -185,7 +186,7 @@ def test_probe_agrees_with_legacy_measure_stabilization():
             sdr2, make_daemon("distributed-random", net), config=cfg.copy(),
             seed=seed,
         )
-        probe = StabilizationProbe(sdr2.is_normal, mask="normal_mask")
+        probe = StabilizationProbe(sdr2.is_normal, mask="normal")
         fused_sim.add_probe(probe)
         assert fused_sim.fusion_available
         fused_sim.run(max_steps=200_000)
