@@ -14,8 +14,8 @@ mode (see ``Simulator(backend="kernel", paranoid=True)``).
 Every program the kernel runs is an
 :class:`~repro.ir.kernelc.IRKernelProgram`, generated from the
 algorithm's rule set (``Algorithm.rule_set().compile_kernel()``); the
-runtime only duck-types it (``schema``, ``rules``, ``guard_masks``,
-``apply`` and ``tiled``; ``csr`` under topology churn).
+runtime only duck-types it (``schema``, ``rules``, ``predicates``,
+``evaluate``, ``apply`` and ``tiled``; ``csr`` under topology churn).
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Every kernel-backend :class:`~repro.core.simulator.Simulator` execution
 is one lane of the driver (:func:`drive`).  A daemon with no array twin
 selects through :class:`DaemonAdapter`, a :class:`VectorDaemon`; whatever
-needs the decoded execution per step (a trace, decode-tier probes,
-``stop_when``, the paranoid lockstep) is served by :class:`DecodeAdapter`,
+needs the decoded execution per step (a trace, decode-tier probes, the
+paranoid lockstep) is served by :class:`DecodeAdapter`,
 a vector-tier lane probe.  Plain lanes attach neither.
 
 Neither adapter writes the runtime: a daemon that looks ahead (the
@@ -26,7 +26,7 @@ from .daemons import VectorDaemon, vectorize
 __all__ = ["DaemonAdapter", "DecodeAdapter", "drive"]
 
 
-def drive(sim, max_steps: int, *, stop_when=None, step: bool = False):
+def drive(sim, max_steps: int, *, step: bool = False):
     """Advance ``sim``'s columns through one lane of the array driver.
 
     The lane's daemon is the array twin of ``sim``'s daemon, else — and
@@ -47,9 +47,9 @@ def drive(sim, max_steps: int, *, stop_when=None, step: bool = False):
         probes = [probe for probe in sim.probes if not probe.wants_decode()]
         decode = [probe for probe in sim.probes if probe.wants_decode()]
     hook = None
-    if (decode or stop_when is not None or sim.trace is not None
-            or sim._shadow is not None or (step and sim._schedules)):
-        hook = DecodeAdapter(sim, decode, stop_when, stops=not step)
+    if (decode or sim.trace is not None or sim._shadow is not None
+            or (step and sim._schedules)):
+        hook = DecodeAdapter(sim, decode, stops=not step)
         probes.append(hook)
     # The preset totals also anchor the schedules' step clock.
     view = ColumnView(sim._program)
@@ -101,10 +101,7 @@ def drive(sim, max_steps: int, *, stop_when=None, step: bool = False):
     sim.move_count = moves0 + result.moves
     sim._enabled = kernel.enabled_map()
     sim._enabled_snapshot = tuple(sim._enabled)
-    reason = result.stop_reason
-    if reason == "probe" and hook is not None and hook.reason == "predicate":
-        reason = "predicate"
-    return reason, None if hook is None else hook.record
+    return result.stop_reason, None if hook is None else hook.record
 
 
 def _stepped(sim, selection, steps: int, moves: int, rounds: int) -> StepRecord:
@@ -167,20 +164,17 @@ class DecodeAdapter(Probe):
     """A simulator's per-step consumers, served from inside the driver.
 
     ``probes`` are the decode-tier probes it forwards to (``on_step``,
-    ``on_fault``, ``on_churn``); ``stops=False`` makes it ignore stop
-    requests (``Simulator.step``).  After a stop it requested,
-    :attr:`reason` says why: ``"predicate"`` (``stop_when``) or
-    ``"probe"``.  :attr:`record` is the last step's record.
+    ``on_fault``, ``on_churn``) and whose stop requests it relays;
+    ``stops=False`` makes it ignore them (``Simulator.step``).
+    :attr:`record` is the last step's record.
     """
 
     name = "decode-adapter"
 
-    def __init__(self, sim, probes, stop_when=None, stops: bool = True):
+    def __init__(self, sim, probes, stops: bool = True):
         self.sim = sim
         self.probes = probes
-        self.stop_when = stop_when
         self.stops = stops
-        self.reason = ""
         self.record: StepRecord | None = None
         self._rules = sim._kernel.rules
 
@@ -232,12 +226,4 @@ class DecodeAdapter(Probe):
             self.sim._compare_shadow()
 
     def done(self) -> bool:
-        if not self.stops:
-            return False
-        if self.stop_when is not None and self.stop_when(self.sim):
-            self.reason = "predicate"
-            return True
-        if any(probe.done() for probe in self.probes):
-            self.reason = "probe"
-            return True
-        return False
+        return self.stops and any(probe.done() for probe in self.probes)

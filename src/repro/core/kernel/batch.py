@@ -13,8 +13,8 @@ identical to its serial run, record for record.
 
 Each trial is one *lane* of the fused driver
 (:meth:`~repro.core.kernel.engine.KernelRuntime.drive`), the same loop a
-single run drives with one lane: trials stop independently (convergence
-predicate, terminal block, probe, or budget) and freeze while the rest of the
+single run drives with one lane: trials stop independently (terminal block,
+a probe's stop — convergence included — or budget) and freeze while the rest of the
 batch runs on, and :class:`~repro.core.rounds.ArrayRoundCounter` counts
 rounds per block.
 """
@@ -38,17 +38,16 @@ class TrialOutcome:
     """Accounting of one trial of a batch, frozen at its stopping step."""
 
     __slots__ = ("steps", "moves", "rounds", "moves_per_process",
-                 "moves_per_rule", "stop_reason", "hit")
+                 "moves_per_rule", "stop_reason")
 
     def __init__(self, steps, moves, rounds, moves_per_process,
-                 moves_per_rule, stop_reason, hit):
+                 moves_per_rule, stop_reason):
         self.steps = steps
         self.moves = moves
         self.rounds = rounds
         self.moves_per_process = moves_per_process
         self.moves_per_rule = moves_per_rule
         self.stop_reason = stop_reason
-        self.hit = hit
 
     def __repr__(self) -> str:
         return (
@@ -81,7 +80,6 @@ def run_batch(
     network,
     *,
     max_steps: int,
-    until: str | None = None,
     exclusion_name: str | None = None,
     probes: Sequence[Sequence] | None = None,
     faults: Sequence | None = None,
@@ -90,17 +88,16 @@ def run_batch(
 
     ``cfgs``/``daemons``/``rngs`` are per-trial: the initial
     configuration, a fresh dict daemon instance (state bridged into its
-    vector twin), and the trial's seeded generator.  ``until`` is an
-    optional convergence test: the name of a declared predicate of the
-    program (read off the driver's guard evaluation); a trial freezes with
-    ``stop_reason="predicate"`` the first time its block satisfies it
-    everywhere (initial configuration included).
+    vector twin), and the trial's seeded generator.
     ``probes`` (optional) carries one sequence of vector-tier
     :class:`repro.probes.Probe` instances *per trial*; each trial's
     probes see its block of the tiled buffers as a
     :class:`repro.probes.ColumnView` (base program + block-sliced
     columns, so per-trial semantics match a single run), and a probe's
-    ``done()`` freezes its trial with ``stop_reason="probe"``.
+    ``done()`` freezes its trial with ``stop_reason="probe"`` — a
+    convergence stop is a :class:`repro.probes.StopProbe` (or
+    :class:`repro.probes.StabilizationProbe`) naming a declared
+    predicate, asked on the initial configuration too.
     ``faults`` (optional) carries one bound
     :class:`~repro.faults.schedule.BoundFaultSchedule` (or ``None``) per
     trial, landed on the trial's block exactly as on a single run.
@@ -144,7 +141,7 @@ def run_batch(
         ))
     rounds = ArrayRoundCounter(n, trials)
     acc = runtime.drive(
-        lanes, max_steps=max_steps, until=until, rounds=rounds,
+        lanes, max_steps=max_steps, rounds=rounds,
         exclusion_name=exclusion_name,
     )
     acc.flush()
@@ -164,7 +161,6 @@ def run_batch(
                 rule: count for rule, count in zip(rules, per_rule[t]) if count
             },
             stop_reason=lane.stop_reason,
-            hit=lane.hit,
         )
         for t, lane in enumerate(lanes)
     ]

@@ -61,15 +61,14 @@ class FusedResult:
     per-process and per-rule counts are flushed on first read.
     """
 
-    __slots__ = ("steps", "moves", "stop_reason", "hit", "_acc", "_rules")
+    __slots__ = ("steps", "moves", "stop_reason", "_acc", "_rules")
 
-    def __init__(self, steps, moves, acc, rules, stop_reason, hit):
+    def __init__(self, steps, moves, acc, rules, stop_reason):
         self.steps = steps
         self.moves = moves
         self._acc = acc
         self._rules = rules
         self.stop_reason = stop_reason
-        self.hit = hit
 
     @property
     def moves_per_process(self) -> np.ndarray:
@@ -85,7 +84,7 @@ class FusedResult:
     def __repr__(self) -> str:
         return (
             f"FusedResult(steps={self.steps}, moves={self.moves}, "
-            f"stop_reason={self.stop_reason!r}, hit={self.hit})"
+            f"stop_reason={self.stop_reason!r})"
         )
 
 
@@ -201,22 +200,12 @@ def exclusion_offender(masks, rules, size):
     return u, offending
 
 
-def evaluate(program, cols):
-    """``(guard masks, predicate masks)`` of ``program`` on ``cols``
-    (``IRKernelProgram.evaluate``).  The runtime duck-types its program:
-    one serving only ``guard_masks`` declares no predicates."""
-    fn = getattr(program, "evaluate", None)
-    if fn is None:
-        return program.guard_masks(cols), {}
-    return fn(cols)
-
-
 def check_predicate(program, name: str) -> str:
     """``name``, checked to be a predicate ``program`` declares (a key of
-    :func:`evaluate`'s second dict) — the one vector-tier legitimacy
-    test.  Raises ``ValueError`` naming the rule set and its declared
-    predicates otherwise."""
-    declared = tuple(getattr(program, "predicates", ()))
+    the second dict ``program.evaluate`` returns) — the one vector-tier
+    legitimacy test.  Raises ``ValueError`` naming the rule set and its
+    declared predicates otherwise."""
+    declared = tuple(program.predicates)
     if name not in declared:
         owner = getattr(getattr(program, "rule_set", None), "name",
                         type(program).__name__)
@@ -352,13 +341,13 @@ class Lane:
     execution (``steps0``/``moves0``, the absolute totals its schedules
     and probes count from), its probes and their view, and its
     disturbance schedules in polling order (faults, then churn).
-    :meth:`KernelRuntime.drive` fills ``steps``/``moves`` (deltas),
-    ``stop_reason`` and ``hit``.
+    :meth:`KernelRuntime.drive` fills ``steps``/``moves`` (deltas) and
+    ``stop_reason``.
     """
 
     __slots__ = ("index", "lo", "daemon", "stream", "steps0", "moves0",
                  "steps", "moves", "chosen", "probes", "view", "schedules",
-                 "due", "stop_reason", "hit")
+                 "due", "stop_reason")
 
     def __init__(self, index: int, daemon: VectorDaemon, rng: Random, *,
                  probes=(), view=None, schedules=()):
@@ -384,7 +373,6 @@ class Lane:
         #: Absolute step of the lane's next nominal occurrence, or None.
         self.due = self._next_due()
         self.stop_reason = ""
-        self.hit = False
 
     def _next_due(self) -> int | None:
         pending = [
@@ -465,7 +453,7 @@ class KernelRuntime:
     # ------------------------------------------------------------------
     def guard_masks(self) -> dict[str, np.ndarray]:
         if self._masks is None:
-            masks, self._preds = evaluate(self.program, self.read)
+            masks, self._preds = self.program.evaluate(self.read)
             self._masks = live_masks(masks, self.live)
         return self._masks
 
@@ -585,7 +573,7 @@ class KernelRuntime:
             exclusion_name=exclusion_name,
         )
         return FusedResult(
-            lane.steps, lane.moves, acc, self.rules, lane.stop_reason, lane.hit
+            lane.steps, lane.moves, acc, self.rules, lane.stop_reason
         )
 
     def drive(
@@ -593,7 +581,6 @@ class KernelRuntime:
         lanes: list[Lane],
         *,
         max_steps: int,
-        until: str | None = None,
         rounds=None,
         exclusion_name: str | None = None,
     ) -> MoveAccumulator:
@@ -606,12 +593,11 @@ class KernelRuntime:
         lane, and accounting lands in flat counters.  Lanes stop
         independently and freeze — a frozen block receives no further
         selections, so its columns and accounting stay exactly at its
-        stopping configuration: at a terminal configuration, when
-        ``until`` holds on the whole block — checked on the initial
-        configuration too — when one of the lane's probes is
-        ``done()``, or after ``max_steps`` steps.  ``until`` names a
-        declared predicate of the program (:func:`check_predicate`),
-        read off the guard evaluation.
+        stopping configuration: at a terminal configuration, when one
+        of the lane's probes is ``done()`` — asked on the initial
+        configuration too — or after ``max_steps`` steps.  A predicate
+        stop is a probe reading a declared predicate (e.g.
+        :class:`repro.probes.StopProbe`).
 
         A single lane's daemon may pick rules itself
         (:attr:`VectorDaemon.picks_rules`), overriding the lowest-rule
@@ -624,7 +610,7 @@ class KernelRuntime:
         every step the lane executes.  One :class:`Frame` backs every
         view: each step's ``program.evaluate`` yields the guard masks
         and the predicate masks at once, and a predicate bit or per-rule
-        move count any probe (or ``until``) reads is reduced once for
+        move count any probe reads is reduced once for
         all lanes.  ``rounds`` (an
         :class:`~repro.core.rounds.ArrayRoundCounter` with one block per
         lane, started here unless it already is) counts rounds per lane.
@@ -647,8 +633,6 @@ class KernelRuntime:
         :class:`MoveAccumulator`, not yet flushed.
         """
         program, rules = self.program, self.rules
-        if until is not None:
-            check_predicate(program, until)
         nrules = len(rules)
         total = self._rule_idx.shape[0]
         blocks = len(lanes)
@@ -688,7 +672,7 @@ class KernelRuntime:
             if live is not None:
                 live = live[:size]
             if masks is None:
-                masks, self._preds = evaluate(program, read)
+                masks, self._preds = program.evaluate(read)
                 masks = self._masks = live_masks(masks, live)
             frame.read, frame.live, frame.preds = read, live, self._preds
             frame.bits.clear()
@@ -794,22 +778,11 @@ class KernelRuntime:
                 return None
             return min(lane.due - lane.steps0 for lane in scheduled)
 
-        def freeze(lane: Lane, reason: str, converged: bool = False) -> None:
+        def freeze(lane: Lane, reason: str) -> None:
             lane.stop_reason = reason
-            lane.hit = converged
             lane.steps = steps
             if lane.probes:
                 observe(lane, "stop")
-
-        def check_until() -> bool:
-            """Freeze every lane whose block satisfies ``until``."""
-            hit = frame.holds(until, False)
-            froze = False
-            for lane in active:
-                if not lane.stop_reason and hit[lane.index]:
-                    freeze(lane, "predicate", True)
-                    froze = True
-            return froze
 
         # Telemetry: resolved once per drive, never per step.  Disabled
         # costs one boolean test per iteration (no timer calls at all);
@@ -841,8 +814,6 @@ class KernelRuntime:
             for lane in lanes:
                 if lane.probes and observe(lane, "start"):
                     freeze(lane, "probe")
-            if until is not None:
-                check_until()
             froze = True
             while True:
                 if froze:
@@ -1008,8 +979,6 @@ class KernelRuntime:
                     if sampling:
                         ttimes[T_PROBE] += telemetry.timer() - t_mark
                         tcounts[T_PROBE] += 1
-                if until is not None and check_until():
-                    froze = True
         finally:
             for lane in lanes:
                 if lane.stream is not None:

@@ -20,11 +20,10 @@ Two interchangeable backends implement the step relation:
   (``Algorithm.kernel_program``) on flat numpy columns over CSR
   adjacency; guards become vectorized masks and actions mutate a double
   buffer.  Every execution
-  — :meth:`Simulator.run`, :meth:`Simulator.step`, ``stop_when``,
-  paranoid mode — is one lane of
-  :meth:`~repro.core.kernel.engine.KernelRuntime.drive`; daemons without
-  an array twin and decode-tier consumers (traces, decode probes,
-  ``stop_when``, the lockstep) plug into it through
+  — :meth:`Simulator.run`, :meth:`Simulator.step`, paranoid mode — is
+  one lane of :meth:`~repro.core.kernel.engine.KernelRuntime.drive`;
+  daemons without an array twin and decode-tier consumers (traces,
+  decode probes, the lockstep) plug into it through
   :mod:`repro.core.kernel.adapters`.
 
 ``backend="auto"`` (the default) picks the kernel whenever the algorithm
@@ -50,7 +49,7 @@ from __future__ import annotations
 
 import logging
 from random import Random
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from ..telemetry import phases as telemetry
 from .algorithm import Algorithm
@@ -92,8 +91,9 @@ class RunResult:
     moves: total number of moves (rule executions).
     rounds: number of complete rounds elapsed.
     terminal: whether the final configuration is terminal.
-    stop_reason: ``"terminal"``, ``"predicate"``, ``"probe"`` or
-        ``"budget"`` (``"probe"`` = an attached probe requested the stop).
+    stop_reason: ``"terminal"``, ``"probe"`` or ``"budget"`` (``"probe"``
+        = an attached probe requested the stop — a predicate stop is a
+        :class:`repro.probes.StopProbe`).
     """
 
     __slots__ = ("steps", "moves", "rounds", "terminal", "stop_reason")
@@ -657,11 +657,10 @@ class Simulator:
         Requires the kernel backend, a vectorizable daemon, no trace, no
         paranoid lockstep, and every attached probe advertising the
         array-native tier (``wants_decode()`` false — such probes are
-        served *inside* the driver).  (A ``stop_when`` predicate also
-        needs the per-step hook — it must observe the simulator between
-        steps; name a predicate the rule set declares as a
-        :class:`repro.probes.StopProbe` mask to keep the fast path.)
-        Results are identical either way.
+        served *inside* the driver).  A predicate stop keeps the fast
+        path when its :class:`repro.probes.StopProbe` names a predicate
+        the rule set declares (``mask=``); with only a decode-tier
+        predicate it decodes per step.  Results are identical either way.
         """
         if self.backend != "kernel" or self.paranoid or self.trace is not None:
             return False
@@ -670,27 +669,23 @@ class Simulator:
         return (all(not probe.wants_decode() for probe in self.probes)
                 and vectorize(self.daemon, self.network) is not None)
 
-    def _drive(self, max_steps: int, *, stop_when=None, step: bool = False):
+    def _drive(self, max_steps: int, *, step: bool = False):
         """One lane of the array driver: ``(stop_reason, last_record)``
         (see :func:`repro.core.kernel.adapters.drive`)."""
         from .kernel.adapters import drive
 
-        return drive(self, max_steps, stop_when=stop_when, step=step)
+        return drive(self, max_steps, step=step)
 
     # ------------------------------------------------------------------
     # Driving loops
     # ------------------------------------------------------------------
-    def run(
-        self,
-        max_steps: int = 1_000_000,
-        stop_when: Callable[["Simulator"], bool] | None = None,
-    ) -> RunResult:
-        """Run until terminal, ``stop_when(self)``, a probe stop, or budget.
+    def run(self, max_steps: int = 1_000_000) -> RunResult:
+        """Run until terminal, a probe stop, or budget.
 
-        ``stop_when`` (and every attached probe's ``done()``) is
-        evaluated on the initial configuration too, so a condition
-        already satisfied stops immediately with zero steps; a
-        probe-requested stop reports ``stop_reason="probe"``.
+        Every attached probe's ``done()`` is asked on the initial
+        configuration too, so a condition already satisfied stops
+        immediately with zero steps (``stop_reason="probe"``); stopping
+        on a predicate means attaching a :class:`repro.probes.StopProbe`.
 
         On the kernel backend the run is one lane of the array driver;
         when nothing needs individual *decoded* steps (see
@@ -698,14 +693,12 @@ class Simulator:
         results and rng consumption are identical either way.
         """
         if self.backend == "kernel":
-            return self._finish(self._drive(max_steps, stop_when=stop_when)[0])
-        return self._finish(self._run_dict(max_steps, stop_when))
+            return self._finish(self._drive(max_steps)[0])
+        return self._finish(self._run_dict(max_steps))
 
-    def _run_dict(self, max_steps: int, stop_when) -> str:
+    def _run_dict(self, max_steps: int) -> str:
         """The dict engine's driving loop; returns the stop reason."""
         probes = self.probes
-        if stop_when is not None and stop_when(self):
-            return "predicate"
         if probes and any(probe.done() for probe in probes):
             return "probe"
         # Nothing observes a step without a trace or probes: no record.
@@ -725,8 +718,6 @@ class Simulator:
                 return "budget"
             stepper()
             executed += 1
-            if stop_when is not None and stop_when(self):
-                return "predicate"
             if probes and any(probe.done() for probe in probes):
                 return "probe"
 

@@ -337,17 +337,54 @@ class _Disturbances:
         return out
 
 
-def _failure(entry: AlgorithmEntry, kit: _Disturbances | None, max_steps: int,
-             hit: bool, stop_reason: str, steps: int) -> str | None:
+def _trial_probes(entry: AlgorithmEntry, algo, seed: int, faults, churn,
+                  probe: str, n: int):
+    """One trial's probes, the same on the serial and batched paths:
+    ``(kit, measure, probes)``.
+
+    A disturbed trial carries its :class:`_Disturbances` kit's probes; a
+    plain one with a legitimacy notion the :class:`StabilizationProbe`
+    ``measure`` that stops it at the first legitimate configuration and
+    whose ``(rounds, moves, step)`` the record reports.  The ``probe``
+    selection's named probes ride along either way.
+    """
+    kit = measure = None
+    probes = []
+    if faults is not None or churn is not None:
+        kit = _Disturbances(entry, algo, seed, faults, churn, probe)
+        probes = kit.probes
+    elif entry.legitimacy is not None:
+        mask, predicate = entry.legitimacy
+        measure = StabilizationProbe(
+            getattr(algo, predicate),
+            mask=mask if probe != "decode" else None,
+            name=mask,
+        )
+        probes = [measure]
+    return kit, measure, probes + _named_probes(probe, n)
+
+
+def _failure(entry: AlgorithmEntry, kit: _Disturbances | None,
+             measure: StabilizationProbe | None, max_steps: int,
+             stop_reason: str, steps: int) -> str | None:
     """Why a finished run does not count as a trial (``None`` if it does)."""
     if kit is not None:
         return kit.failure(stop_reason, steps)
-    if entry.legitimacy is None:
+    if measure is None:
         if stop_reason != "terminal":
             return f"no terminal configuration within {max_steps} steps"
-    elif not hit:
-        return f"predicate 'legitimate' not reached within {max_steps} steps"
+    elif not measure.hit:
+        return f"predicate {entry.mask!r} not reached within {max_steps} steps"
     return None
+
+
+def _counts(measure: StabilizationProbe | None, rounds: int, moves: int,
+            steps: int) -> tuple[int, int, int]:
+    """The record's ``(rounds, moves, steps)``: at the first legitimate
+    configuration, else the run's totals."""
+    if measure is not None:
+        return measure.rounds, measure.moves, measure.step
+    return rounds, moves, steps
 
 
 def _extra(entry: AlgorithmEntry, algo, final, kit: _Disturbances | None) -> dict:
@@ -522,19 +559,8 @@ def _run_built(entry: AlgorithmEntry, algorithm: str, network: Network, algo,
             adversary, daemon, backend, faults, churn, network,
             stop_mask=entry.mask,
         )
-    kit = measure = None
-    probes = _named_probes(probe, network.n)
-    if faults is not None or churn is not None:
-        kit = _Disturbances(entry, algo, seed, faults, churn, probe)
-        probes = kit.probes + probes
-    elif entry.legitimacy is not None:
-        mask, predicate = entry.legitimacy
-        measure = StabilizationProbe(
-            getattr(algo, predicate),
-            mask=mask if probe != "decode" else None,
-            name="legitimate",
-        )
-        probes.append(measure)
+    kit, measure, probes = _trial_probes(entry, algo, seed, faults, churn,
+                                         probe, network.n)
     if not isinstance(daemon, Daemon):
         daemon = make_daemon(daemon, network)
     sim = Simulator(algo, daemon, config=cfg, seed=seed,
@@ -542,14 +568,11 @@ def _run_built(entry: AlgorithmEntry, algorithm: str, network: Network, algo,
                     faults=kit.faults if kit else None,
                     churn=kit.churn if kit else None)
     result = sim.run(max_steps=max_steps)
-    hit = measure is not None and measure.hit
-    why = _failure(entry, kit, max_steps, hit, result.stop_reason, result.steps)
+    why = _failure(entry, kit, measure, max_steps, result.stop_reason,
+                   result.steps)
     if why is not None:
         raise NotStabilized(why, steps=result.steps)
-    if measure is not None:
-        counts = (measure.rounds, measure.moves, measure.step)
-    else:
-        counts = (result.rounds, result.moves, result.steps)
+    counts = _counts(measure, result.rounds, result.moves, result.steps)
     extra = _extra(entry, algo, lambda: sim.cfg, kit)
     if adversary is not None:
         extra["adversary"] = _adversary_extra(
@@ -652,15 +675,14 @@ def can_batch(spec: "TrialSpec") -> bool:
 def run_trial_batch(
     specs: Sequence["TrialSpec"],
     seeds: Sequence[int],
-    probes: Sequence[Sequence] | None = None,
 ) -> list[Trial]:
     """Run one campaign cell's replicate trials as a single tiled batch.
 
     ``specs`` must share everything but the replicate index (one cell);
     ``seeds`` are the per-trial PRNG seeds in the same order.  Results
-    are record-identical to ``[run_trial(spec, seed) for …]``.
-    ``probes`` (optional, one sequence of vector-tier probes per trial)
-    observe each trial's block of the tiled buffers inline.
+    are record-identical to ``[run_trial(spec, seed) for …]``: each
+    replicate carries the probes its serial run would
+    (:func:`_trial_probes`) on its block of the tiled buffers.
 
     Raises :class:`~repro.core.exceptions.UnbatchableError` when the
     cell cannot be batched (callers fall back to serial trials).  When a
@@ -690,23 +712,15 @@ def run_trial_batch(
         )
     start = scenario_start(spec.algorithm, spec.scenario)
     cfgs = [start(algo, Random(seed)) for seed in seeds]
-    # Bound schedules and probes are stateful: every replicate gets its
-    # own, in serial order (disturbance probes, caller's, named).
-    kits = [
-        _Disturbances(entry, algo, seed, faults, None) if faults is not None else None
+    # Bound schedules and probes are stateful: every replicate gets its own.
+    kits, measures, trial_probes = zip(*(
+        _trial_probes(entry, algo, seed, faults, None, probe, network.n)
         for seed in seeds
-    ]
-    trial_probes = [
-        (kit.probes if kit else [])
-        + (list(probes[t]) if probes is not None else [])
-        + _named_probes(probe, network.n)
-        for t, kit in enumerate(kits)
-    ]
+    ))
     daemons = [make_daemon(spec.daemon, network) for _ in specs]
     result = run_batch(
         program, cfgs, daemons, [Random(seed) for seed in seeds], network,
         max_steps=max_steps,
-        until=entry.mask if faults is None else None,
         exclusion_name=algo.name if algo.mutually_exclusive_rules else None,
         probes=trial_probes,
         faults=[kit.faults if kit else None for kit in kits],
@@ -714,17 +728,17 @@ def run_trial_batch(
 
     finished: list[tuple[int, Trial]] = []
     first_failure = None
-    for t, (seed, daemon, outcome, kit) in enumerate(
-        zip(seeds, daemons, result.outcomes, kits)
+    for t, (seed, daemon, outcome, kit, measure) in enumerate(
+        zip(seeds, daemons, result.outcomes, kits, measures)
     ):
-        why = _failure(entry, kit, max_steps, outcome.hit, outcome.stop_reason,
+        why = _failure(entry, kit, measure, max_steps, outcome.stop_reason,
                        outcome.steps)
         if why is not None:
             first_failure = first_failure or (why, outcome.steps)
             continue
         metrics = RunMetrics(outcome.steps, outcome.moves, outcome.rounds,
                              outcome.moves_per_process, outcome.moves_per_rule)
-        counts = (outcome.rounds, outcome.moves, outcome.steps)
+        counts = _counts(measure, outcome.rounds, outcome.moves, outcome.steps)
         extra = _extra(entry, algo, lambda: result.configuration(t), kit)
         finished.append((t, _record(entry, spec.scenario, daemon.name, seed,
                                     topology, counts, metrics, extra)))

@@ -26,9 +26,11 @@ that cannot guarantee that must stay on the decode tier.
 
 Stopping is part of the protocol: after each step (on either tier) the
 driver asks :meth:`Probe.done`; any probe answering ``True`` ends the
-run with ``stop_reason="probe"``.  This is how ``stop_when`` predicates
-and stabilization detection express themselves without a per-step
-Python closure.
+run with ``stop_reason="probe"``.  It is the only way a run — single or
+a batched trial — stops on a predicate: a
+:class:`~repro.probes.stabilization.StopProbe` (or a stopping
+:class:`~repro.probes.stabilization.StabilizationProbe`) naming a
+predicate the rule set declares.
 """
 
 from __future__ import annotations

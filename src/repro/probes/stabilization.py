@@ -176,12 +176,13 @@ class StabilizationProbe(Probe):
 
 
 class StopProbe(StabilizationProbe):
-    """``stop_when`` as a declared-capability probe.
+    """A predicate-driven stop condition, the one way to stop on a predicate.
 
-    A predicate-driven stop condition: the run ends the first time the
-    named predicate (or the decode-tier one) holds everywhere, staying
-    fused the whole way — unlike the ``stop_when`` closure, which forces
-    per-step decoding.
+    The run ends the first time the named predicate (``mask``) or the
+    decode-tier one (``predicate``, ``Configuration -> bool``) holds
+    everywhere — the initial configuration included.  A declared
+    ``mask`` keeps the run fused the whole way; a decode-tier predicate
+    alone is evaluated on the decoded configuration per step.
     ``hit``/``step``/``rounds``/``moves`` record where it fired.
     """
 

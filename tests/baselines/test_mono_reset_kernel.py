@@ -8,7 +8,7 @@ from repro.baselines.mono_reset import MonoReset
 from repro.core import Simulator, make_daemon
 from repro.faults.injector import corrupt_processes
 from repro.ir.kernelc import IRKernelProgram
-from repro.probes import StabilizationProbe
+from repro.probes import StabilizationProbe, StopProbe
 from repro.topology import by_name, grid, ring
 from repro.unison import Unison
 
@@ -97,12 +97,13 @@ def test_tiled_program_runs_batched_trials_identically():
     seeds = [0, 1, 2]
     cfgs = [corrupted(MonoReset(Unison(net)), seed) for seed in seeds]
     daemons = [make_daemon("distributed-random", net) for _ in seeds]
+    stops = [[StopProbe(mask="normal")] for _ in seeds]
     result = run_batch(
         program, cfgs, daemons, [Random(seed) for seed in seeds], net,
         max_steps=300_000,
-        until="normal",
+        probes=stops,
     )
-    for seed, cfg, outcome in zip(seeds, cfgs, result.outcomes):
+    for seed, cfg, outcome, (stop,) in zip(seeds, cfgs, result.outcomes, stops):
         mono = MonoReset(Unison(net))
         sim = Simulator(
             mono, make_daemon("distributed-random", net), config=cfg.copy(),
@@ -112,7 +113,7 @@ def test_tiled_program_runs_batched_trials_identically():
         sim.add_probe(probe)
         sim.run(max_steps=300_000)
         probe.require_hit()
-        assert outcome.hit
+        stop.require_hit()
         assert (outcome.steps, outcome.rounds, outcome.moves) == (
-            probe.step, probe.rounds, probe.moves,
-        )
+            stop.step, stop.rounds, stop.moves,
+        ) == (probe.step, probe.rounds, probe.moves)

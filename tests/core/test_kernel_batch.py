@@ -15,6 +15,7 @@ from repro.core.configuration import Configuration
 from repro.core.daemon import make_daemon
 from repro.core.exceptions import ModelViolation
 from repro.core.kernel import CSRAdjacency, Schema, Var, run_batch
+from repro.probes import StopProbe
 from repro.reset import SDR
 from repro.topology import grid, ring
 from repro.unison import Unison
@@ -106,40 +107,67 @@ class TestProgramTiling:
             assert tiled.csr.n == 4 * net.n
 
 
+def _stops(trials: int, mask: str = "normal") -> list[list[StopProbe]]:
+    """One predicate stop per trial: the batch's only way to stop on one."""
+    return [[StopProbe(mask=mask)] for _ in range(trials)]
+
+
+def _stopped(stops) -> bool:
+    return all(stop.hit for (stop,) in stops)
+
+
 class TestRunBatch:
-    def _unison_batch(self, seeds, max_steps=400, until=True):
+    def _unison_batch(self, seeds, max_steps=400):
         net = ring(8)
         sdr = SDR(Unison(net))
         program = sdr.kernel_program()
         cfgs = [sdr.random_configuration(Random(seed)) for seed in seeds]
         daemons = [make_daemon("distributed-random", net) for _ in seeds]
         rngs = [Random(seed) for seed in seeds]
-        mask = "normal" if until else None
-        return run_batch(
+        stops = _stops(len(seeds))
+        result = run_batch(
             program, cfgs, daemons, rngs, net,
-            max_steps=max_steps, until=mask, exclusion_name=sdr.name,
+            max_steps=max_steps, exclusion_name=sdr.name, probes=stops,
         )
+        return result, stops
 
     def test_trials_freeze_independently(self):
-        result = self._unison_batch(seeds=[0, 1, 2, 3], max_steps=50_000)
+        result, stops = self._unison_batch(seeds=[0, 1, 2, 3], max_steps=50_000)
         steps = [outcome.steps for outcome in result.outcomes]
-        assert all(outcome.hit for outcome in result.outcomes)
+        assert _stopped(stops)
+        assert all(o.stop_reason == "probe" for o in result.outcomes)
+        assert steps == [stop.step for (stop,) in stops]
         assert len(set(steps)) > 1  # different seeds stop at different steps
 
     def test_frozen_trials_keep_their_configuration(self):
         """A frozen block's decoded configuration satisfies the predicate
         even though other trials kept running after it froze."""
-        result = self._unison_batch(seeds=[0, 1, 2], max_steps=50_000)
+        result, stops = self._unison_batch(seeds=[0, 1, 2], max_steps=50_000)
         net = ring(8)
         sdr = SDR(Unison(net))
-        for t, outcome in enumerate(result.outcomes):
-            assert outcome.hit
+        assert _stopped(stops)
+        for t in range(len(result.outcomes)):
             assert sdr.is_normal(result.configuration(t))
 
     def test_budget_trials_report_budget(self):
-        result = self._unison_batch(seeds=[0, 1], max_steps=1)
-        assert all(o.stop_reason in ("budget", "predicate")
+        result, _ = self._unison_batch(seeds=[0, 1], max_steps=1)
+        assert all(o.stop_reason in ("budget", "probe")
                    for o in result.outcomes)
+
+    def test_stop_on_the_initial_configuration_takes_no_step(self):
+        net = ring(8)
+        sdr = SDR(Unison(net))
+        cfgs = [sdr.initial_configuration(), sdr.random_configuration(Random(1))]
+        stops = _stops(2)
+        result = run_batch(
+            sdr.kernel_program(), cfgs,
+            [make_daemon("distributed-random", net) for _ in cfgs],
+            [Random(0), Random(1)], net, max_steps=50_000, probes=stops,
+        )
+        first = result.outcomes[0]
+        assert (first.stop_reason, first.steps, first.moves) == ("probe", 0, 0)
+        assert stops[0][0].step == 0
+        assert result.outcomes[1].steps > 0
 
     def test_rejects_unvectorizable_daemon(self):
         net = ring(8)
@@ -163,9 +191,11 @@ class TestRunBatch:
                 self.rules = ("a", "b")
                 self._n = net.n
 
-            def guard_masks(self, cols):
+            predicates = ()
+
+            def evaluate(self, cols):
                 on = np.ones(cols["x"].shape[0], dtype=np.bool_)
-                return {"a": on.copy(), "b": on.copy()}
+                return {"a": on.copy(), "b": on.copy()}, {}
 
             def apply(self, rule, idx, read, write):  # pragma: no cover
                 pass
@@ -217,32 +247,37 @@ class TestCompaction:
     def test_compaction_retiles_to_the_surviving_prefix(self):
         net, sdr, cfgs, daemons, rngs = self._mixed_batch()
         spy = TiledSpy(sdr.kernel_program())
-        result = run_batch(
-            spy, cfgs, daemons, rngs, net, max_steps=50_000,
-            until="normal",
+        stops = _stops(len(cfgs))
+        run_batch(
+            spy, cfgs, daemons, rngs, net, max_steps=50_000, probes=stops,
         )
         # Initial tile for all 8 trials, then a re-tile once the trailing
         # frozen blocks were dropped.
         assert spy.calls[0] == 8
         assert len(spy.calls) > 1 and spy.calls[1] < 8
-        assert all(outcome.hit for outcome in result.outcomes)
+        assert _stopped(stops)
 
     def test_compaction_is_invisible_in_the_results(self):
         net, sdr, cfgs, daemons, rngs = self._mixed_batch()
+        stops = _stops(len(cfgs))
         batched = run_batch(
             sdr.kernel_program(), cfgs, daemons, rngs, net, max_steps=50_000,
-            until="normal",
+            probes=stops,
         )
         for t, cfg in enumerate(cfgs):
+            alone = _stops(1)
             single = run_batch(
                 sdr.kernel_program(), [cfg.copy()],
                 [make_daemon("distributed-random", net)], [Random(t)],
                 net, max_steps=50_000,
-                until="normal",
+                probes=alone,
             )
             a, b = batched.outcomes[t], single.outcomes[0]
-            assert (a.steps, a.moves, a.rounds, a.stop_reason, a.hit) == (
-                b.steps, b.moves, b.rounds, b.stop_reason, b.hit,
+            assert (a.steps, a.moves, a.rounds, a.stop_reason) == (
+                b.steps, b.moves, b.rounds, b.stop_reason,
+            )
+            assert (stops[t][0].hit, stops[t][0].step) == (
+                alone[0][0].hit, alone[0][0].step,
             )
             assert a.moves_per_process == b.moves_per_process
             assert a.moves_per_rule == b.moves_per_rule
@@ -262,12 +297,12 @@ class TestBatchProbes:
         sdr = SDR(Unison(net))
         seeds = [0, 1, 2]
         cfgs = [sdr.random_configuration(Random(seed)) for seed in seeds]
-        probes = [[AccountingProbe(every=5)] for _ in seeds]
+        probes = [[AccountingProbe(every=5), StopProbe(mask="normal")]
+                  for _ in seeds]
         run_batch(
             sdr.kernel_program(), [c.copy() for c in cfgs],
             [make_daemon("distributed-random", net) for _ in seeds],
             [Random(seed) for seed in seeds], net, max_steps=50_000,
-            until="normal",
             probes=probes,
         )
         for seed, cfg, plist in zip(seeds, cfgs, probes):
@@ -339,20 +374,20 @@ class TestBatchProbes:
         seeds = [0, 1]
         cfgs = [sdr.random_configuration(Random(seed)) for seed in seeds]
         probes = [
-            [StabilizationProbe(mask="normal", stop=False)]
+            [StabilizationProbe(mask="normal", stop=False),
+             StopProbe(mask="normal")]
             for _ in seeds
         ]
         result = run_batch(
             sdr.kernel_program(), cfgs,
             [make_daemon("distributed-random", net) for _ in seeds],
             [Random(seed) for seed in seeds], net, max_steps=50_000,
-            until="normal",
             probes=probes,
         )
-        for outcome, plist in zip(result.outcomes, probes):
-            assert outcome.hit
-            # The probe and the freeze mask agree on the hit point.
-            assert plist[0].step == outcome.steps
+        for outcome, (measure, stop) in zip(result.outcomes, probes):
+            assert stop.hit
+            # The measuring probe and the stopping one agree on the hit point.
+            assert measure.step == stop.step == outcome.steps
 
     def test_unresolvable_named_mask_raises_cleanly(self):
         from repro.probes import StabilizationProbe

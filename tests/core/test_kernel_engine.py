@@ -115,9 +115,11 @@ class TestKernelRuntime:
             schema = Schema(Var.int("x"))
             rules = ("A", "B", "C")
 
-            def guard_masks(self, cols):
+            predicates = ()
+
+            def evaluate(self, cols):
                 x = cols["x"]
-                return {"A": x >= 0, "B": x % 2 == 0, "C": x % 2 == 1}
+                return {"A": x >= 0, "B": x % 2 == 0, "C": x % 2 == 1}, {}
 
             def apply(self, rule, idx, read, write):
                 write["x"][idx] = read["x"][idx] + 1
@@ -126,7 +128,7 @@ class TestKernelRuntime:
         assert runtime.enabled_map() == {0: ("A", "B")}
         runtime.disturb(Occurrence(0, 0, 0, assignments=((0, "x", 1),)))
         assert runtime.enabled_map() == {0: ("A", "C")}
-        masks = ThreeRules().guard_masks({"x": np.array([0, 1])})
+        masks, _ = ThreeRules().evaluate({"x": np.array([0, 1])})
         assert enabled_map(masks, ThreeRules.rules, 2) == {
             0: ("A", "B"), 1: ("A", "C"),
         }

@@ -106,7 +106,8 @@ def test_undeclared_predicate_name_raises_naming_the_rule_set():
         run_batch(
             sdr.kernel_program(), [sdr.random_configuration(Random(0))] * 2,
             [make_daemon("distributed-random", net) for _ in range(2)],
-            [Random(0), Random(1)], net, max_steps=10, until="normal_mask",
+            [Random(0), Random(1)], net, max_steps=10,
+            probes=[[StopProbe(mask="normal_mask")] for _ in range(2)],
         )
 
     search = make_search_daemon("greedy")
@@ -168,7 +169,7 @@ def test_sampling_probes_reject_bad_interval(cls):
 # ======================================================================
 # Stop semantics
 # ======================================================================
-def test_stop_probe_equals_stop_when_and_reports_probe_reason():
+def test_fused_stop_probe_equals_the_dict_reference_decoded_stop():
     predicate = lambda c: all(c[u]["st"] == "C" for u in range(9))
 
     sim, sdr = make_sim(seed=6)
@@ -179,8 +180,9 @@ def test_stop_probe_equals_stop_when_and_reports_probe_reason():
     assert fused.stop_reason == "probe"
 
     ref, _ = make_sim(seed=6, backend="dict")
-    reference = ref.run(max_steps=50_000, stop_when=lambda s: predicate(s.cfg))
-    assert reference.stop_reason == "predicate"
+    ref.add_probe(StopProbe(predicate))
+    reference = ref.run(max_steps=50_000)
+    assert reference.stop_reason == "probe"
     assert (fused.steps, fused.moves, fused.rounds) == (
         reference.steps, reference.moves, reference.rounds,
     )

@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.core.daemon import DistributedRandomDaemon
 from repro.harness.runner import ALGORITHMS
-from repro.probes import Probe
+from repro.probes import Probe, StopProbe
 from repro.topology import ring
 from tests.toys import CopyNeighbor, Countdown, MaxFlood
 
@@ -174,17 +174,19 @@ class TestStrictChecks:
 class TestRunLoops:
     def test_run_stops_on_predicate(self):
         algo = Countdown(PATH, start=5)
-        sim = Simulator(algo, SynchronousDaemon(), seed=0)
-        result = sim.run(stop_when=lambda s: s.cfg[0]["k"] == 2)
-        assert result.stop_reason == "predicate"
+        sim = Simulator(algo, SynchronousDaemon(), seed=0,
+                        probes=[StopProbe(lambda cfg: cfg[0]["k"] == 2)])
+        result = sim.run()
+        assert result.stop_reason == "probe"
         assert sim.cfg[0]["k"] == 2
 
     def test_run_predicate_checked_on_initial_config(self):
         algo = Countdown(PATH, start=5)
-        sim = Simulator(algo, SynchronousDaemon(), seed=0)
-        result = sim.run(stop_when=lambda s: True)
+        sim = Simulator(algo, SynchronousDaemon(), seed=0,
+                        probes=[StopProbe(lambda cfg: True)])
+        result = sim.run()
         assert result.steps == 0
-        assert result.stop_reason == "predicate"
+        assert result.stop_reason == "probe"
 
     def test_run_budget(self):
         algo = Countdown(PATH, start=100)

@@ -4,9 +4,8 @@ The driver evaluates every declared predicate together with the guards,
 once per step, and a predicate is lowered into that one generated
 ``evaluate`` function only: no registered rule set's source holds a
 standalone predicate function.  A batched fault cell (its lanes carry
-recovery and SDR-wave probes, and ``until`` names the legitimacy
-predicate) and a serial trial measured by a ``StabilizationProbe`` run
-one drive each, and their records are the ones the mask-evaluating
+recovery and SDR-wave probes naming the legitimacy predicate) and a
+serial trial measured by a ``StabilizationProbe`` run one drive each, and their records are the ones the mask-evaluating
 probes produced (pinned digests).
 """
 

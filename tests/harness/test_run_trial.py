@@ -49,3 +49,21 @@ class TestRunTrial:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown trial algorithm"):
             run_trial(TrialSpec("paxos", "ring", 5))
+
+    @pytest.mark.parametrize("algorithm, predicate", [
+        ("unison", "normal"), ("boulinier", "legitimate"),
+    ])
+    def test_budget_starved_trial_names_the_declared_predicate(
+            self, algorithm, predicate):
+        """Serial and batched trials fail with the same message, naming
+        the predicate the algorithm's rule set declares."""
+        from repro.core.exceptions import NotStabilized
+        from repro.harness.runner import run_trial_batch
+
+        specs = [TrialSpec(algorithm, "ring", 8, "random", trial=t,
+                           params={"max_steps": 1}) for t in range(2)]
+        want = f"predicate '{predicate}' not reached within 1 steps"
+        with pytest.raises(NotStabilized, match=want):
+            run_trial(specs[0], seed=0)
+        with pytest.raises(NotStabilized, match=want):
+            run_trial_batch(specs, [0, 1])
