@@ -271,12 +271,13 @@ class FGA(InputAlgorithm):
     # Array backend
     # ------------------------------------------------------------------
     def input_rule_set(self):
+        from ..ir import rule_set_of
         from .kernelized import fga_rule_set
 
-        try:
-            return fga_rule_set(self)
-        except AlgorithmError:  # ids overflow the kernel's pointer keys
-            return None
+        return rule_set_of(fga_rule_set)
+
+    def param_values(self):
+        return {"ids": self.network.ids, "f": self.f, "g": self.g}
 
     # ------------------------------------------------------------------
     # Output

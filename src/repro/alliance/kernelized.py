@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.exceptions import AlgorithmError
 from ..core.kernel.schema import Schema, Var
 from ..ir import (
     Assign,
@@ -57,30 +56,28 @@ __all__ = ["fga_rule_set", "turau_rule_set"]
 _NO_KEY = np.iinfo(np.int64).max
 
 
-def fga_rule_set(algorithm) -> InputRuleSet:
-    """Algorithm FGA as an :class:`~repro.ir.rules.InputRuleSet`.
+def _keys_fit(params, processes: int) -> bool:
+    """Whether ``id·N + v`` keys fit int64 below :data:`_NO_KEY` for
+    ``N = processes`` (one network, or ``T`` tiled copies of it)."""
+    ids = params["ids"]
+    return int(ids.min()) >= 0 and int(ids.max()) < _NO_KEY // (processes + 1)
 
-    Raises :class:`AlgorithmError` when the identifiers would overflow
-    the composite ``bestPtr`` key (callers fall back to the dict
-    backend, mirroring the handwritten port).
+
+def fga_rule_set() -> InputRuleSet:
+    """Algorithm FGA as an :class:`~repro.ir.rules.InputRuleSet` over the
+    params ``ids``, ``f`` and ``g``.
+
+    Its ``tile_check`` refuses identifiers that would overflow the
+    composite ``bestPtr`` key, so such networks stay on the dict
+    backend (``kernel_program()`` is ``None``).
     """
-    network = algorithm.network
-    ids = tuple(network.ids)
-    n = network.n
-    if max(ids) >= _NO_KEY // (n + 1) or min(ids) < 0:
-        raise AlgorithmError(
-            "process identifiers too large for the kernel backend"
-        )
-
-    ids_p = param(ids, "ids")
-    f_p = param(tuple(algorithm.f), "f")
-    g_p = param(tuple(algorithm.g), "g")
+    ids_p, f_p, g_p = param("ids"), param("f"), param("g")
 
     colv, scr, canq, ptr = col(COL), col(SCR), col(CANQ), col(PTR)
-    # Composite argmin key: id·n + index.  Identifiers repeat across tiled
+    # Composite argmin key: id·N + index.  Identifiers repeat across tiled
     # blocks, but neighborhoods never cross a block boundary, so the key
-    # stays unambiguous; ``tile_check`` below refuses layouts where it
-    # would overflow int64.
+    # stays unambiguous; ``tile_check`` refuses layouts where it would
+    # overflow int64.
     own_key = ids_p * nprocs() + proc_index()
 
     # ``#InAll(u)``: alliance-member neighbors.
@@ -151,10 +148,8 @@ def fga_rule_set(algorithm) -> InputRuleSet:
              clean_gated=True),
     ]
 
-    max_id = max(ids)
     return InputRuleSet(
         "fga",
-        network,
         Schema(Var.bool(COL), Var.int(SCR), Var.bool(CANQ),
                Var.opt_index(PTR)),
         rules,
@@ -162,7 +157,7 @@ def fga_rule_set(algorithm) -> InputRuleSet:
         reset=colv & (ptr < 0) & canq & scr_is_one,
         reset_action=[Assign(COL, True), Assign(PTR, -1),
                       Assign(CANQ, True), Assign(SCR, 1)],
-        tile_check=lambda total: max_id < _NO_KEY // (total + 1),
+        tile_check=_keys_fit,
     )
 
 
@@ -170,10 +165,10 @@ def fga_rule_set(algorithm) -> InputRuleSet:
 _OUT, _WAIT, _IN = 0, 1, 2
 
 
-def turau_rule_set(algorithm) -> RuleSet:
-    """The Turau-style MIS baseline as a :class:`~repro.ir.rules.RuleSet`."""
-    network = algorithm.network
-    ids_p = param(tuple(network.ids), "ids")
+def turau_rule_set() -> RuleSet:
+    """The Turau-style MIS baseline as a :class:`~repro.ir.rules.RuleSet`
+    over the param ``ids``."""
+    ids_p = param("ids")
     state = col(MSTATE)
     edge_state = neigh(state)
     smaller_id = neigh(ids_p) < own(ids_p)
@@ -186,7 +181,6 @@ def turau_rule_set(algorithm) -> RuleSet:
     is_wait = state == _WAIT
     return RuleSet(
         "turau-mis",
-        network,
         Schema(Var.enum(MSTATE, (OUT, WAIT, IN))),
         [
             Rule("rule_wait", is_out & ~has_in, [Assign(MSTATE, _WAIT)]),

@@ -112,9 +112,13 @@ class TurauMIS(Algorithm):
 
     def rule_set(self):
         """IR definition (see :mod:`repro.alliance.kernelized`)."""
+        from ..ir import rule_set_of
         from .kernelized import turau_rule_set
 
-        return turau_rule_set(self)
+        return rule_set_of(turau_rule_set)
+
+    def param_values(self):
+        return {"ids": self.network.ids}
 
     # ------------------------------------------------------------------
     def members(self, cfg: Configuration) -> set[int]:

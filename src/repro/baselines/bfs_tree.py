@@ -102,51 +102,15 @@ class BfsTree(Algorithm):
 
     # ------------------------------------------------------------------
     def rule_set(self):
-        """IR definition: the tree rule as one declarative guarded rule.
+        """IR definition: the tree rule as one declarative guarded rule
+        (:func:`repro.baselines.kernelized.bfs_rule_set`)."""
+        from ..ir import rule_set_of
+        from .kernelized import bfs_rule_set
 
-        The lexicographic neighbor minimum ``(dist_v, v)`` is an argmin
-        over the composite key ``dist_v · N + v`` (``v < N``, so key
-        order is pair order); both backends are compiled from this.
-        """
-        from ..core.kernel.schema import Schema, Var
-        from ..ir import (
-            Assign, Rule, RuleSet, any_neighbors, col, gather,
-            min_over_neighbors, minimum, neigh, neigh_index, nprocs, own,
-            param, where,
-        )
+        return rule_set_of(bfs_rule_set, self.network.n)
 
-        no_key = (2**63 - 1) // 2
-        n = self.network.n
-        is_root = param(tuple(u == self.root for u in range(n)), "is_root")
-        tdist, parent = col(DIST_VAR), col(PARENT_VAR)
-
-        best_key = min_over_neighbors(
-            neigh(tdist) * nprocs() + neigh_index(), default=no_key
-        )
-        best_d = best_key // nprocs()
-        best_v = best_key % nprocs()
-        want = minimum(best_d + 1, n)
-
-        has_parent = parent >= 0
-        parent_is_neighbor = any_neighbors(neigh_index() == own(parent))
-        coherent = where(
-            is_root,
-            (tdist == 0) & ~has_parent,
-            (tdist == want)
-            & has_parent
-            & parent_is_neighbor
-            & (gather(parent, tdist) == best_d),
-        )
-        return RuleSet(
-            self.name,
-            self.network,
-            Schema(Var.int(DIST_VAR), Var.opt_index(PARENT_VAR)),
-            [
-                Rule("rule_tree", ~coherent,
-                     [Assign(DIST_VAR, where(is_root, 0, want)),
-                      Assign(PARENT_VAR, where(is_root, -1, best_v))])
-            ],
-        )
+    def param_values(self):
+        return {"is_root": tuple(u == self.root for u in self.network.processes())}
 
     # ------------------------------------------------------------------
     def children(self, cfg: Configuration, u: int) -> list[int]:

@@ -105,49 +105,17 @@ class LeaderElection(Algorithm):
 
     # ------------------------------------------------------------------
     def rule_set(self):
-        """IR definition: best-offer flooding as one declarative rule.
+        """IR definition: best-offer flooding as one declarative rule
+        (:func:`repro.baselines.kernelized.leader_rule_set`); identifiers
+        that would overflow its composite claim key leave
+        :meth:`kernel_program` ``None`` (dict backend only)."""
+        from ..ir import rule_set_of
+        from .kernelized import leader_rule_set
 
-        A claim ``(lid, dist)`` is ranked by larger ``lid`` first, then
-        smaller distance, so with ``cap = n − 1`` the composite key
-        ``lid · n + (cap − dist)`` orders claims exactly (``0 ≤ cap −
-        dist < n``); one max-reduction over neighbor claims (distance
-        ``ldist_v + 1``, admitted while ``≤ cap``) joined with the own
-        claim ``(id_u, 0)`` yields the best offer, decoded by ``/ n`` and
-        ``mod n``.  Returns ``None`` if identifiers would overflow the
-        key (dict backend only).
-        """
-        ids = tuple(self.network.ids)
-        n = self.network.n
-        cap = n - 1
-        if (max(ids) + n) * n + cap >= 2**63:
-            return None  # composite claim key would overflow int64
+        return rule_set_of(leader_rule_set, self.network.n)
 
-        from ..core.kernel.schema import Schema, Var
-        from ..ir import (
-            Assign, Rule, RuleSet, col, max_over_neighbors, maximum, neigh,
-            param,
-        )
-
-        lid, ldist = col(LID), col(LDIST)
-        own_key = param(ids, "ids") * n + cap
-        offer = neigh(lid) * n + (cap - (neigh(ldist) + 1))
-        best = maximum(
-            max_over_neighbors(offer, where=neigh(ldist) + 1 <= cap,
-                               default=-1),
-            own_key,
-        )
-        best_lid = best // n
-        best_dist = cap - best % n
-        return RuleSet(
-            self.name,
-            self.network,
-            Schema(Var.int(LID), Var.int(LDIST)),
-            [
-                Rule("rule_elect",
-                     (lid != best_lid) | (ldist != best_dist),
-                     [Assign(LID, best_lid), Assign(LDIST, best_dist)])
-            ],
-        )
+    def param_values(self):
+        return {"ids": self.network.ids}
 
     # ------------------------------------------------------------------
     # Output views

@@ -185,9 +185,14 @@ class MonoReset(Algorithm):
     # ------------------------------------------------------------------
     def rule_set(self):
         """``I ∘ MonoReset`` composed at the IR level, when ``I`` is ported."""
+        from ..ir import rule_set_of
         from .kernelized import mono_rule_set
 
         input_rule_set = self.input.input_rule_set()
         if input_rule_set is None:
             return None
-        return mono_rule_set(self, input_rule_set)
+        return rule_set_of(mono_rule_set, input_rule_set, self.network.n)
+
+    def param_values(self):
+        """The tree's root flags, then the input's values."""
+        return {**self.tree.param_values(), **self.input.param_values()}

@@ -59,9 +59,6 @@ class Algorithm(abc.ABC):
     #: (Lemma 5); when ``True`` the simulator asserts it in strict mode.
     mutually_exclusive_rules: bool = False
 
-    #: The rule set :meth:`kernel_program` compiles (``...`` until built).
-    _kernel_rule_set: Any = ...
-
     def __init__(self, network: Network):
         self.network = network
 
@@ -107,31 +104,42 @@ class Algorithm(abc.ABC):
 
         Algorithms ported to the rule language return a
         :class:`repro.ir.rules.RuleSet` stating their guards and actions
-        once as expression trees; both execution backends are *compiled*
-        from it (``compile_dict()`` for the per-process contract,
-        ``compile_kernel()`` for the array kernel).  The default is
-        ``None``: dict methods only, no kernel backend.
+        once as expression trees.  A rule set is structure only: it
+        depends on the algorithm's shape (a period, a distance cap),
+        never on its network or per-process values, and comes from the
+        per-process cache :func:`repro.ir.rules.rule_set_of`, so every
+        instance of one shape shares it and its generated code.  Both
+        execution backends bind it to :attr:`network` and
+        :meth:`param_values` (``compile_dict`` for the per-process
+        contract, ``compile_kernel`` for the array kernel).  The default
+        is ``None``: dict methods only, no kernel backend.
         """
         return None
 
+    def param_values(self) -> Mapping[str, Any]:
+        """The per-process values :meth:`rule_set`'s params bind to:
+        param name → one value per process (identifiers, ``f``/``g``
+        thresholds, root flags).  Default: no params."""
+        return {}
+
     def kernel_program(self):
         """Array-backed execution program for :mod:`repro.core.kernel`:
-        the :class:`~repro.ir.kernelc.IRKernelProgram` that
-        :meth:`rule_set` compiles to, whose guards and actions operate on
-        flat per-variable columns.  The simulator then offers
-        ``backend="kernel"`` (and ``backend="auto"`` prefers it).
-        ``None`` means no rule set: dict backend only.
+        :meth:`rule_set` bound to this network and :meth:`param_values`
+        (an :class:`~repro.ir.kernelc.IRKernelProgram`), whose guards and
+        actions operate on flat per-variable columns.  The simulator
+        then offers ``backend="kernel"`` (and ``backend="auto"`` prefers
+        it).  ``None`` means no rule set, or values the rule set's
+        ``tile_check`` refuses (identifiers that would overflow a
+        composite key): dict backend only.
 
-        The rule set is built on the first call and kept, so its
-        generated code is shared by every later program of this
-        instance.  Each call still returns a new program with its own
+        Each call returns a new program with its own
         :class:`~repro.core.kernel.csr.CSRAdjacency`, which churn edits
-        in place.
+        in place; the generated code is the rule set's, shared.
         """
-        if self._kernel_rule_set is ...:
-            self._kernel_rule_set = self.rule_set()
-        rs = self._kernel_rule_set
-        return None if rs is None else rs.compile_kernel()
+        rs = self.rule_set()
+        if rs is None:
+            return None
+        return rs.compile_kernel(self.network, self.param_values())
 
     def initial_configuration(self) -> Configuration:
         """``γ_init``: every process in its pre-defined initial state."""

@@ -102,7 +102,7 @@ class Composition(Algorithm):
         the dict backend.  Any unported component keeps the whole
         composition on the dict backend.
         """
-        from ..ir import merge_rule_sets
+        from ..ir import merge_rule_sets, rule_set_of
 
         parts = []
         for comp in self.components:
@@ -110,7 +110,20 @@ class Composition(Algorithm):
             if rs is None:
                 return None
             parts.append((comp.name, rs))
-        return merge_rule_sets(self.name, self.network, parts)
+        return rule_set_of(merge_rule_sets, self.name, tuple(parts))
+
+    def param_values(self):
+        """Every component's param values; components sharing a param
+        name must agree on its values (one name is one input)."""
+        values: dict[str, Any] = {}
+        for comp in self.components:
+            for label, per_process in comp.param_values().items():
+                per_process = tuple(per_process)
+                if values.setdefault(label, per_process) != per_process:
+                    raise AlgorithmError(
+                        f"{self.name}: components disagree on param {label!r}"
+                    )
+        return values
 
     def component(self, name: str) -> Algorithm:
         """Look up a component by its algorithm name."""

@@ -12,8 +12,9 @@ construction and machine-checked by the simulator's paranoid lockstep
 mode (see ``Simulator(backend="kernel", paranoid=True)``).
 
 Every program the kernel runs is an
-:class:`~repro.ir.kernelc.IRKernelProgram`, generated from the
-algorithm's rule set (``Algorithm.rule_set().compile_kernel()``); the
+:class:`~repro.ir.kernelc.IRKernelProgram`, the algorithm's
+rule set bound to its network and param values
+(``Algorithm.kernel_program()``); the
 runtime only duck-types it (``schema``, ``rules``, ``predicates``,
 ``evaluate``, ``apply`` and ``tiled``; ``csr`` under topology churn).
 """

@@ -75,9 +75,10 @@ def _warn_auto_fallback(name: str) -> None:
     if name not in _FALLBACK_WARNED:
         _FALLBACK_WARNED.add(name)
         _logger.warning(
-            "algorithm %r declares no rule set; backend='auto' is falling "
-            "back to the dict engine — declare a repro.ir rule set "
-            "(Algorithm.rule_set) to use the array kernel",
+            "algorithm %r has no kernel program (no rule set, or values "
+            "its tile_check refuses); backend='auto' is falling back to the "
+            "dict engine — declare a repro.ir rule set (Algorithm.rule_set) "
+            "to use the array kernel",
             name,
         )
 
@@ -315,9 +316,10 @@ class Simulator:
             return "kernel"
         if requested == "kernel":
             raise AlgorithmError(
-                f"{self.algorithm.name}: backend='kernel' requires the algorithm "
-                "to declare a rule set (Algorithm.rule_set); use "
-                "backend='auto' to fall back gracefully"
+                f"{self.algorithm.name}: backend='kernel' requires a kernel "
+                "program: a rule set (Algorithm.rule_set) whose tile_check "
+                "accepts the network's values; use backend='auto' to fall "
+                "back gracefully"
             )
         # Loud-but-once: the fallback is silent per run, but the first run
         # of each unported algorithm names itself in the log.

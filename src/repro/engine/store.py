@@ -51,6 +51,12 @@ def _dump_line(record: Mapping[str, Any]) -> str:
     ) + "\n"
 
 
+def _stamped_line(record: Mapping[str, Any]) -> str:
+    """``record``'s store line, stamped with the schema version unless it
+    carries one."""
+    return _dump_line({"schema": SCHEMA_VERSION, **record})
+
+
 class ResultStore:
     """Durable trial results at ``path`` (created lazily on first append)."""
 
@@ -102,22 +108,11 @@ class ResultStore:
 
     def append(self, record: Mapping[str, Any]) -> None:
         """Durably append one record (whole line, flushed and fsynced)."""
-        record = dict(record)
-        record.setdefault("schema", SCHEMA_VERSION)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._heal_tail()
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(_dump_line(record))
-            fh.flush()
-            os.fsync(fh.fileno())
+        self.append_many((record,))
 
     def append_many(self, records: Iterable[Mapping[str, Any]]) -> int:
         """Append several records with a single flush; returns the count."""
-        lines = []
-        for record in records:
-            record = dict(record)
-            record.setdefault("schema", SCHEMA_VERSION)
-            lines.append(_dump_line(record))
+        lines = [_stamped_line(record) for record in records]
         if not lines:
             return 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -138,9 +133,7 @@ class ResultStore:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 for record in records:
-                    record = dict(record)
-                    record.setdefault("schema", SCHEMA_VERSION)
-                    fh.write(_dump_line(record))
+                    fh.write(_stamped_line(record))
                     count += 1
                 fh.flush()
                 os.fsync(fh.fileno())

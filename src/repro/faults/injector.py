@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 from ..core.algorithm import Algorithm
 from ..core.configuration import Configuration
 
-__all__ = ["corrupt_processes", "corrupt_variables", "FaultPlan"]
+__all__ = ["corrupt_processes", "corrupt_variables", "pick_victims",
+           "FaultPlan"]
 
 
 def corrupt_processes(
@@ -58,6 +59,28 @@ def corrupt_variables(
     return corrupted
 
 
+def pick_victims(network, rng: Random, k: int, clustered: bool) -> list[int]:
+    """``min(k, n)`` distinct victim processes of ``network``: sampled
+    uniformly, or, when ``clustered``, a connected region grown from a
+    random seed process (faults that hit one physical area)."""
+    k = min(k, network.n)
+    if not clustered:
+        return rng.sample(range(network.n), k)
+    seed = rng.randrange(network.n)
+    victims = [seed]
+    frontier = list(network.neighbors(seed))
+    seen = {seed}
+    while len(victims) < k and frontier:
+        idx = rng.randrange(len(frontier))
+        v = frontier.pop(idx)
+        if v in seen:
+            continue
+        seen.add(v)
+        victims.append(v)
+        frontier.extend(w for w in network.neighbors(v) if w not in seen)
+    return victims
+
+
 class FaultPlan:
     """Reusable fault scenario: *which* processes get hit, and *how*.
 
@@ -82,23 +105,7 @@ class FaultPlan:
 
     def pick_victims(self, algorithm: Algorithm, rng: Random) -> list[int]:
         """Choose the victim processes for one experiment run."""
-        network = algorithm.network
-        k = min(self.k, network.n)
-        if not self.clustered:
-            return rng.sample(range(network.n), k)
-        seed = rng.randrange(network.n)
-        victims = [seed]
-        frontier = list(network.neighbors(seed))
-        seen = {seed}
-        while len(victims) < k and frontier:
-            idx = rng.randrange(len(frontier))
-            v = frontier.pop(idx)
-            if v in seen:
-                continue
-            seen.add(v)
-            victims.append(v)
-            frontier.extend(w for w in network.neighbors(v) if w not in seen)
-        return victims
+        return pick_victims(algorithm.network, rng, self.k, self.clustered)
 
     def apply(self, algorithm: Algorithm, cfg: Configuration, rng: Random) -> tuple[Configuration, list[int]]:
         """Corrupt a copy of ``cfg``; returns ``(corrupted, victims)``."""

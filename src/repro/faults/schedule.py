@@ -43,6 +43,8 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Iterator, Sequence
 
+from .injector import pick_victims
+
 __all__ = [
     "FaultEvent",
     "FaultSchedule",
@@ -414,8 +416,8 @@ class BoundFaultSchedule(BoundSchedule):
             n = self.algorithm.network.n
             victims = [p for p in event.procs if 0 <= p < n]
         else:
-            victims = _pick_victims(
-                self.algorithm, rng, event.k, clustered=event.clustered
+            victims = pick_victims(
+                self.algorithm.network, rng, event.k, event.clustered
             )
         occ.victims = tuple(sorted(victims))
         allowed = self._allowed[occ.event]
@@ -469,27 +471,6 @@ def resolve_variables(algorithm, variables: Sequence[str], scope: str) -> tuple[
             return input_vars
         return tuple(v for v in declared if v not in set(input_vars))
     return declared
-
-
-def _pick_victims(algorithm, rng: Random, k: int, clustered: bool) -> list[int]:
-    """Victim selection, mirroring :class:`repro.faults.injector.FaultPlan`."""
-    network = algorithm.network
-    k = min(k, network.n)
-    if not clustered:
-        return rng.sample(range(network.n), k)
-    seed = rng.randrange(network.n)
-    victims = [seed]
-    frontier = list(network.neighbors(seed))
-    seen = {seed}
-    while len(victims) < k and frontier:
-        idx = rng.randrange(len(frontier))
-        v = frontier.pop(idx)
-        if v in seen:
-            continue
-        seen.add(v)
-        victims.append(v)
-        frontier.extend(w for w in network.neighbors(v) if w not in seen)
-    return victims
 
 
 # ----------------------------------------------------------------------

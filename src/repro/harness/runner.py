@@ -635,8 +635,10 @@ def _setup(entry: AlgorithmEntry, spec: "TrialSpec", params: tuple,
     """The trial's ``(Network, algorithm, topology descriptors)``, shared
     by every trial of the process with the same entry ``build``,
     topology, n, topology seed and build params: a run cannot change
-    them, so the rule set, its generated code and the diameter are
-    computed once."""
+    them, so the topology is built and its diameter computed once.  The
+    rule set and its generated code are not part of this memo: they
+    come from the per-process shape cache (:func:`repro.ir.rule_set_of`)
+    for churn trials too."""
     args = (entry.build, spec.topology, spec.n, spec.topology_seed, params)
     if churn is not None:
         # Churn edits its Network in place: a churn trial builds its own

@@ -4,8 +4,11 @@ The paper presents its algorithms (SDR, unison, (f,g)-alliance) as sets
 of guarded rules over locally shared variables.  This package makes that
 the *authoring format*: an algorithm states its rules once, as
 expression trees over its schema columns
-(:mod:`~repro.ir.exprs`), and two compilers produce the executable
-forms —
+(:mod:`~repro.ir.exprs`).  A rule set is structure only — per-process
+inputs such as identifiers are named :class:`Param` nodes — and is
+built once per shape and process (:func:`rule_set_of`).  Two compilers
+bind it to a network and its per-process values to produce the
+executable forms —
 
 * :meth:`RuleSet.compile_dict` → a per-process interpreter matching the
   ``Algorithm.guard``/``execute`` dict contract
@@ -62,7 +65,15 @@ from .exprs import (
     sign,
     where,
 )
-from .rules import Assign, FastPath, InputRuleSet, Rule, RuleSet, merge_rule_sets
+from .rules import (
+    Assign,
+    FastPath,
+    InputRuleSet,
+    Rule,
+    RuleSet,
+    merge_rule_sets,
+    rule_set_of,
+)
 
 __all__ = [
     # expressions
@@ -75,5 +86,5 @@ __all__ = [
     "argmin_over_neighbors", "argmax_over_neighbors",
     # rule sets
     "Assign", "Rule", "FastPath", "RuleSet", "InputRuleSet",
-    "merge_rule_sets",
+    "merge_rule_sets", "rule_set_of",
 ]

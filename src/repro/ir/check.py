@@ -2,7 +2,8 @@
 
 For every registered algorithm (:mod:`repro.ir.registry`) the lint
 
-* compiles the declared rule set to *both* backends;
+* binds the declared rule set to the algorithm's network and param
+  values on *both* backends;
 * checks rule-label parity and variable parity with the algorithm's
   native dict contract;
 * evaluates every guard and action of the compiled dict program against
@@ -116,8 +117,11 @@ def check_algorithm(label: str, algorithm) -> list[str]:
         )
         return problems
 
-    dict_program = rule_set.compile_dict()
-    kernel_program = rule_set.compile_kernel()
+    network, params = algorithm.network, algorithm.param_values()
+    dict_program = rule_set.compile_dict(network, params)
+    kernel_program = rule_set.compile_kernel(network, params)
+    if kernel_program is None:
+        return [f"{label}: tile_check refuses the sample network's values"]
 
     is_input = isinstance(rule_set, InputRuleSet)
     processes = algorithm.network.processes()

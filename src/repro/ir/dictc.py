@@ -50,11 +50,14 @@ _UN = {
 
 
 class DictProgram:
-    """A :class:`RuleSet` interpreted under the dict state contract."""
+    """A :class:`RuleSet` bound to a network and its per-process param
+    values (name → one value per process), interpreted under the dict
+    state contract."""
 
-    def __init__(self, rule_set):
+    def __init__(self, rule_set, network, params):
         self.rule_set = rule_set
-        self.network = rule_set.network
+        self.network = network
+        self.params = {label: tuple(values) for label, values in params.items()}
         self.rules = rule_set.rule_labels
         self._by_label = {rule.label: rule for rule in rule_set.rules}
         self._vars = {v.name: v for v in rule_set.schema.vars}
@@ -97,10 +100,11 @@ class DictProgram:
 class _Eval:
     """One evaluation context (one configuration snapshot)."""
 
-    __slots__ = ("network", "_vars", "cfg", "_pmemo", "_ememo")
+    __slots__ = ("network", "params", "_vars", "cfg", "_pmemo", "_ememo")
 
     def __init__(self, program: DictProgram, cfg):
         self.network = program.network
+        self.params = program.params
         self._vars = program._vars
         self.cfg = cfg
         self._pmemo = {}
@@ -125,7 +129,7 @@ class _Eval:
         if isinstance(node, E.Col):
             return self._read(node.name, w)
         if isinstance(node, E.Param):
-            return node.values[w]
+            return self.params[node.label][w]
         if isinstance(node, E.ProcIndex):
             return w
         if isinstance(node, E.NProcs):

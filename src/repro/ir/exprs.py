@@ -192,19 +192,26 @@ class Col(Expr):
 
 
 class Param(Expr):
-    """A per-process compile-time constant vector (e.g. process ids,
-    per-process thresholds, root flags).  Tiled batches repeat it per
-    block."""
+    """A named per-process input (e.g. process ids, per-process
+    thresholds, root flags).  The rule set holds only the name; a
+    program binds one value per process under it when it is built on a
+    network (:meth:`repro.ir.rules.RuleSet.compile_kernel`), and tiled
+    batches repeat those values per block.  Two params with one name
+    are one input."""
 
-    __slots__ = ("values", "label")
+    __slots__ = ("label",)
 
-    def __init__(self, values, label: str = "param"):
+    def __init__(self, label: str):
+        if not isinstance(label, str):
+            raise AlgorithmError(
+                f"param() takes a name, got {label!r}; bind the values "
+                "when the program is built"
+            )
         super().__init__(PROC)
-        self.values = tuple(values)
         self.label = label
 
     def __repr__(self):
-        return f"Param(<{len(self.values)} values>, {self.label!r})"
+        return f"Param({self.label!r})"
 
 
 class ProcIndex(Expr):
@@ -368,8 +375,8 @@ def const(value) -> Const:
     return Const(value)
 
 
-def param(values, label: str = "param") -> Param:
-    return Param(values, label)
+def param(label: str) -> Param:
+    return Param(label)
 
 
 def proc_index() -> ProcIndex:

@@ -3,9 +3,15 @@
 This is a source generator, not a tree-walking interpreter: each rule
 set compiles once into straight-line numpy code (one ``evaluate``
 function computing every guard *and* every declared predicate, one
-``apply`` function per rule), which is then ``exec``'d and cached.
-Per-step cost is therefore identical in shape to the handwritten kernel
-programs this replaces — a fixed sequence of array ops with shared
+``apply`` function per rule), which is then ``exec``'d and kept on the
+rule set (:meth:`~repro.ir.rules.RuleSet.kernel_code`).  A rule set
+holds no network and no per-process values, so its code serves every
+program bound from it: the code reads the network through the program
+(``C.csr``) and each param's values by name (``C._params['ids']``).
+Rule sets are cached per shape and process
+(:func:`~repro.ir.rules.rule_set_of`), so the compile walk runs once
+per shape.  Per-step cost is identical in shape to a handwritten
+kernel program — a fixed sequence of array ops with shared
 temporaries — and the generated source is kept on the code object for
 inspection (``rule_set.kernel_code().source``).
 
@@ -26,7 +32,7 @@ Lowering rules:
   an action costs the moving processes' edges, not the whole graph's;
 * common subexpressions are shared by *structure*: two nodes with the
   same operator and structurally equal operands (a ``Const`` keyed by
-  type and value, so ``True`` is not ``1``; a ``Param`` by identity) are
+  type and value, so ``True`` is not ``1``; a ``Param`` by its name) are
   computed once per generated function, however often the rule set
   rebuilt them;
 * the ``evaluate`` function returns ``(guard masks, predicate masks)``:
@@ -46,7 +52,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.exceptions import AlgorithmError
-from ..core.kernel.csr import CSRAdjacency
 from . import exprs as E
 
 __all__ = ["compile_rule_set", "IRKernelProgram"]
@@ -158,7 +163,7 @@ class _Fn:
         if isinstance(node, E.Col):
             return f"{self.colsrc}[{node.name!r}]"
         if isinstance(node, E.Param):
-            return f"C._params[{self.compiler.param_slot(node)!r}]"
+            return f"C._params[{node.label!r}]"
         if isinstance(node, E.Neigh):
             if node.arg.space == E.SCALAR:
                 return self.lifted_scalar(node.arg, self.use("_IX"))
@@ -223,8 +228,7 @@ class _Fn:
         if isinstance(node, E.Col):
             return self.temp(f"{self.colsrc}[{node.name!r}][idx]")
         if isinstance(node, E.Param):
-            slot = self.compiler.param_slot(node)
-            return self.temp(f"C._params[{slot!r}][idx]")
+            return self.temp(f"C._params[{node.label!r}][idx]")
         if isinstance(node, E.BinOp):
             a, b = self.local(node.a), self.local(node.b)
             return self.temp(_BIN_FMT[node.op].format(a, b))
@@ -329,8 +333,6 @@ class _Compiler:
         self.rule_set = rule_set
         self.fns: list[_Fn] = []
         self._temp = 0
-        self._param_slots: dict[int, str] = {}
-        self.params: list[tuple[str, np.ndarray]] = []
         #: Structural keys: node id → canonical id, and the canonical
         #: table (operator plus child canonical ids → canonical id).
         self._keys: dict[int, int] = {}
@@ -354,26 +356,12 @@ class _Compiler:
 
     def _shape(self, node) -> tuple:
         """Node type plus its fields: operands by their keys, anything
-        else by type and value (``True`` is not ``1``); a ``Param``
-        keyed by identity."""
-        if isinstance(node, E.Param):
-            return (E.Param, id(node))
+        else by type and value (``True`` is not ``1``, and a ``Param``
+        is its name)."""
         return (type(node), *(
             self.key(value) if isinstance(value, E.Expr) else (type(value), value)
             for value in map(node.__getattribute__, type(node).__slots__)
         ))
-
-    def param_slot(self, node: E.Param) -> str:
-        slot = self._param_slots.get(id(node))
-        if slot is None:
-            slot = f"p{len(self.params)}"
-            self._param_slots[id(node)] = slot
-            arr = np.asarray(node.values)
-            if arr.dtype != np.bool_:
-                arr = arr.astype(np.int64, copy=False)
-            arr.setflags(write=False)
-            self.params.append((slot, arr))
-        return slot
 
 
 def _trigger_test(fn: _Fn, trigger: E.Expr) -> str:
@@ -393,30 +381,14 @@ def _trigger_test(fn: _Fn, trigger: E.Expr) -> str:
 
 class _KernelCode:
     """The exec'd output of :func:`compile_rule_set`, shared by every
-    program instance (base and tiled) of one rule set."""
+    program (base and tiled) bound from one rule set."""
 
-    __slots__ = ("eval_fn", "apply_fns", "params", "source")
+    __slots__ = ("eval_fn", "apply_fns", "source")
 
-    def __init__(self, eval_fn, apply_fns, params, source):
+    def __init__(self, eval_fn, apply_fns, source):
         self.eval_fn = eval_fn
         self.apply_fns = apply_fns
-        self.params = params
         self.source = source
-
-
-#: source → exec'd namespace.  Generation is deterministic, parameters
-#: live outside the source (on the program), so identical rule structure
-#: compiles exactly once per process lifetime.
-_NS_CACHE: dict[str, dict] = {}
-
-
-def _exec_cached(source: str, name: str) -> dict:
-    ns = _NS_CACHE.get(source)
-    if ns is None:
-        ns = {"np": np}
-        exec(compile(source, f"<repro.ir:{name}>", "exec"), ns)
-        _NS_CACHE[source] = ns
-    return ns
 
 
 def compile_rule_set(rule_set) -> _KernelCode:
@@ -445,18 +417,20 @@ def compile_rule_set(rule_set) -> _KernelCode:
         apply_names[rule.label] = fn.name
 
     source = "\n\n".join(fn.render() for fn in comp.fns)
-    ns = _exec_cached(source, rule_set.name)
+    ns = {"np": np}
+    exec(compile(source, f"<repro.ir:{rule_set.name}>", "exec"), ns)
     return _KernelCode(
         eval_fn=ns["evaluate"],
         apply_fns={label: ns[fname] for label, fname in apply_names.items()},
-        params=tuple(comp.params),
         source=source,
     )
 
 
 class IRKernelProgram:
-    """The array program of one rule set: the only program type the
-    kernel runtime executes (``Algorithm.rule_set().compile_kernel()``).
+    """One rule set bound to a network and its per-process values: the
+    only program type the kernel runtime executes
+    (:meth:`repro.ir.rules.RuleSet.compile_kernel`, which
+    ``Algorithm.kernel_program`` calls).
 
     Guards are evaluated as boolean masks over *all* processes at once;
     a rule's action runs on a whole index vector of selected processes,
@@ -482,26 +456,15 @@ class IRKernelProgram:
         second dict.
     """
 
-    def __init__(self, rule_set):
-        self._init_from(
-            rule_set,
-            rule_set.kernel_code(),
-            CSRAdjacency(rule_set.network),
-            None,
-            1,
-        )
-
-    def _init_from(self, rule_set, code, csr, params, copies) -> None:
+    def __init__(self, rule_set, csr, params):
         self.rule_set = rule_set
-        self._code = code
+        self._code = rule_set.kernel_code()
         self.csr = csr
         self.schema = rule_set.schema
         self.rules = rule_set.rule_labels
         self.predicates = tuple(rule_set.predicates)
-        if params is None:
-            params = dict(code.params)
+        #: Param name → the bound read-only per-process array.
         self._params = params
-        self._copies = copies
         self._arange = self._ones = None
 
     # -- generated-code services ---------------------------------------
@@ -549,19 +512,15 @@ class IRKernelProgram:
 
     def tiled(self, copies):
         """This program over ``copies`` disjoint copies of its network
-        (one block-diagonal CSR; per-process parameters tiled, ``schema``
-        and ``rules`` shared), or ``None`` when the rule set's
-        ``tile_check`` refuses the layout (serial fallback)."""
+        (one block-diagonal CSR; per-process params tiled, ``schema``,
+        ``rules`` and the generated code shared), or ``None`` when the
+        rule set's ``tile_check`` refuses the layout (serial fallback)."""
         check = self.rule_set.tile_check
-        total = self._copies * copies
-        if check is not None and not check(total):
+        if check is not None and not check(self._params,
+                                           self.csr.n * copies):
             return None
-        prog = type(self).__new__(type(self))
-        prog._init_from(
+        return type(self)(
             self.rule_set,
-            self._code,
             self.csr.tile(copies),
-            {slot: np.tile(arr, copies) for slot, arr in self._params.items()},
-            total,
+            {label: np.tile(arr, copies) for label, arr in self._params.items()},
         )
-        return prog

@@ -3,9 +3,14 @@
 A :class:`RuleSet` bundles an algorithm's schema, guarded rules, named
 predicates (legitimacy/normality tests, computed with the guards by the
 generated ``evaluate`` and read there by name) and an optional fast
-path.  :meth:`RuleSet.compile_dict` interprets it
-against the per-process dict contract, :meth:`RuleSet.compile_kernel`
-generates the vectorized :class:`~repro.ir.kernelc.IRKernelProgram`.
+path.  It is structure only: per-process inputs are named
+:class:`~repro.ir.exprs.Param` nodes, and a program binds the rule set
+to a network and one value per process for each of them —
+:meth:`RuleSet.compile_dict` interprets it against the per-process dict
+contract, :meth:`RuleSet.compile_kernel` runs its generated vectorized
+code (:class:`~repro.ir.kernelc.IRKernelProgram`).  :func:`rule_set_of`
+is the one per-process cache: a rule set is built, and its code
+generated, once per (builder, shape).
 
 :class:`InputRuleSet` extends it with the SDR input-composition contract
 (Devismes & Johnen's ``I ∘ SDR``): an ``icorrect`` predicate, a ``reset``
@@ -19,13 +24,19 @@ rule set, so a composed system compiles to one program like any other.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from ..core.exceptions import AlgorithmError
-from .exprs import Expr, as_expr
+from .exprs import Expr, Param, as_expr
 
 __all__ = ["Assign", "Rule", "FastPath", "RuleSet", "InputRuleSet",
-           "merge_rule_sets"]
+           "merge_rule_sets", "rule_set_of"]
+
+#: ``(params, processes) -> bool``: see :attr:`RuleSet.tile_check`.
+TileCheck = Callable[[Mapping[str, np.ndarray], int], bool]
 
 
 class Assign:
@@ -97,14 +108,23 @@ class FastPath:
 
 
 class RuleSet:
-    """One algorithm, declaratively: schema + rules + predicates."""
+    """One algorithm's structure, declaratively: schema + rules +
+    predicates.
 
-    def __init__(self, name: str, network, schema, rules: Sequence[Rule], *,
+    A rule set holds no network and no per-process values: its
+    :class:`~repro.ir.exprs.Param` nodes only name inputs
+    (:attr:`param_names`), and :class:`~repro.ir.exprs.NProcs` stays
+    symbolic.  A program is the rule set bound to a network and one
+    value per process for every param (:meth:`compile_kernel`,
+    :meth:`compile_dict`), so one rule set, and its generated code,
+    serves every network of its shape (:func:`rule_set_of`).
+    """
+
+    def __init__(self, name: str, schema, rules: Sequence[Rule], *,
                  predicates: Optional[Mapping[str, Expr]] = None,
                  fast_path: Optional[FastPath] = None,
-                 tile_check: Optional[Callable[[int], bool]] = None):
+                 tile_check: Optional[TileCheck] = None):
         self.name = name
-        self.network = network
         self.schema = schema
         self.rules = tuple(rules)
         self.rule_labels = tuple(r.label for r in self.rules)
@@ -118,35 +138,72 @@ class RuleSet:
                         f"{name}: rule {rule.label!r} assigns undeclared "
                         f"variable {a.var!r}"
                     )
-        self.predicates = dict(predicates or {})
+        # Read-only: one rule set serves every program of its shape.
+        self.predicates = MappingProxyType(dict(predicates or {}))
         self.fast_path = fast_path
-        #: Optional ``copies -> bool`` refusing tiled layouts (composite
-        #: keys that would overflow int64 at T·n processes).
+        #: Optional ``(params, processes) -> bool`` refusing a layout of
+        #: ``processes`` processes over the bound per-process ``params``
+        #: arrays (composite keys that would overflow int64): asked when
+        #: a program is bound (one copy) and when it is tiled.
         self.tile_check = tile_check
-        self._kernel_code = None
+        #: Names of the params the rules and predicates read, sorted.
+        self.param_names = _param_names(self)
+        self._code = None
 
     # ------------------------------------------------------------------
-    def compile_dict(self):
-        """Interpret this rule set under the dict contract
-        (:class:`repro.ir.dictc.DictProgram`)."""
+    def _bind(self, network, params) -> dict:
+        """``params`` (param name → one value per process of
+        ``network``), checked against :attr:`param_names`."""
+        params = dict(params or {})
+        wrong = [
+            f"{what} params {names}" for what, names in (
+                ("missing", sorted(set(self.param_names) - set(params))),
+                ("unexpected", sorted(set(params) - set(self.param_names))),
+            ) if names
+        ]
+        if wrong:
+            raise AlgorithmError(f"{self.name}: {', '.join(wrong)}")
+        for label, values in params.items():
+            if len(values) != network.n:
+                raise AlgorithmError(
+                    f"{self.name}: param {label!r} has {len(values)} values "
+                    f"for {network.n} processes"
+                )
+        return params
+
+    def compile_dict(self, network, params=None):
+        """This rule set bound to ``network`` and ``params``, interpreted
+        under the dict contract (:class:`repro.ir.dictc.DictProgram`)."""
         from .dictc import DictProgram
 
-        return DictProgram(self)
+        return DictProgram(self, network, self._bind(network, params))
 
-    def compile_kernel(self):
-        """Generate the vectorized :class:`~repro.ir.kernelc.IRKernelProgram`."""
+    def compile_kernel(self, network, params=None):
+        """This rule set bound to ``network`` and ``params``: the
+        vectorized :class:`~repro.ir.kernelc.IRKernelProgram`, or
+        ``None`` when :attr:`tile_check` refuses the bound values (the
+        caller stays on the dict engine)."""
+        from ..core.kernel.csr import CSRAdjacency
         from .kernelc import IRKernelProgram
 
-        return IRKernelProgram(self)
+        try:
+            arrays = {label: _column(values) for label, values
+                      in self._bind(network, params).items()}
+        except OverflowError:  # a value beyond int64
+            return None
+        check = self.tile_check
+        if check is not None and not check(arrays, network.n):
+            return None
+        return IRKernelProgram(self, CSRAdjacency(network), arrays)
 
     def kernel_code(self):
-        """The generated (and cached) kernel code object — shared by every
-        program instance of this rule set, tiled or not."""
-        if self._kernel_code is None:
+        """The generated kernel code of this rule set, generated on first
+        use and shared by every program bound from it, tiled or not."""
+        if self._code is None:
             from .kernelc import compile_rule_set
 
-            self._kernel_code = compile_rule_set(self)
-        return self._kernel_code
+            self._code = compile_rule_set(self)
+        return self._code
 
     def __repr__(self):
         return f"RuleSet({self.name!r}, rules={list(self.rule_labels)})"
@@ -163,13 +220,13 @@ class InputRuleSet(RuleSet):
     standalone (trivial-host) runs compile them ungated.
     """
 
-    def __init__(self, name: str, network, schema, rules, *,
+    def __init__(self, name: str, schema, rules, *,
                  icorrect, reset, reset_action: Sequence[Assign],
                  predicates=None, fast_path=None, tile_check=None):
         predicates = dict(predicates or {})
         predicates.setdefault("icorrect", as_expr(icorrect))
         predicates.setdefault("reset", as_expr(reset))
-        super().__init__(name, network, schema, rules, predicates=predicates,
+        super().__init__(name, schema, rules, predicates=predicates,
                          fast_path=fast_path, tile_check=tile_check)
         self.icorrect = predicates["icorrect"]
         self.reset = predicates["reset"]
@@ -188,7 +245,7 @@ class InputRuleSet(RuleSet):
         )
 
 
-def merge_rule_sets(name: str, network, parts) -> RuleSet:
+def merge_rule_sets(name: str, parts) -> RuleSet:
     """Concatenate independent rule sets into one (collateral composition).
 
     ``parts`` is a sequence of ``(prefix, rule_set)``; rule labels become
@@ -210,6 +267,58 @@ def merge_rule_sets(name: str, network, parts) -> RuleSet:
     checks = [rs.tile_check for _, rs in parts if rs.tile_check is not None]
     tile_check = None
     if checks:
-        def tile_check(copies, _checks=tuple(checks)):
-            return all(check(copies) for check in _checks)
-    return RuleSet(name, network, schema, rules, tile_check=tile_check)
+        def tile_check(params, processes, _checks=tuple(checks)):
+            return all(check(params, processes) for check in _checks)
+    return RuleSet(name, schema, rules, tile_check=tile_check)
+
+
+#: The per-process rule-set cache: ``(builder, shape arguments)`` → the
+#: rule set, whose generated code is kept on it (:meth:`RuleSet.kernel_code`).
+_SHAPES: dict[tuple, RuleSet] = {}
+
+
+def rule_set_of(builder: Callable[..., RuleSet], *shape) -> RuleSet:
+    """``builder(*shape)``, built once per process.
+
+    ``shape`` holds only what the rule set's structure depends on (a
+    period, a distance cap, the input's rule set), never a network or a
+    per-process value, so every algorithm instance of one shape, on any
+    network, shares one rule set and one generated kernel.
+    """
+    key = (builder, shape)
+    rule_set = _SHAPES.get(key)
+    if rule_set is None:
+        rule_set = _SHAPES[key] = builder(*shape)
+    return rule_set
+
+
+def _param_names(rule_set: RuleSet) -> tuple[str, ...]:
+    """Names of the params reachable from ``rule_set``'s guards, actions,
+    predicates and fast path, sorted."""
+    roots: list = list(rule_set.predicates.values())
+    for rule in rule_set.rules:
+        roots.append(rule.guard)
+        for a in rule.action:
+            roots += [a.value, a.where]
+    fast = rule_set.fast_path
+    if fast is not None:
+        roots += [fast.trigger, *fast.guards.values()]
+    names, seen = set(), set()
+    while roots:
+        node = roots.pop()
+        if not isinstance(node, Expr) or id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, Param):
+            names.add(node.label)
+        roots += [getattr(node, field) for field in type(node).__slots__]
+    return tuple(sorted(names))
+
+
+def _column(values) -> np.ndarray:
+    """One param's values as a read-only bool or int64 array (raises
+    :class:`OverflowError` beyond int64)."""
+    dtype = np.bool_ if np.asarray(values).dtype == np.bool_ else np.int64
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr

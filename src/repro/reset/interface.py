@@ -114,7 +114,9 @@ class InputAlgorithm(Algorithm):
         Returns a :class:`repro.ir.rules.InputRuleSet` carrying, besides
         the rules, the ``P_ICorrect``/``P_reset`` predicate expressions
         and the ``reset(u)`` action — everything a reset host needs to
-        compose with at the IR level.
+        compose with at the IR level.  Like every rule set it is
+        structure only; a host binds its params to this algorithm's
+        :meth:`param_values`.
         """
         return None
 

@@ -44,7 +44,7 @@ _C, _RB, _RF = 0, 1, 2
 _NO_DIST = np.iinfo(np.int64).max // 2
 
 
-def sdr_rule_set(sdr, input_rule_set) -> RuleSet:
+def sdr_rule_set(input_rule_set) -> RuleSet:
     """``I ∘ SDR`` as one composed rule set over the joint schema."""
     st, d = col(ST), col(DIST)
     st_is_c = st == _C
@@ -103,7 +103,6 @@ def sdr_rule_set(sdr, input_rule_set) -> RuleSet:
 
     return RuleSet(
         f"sdr({input_rule_set.name})",
-        sdr.network,
         Schema(Var.enum(ST, STATUSES), Var.int(DIST),
                *input_rule_set.schema.vars),
         rules,

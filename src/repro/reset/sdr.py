@@ -291,12 +291,17 @@ class SDR(Algorithm):
 
     def rule_set(self):
         """``I ∘ SDR`` composed at the IR level, when the input is ported."""
+        from ..ir import rule_set_of
         from .kernelized import sdr_rule_set
 
         input_rule_set = self.input.input_rule_set()
         if input_rule_set is None:
             return None
-        return sdr_rule_set(self, input_rule_set)
+        return rule_set_of(sdr_rule_set, input_rule_set)
+
+    def param_values(self):
+        """SDR reads no param of its own: its input's values."""
+        return self.input.param_values()
 
     def sdr_moves_of(self, moves_per_rule: dict[str, int]) -> int:
         """Total SDR-rule moves in a per-rule move tally."""

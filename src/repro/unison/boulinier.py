@@ -179,9 +179,10 @@ class BoulinierUnison(Algorithm):
 
     def rule_set(self):
         """IR definition (see :mod:`repro.unison.kernelized`)."""
+        from ..ir import rule_set_of
         from .kernelized import boulinier_rule_set
 
-        return boulinier_rule_set(self)
+        return rule_set_of(boulinier_rule_set, self.period, self.alpha)
 
     # ------------------------------------------------------------------
     # Legitimacy

@@ -43,9 +43,9 @@ from .unison import CLOCK
 __all__ = ["unison_rule_set", "boulinier_rule_set"]
 
 
-def unison_rule_set(algorithm) -> InputRuleSet:
-    """Algorithm U as an :class:`~repro.ir.rules.InputRuleSet`."""
-    period = algorithm.period
+def unison_rule_set(period: int) -> InputRuleSet:
+    """Algorithm U with period ``K = period`` as an
+    :class:`~repro.ir.rules.InputRuleSet`."""
     clock = col(CLOCK)
     # (c_v − c_u) mod K per edge slot (owner u, neighbor v); diff ∈ [0, K),
     # so the window {0, 1} collapses to one comparison.
@@ -53,11 +53,10 @@ def unison_rule_set(algorithm) -> InputRuleSet:
     near = diff <= 1
     return InputRuleSet(
         "unison",
-        algorithm.network,
         Schema(Var.int(CLOCK)),
         [
             Rule(
-                algorithm.rule_names()[0],
+                "rule_U",
                 all_neighbors(near),
                 [Assign(CLOCK, (clock + 1) % period)],
                 clean_gated=True,
@@ -69,9 +68,9 @@ def unison_rule_set(algorithm) -> InputRuleSet:
     )
 
 
-def boulinier_rule_set(algorithm) -> RuleSet:
-    """The reset-tail unison baseline as a :class:`~repro.ir.rules.RuleSet`."""
-    period, alpha = algorithm.period, algorithm.alpha
+def boulinier_rule_set(period: int, alpha: int) -> RuleSet:
+    """The reset-tail unison baseline with period ``K = period`` and tail
+    depth ``alpha`` as a :class:`~repro.ir.rules.RuleSet`."""
     r = col(RCLOCK)
     ru, rv = own(r), neigh(r)
 
@@ -94,7 +93,6 @@ def boulinier_rule_set(algorithm) -> RuleSet:
 
     return RuleSet(
         "boulinier",
-        algorithm.network,
         Schema(Var.int(RCLOCK)),
         [
             Rule("rule_NA", na, [Assign(RCLOCK, (r + 1) % period)]),

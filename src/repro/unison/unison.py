@@ -102,9 +102,10 @@ class Unison(InputAlgorithm):
         return {CLOCK: 0}
 
     def input_rule_set(self):
+        from ..ir import rule_set_of
         from .kernelized import unison_rule_set
 
-        return unison_rule_set(self)
+        return rule_set_of(unison_rule_set, self.period)
 
     def initial_state(self, u: int) -> dict[str, Any]:
         return {CLOCK: 0}

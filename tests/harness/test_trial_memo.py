@@ -3,8 +3,9 @@ share everything a run cannot change, and records never notice.
 
 ``run_trial`` and ``run_trial_batch`` take their ``(Network, algorithm)``
 from one bounded memo keyed by (entry ``build``, topology, n, topology
-seed, build params); the algorithm builds its rule set once.  Churn
-edits its network in place, so churn trials build their own.
+seed, build params).  Churn edits its network in place, so churn trials
+build their own.  Rule sets and their generated code come from the
+per-process shape cache, whatever the trial: one compile per shape.
 """
 
 import dataclasses
@@ -13,12 +14,13 @@ import json
 import pytest
 
 import repro.ir.kernelc as kernelc
+import repro.ir.rules as rules
 from repro.core.algorithm import Algorithm
 from repro.core.exceptions import NotStabilized
 from repro.engine.campaign import Campaign, TrialSpec
 from repro.engine.pool import run_specs
 from repro.harness import runner
-from repro.harness.runner import ALGORITHMS, run_trial
+from repro.harness.runner import ALGORITHMS, run_trial, run_trial_batch
 from repro.topology import by_name
 
 CHURN = (
@@ -80,7 +82,10 @@ def test_trials_of_one_cell_share_network_and_algorithm(monkeypatch):
     assert net_a is net_b and algo_a is algo_b
 
 
-def test_rule_set_compiles_once_per_setup(monkeypatch):
+@pytest.fixture
+def compiles(monkeypatch):
+    """Names of the rule sets whose kernels get generated from here on,
+    starting from an empty shape cache, as in a fresh process."""
     calls = []
     compile_rule_set = kernelc.compile_rule_set
 
@@ -89,11 +94,44 @@ def test_rule_set_compiles_once_per_setup(monkeypatch):
         return compile_rule_set(rule_set)
 
     monkeypatch.setattr(kernelc, "compile_rule_set", counting)
+    monkeypatch.setattr(rules, "_SHAPES", {})
+    return calls
+
+
+def test_rule_set_compiles_once_per_shape(compiles):
     campaign = plain_campaign(algorithms=("unison", "fga"),
                               topologies=("ring", "random"), sizes=(8,))
     assert campaign.size == 12
     run_specs(campaign.specs(), campaign.seed, batch=False)
-    assert len(calls) == 4  # (entry, topology) pairs; one n, no params
+    # One per shape: U∘SDR with K = 9, and FGA∘SDR on any network.
+    assert compiles == ["sdr(unison)", "sdr(fga)"]
+
+
+def test_serial_batched_and_churn_trials_of_one_shape_compile_once(
+    compiles, monkeypatch
+):
+    programs = []
+    compile_kernel = rules.RuleSet.compile_kernel
+
+    def bind(rule_set, network, params=None):
+        programs.append(network)
+        return compile_kernel(rule_set, network, params)
+
+    monkeypatch.setattr(rules.RuleSet, "compile_kernel", bind)
+    spec = TrialSpec("unison", "random", 12, topology_seed=2)
+    run_trial(spec, seed=1)
+    cell = [dataclasses.replace(spec, trial=t) for t in range(3)]
+    assert len(run_trial_batch(cell, [1, 2, 3])) == 3
+    # A churn trial builds its own network and algorithm, but not its
+    # own rule set.
+    run_trial(dataclasses.replace(spec, params=(("churn", CHURN),)), seed=1)
+    assert compiles == ["sdr(unison)"]
+    # Three programs (serial, batched, churn) bound two networks.
+    assert len(programs) == 3 and len({id(net) for net in programs}) == 2
+
+    # U∘SDR at a second size is a second shape (K = n + 1).
+    run_trial(dataclasses.replace(spec, n=16), seed=1)
+    assert compiles == ["sdr(unison)", "sdr(unison)"]
 
 
 def test_every_simulator_owns_its_program_and_csr(monkeypatch):

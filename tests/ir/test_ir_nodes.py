@@ -112,8 +112,9 @@ def apply_at(program, idx, cols):
     return [int(v) for v in write[OUT]]
 
 
-def lowerings(expr, *, seed=0, tiled_block=None):
-    """Evaluate ``expr`` per process under all three lowerings.
+def lowerings(expr, *, seed=0, tiled_block=None, params=None):
+    """Evaluate ``expr`` per process under all three lowerings, with
+    ``params`` (param name → one value per process) bound.
 
     On every layout and at every selection, asserts that the flat kernel
     writes exactly the dict interpreter's values at the selected
@@ -129,15 +130,15 @@ def lowerings(expr, *, seed=0, tiled_block=None):
         cfg = configuration(net, seed)
         n = net.n
         rule_set = RuleSet(
-            "node-test", net, schema,
+            "node-test", schema,
             [Rule("r", col(X) == col(X), [Assign(OUT, expr)])],
         )
-        kernel = rule_set.compile_kernel()
+        kernel = rule_set.compile_kernel(net, params)
         if drops:
             net.apply_delta(drops, [])
             kernel.csr.apply_delta(drops, [])
             assert kernel.csr._has_empty
-        dict_program = rule_set.compile_dict()
+        dict_program = rule_set.compile_dict(net, params)
         dict_vals = [
             int(dict_program.execute("r", cfg, u)[OUT]) for u in net.processes()
         ]
@@ -235,7 +236,7 @@ def test_where_selects_per_process():
 def test_param_is_per_process_and_tiles():
     net = network()
     values = tuple(range(10, 10 + net.n))
-    lowerings(param(values, "ids") + col(X))
+    lowerings(param("ids") + col(X), params={"ids": values})
 
 
 def test_proc_index_and_nprocs_are_global_under_tiling():
@@ -335,12 +336,12 @@ def test_guard_masks_match_dict_guards():
     schema = Schema(Var.int(X), Var.bool(Y), Var.opt_index(PTR), Var.int(OUT))
     guard = (col(X) % 3 == 0) | (col(Y) & any_neighbors(neigh(col(X)) > 5))
     rule_set = RuleSet(
-        "guard-test", net, schema, [Rule("r", guard, [Assign(OUT, 1)])]
+        "guard-test", schema, [Rule("r", guard, [Assign(OUT, 1)])]
     )
-    dict_program = rule_set.compile_dict()
+    dict_program = rule_set.compile_dict(net)
     expected = [dict_program.guard("r", cfg, u) for u in net.processes()]
 
-    kernel = rule_set.compile_kernel()
+    kernel = rule_set.compile_kernel(net)
     cols = kernel.schema.encode(cfg)
     assert list(kernel.guard_masks(cols)["r"]) == expected
 

@@ -56,18 +56,18 @@ def schema():
 def test_conditional_assign_only_fires_where_condition_holds():
     net = network()
     rule_set = RuleSet(
-        "cond", net, schema(),
+        "cond", schema(),
         [Rule("r", col(C) == col(C),
               [Assign(C, 0, where=col(C) > 2), Assign(D, col(C) + 1)])],
     )
     cfg = configuration([0, 1, 2, 3, 4, 5])
 
-    dict_program = rule_set.compile_dict()
+    dict_program = rule_set.compile_dict(net)
     # Below the threshold the update omits C entirely (dict contract).
     assert dict_program.execute("r", cfg, 1) == {D: 2}
     assert dict_program.execute("r", cfg, 4) == {C: 0, D: 5}
 
-    kernel = rule_set.compile_kernel()
+    kernel = rule_set.compile_kernel(net)
     cols = kernel.schema.encode(cfg)
     write = {name: column.copy() for name, column in cols.items()}
     kernel.apply("r", np.arange(net.n), cols, write)
@@ -79,7 +79,7 @@ def test_conditional_assign_only_fires_where_condition_holds():
 # Fast path
 # ----------------------------------------------------------------------
 
-def _fast_path_rule_set(net):
+def _fast_path_rule_set():
     # Full guards and fast guards agree whenever the trigger holds
     # everywhere (the author's obligation, as in SDR's all-C attractor).
     full_r1 = (col(C) == 0) & (col(D) > 2)
@@ -88,7 +88,7 @@ def _fast_path_rule_set(net):
         Rule("r2", col(C) != 0, [Assign(C, 0)]),
     ]
     return RuleSet(
-        "fast", net, schema(), rules,
+        "fast", schema(), rules,
         fast_path=FastPath(col(C) == 0, {"r1": col(D) > 2}),
     )
 
@@ -98,10 +98,10 @@ def _fast_path_rule_set(net):
 )
 def test_fast_path_masks_match_dict_guards(values_c):
     net = network()
-    rule_set = _fast_path_rule_set(net)
+    rule_set = _fast_path_rule_set()
     cfg = configuration(values_c, [1, 2, 3, 4, 5, 6])
-    dict_program = rule_set.compile_dict()
-    kernel = rule_set.compile_kernel()
+    dict_program = rule_set.compile_dict(net)
+    kernel = rule_set.compile_kernel(net)
     masks = kernel.guard_masks(kernel.schema.encode(cfg))
     for label in rule_set.rule_labels:
         mask = masks.get(label)
@@ -112,7 +112,7 @@ def test_fast_path_masks_match_dict_guards(values_c):
 
 def test_fast_path_omits_unlisted_rules_when_triggered():
     net = network()
-    kernel = _fast_path_rule_set(net).compile_kernel()
+    kernel = _fast_path_rule_set().compile_kernel(net)
     cols = kernel.schema.encode(configuration([0] * 6, [9] * 6))
     masks = kernel.guard_masks(cols)
     assert list(masks["r1"]) == [True] * net.n
@@ -124,9 +124,9 @@ def test_fast_path_omits_unlisted_rules_when_triggered():
 # Input rule sets: clean gating and the reset surface
 # ----------------------------------------------------------------------
 
-def _input_rule_set(net):
+def _input_rule_set():
     return InputRuleSet(
-        "toy-input", net, Schema(Var.int(C)),
+        "toy-input", Schema(Var.int(C)),
         [
             Rule("step", col(C) < 5, [Assign(C, col(C) + 1)],
                  clean_gated=True),
@@ -140,24 +140,25 @@ def _input_rule_set(net):
 
 def test_clean_gating_ands_host_mask_onto_gated_rules_only():
     net = network()
-    input_rule_set = _input_rule_set(net)
+    input_rule_set = _input_rule_set()
     cfg = Configuration([{C: v} for v in [0, 3, 7, 11, 4, 12]])
-    standalone = input_rule_set.compile_kernel()
+    standalone = input_rule_set.compile_kernel(net)
     cols = standalone.schema.encode(cfg)
 
     ungated = standalone.guard_masks(cols)
     assert list(ungated["step"]) == [True, True, False, False, True, False]
     assert list(ungated["fix"]) == [False, False, False, True, False, True]
 
-    clean = param((True, False, True, True, False, True), "clean")
+    clean = param("clean")
     rules = input_rule_set.gated_rules(clean)
     assert [r.label for r in rules] == ["step", "fix"]
     # Actions pass through untouched; ungated guards are the same nodes.
     assert [r.action for r in rules] == [r.action for r in input_rule_set.rules]
     assert rules[1].guard is input_rule_set.rules[1].guard
 
-    host = RuleSet("toy-host", net, input_rule_set.schema, rules)
-    gated = host.compile_kernel().guard_masks(cols)
+    host = RuleSet("toy-host", input_rule_set.schema, rules)
+    clean_values = (True, False, True, True, False, True)
+    gated = host.compile_kernel(net, {"clean": clean_values}).guard_masks(cols)
     assert list(gated["step"]) == [True, False, False, False, False, False]
     # Ungated rules ignore the host's cleanliness mask.
     assert list(gated["fix"]) == list(ungated["fix"])
@@ -165,10 +166,10 @@ def test_clean_gating_ands_host_mask_onto_gated_rules_only():
 
 def test_input_predicates_and_reset_action_lower_identically():
     net = network()
-    rule_set = _input_rule_set(net)
+    rule_set = _input_rule_set()
     cfg = Configuration([{C: v} for v in [0, 3, 7, 11, 4, 12]])
-    dict_program = rule_set.compile_dict()
-    program = rule_set.compile_kernel()
+    dict_program = rule_set.compile_dict(net)
+    program = rule_set.compile_kernel(net)
     cols = program.schema.encode(cfg)
 
     _, preds = program.evaluate(cols)
@@ -179,10 +180,10 @@ def test_input_predicates_and_reset_action_lower_identically():
         ]
 
     # A host embeds the reset action into one of its own rules.
-    host = RuleSet("toy-host", net, rule_set.schema,
+    host = RuleSet("toy-host", rule_set.schema,
                    [Rule("do_reset", col(C) >= 0, rule_set.reset_action)])
     write = {name: column.copy() for name, column in cols.items()}
-    host.compile_kernel().apply("do_reset", np.array([2, 3]), cols, write)
+    host.compile_kernel(net).apply("do_reset", np.array([2, 3]), cols, write)
     assert list(write[C]) == [0, 3, 0, 0, 4, 12]
 
 
@@ -192,17 +193,17 @@ def test_input_predicates_and_reset_action_lower_identically():
 
 def test_merge_rule_sets_prefixes_labels_and_concatenates_schemas():
     net = network()
-    a = RuleSet("a", net, Schema(Var.int(C)),
+    a = RuleSet("a", Schema(Var.int(C)),
                 [Rule("inc", col(C) < 3, [Assign(C, col(C) + 1)])])
-    b = RuleSet("b", net, Schema(Var.int(D)),
+    b = RuleSet("b", Schema(Var.int(D)),
                 [Rule("dec", col(D) > 0, [Assign(D, col(D) - 1)])])
-    merged = merge_rule_sets("m", net, [("a", a), ("b", b)])
+    merged = merge_rule_sets("m", [("a", a), ("b", b)])
     assert merged.rule_labels == ("a:inc", "b:dec")
     assert merged.schema.names == (C, D)
 
     cfg = configuration([0, 1, 2, 3, 4, 5], [2, 0, 1, 0, 3, 0])
-    dict_program = merged.compile_dict()
-    masks = merged.compile_kernel().guard_masks(merged.schema.encode(cfg))
+    dict_program = merged.compile_dict(net)
+    masks = merged.compile_kernel(net).guard_masks(merged.schema.encode(cfg))
     for u in net.processes():
         assert dict_program.guard("a:inc", cfg, u) == (cfg[u][C] < 3)
         assert dict_program.guard("b:dec", cfg, u) == (cfg[u][D] > 0)
@@ -212,13 +213,13 @@ def test_merge_rule_sets_prefixes_labels_and_concatenates_schemas():
 
 def test_merge_propagates_tile_checks():
     net = network()
-    a = RuleSet("a", net, Schema(Var.int(C)),
+    a = RuleSet("a", Schema(Var.int(C)),
                 [Rule("inc", col(C) < 3, [Assign(C, col(C) + 1)])],
-                tile_check=lambda copies: copies <= 2)
-    b = RuleSet("b", net, Schema(Var.int(D)),
+                tile_check=lambda params, processes: processes <= 2 * net.n)
+    b = RuleSet("b", Schema(Var.int(D)),
                 [Rule("dec", col(D) > 0, [Assign(D, col(D) - 1)])])
-    merged = merge_rule_sets("m", net, [("a", a), ("b", b)])
-    kernel = merged.compile_kernel()
+    merged = merge_rule_sets("m", [("a", a), ("b", b)])
+    kernel = merged.compile_kernel(net)
     assert kernel.tiled(2) is not None
     assert kernel.tiled(3) is None  # beyond the component's bound
 
@@ -230,12 +231,13 @@ def test_merge_propagates_tile_checks():
 def test_tile_check_refuses_oversized_layouts():
     net = network()
     rule_set = RuleSet(
-        "bounded", net, schema(),
+        "bounded", schema(),
         [Rule("r", col(C) > 0, [Assign(C, 0)])],
-        # The check sees the total number of tiled copies (trials).
-        tile_check=lambda copies: copies <= 4,
+        # The check sees the total number of processes of the layout:
+        # four tiled copies (trials) of the network at most.
+        tile_check=lambda params, processes: processes <= 4 * net.n,
     )
-    kernel = rule_set.compile_kernel()
+    kernel = rule_set.compile_kernel(net)
     assert kernel.tiled(4) is not None
     assert kernel.tiled(5) is None
     # Tiling composes: a tiled program re-tiles against the *total*.
@@ -249,19 +251,65 @@ def test_tile_check_refuses_oversized_layouts():
 # ----------------------------------------------------------------------
 
 def test_duplicate_rule_labels_rejected():
-    net = network()
     with pytest.raises(AlgorithmError, match="duplicate"):
-        RuleSet("dup", net, schema(), [
+        RuleSet("dup", schema(), [
             Rule("r", col(C) > 0, [Assign(C, 0)]),
             Rule("r", col(C) < 0, [Assign(C, 1)]),
         ])
 
 
 def test_undeclared_assignment_target_rejected():
-    net = network()
     with pytest.raises(AlgorithmError, match="undeclared"):
-        RuleSet("stray", net, Schema(Var.int(C)),
+        RuleSet("stray", Schema(Var.int(C)),
                 [Rule("r", col(C) > 0, [Assign("nope", const(1))])])
+
+
+def test_params_are_named_and_bound_per_program():
+    rule_set = RuleSet(
+        "named", schema(),
+        [Rule("r", param("limit") > col(C), [Assign(D, param("limit"))])],
+    )
+    assert rule_set.param_names == ("limit",)
+    net = network()
+    cfg = configuration([0, 1, 2, 3, 4, 5])
+    for limit in ((3,) * 6, (1, 2, 3, 4, 5, 6)):
+        kernel = rule_set.compile_kernel(net, {"limit": limit})
+        dict_program = rule_set.compile_dict(net, {"limit": limit})
+        mask = kernel.guard_masks(kernel.schema.encode(cfg))["r"]
+        assert list(mask) == [limit[u] > u for u in range(6)]
+        assert [dict_program.guard("r", cfg, u) for u in range(6)] == list(mask)
+    with pytest.raises(AlgorithmError, match="values for 6 processes"):
+        rule_set.compile_kernel(net, {"limit": (1, 2)})
+
+
+@pytest.mark.parametrize("params,word", [
+    ({}, "missing"), ({"limit": (0,) * 6, "cap": (0,) * 6}, "unexpected"),
+])
+def test_missing_or_extra_params_name_the_rule_set(params, word):
+    rule_set = RuleSet("named", schema(),
+                       [Rule("r", param("limit") > col(C), [Assign(C, 0)])])
+    for compile_ in (rule_set.compile_kernel, rule_set.compile_dict):
+        with pytest.raises(AlgorithmError, match=f"^named: {word} params"):
+            compile_(network(), params)
+
+
+def test_param_takes_a_name_not_values():
+    with pytest.raises(AlgorithmError, match="takes a name"):
+        param((1, 2, 3))
+
+
+def test_rule_set_of_builds_each_shape_once():
+    from repro.ir import rule_set_of
+    from repro.unison.kernelized import unison_rule_set
+
+    a = rule_set_of(unison_rule_set, 7)
+    assert rule_set_of(unison_rule_set, 7) is a
+    assert rule_set_of(unison_rule_set, 8) is not a
+    # One shape, two networks: one rule set, one generated code.
+    small = a.compile_kernel(ring(6))
+    large = a.compile_kernel(network())
+    assert small._code is large._code is a.kernel_code()
+    assert small.csr.n == 6
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +348,7 @@ def test_check_flags_guard_drift():
             honest = super().rule_set()
             never = col(DIST_VAR) != col(DIST_VAR)
             return RuleSet(
-                honest.name, honest.network, honest.schema,
+                honest.name, honest.schema,
                 [Rule(r.label, never, r.action) for r in honest.rules],
             )
 
@@ -318,7 +366,7 @@ def test_check_flags_action_drift():
         def rule_set(self):
             honest = super().rule_set()
             return RuleSet(
-                honest.name, honest.network, honest.schema,
+                honest.name, honest.schema,
                 [Rule(r.label, r.guard, [Assign(DIST_VAR, col(DIST_VAR) + 1)])
                  for r in honest.rules],
             )

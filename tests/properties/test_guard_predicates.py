@@ -53,7 +53,7 @@ def test_evaluate_predicates_match_dict_and_hand_written_twins(
 ):
     algo = _algorithm(topology, label)
     rule_set = algo.rule_set()
-    base = rule_set.compile_kernel()
+    base = algo.kernel_program()
     program = base.tiled(blocks) if blocks > 1 else base
     if program is None:  # the rule set's tile_check refuses this layout
         program, blocks = base, 1
@@ -76,7 +76,7 @@ def test_evaluate_predicates_match_dict_and_hand_written_twins(
     for rule, mask in masks.items():
         np.testing.assert_array_equal(mask, guard_masks[rule])
 
-    dict_program = rule_set.compile_dict()
+    dict_program = rule_set.compile_dict(algo.network, algo.param_values())
     n = algo.network.n
     for name, mask in preds.items():
         assert mask.shape == (blocks * n,)
@@ -158,8 +158,9 @@ def test_structural_key_separates_bool_from_int():
     x = E.col("x")
     assert comp.key(x == 1) == comp.key(E.col("x") == 1)
     assert comp.key(x == True) != comp.key(x == 1)  # noqa: E712
-    p, q = E.param([1, 2]), E.param([1, 2])
+    p, q = E.param("p"), E.param("q")
     assert comp.key(p) != comp.key(q)
+    assert comp.key(p) == comp.key(E.param("p"))  # one name, one input
 
 
 def test_ir_check_flags_a_predicate_mismatch(monkeypatch):
@@ -188,9 +189,16 @@ def test_ir_check_flags_a_predicate_its_hand_written_twin_rejects(monkeypatch):
     on the fast path's trigger tells them apart."""
     from repro.ir.check import check_algorithm
 
+    from repro.ir import RuleSet
+
     algo = dict(registered_algorithms("ring"))["sdr(unison)"]()
-    rule_set = algo.rule_set()
-    rule_set.predicates["normal"] = rule_set.predicates["status_c"]
+    honest = algo.rule_set()
+    rule_set = RuleSet(
+        honest.name, honest.schema, honest.rules,
+        predicates={**honest.predicates,
+                    "normal": honest.predicates["status_c"]},
+        fast_path=honest.fast_path, tile_check=honest.tile_check,
+    )
     monkeypatch.setattr(algo, "rule_set", lambda: rule_set)
     problems = check_algorithm("sdr(unison)", algo)
     assert any("but is_normal says False" in p for p in problems)

@@ -1,7 +1,8 @@
 """Property regression: IR-generated programs are the kernel backend.
 
 Every algorithm's kernel program is now *generated* from its declarative
-rule set (``rule_set().compile_kernel()``).  This suite pins the three
+rule set, bound to its network and values (``kernel_program()``).  This
+suite pins the three
 guarantees the redesign made:
 
 * the generated programs are trace-equal to the dict backend for the
