@@ -3,8 +3,8 @@
 Every kernel-backend :class:`~repro.core.simulator.Simulator` execution
 is one lane of the driver (:func:`drive`).  A daemon with no array twin
 selects through :class:`DaemonAdapter`, a :class:`VectorDaemon`; whatever
-needs the decoded execution per step (a trace, decode-tier probes, the
-paranoid lockstep) is served by :class:`DecodeAdapter`,
+needs the decoded execution per step (decode-tier probes, a trace among
+them, and the paranoid lockstep) is served by :class:`DecodeAdapter`,
 a vector-tier lane probe.  Plain lanes attach neither.
 
 Neither adapter writes the runtime: a daemon that looks ahead (the
@@ -47,8 +47,7 @@ def drive(sim, max_steps: int, *, step: bool = False):
         probes = [probe for probe in sim.probes if not probe.wants_decode()]
         decode = [probe for probe in sim.probes if probe.wants_decode()]
     hook = None
-    if (decode or sim.trace is not None or sim._shadow is not None
-            or (step and sim._schedules)):
+    if decode or sim._shadow is not None or (step and sim._schedules):
         hook = DecodeAdapter(sim, decode, stops=not step)
         probes.append(hook)
     # The preset totals also anchor the schedules' step clock.
@@ -195,8 +194,6 @@ class DecodeAdapter(Probe):
         )
         if sim._shadow is not None:
             sim._lockstep_check(selection)
-        if sim.trace is not None:
-            sim.trace.append(record, sim.cfg)
         for probe in self.probes:
             probe.on_step(sim, record)
 

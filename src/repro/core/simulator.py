@@ -22,9 +22,9 @@ Two interchangeable backends implement the step relation:
   buffer.  Every execution
   — :meth:`Simulator.run`, :meth:`Simulator.step`, paranoid mode — is
   one lane of :meth:`~repro.core.kernel.engine.KernelRuntime.drive`;
-  daemons without an array twin and decode-tier consumers (traces,
-  decode probes, the lockstep) plug into it through
-  :mod:`repro.core.kernel.adapters`.
+  daemons without an array twin and decode-tier consumers (decode-tier
+  probes such as a :class:`~repro.core.trace.Trace`, the lockstep) plug
+  into it through :mod:`repro.core.kernel.adapters`.
 
 ``backend="auto"`` (the default) picks the kernel whenever the algorithm
 declares a rule set, and falls back to the dict engine otherwise.  The
@@ -57,7 +57,7 @@ from .configuration import Configuration, state_equal
 from .daemon import Daemon
 from .exceptions import AlgorithmError, DaemonError, ModelViolation, NotStabilized
 from .rounds import RoundCounter
-from .trace import StepRecord, Trace
+from .trace import StepRecord
 
 __all__ = ["Simulator", "RunResult", "BACKENDS"]
 
@@ -172,14 +172,13 @@ class Simulator:
         ``Algorithm.kernel_program``); ``"auto"`` falls back to ``"dict"``
         when it does not (logging one warning per algorithm so silent
         slowdowns stay visible).
-    trace:
-        Optional :class:`~repro.core.trace.Trace` to record into.
     probes:
-        :class:`repro.probes.Probe` instances observing the execution.
-        On the kernel backend, probes whose ``wants_decode()`` is false
-        are served their ``on_columns`` hook inside the driver, so
-        measurement does not cost the fast path; probes wanting decoded
-        records get ``on_step`` through a per-step decode hook.
+        :class:`repro.probes.Probe` instances observing the execution,
+        a :class:`~repro.core.trace.Trace` among them.  On the kernel
+        backend, probes whose ``wants_decode()`` is false are served
+        their ``on_columns`` hook inside the driver, so measurement does
+        not cost the fast path; probes wanting decoded records (a trace
+        does) get ``on_step`` through a per-step decode hook.
     faults:
         Optional mid-run fault schedule: a
         :class:`repro.faults.schedule.FaultSchedule`, an already-bound
@@ -219,7 +218,6 @@ class Simulator:
         strict: bool = True,
         paranoid: bool = False,
         backend: str = "auto",
-        trace: Trace | None = None,
         probes: Sequence[Any] = (),
         faults: Any = None,
         churn: Any = None,
@@ -232,7 +230,6 @@ class Simulator:
         self.rng = rng if rng is not None else Random(seed)
         self.strict = strict
         self.paranoid = paranoid
-        self.trace = trace
         self.probes = list(probes)
         self.faults = self._bind(faults, seed, "faults")
         self.churn = self._bind(churn, seed, "churn")
@@ -287,8 +284,6 @@ class Simulator:
         self._enabled_snapshot = tuple(self._enabled)
         self.rounds.start(self._enabled)
 
-        if self.trace is not None:
-            self.trace.start(self.cfg)
         for probe in self.probes:
             probe.on_start(self)
 
@@ -524,7 +519,7 @@ class Simulator:
         return record
 
     def _step_dict(self) -> StepRecord:
-        """One dict-engine step, recorded and shown to trace and probes."""
+        """One dict-engine step, recorded and shown to the probes."""
         selection, enabled_before, enabled_after = self._advance()
         record = StepRecord(
             index=self.step_count - 1,
@@ -541,8 +536,6 @@ class Simulator:
         )
         if sampling:
             t_mark = telemetry.timer()
-        if self.trace is not None:
-            self.trace.append(record, self.cfg)
         for probe in self.probes:
             probe.on_step(self, record)
         if sampling:
@@ -656,15 +649,16 @@ class Simulator:
     def fusion_available(self) -> bool:
         """Whether :meth:`run` needs no per-step Python callback.
 
-        Requires the kernel backend, a vectorizable daemon, no trace, no
-        paranoid lockstep, and every attached probe advertising the
-        array-native tier (``wants_decode()`` false — such probes are
-        served *inside* the driver).  A predicate stop keeps the fast
-        path when its :class:`repro.probes.StopProbe` names a predicate
-        the rule set declares (``mask=``); with only a decode-tier
-        predicate it decodes per step.  Results are identical either way.
+        Requires the kernel backend, a vectorizable daemon, no paranoid
+        lockstep, and every attached probe advertising the array-native
+        tier (``wants_decode()`` false — such probes are served *inside*
+        the driver; a trace is a decode-tier probe).  A predicate stop
+        keeps the fast path when its :class:`repro.probes.StopProbe`
+        names a predicate the rule set declares (``mask=``); with only a
+        decode-tier predicate it decodes per step.  Results are
+        identical either way.
         """
-        if self.backend != "kernel" or self.paranoid or self.trace is not None:
+        if self.backend != "kernel" or self.paranoid:
             return False
         from .kernel.daemons import vectorize
 
@@ -703,10 +697,8 @@ class Simulator:
         probes = self.probes
         if probes and any(probe.done() for probe in probes):
             return "probe"
-        # Nothing observes a step without a trace or probes: no record.
-        stepper = (
-            self._advance if self.trace is None and not probes else self._step_dict
-        )
+        # Nothing observes a step without probes: no record.
+        stepper = self._step_dict if probes else self._advance
         executed = 0
         # The array driver's loop order: poll (re-polled while a finite
         # schedule's pull leaves the configuration terminal), terminal

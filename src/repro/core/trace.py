@@ -3,9 +3,9 @@
 The complexity analysis of the paper quantifies over *executions*
 ``e = γ0 γ1 …`` (maximal sequences of steps).  :class:`StepRecord` captures
 what happened in one step ``γi ↦ γi+1`` — which processes were activated
-with which rules — and :class:`Trace` accumulates records plus optional
-configuration snapshots, which the proof-artifact analysis (segments, reset
-branches, rule languages) consumes.
+with which rules — and :class:`Trace`, a decode-tier probe, accumulates
+records plus optional configuration snapshots, which the proof-artifact
+analysis (segments, reset branches, rule languages) consumes.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
+from ..probes.base import Probe
 from .configuration import Configuration
 
 __all__ = ["StepRecord", "Trace"]
@@ -53,8 +54,13 @@ class StepRecord:
         return u in self.selection
 
 
-class Trace:
-    """Accumulated execution history.
+class Trace(Probe):
+    """Accumulated execution history: a decode-tier probe.
+
+    Attach it like any probe (``Simulator(..., probes=[trace])``, or
+    ``sim.add_probe(trace)`` on a live simulator): it records every
+    step's :class:`StepRecord` on every backend, and on the kernel
+    backend it puts the per-step decode hook on the run's lane.
 
     Parameters
     ----------
@@ -64,20 +70,22 @@ class Trace:
         small systems; benchmarks leave it off.
     """
 
+    name = "trace"
+
     def __init__(self, record_configurations: bool = False):
         self.records: list[StepRecord] = []
         self.record_configurations = record_configurations
         self.configurations: list[Configuration] = []
 
     # ------------------------------------------------------------------
-    def start(self, cfg: Configuration) -> None:
+    def on_start(self, sim) -> None:
         if self.record_configurations:
-            self.configurations.append(cfg.copy())
+            self.configurations.append(sim.cfg.copy())
 
-    def append(self, record: StepRecord, cfg_after: Configuration) -> None:
+    def on_step(self, sim, record: StepRecord) -> None:
         self.records.append(record)
         if self.record_configurations:
-            self.configurations.append(cfg_after.copy())
+            self.configurations.append(sim.cfg.copy())
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -26,12 +26,10 @@ hash).  Wall-clock data lives only in the sidecars; store records stay
 byte-identical with telemetry on or off.
 
 ``--backend {auto,dict,kernel}`` selects the simulator execution engine
-for every trial (array kernel vs dict reference); ``--probe`` selects
-the measurement tier (``auto`` measures on vectorized masks, ``decode``
-through decode-tier probes served per step) or attaches a named auxiliary probe
-(``accounting:100``, ``trace:50``, ``sdr-moves``).  Measured
-moves/rounds/steps are independent of all of these; only wall time
-differs.
+for every trial (array kernel vs dict reference); ``--probe {auto,decode}``
+selects the measurement tier (``auto`` measures on vectorized masks,
+``decode`` through decode-tier probes served per step).  Measured
+moves/rounds/steps are independent of both; only wall time differs.
 
 ``--faults SPEC`` attaches a deterministic fault schedule (see
 :mod:`repro.faults.schedule`) to every trial — unlike backend/probe it
@@ -179,22 +177,6 @@ def _build_campaign(args):
     )
 
 
-def _check_probe_selection(probe: str) -> None:
-    """Reject a bad ``--probe`` before any trial runs, not from a worker.
-
-    Mode names are checked directly; a named selection is instantiated
-    once (throwaway size) so malformed arguments like ``accounting:xx``
-    fail here too.
-    """
-    from .runner import PROBE_MODES, _check_probe_mode
-
-    _check_probe_mode(probe)
-    if probe not in PROBE_MODES:
-        from ..probes.registry import make_probe
-
-        make_probe(probe, 2)
-
-
 def _safe_to_compact(store) -> bool:
     """Only rewrite a store whose every line parses.
 
@@ -247,12 +229,11 @@ def run_sweep(argv: list[str]) -> int:
     parser.add_argument("--backend", default=None, choices=("auto", "dict", "kernel"),
                         help="simulator execution backend for every trial "
                              "(default: auto — array kernel when available)")
-    parser.add_argument("--probe", default=None, metavar="SEL",
-                        help="measurement tier (auto: vectorized "
-                             "legitimacy mask; decode: decode-tier probes "
-                             "served per step) or a named auxiliary probe, "
-                             "e.g. accounting:100, trace:50, sdr-moves "
-                             "(stored results are identical for all of them)")
+    parser.add_argument("--probe", default=None, metavar="MODE",
+                        help="measurement tier: auto (vectorized "
+                             "legitimacy mask) or decode (decode-tier "
+                             "probes served per step); stored results are "
+                             "identical for both")
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help="fault schedule injected mid-run into every "
                              "trial, e.g. 'burst=50,count=3,gap=100,k=2,"
@@ -297,10 +278,12 @@ def run_sweep(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     from ..engine import FailurePolicy, ResultStore, run_campaign, summary_table
+    from .runner import _check_probe_mode
 
     try:
         if args.probe is not None:
-            _check_probe_selection(args.probe)
+            # Rejected here, before any trial runs, not from a worker.
+            _check_probe_mode(args.probe)
         campaign = _build_campaign(args)
         policy = None
         if args.trial_timeout is not None or args.max_retries is not None:

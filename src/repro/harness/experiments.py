@@ -41,12 +41,7 @@ from ..analysis import bounds
 from ..analysis.stats import fit_power_law, summarize
 from ..baselines.mono_reset import MonoReset
 from ..adversary.search import AdversarialDaemon, delay_strategy
-from ..core.daemon import (
-    CentralDaemon,
-    DistributedRandomDaemon,
-    LocallyCentralDaemon,
-    SynchronousDaemon,
-)
+from ..core.daemon import DistributedRandomDaemon, make_daemon
 from ..core.detectors import measure_stabilization
 from ..core.simulator import Simulator
 from ..faults.injector import corrupt_processes
@@ -150,14 +145,31 @@ class SdrMoveCounter(Probe):
         return int(np.count_nonzero(self.counts))
 
 
-def _daemon_menu(network):
-    return {
-        "synchronous": SynchronousDaemon(),
-        "central": CentralDaemon(),
-        "locally-central": LocallyCentralDaemon(network),
-        "distributed-random": DistributedRandomDaemon(0.5),
-        "adversarial": AdversarialDaemon(delay_strategy),
-    }
+#: The daemons F5 compares, in its row order.
+_DAEMONS = ("adversarial", "central", "distributed-random", "locally-central",
+            "synchronous")
+
+
+def _daemon(name: str, network):
+    """The named daemon; ``adversarial`` is the greedy reset-delaying one."""
+    if name == "adversarial":
+        return AdversarialDaemon(delay_strategy)
+    return make_daemon(name, network)
+
+
+def _clean_worst_rounds(summary) -> int | None:
+    """Worst rounds over a recovery summary's disturbances that no later
+    one struck mid-recovery (``None`` if there is none)."""
+    records = summary["records"]
+    worst = None
+    for i, rec in enumerate(records):
+        if not rec["recovered"]:
+            continue
+        end = rec["injected_step"] + rec["steps"]
+        if i + 1 < len(records) and records[i + 1]["injected_step"] < end:
+            continue  # the next disturbance struck before this one recovered
+        worst = rec["rounds"] if worst is None else max(worst, rec["rounds"])
+    return worst
 
 
 # ======================================================================
@@ -187,7 +199,7 @@ def experiment_t1_t2(
                     cfg = sdr.random_configuration(rng)
                     counter = SdrMoveCounter(net.n)
                     sim = Simulator(
-                        sdr, _daemon_menu(net)[daemon_name], config=cfg,
+                        sdr, _daemon(daemon_name, net), config=cfg,
                         seed=seed, probes=[counter],
                     )
                     detector, _ = measure_stabilization(
@@ -683,12 +695,12 @@ def figure_f5(
         ["daemon", "moves (mean)", "rounds (mean)", "within bounds"],
     )
     ok = True
-    for i, daemon_name in enumerate(sorted(_daemon_menu(net))):
+    for i, daemon_name in enumerate(_DAEMONS):
         moves, rounds = [], []
         for seed in range(trials):
             sdr = SDR(Unison(net))
             cfg = sdr.random_configuration(Random(seed))
-            sim = Simulator(sdr, _daemon_menu(net)[daemon_name], config=cfg, seed=seed)
+            sim = Simulator(sdr, _daemon(daemon_name, net), config=cfg, seed=seed)
             probe, _ = measure_stabilization(
                 sim, sdr.is_normal, max_steps=2_000_000, mask="normal"
             )
@@ -803,7 +815,7 @@ def experiment_p1(
                 cfg = sdr.random_configuration(Random(seed))
                 trace = Trace(record_configurations=True)
                 sim = Simulator(sdr, DistributedRandomDaemon(0.5), config=cfg,
-                                seed=seed, trace=trace)
+                                seed=seed, probes=[trace])
                 measure_stabilization(sim, sdr.is_normal, max_steps=500_000)
                 sim.run(max_steps=5 * n)
                 counts = [len(alive_roots(sdr, c)) for c in trace.configurations]
@@ -930,18 +942,6 @@ def experiment_t11(
          "bound", "ok"],
     )
 
-    def clean_worst_rounds(summary) -> int | None:
-        """Worst rounds over bursts with no injection mid-recovery."""
-        records = summary["records"]
-        worst = None
-        for i, rec in enumerate(records):
-            if not rec["recovered"]:
-                continue
-            end = rec["injected_step"] + rec["steps"]
-            if i + 1 < len(records) and records[i + 1]["injected_step"] < end:
-                continue  # the next burst struck before this one recovered
-            worst = rec["rounds"] if worst is None else max(worst, rec["rounds"])
-        return worst
     fig = Figure("T11 — worst recovery rounds vs fault count", "k", "rounds")
     ok = True
     data: dict[str, list] = {"cells": []}
@@ -968,7 +968,7 @@ def experiment_t11(
                 recovered = sum(s["recovered"] for s in summaries)
                 worst = [s["worst_rounds"] for s in summaries
                          if s["worst_rounds"] is not None]
-                clean = [w for w in map(clean_worst_rounds, summaries)
+                clean = [w for w in map(_clean_worst_rounds, summaries)
                          if w is not None]
                 means_r = [s["mean_rounds"] for s in summaries
                            if s["mean_rounds"] is not None]
@@ -1062,18 +1062,6 @@ def experiment_t12(
          "bound", "ok"],
     )
 
-    def clean_worst_rounds(summary) -> int | None:
-        """Worst rounds over occurrences with no churn mid-recovery."""
-        records = summary["records"]
-        worst = None
-        for i, rec in enumerate(records):
-            if not rec["recovered"]:
-                continue
-            end = rec["injected_step"] + rec["steps"]
-            if i + 1 < len(records) and records[i + 1]["injected_step"] < end:
-                continue  # the next occurrence struck mid-recovery
-            worst = rec["rounds"] if worst is None else max(worst, rec["rounds"])
-        return worst
 
     fig = Figure("T12 — worst clean recovery rounds vs churn cadence",
                  "cadence", "rounds")
@@ -1110,7 +1098,7 @@ def experiment_t12(
                 recovered = sum(s["recovered"] for s in summaries)
                 worst = [s["worst_rounds"] for s in summaries
                          if s["worst_rounds"] is not None]
-                clean = [w for w in map(clean_worst_rounds, summaries)
+                clean = [w for w in map(_clean_worst_rounds, summaries)
                          if w is not None]
                 means_r = [s["mean_rounds"] for s in summaries
                            if s["mean_rounds"] is not None]

@@ -232,33 +232,17 @@ def scenario_start(algorithm: str, scenario: str) -> StartFn:
 # ----------------------------------------------------------------------
 # Execution options
 # ----------------------------------------------------------------------
-#: Recognized mode values of the trial runners' ``probe`` execution
-#: option.  Anything else is parsed as a *named probe selection*
-#: (``"accounting:100"`` — see :mod:`repro.probes.registry`): an
-#: auxiliary vector-tier probe attached for observation only, whose
-#: samples never enter the result record.
+#: Values of the trial runners' ``probe`` execution option: the
+#: measurement tier (``"auto"`` reads the rule set's vectorized
+#: legitimacy mask, ``"decode"`` evaluates the predicate per decoded step).
 PROBE_MODES = ("auto", "decode")
 
 
 def _check_probe_mode(probe: str) -> None:
-    from ..probes.registry import is_named_probe
-
-    if probe not in PROBE_MODES and not is_named_probe(probe):
-        from ..probes.registry import PROBE_NAMES
-
+    if probe not in PROBE_MODES:
         raise ValueError(
-            f"unknown probe mode {probe!r}; choose from {PROBE_MODES} "
-            f"or a named selection of {PROBE_NAMES} (optionally 'name:arg')"
+            f"unknown probe mode {probe!r}; choose from {PROBE_MODES}"
         )
-
-
-def _named_probes(probe: str, n: int) -> list:
-    """The auxiliary probes a ``probe`` selection asks for (often none)."""
-    if probe in PROBE_MODES:
-        return []
-    from ..probes.registry import make_probe
-
-    return [make_probe(probe, n)]
 
 
 # ----------------------------------------------------------------------
@@ -338,15 +322,14 @@ class _Disturbances:
 
 
 def _trial_probes(entry: AlgorithmEntry, algo, seed: int, faults, churn,
-                  probe: str, n: int):
+                  probe: str):
     """One trial's probes, the same on the serial and batched paths:
     ``(kit, measure, probes)``.
 
     A disturbed trial carries its :class:`_Disturbances` kit's probes; a
     plain one with a legitimacy notion the :class:`StabilizationProbe`
     ``measure`` that stops it at the first legitimate configuration and
-    whose ``(rounds, moves, step)`` the record reports.  The ``probe``
-    selection's named probes ride along either way.
+    whose ``(rounds, moves, step)`` the record reports.
     """
     kit = measure = None
     probes = []
@@ -361,7 +344,7 @@ def _trial_probes(entry: AlgorithmEntry, algo, seed: int, faults, churn,
             name=mask,
         )
         probes = [measure]
-    return kit, measure, probes + _named_probes(probe, n)
+    return kit, measure, probes
 
 
 def _failure(entry: AlgorithmEntry, kit: _Disturbances | None,
@@ -524,8 +507,8 @@ def run_network_trial(
     or an ``(f, g)`` pair) — started from ``scenario``, and run until
     legitimate (or terminal) within ``max_steps`` (default: the entry's).
     ``backend`` picks the engine and ``probe`` the measurement tier
-    (``"auto"`` fused, ``"decode"`` per-step) or a named auxiliary probe;
-    records never depend on either.  ``faults`` and/or ``churn``
+    (``"auto"`` fused, ``"decode"`` per-step); records never depend on
+    either.  ``faults`` and/or ``churn``
     (schedule specs or objects) switch to the recovery workload: a finite
     schedule must be absorbed within ``max_steps`` and the per-burst
     series lands in ``Trial.extra``.  ``adversary`` (``greedy``,
@@ -560,7 +543,7 @@ def _run_built(entry: AlgorithmEntry, algorithm: str, network: Network, algo,
             stop_mask=entry.mask,
         )
     kit, measure, probes = _trial_probes(entry, algo, seed, faults, churn,
-                                         probe, network.n)
+                                         probe)
     if not isinstance(daemon, Daemon):
         daemon = make_daemon(daemon, network)
     sim = Simulator(algo, daemon, config=cfg, seed=seed,
@@ -656,8 +639,7 @@ def can_batch(spec: "TrialSpec") -> bool:
     Requires a registered algorithm and a daemon with an exact vector
     twin — and no explicit ``backend=dict`` or ``probe=decode``:
     batching never changes results, but a user who asked for the dict
-    engine or the decoded measurement path must get it.  Named probe
-    selections do batch (one instance per replicate).
+    engine or the decoded measurement path must get it.
     """
     params = dict(spec.params)
     return not (
@@ -695,15 +677,15 @@ def run_trial_batch(
     spec = specs[0]
     if any(s.cell_key() != spec.cell_key() for s in specs[1:]):
         raise ValueError("run_trial_batch requires specs from one grid cell")
+    params, options = _split_params(spec)
+    _check_probe_mode(options.get("probe", "auto"))
     if not can_batch(spec):
         raise UnbatchableError(f"cell {spec.cell_key()!r} cannot be batched")
     from ..core.kernel.batch import run_batch
 
     entry = ALGORITHMS[spec.algorithm]
-    params, options = _split_params(spec)
     # Execution options: batching implies the kernel backend with
     # vectorized measurement (can_batch routed explicit opt-outs away).
-    probe = options.get("probe", "auto")
     faults = options.get("faults")
     max_steps = options.get("max_steps", entry.max_steps)
     network, algo, topology = _setup(entry, spec, params)
@@ -716,7 +698,7 @@ def run_trial_batch(
     cfgs = [start(algo, Random(seed)) for seed in seeds]
     # Bound schedules and probes are stateful: every replicate gets its own.
     kits, measures, trial_probes = zip(*(
-        _trial_probes(entry, algo, seed, faults, None, probe, network.n)
+        _trial_probes(entry, algo, seed, faults, None, "auto")
         for seed in seeds
     ))
     daemons = [make_daemon(spec.daemon, network) for _ in specs]

@@ -10,12 +10,16 @@ instrumentation):
 * :class:`Probe` — the protocol: a decoded per-step hook plus an
   optional vectorized hook served inline by the array driver.
   ``Simulator.run`` needs no per-step Python callback whenever every
-  attached probe advertises the array-native path.
+  attached probe advertises the array-native path.  Everything that
+  watches a run is a probe: a full execution trace is
+  :class:`repro.core.trace.Trace`, a decode-tier probe.
 * :class:`StabilizationProbe` / :class:`StopProbe` — stabilization
   measurement, closure (``run_past``) monitoring, and stop predicates
   over the legitimacy predicates a rule set declares.
 * :class:`AccountingProbe` / :class:`TraceProbe` — periodic accounting
-  snapshots and every-k-steps configuration sampling.
+  snapshots and every-k-steps configuration sampling, both on the
+  vector tier (library probes: the trial runners' ``probe`` option
+  only picks the measurement tier, ``auto`` or ``decode``).
 * :class:`RecoveryProbe` / :class:`SdrWaveProbe` — per-fault-burst
   recovery stopwatches and SDR reset-wave counters, armed by the
   drivers' ``on_fault`` notification (see :mod:`repro.faults.schedule`).
@@ -30,7 +34,6 @@ Measuring stabilization on the array-native path::
 
 from .base import Probe
 from .recovery import RecoveryProbe, SdrWaveProbe
-from .registry import PROBE_NAMES, is_named_probe, make_probe
 from .sampling import AccountingProbe, TraceProbe
 from .stabilization import StabilizationProbe, StopProbe
 from .view import ColumnView
@@ -44,7 +47,4 @@ __all__ = [
     "TraceProbe",
     "RecoveryProbe",
     "SdrWaveProbe",
-    "PROBE_NAMES",
-    "is_named_probe",
-    "make_probe",
 ]

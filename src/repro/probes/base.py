@@ -1,16 +1,17 @@
 """The capability-tiered observation protocol.
 
 Every measurement in this repository — stabilization times, closure
-assertions, accounting snapshots, trace samples — is an *observation*
-of an execution.  A decoded :class:`~repro.core.trace.StepRecord` per
+assertions, accounting snapshots, trace samples, full traces — is an
+*observation* of an execution, and every observer is a probe.  A decoded :class:`~repro.core.trace.StepRecord` per
 step costs the array driver a Python callback per step, so
 :class:`Probe` declares what it needs in two capability tiers:
 
 * the **decode tier** — ``on_start(sim)`` / ``on_step(sim, record)``.
   Every probe supports it: the dict backend and ``Simulator.step`` use
-  it, and on the kernel backend a decode-tier probe puts the per-step
-  decode hook (:class:`repro.core.kernel.adapters.DecodeAdapter`) on
-  the run's lane.
+  it, and on the kernel backend a decode-tier probe (a
+  :class:`~repro.core.trace.Trace`, say) puts the per-step decode hook
+  (:class:`repro.core.kernel.adapters.DecodeAdapter`) on the run's
+  lane.
 * the **vector tier** — ``on_columns(view)`` over a
   :class:`~repro.probes.view.ColumnView`, invoked *inline* by the array
   driver (:meth:`repro.core.kernel.engine.KernelRuntime.drive`, which

@@ -4,9 +4,9 @@ Both ride the fused loop.  :class:`AccountingProbe` never touches the
 columns at all — it snapshots the ``(steps, moves, rounds)`` totals the
 drivers maintain natively.  :class:`TraceProbe` decodes the columns into
 a :class:`~repro.core.configuration.Configuration` only every ``k``
-steps: full-fidelity tracing (``Simulator(trace=...)``) decodes every
-step through the lane's decode hook, sampled tracing once per ``k``
-steps.
+steps: full-fidelity tracing (a :class:`~repro.core.trace.Trace`, a
+decode-tier probe) decodes every step through the lane's decode hook,
+sampled tracing once per ``k`` steps.
 """
 
 from __future__ import annotations

@@ -74,10 +74,6 @@ class InputAlgorithm(Algorithm):
         """Called by SDR when this instance becomes its input algorithm."""
         self._host = host
 
-    def detach(self) -> None:
-        """Return to standalone mode (``P_Clean ≡ true``)."""
-        self._host = _TRIVIAL_HOST
-
     def p_clean(self, cfg: Configuration, u: int) -> bool:
         """``P_Clean(u)`` as seen through the host."""
         return self._host.p_clean(cfg, u)
@@ -131,10 +127,3 @@ class InputAlgorithm(Algorithm):
         if not isinstance(self._host, TrivialHost):
             return None
         return self.input_rule_set()
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def all_icorrect(self, cfg: Configuration) -> bool:
-        """Whether ``P_ICorrect`` holds at every process."""
-        return all(self.p_icorrect(cfg, u) for u in self.network.processes())

@@ -302,7 +302,3 @@ class SDR(Algorithm):
     def param_values(self):
         """SDR reads no param of its own: its input's values."""
         return self.input.param_values()
-
-    def sdr_moves_of(self, moves_per_rule: dict[str, int]) -> int:
-        """Total SDR-rule moves in a per-rule move tally."""
-        return sum(moves_per_rule.get(rule, 0) for rule in SDR_RULES)

@@ -50,8 +50,7 @@ class TestIdentifierSensitivity:
         from repro.core import Trace
 
         trace = Trace()
-        sim.trace = trace
-        trace.start(sim.cfg)
+        sim.add_probe(trace)
         sim.run_to_termination(max_steps=1_000)
         first_quit = next(
             u for r in trace for u, rule in r.selection.items() if rule == "rule_Clr"

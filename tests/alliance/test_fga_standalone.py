@@ -16,14 +16,14 @@ from repro.core import (
 from repro.topology import by_name, complete, ring, star
 
 
-def run_from_init(net, f, g, seed=0, daemon=None, trace=None):
+def run_from_init(net, f, g, seed=0, daemon=None, probes=()):
     fga = FGA(net, f, g)
     sim = Simulator(
         fga,
         daemon or DistributedRandomDaemon(0.5),
         config=fga.initial_configuration(),
         seed=seed,
-        trace=trace,
+        probes=probes,
     )
     result = sim.run_to_termination(max_steps=1_000_000)
     return fga, sim, result
@@ -58,7 +58,7 @@ class TestCorrectness:
         net = ring(8)
         f, g = dominating_set(net)
         trace = Trace(record_configurations=True)
-        _, sim, _ = run_from_init(net, f, g, seed=5, trace=trace)
+        _, sim, _ = run_from_init(net, f, g, seed=5, probes=[trace])
         cols = [[cfg[u]["col"] for cfg in trace.configurations] for u in net.processes()]
         for series in cols:
             # Monotone non-increasing booleans: no False -> True flip.
@@ -69,7 +69,7 @@ class TestCorrectness:
         net = ring(8)
         f, g = dominating_set(net)
         trace = Trace()
-        _, sim, _ = run_from_init(net, f, g, seed=6, daemon=SynchronousDaemon(), trace=trace)
+        _, sim, _ = run_from_init(net, f, g, seed=6, daemon=SynchronousDaemon(), probes=[trace])
         for record in trace:
             quitters = [u for u, rule in record.selection.items() if rule == "rule_Clr"]
             for i, u in enumerate(quitters):
@@ -100,7 +100,7 @@ class TestBounds:
         net = by_name("random", 10, seed=3)
         f, g = dominating_set(net)
         trace = Trace()
-        _, sim, _ = run_from_init(net, f, g, seed=7, trace=trace)
+        _, sim, _ = run_from_init(net, f, g, seed=7, probes=[trace])
         clr_by_process: dict[int, int] = {}
         for record in trace:
             for u, rule in record.selection.items():

@@ -50,7 +50,7 @@ class TestRecovery:
         # Make sure the corruption is visible (c=0 would be a no-op fault).
         cfg.set(6, "c", 3)
         trace = Trace()
-        sim = Simulator(algo, SynchronousDaemon(), config=cfg, seed=1, trace=trace)
+        sim = Simulator(algo, SynchronousDaemon(), config=cfg, seed=1, probes=[trace])
         measure_stabilization(sim, algo.is_normal, max_steps=100_000)
         resetters = {
             u

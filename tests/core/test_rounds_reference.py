@@ -52,7 +52,7 @@ def test_reference_agrees_on_sdr_runs(seed):
     trace = Trace()
     sim = Simulator(
         sdr, DistributedRandomDaemon(0.5),
-        config=sdr.random_configuration(Random(seed)), seed=seed, trace=trace,
+        config=sdr.random_configuration(Random(seed)), seed=seed, probes=[trace],
     )
     sim.run(max_steps=200)
     assert sim.rounds.completed == reference_rounds(trace.records)
@@ -65,7 +65,7 @@ def test_reference_agrees_on_silent_runs(seed):
     trace = Trace()
     sim = Simulator(
         algo, DistributedRandomDaemon(0.4),
-        config=algo.random_configuration(Random(seed)), seed=seed, trace=trace,
+        config=algo.random_configuration(Random(seed)), seed=seed, probes=[trace],
     )
     sim.run_to_termination(max_steps=10_000)
     assert sim.rounds.completed == reference_rounds(trace.records)
@@ -75,6 +75,6 @@ def test_reference_agrees_on_countdown():
     net = ring(5)
     algo = Countdown(net, start=4)
     trace = Trace()
-    sim = Simulator(algo, DistributedRandomDaemon(0.6), seed=1, trace=trace)
+    sim = Simulator(algo, DistributedRandomDaemon(0.6), seed=1, probes=[trace])
     sim.run_to_termination(max_steps=10_000)
     assert sim.rounds.completed == reference_rounds(trace.records)

@@ -212,7 +212,7 @@ class TestObserversAndTrace:
     def test_trace_records_steps_and_configs(self):
         algo = Countdown(PAIR, start=2)
         trace = Trace(record_configurations=True)
-        sim = Simulator(algo, SynchronousDaemon(), seed=0, trace=trace)
+        sim = Simulator(algo, SynchronousDaemon(), seed=0, probes=[trace])
         sim.run_to_termination()
         assert len(trace) == 2
         assert len(trace.configurations) == 3

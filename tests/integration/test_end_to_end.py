@@ -66,8 +66,7 @@ class TestFullStackWithObservers:
             WeaklyFairDaemon(p=0.4, patience=6),
             config=sdr.random_configuration(Random(3)),
             seed=3,
-            trace=trace,
-            probes=[observer],
+            probes=[trace, observer],
             paranoid=True,
         )
         detector, _ = measure_stabilization(sim, sdr.is_normal, max_steps=200_000)

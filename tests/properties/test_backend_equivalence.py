@@ -56,7 +56,7 @@ def execute(algo_factory, net, daemon_kind, seed, backend, max_steps=300):
         config=algo.random_configuration(Random(seed)),
         seed=seed,
         backend=backend,
-        trace=trace,
+        probes=[trace],
     )
     result = sim.run(max_steps=max_steps)
     return {

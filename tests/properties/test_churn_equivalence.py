@@ -64,7 +64,7 @@ def execute(algorithm, daemon_kind, seed, backend, traced):
         config=algo.random_configuration(Random(seed)),
         seed=seed,
         backend=backend,
-        trace=trace,
+        probes=[trace] if traced else [],
         churn=CHURN,
     )
     result = sim.run(max_steps=MAX_STEPS)

@@ -97,6 +97,8 @@ def simulate(cell, seed, backend, faults=None, churn=None, consumer=None,
     probe = recovery_probe(algorithm, algo)
     probes = [probe]
     trace = Trace() if consumer == "trace" else None
+    if trace is not None:
+        probes.append(trace)
     if consumer == "decode-probe":
         predicate = legitimacy_predicate(algorithm, algo)
         probes.append(StabilizationProbe(predicate, run_past=20))
@@ -110,7 +112,6 @@ def simulate(cell, seed, backend, faults=None, churn=None, consumer=None,
         faults=faults,
         churn=churn,
         probes=probes,
-        trace=trace,
         paranoid=consumer == "paranoid",
     )
     plain = consumer is None and daemon not in SCALAR_DAEMONS
@@ -259,7 +260,7 @@ def scripted_selections(cell, seed, kwargs):
     Simulator(
         algo, make_daemon("distributed-random", network),
         config=algo.random_configuration(Random(seed)), seed=seed,
-        backend="dict", trace=trace, **kwargs,
+        backend="dict", probes=[trace], **kwargs,
     ).run(max_steps=MAX_STEPS)
     return [dict(record.selection) for record in trace]
 

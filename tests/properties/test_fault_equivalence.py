@@ -56,7 +56,7 @@ def execute(algorithm, daemon_kind, seed, backend, traced):
         config=algo.random_configuration(Random(seed)),
         seed=seed,
         backend=backend,
-        trace=trace,
+        probes=[trace] if traced else [],
         faults=FAULTS,
     )
     result = sim.run(max_steps=MAX_STEPS)

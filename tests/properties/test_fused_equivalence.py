@@ -119,7 +119,7 @@ def test_fusion_disabled_by_knobs():
         sdr, make_daemon("distributed-random", net), paranoid=True, **base
     ).fusion_available
     assert not Simulator(
-        sdr, make_daemon("distributed-random", net), trace=Trace(), **base
+        sdr, make_daemon("distributed-random", net), probes=[Trace()], **base
     ).fusion_available
     observed = Simulator(
         sdr, make_daemon("distributed-random", net), probes=[Probe()], **base

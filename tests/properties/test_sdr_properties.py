@@ -87,7 +87,7 @@ def test_remark5_and_theorem4_segment_structure(instance):
     sdr, cfg, seed = instance
     trace = Trace(record_configurations=True)
     sim = Simulator(sdr, DistributedRandomDaemon(0.5), config=cfg, seed=seed,
-                    trace=trace)
+                    probes=[trace])
     measure_stabilization(sim, sdr.is_normal, max_steps=100_000)
     assert len(split_segments(sdr, trace)) <= bounds.segments_bound(sdr.network.n)
     assert segment_rule_sequences_ok(sdr, trace)

@@ -135,7 +135,7 @@ class TestSegments:
         trace = Trace(record_configurations=True)
         sim = Simulator(
             sdr, DistributedRandomDaemon(0.5),
-            config=sdr.random_configuration(Random(seed)), seed=seed, trace=trace,
+            config=sdr.random_configuration(Random(seed)), seed=seed, probes=[trace],
         )
         measure_stabilization(sim, sdr.is_normal, max_steps=200_000)
         assert segment_rule_sequences_ok(sdr, trace)
@@ -175,7 +175,7 @@ class TestAttractors:
         trace = Trace(record_configurations=True)
         sim = Simulator(
             sdr, DistributedRandomDaemon(0.5),
-            config=sdr.random_configuration(Random(seed)), seed=seed, trace=trace,
+            config=sdr.random_configuration(Random(seed)), seed=seed, probes=[trace],
         )
         measure_stabilization(sim, sdr.is_normal, max_steps=200_000)
         levels = [attractor_level(sdr, cfg) for cfg in trace.configurations]

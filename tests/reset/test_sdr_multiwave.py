@@ -52,7 +52,7 @@ class TestFourMoveProcess:
         trace = Trace(record_configurations=True)
         sim = Simulator(
             sdr, ScriptedDaemon(script), config=start, seed=0,
-            probes=[counter], trace=trace,
+            probes=[trace, counter],
         )
         for _ in script:
             sim.step()

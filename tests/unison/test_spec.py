@@ -66,7 +66,7 @@ class TestLiveness:
     def test_increment_counts_and_liveness(self):
         u = Unison(PATH, period=5)
         trace = Trace()
-        sim = Simulator(u, ScriptedDaemon([[0, 1, 2], [0, 1, 2]]), seed=0, trace=trace)
+        sim = Simulator(u, ScriptedDaemon([[0, 1, 2], [0, 1, 2]]), seed=0, probes=[trace])
         sim.step()
         sim.step()
         assert increment_counts(trace) == {0: 2, 1: 2, 2: 2}
@@ -76,6 +76,6 @@ class TestLiveness:
     def test_liveness_fails_for_starved_process(self):
         u = Unison(PATH, period=5)
         trace = Trace()
-        sim = Simulator(u, ScriptedDaemon([[0]]), seed=0, trace=trace)
+        sim = Simulator(u, ScriptedDaemon([[0]]), seed=0, probes=[trace])
         sim.step()
         assert not liveness_holds(trace, 3, min_increments=1)

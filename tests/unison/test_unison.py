@@ -83,7 +83,7 @@ class TestStandaloneExecution:
         net = ring(6)
         u = Unison(net)
         trace = Trace()
-        sim = Simulator(u, DistributedRandomDaemon(0.5), seed=seed, trace=trace)
+        sim = Simulator(u, DistributedRandomDaemon(0.5), seed=seed, probes=[trace])
         sim.run(max_steps=400)
         assert liveness_holds(trace, net.n, min_increments=5)
 

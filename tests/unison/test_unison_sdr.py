@@ -68,8 +68,7 @@ class TestAfterStabilization:
         cfg = sdr.random_configuration(Random(5))
         sdr, sim, detector = stabilize(net, cfg, seed=5)
         trace = Trace()
-        sim.trace = trace
-        trace.start(sim.cfg)
+        sim.add_probe(trace)
         for _ in range(400):
             sim.step()
             assert safety_holds(net, sim.cfg, sdr.input.period)
