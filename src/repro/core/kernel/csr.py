@@ -120,20 +120,24 @@ class Rows:
 
     def _pick(self, fold, edge_values, edge_mask, default):
         # Fold with the dtype's identity element, then substitute the
-        # caller's default where no slot of the row was admitted.
+        # caller's default where no slot of the row was admitted — a
+        # row without candidates folds to the identity, so a default
+        # equal to it needs no substitution.
         values = np.asarray(edge_values)
         if values.dtype == np.bool_:
             values = values.astype(np.int64)
         lo, hi = _BOUNDS[values.dtype]
         identity = hi if fold is np.minimum else lo
-        if edge_mask is None:
-            out = self._fold(fold, values, identity, values.dtype)
-            if self._starts is not None or self._stride:
-                return out  # no empty row: every row has a candidate
-            return np.where(self.reps > 0, out, default)
-        masked = np.where(edge_mask, values, identity)
-        out = self._fold(fold, masked, identity, masked.dtype)
-        return np.where(self.any(edge_mask), out, default)
+        if edge_mask is not None:
+            values = np.where(edge_mask, values, identity)
+        out = self._fold(fold, values, identity, values.dtype)
+        if default == identity:
+            return out
+        if edge_mask is not None:
+            return np.where(self.any(edge_mask), out, default)
+        if self._starts is not None or self._stride:
+            return out  # no empty row: every row has a candidate
+        return np.where(self.reps > 0, out, default)
 
 
 class CSRAdjacency(Rows):

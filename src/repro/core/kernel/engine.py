@@ -2,11 +2,15 @@
 
 :class:`KernelRuntime` owns the flat per-variable columns of one
 execution — or of a batch's trials side by side (:meth:`KernelRuntime.tiled`)
-— and advances them step by step: guard masks are recomputed
-vectorized after every step (full recomputation is cheap in array form —
-no incremental bookkeeping needed), in the same generated function as the
+— and advances them step by step: guard masks are re-evaluated
+vectorized after every step, in the same generated function as the
 program's declared predicates, so measurement reads the predicate masks
-the guard pass already produced; actions mutate a double buffer
+the guard pass already produced.  The evaluation is incremental at
+column granularity: the runtime owns the program's guard memo
+(:class:`~repro.ir.kernelc.Memo`), marks on it the columns each step's
+rules assign (and each disturbance's assignments), and the generated
+``evaluate`` recomputes only the blocks of terms whose columns were
+written.  Actions mutate a double buffer
 (write columns rebased from the read columns, then swapped) so every
 activated process reads the same frozen pre-step configuration —
 composite atomicity by construction.
@@ -394,6 +398,7 @@ class KernelRuntime:
         "live",
         "_masks",
         "_preds",
+        "_memo",
         "rule_index",
         "_rule_idx",
         "_rule_counts",
@@ -436,6 +441,12 @@ class KernelRuntime:
         #: and predicate masks, evaluated together (``program.evaluate``).
         self._masks: dict[str, np.ndarray] | None = None
         self._preds: dict[str, np.ndarray] = {}
+        #: The program's guard memo (:meth:`IRKernelProgram.memo`): every
+        #: write to the columns is marked on it, so an evaluation
+        #: recomputes only the terms those writes reach.  ``None`` for
+        #: a program without one (dense evaluation).
+        make_memo = getattr(program, "memo", None)
+        self._memo = make_memo() if make_memo is not None else None
         #: Rule name → index into :attr:`rules`.
         self.rule_index = {rule: k for k, rule in enumerate(self.rules)}
         #: The driver's rule dispatch buffers (see :func:`dispatch_rules`)
@@ -453,9 +464,16 @@ class KernelRuntime:
     # ------------------------------------------------------------------
     def guard_masks(self) -> dict[str, np.ndarray]:
         if self._masks is None:
-            masks, self._preds = self.program.evaluate(self.read)
+            masks, self._preds = self._evaluate(self.program, self.read)
             self._masks = live_masks(masks, self.live)
         return self._masks
+
+    def _evaluate(self, program, cols):
+        """``program.evaluate`` of ``cols``, through the memo if any."""
+        memo = self._memo
+        if memo is None:
+            return program.evaluate(cols)
+        return program.evaluate(cols, memo)
 
     def holds(self, name: str, live: bool = False) -> bool:
         """Whether the declared predicate ``name`` holds at every process
@@ -510,13 +528,20 @@ class KernelRuntime:
         shift by it, and so do ``opt_index`` values (globalized exactly
         like :meth:`Schema.encode_tiled`).  Returns whether links
         changed (topology-aware daemons must follow).
+
+        The guard memo forgets everything on a rewiring (every
+        neighbourhood term may change) and marks the assigned columns
+        otherwise.
         """
+        memo = self._memo
         rewired = bool(occ.drops or occ.adds)
         if rewired:
             self.program.csr.apply_delta(
                 [(u + offset, v + offset) for u, v in occ.drops],
                 [(u + offset, v + offset) for u, v in occ.adds],
             )
+            if memo is not None:
+                memo.reset()
         if occ.crashed:
             if self.live is None:
                 self.live = np.ones(self._rule_idx.shape[0], dtype=np.bool_)
@@ -531,6 +556,8 @@ class KernelRuntime:
                 if offset and var.kind == "opt_index" and code >= 0:
                     code += offset
                 self.read[name][u + offset] = code
+                if memo is not None:
+                    memo.mark(self.program.bits[name])
         self._masks = None
         return rewired
 
@@ -634,6 +661,8 @@ class KernelRuntime:
         """
         program, rules = self.program, self.rules
         nrules = len(rules)
+        memo = self._memo
+        writes = program.rule_writes if memo is not None else None
         total = self._rule_idx.shape[0]
         blocks = len(lanes)
         single = blocks == 1
@@ -672,7 +701,7 @@ class KernelRuntime:
             if live is not None:
                 live = live[:size]
             if masks is None:
-                masks, self._preds = program.evaluate(read)
+                masks, self._preds = self._evaluate(program, read)
                 masks = self._masks = live_masks(masks, live)
             frame.read, frame.live, frame.preds = read, live, self._preds
             frame.bits.clear()
@@ -848,6 +877,8 @@ class KernelRuntime:
                         size = cut
                         block_bounds = block_bounds[: blocks + 1]
                         program = self.base.tiled(blocks)
+                        if memo is not None:
+                            memo.reset()
                         rule_idx = rule_idx[:cut]
                         enabled_mask = enabled_mask[:cut]
                         frame.starts = block_bounds[:-1]
@@ -928,6 +959,8 @@ class KernelRuntime:
                     program.apply(rules[k0], chosen, read, write)
                     acc.add(chosen, k0)
                     kinds = None
+                    if memo is not None:
+                        memo.mark(writes[k0])
                 else:
                     # Fancy indexing copies, so ``kinds`` survives the
                     # post-step guard recomputation overwriting
@@ -941,6 +974,8 @@ class KernelRuntime:
                         if idx.shape[0]:
                             program.apply(rules[k], idx, read, write)
                             acc.add(idx, k)
+                            if memo is not None:
+                                memo.mark(writes[k])
                 read, write = write, read
                 flip ^= 1
                 # Publish the current parity: scalar daemons, decode
@@ -985,6 +1020,8 @@ class KernelRuntime:
                     lane.stream.close()
             if size != total:
                 self._masks = None
+                if memo is not None:
+                    memo.reset()
         return acc
 
     # ------------------------------------------------------------------

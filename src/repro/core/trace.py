@@ -67,7 +67,11 @@ class Trace(Probe):
     record_configurations:
         When true, a snapshot of every configuration (including ``γ0``) is
         kept.  This is memory-heavy and intended for analysis and tests on
-        small systems; benchmarks leave it off.
+        small systems; benchmarks leave it off.  ``configurations[i]`` is
+        the configuration step ``i`` ran from: a fault or churn
+        occurrence landing between two steps replaces the snapshot, and
+        the configuration the previous step produced is kept aside for
+        :meth:`pairs`.
     """
 
     name = "trace"
@@ -76,16 +80,31 @@ class Trace(Probe):
         self.records: list[StepRecord] = []
         self.record_configurations = record_configurations
         self.configurations: list[Configuration] = []
+        #: Step index → the configuration it produced, where a
+        #: disturbance changed it before the next step.
+        self._produced: dict[int, Configuration] = {}
+        self._sim = None
 
     # ------------------------------------------------------------------
     def on_start(self, sim) -> None:
         if self.record_configurations:
+            self._sim = sim
             self.configurations.append(sim.cfg.copy())
 
     def on_step(self, sim, record: StepRecord) -> None:
         self.records.append(record)
         if self.record_configurations:
             self.configurations.append(sim.cfg.copy())
+
+    def on_fault(self, info) -> None:
+        if self.record_configurations:
+            if self.records:
+                self._produced.setdefault(
+                    len(self.records) - 1, self.configurations[-1]
+                )
+            self.configurations[-1] = self._sim.cfg.copy()
+
+    on_churn = on_fault
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -113,8 +132,12 @@ class Trace(Probe):
         return self.configurations[i]
 
     def pairs(self) -> Iterator[tuple[Configuration, StepRecord, Configuration]]:
-        """Iterate ``(γi, step, γi+1)`` triples (requires snapshots)."""
+        """Iterate ``(pre, step, post)`` triples (requires snapshots): the
+        configuration each step ran from and the one it produced — under
+        faults or churn, ``post`` of one step need not be ``pre`` of the
+        next."""
         if not self.record_configurations:
             raise ValueError("trace was not recording configurations")
         for i, record in enumerate(self.records):
-            yield self.configurations[i], record, self.configurations[i + 1]
+            post = self._produced.get(i, self.configurations[i + 1])
+            yield self.configurations[i], record, post

@@ -28,6 +28,13 @@ For every registered algorithm (:mod:`repro.ir.registry`) the lint
   each legitimacy predicate's all-process conjunction against the
   algorithm's hand-written twin (:data:`LEGITIMACY_TWINS`) — on the
   fast path and the general one;
+* the guard memo: on every sampled configuration, each rule is applied
+  at random processes in turn, its write set marked on a memo, and the
+  memoised ``evaluate`` compared with a dense one, mask for mask and
+  predicate for predicate (:func:`_check_memo`);
+* the bind prologue: no generated function but ``bind`` reads
+  ``C._params`` (:func:`check_bind_prologue`), so parameter-only terms
+  are computed once per program, not per call;
 * domain soundness: every value ``algorithm.random_state`` can draw must
   encode within its schema column's declared dtype and the tiled batch
   layout (:func:`check_domains`) — the fault injector corrupts registers
@@ -53,8 +60,8 @@ from . import exprs as E
 from .registry import SAMPLE_TOPOLOGIES, registered_algorithms
 from .rules import InputRuleSet
 
-__all__ = ["LEGITIMACY_TWINS", "check_algorithm", "check_domains",
-           "fast_path_column", "run_check", "main"]
+__all__ = ["LEGITIMACY_TWINS", "check_algorithm", "check_bind_prologue",
+           "check_domains", "fast_path_column", "run_check", "main"]
 
 #: Random configurations probed per algorithm (plus the initial one).
 _SEEDS = (0, 1, 2)
@@ -123,6 +130,7 @@ def check_algorithm(label: str, algorithm) -> list[str]:
     if kernel_program is None:
         return [f"{label}: tile_check refuses the sample network's values"]
 
+    problems += check_bind_prologue(label, rule_set)
     is_input = isinstance(rule_set, InputRuleSet)
     processes = algorithm.network.processes()
     for c, cfg in enumerate(_configurations(algorithm, rule_set)):
@@ -197,6 +205,7 @@ def check_algorithm(label: str, algorithm) -> list[str]:
                             f"{sorted(preds)} != {sorted(rule_set.predicates)}")
         problems += _check_predicates(label, algorithm, dict_program, cfg,
                                       preds, c)
+        problems += _check_memo(label, kernel_program, cols, c)
         if problems:
             break  # one configuration's findings are enough detail
     return problems
@@ -220,6 +229,49 @@ def _check_predicates(label, algorithm, dict_program, cfg, preds,
             return [f"{label}: predicate {name!r} (cfg {c}) holds everywhere: "
                     f"{everywhere}, but {twin} says {native}"]
     return []
+
+
+def _check_memo(label, program, cols, c) -> list[str]:
+    """Apply every rule in turn at random processes of ``cols``, mark its
+    write set on one memo, and compare the memoised ``evaluate`` of each
+    successor with a dense one."""
+    rng = Random(c)
+    n = program.csr.n
+    memo = program.memo()
+    program.evaluate(cols, memo)
+    for rule, written in zip(program.rules, program.rule_writes):
+        idx = np.array(sorted(rng.sample(range(n), rng.randrange(1, n + 1))),
+                       dtype=np.int64)
+        nxt = {name: column.copy() for name, column in cols.items()}
+        program.apply(rule, idx, cols, nxt)
+        memo.mark(written)
+        got, want = program.evaluate(nxt, memo), program.evaluate(nxt)
+        for kind, a, b in (("mask", got[0], want[0]),
+                           ("predicate", got[1], want[1])):
+            wrong = [key for key in sorted(a.keys() | b.keys())
+                     if key not in a or key not in b
+                     or not np.array_equal(a[key], b[key])]
+            if wrong:
+                return [f"{label}: memoised {kind} {wrong[0]!r} after "
+                        f"{rule!r} at {idx.tolist()} (cfg {c}) differs from "
+                        "dense evaluation"]
+        cols = nxt
+    return []
+
+
+def check_bind_prologue(label: str, rule_set) -> list[str]:
+    """Lines of generated functions other than ``bind`` that read
+    ``C._params``: parameter-only terms belong to the bind prologue."""
+    problems = []
+    for function in rule_set.kernel_code().source.split("\n\n"):
+        name = function.split("(", 1)[0].removeprefix("def ")
+        if name == "bind":
+            continue
+        for line in function.splitlines():
+            if "C._params" in line:
+                problems.append(f"{label}: {name} reads params outside the "
+                                f"bind prologue: {line.strip()}")
+    return problems
 
 
 def _check_kernel_action(label, program, rule, cfg, cols, updates,

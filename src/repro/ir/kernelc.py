@@ -3,11 +3,12 @@
 This is a source generator, not a tree-walking interpreter: each rule
 set compiles once into straight-line numpy code (one ``evaluate``
 function computing every guard *and* every declared predicate, one
-``apply`` function per rule), which is then ``exec``'d and kept on the
-rule set (:meth:`~repro.ir.rules.RuleSet.kernel_code`).  A rule set
-holds no network and no per-process values, so its code serves every
-program bound from it: the code reads the network through the program
-(``C.csr``) and each param's values by name (``C._params['ids']``).
+``apply`` function per rule, and one ``bind`` function computing what
+depends on the bound program alone), which is then ``exec``'d and kept
+on the rule set (:meth:`~repro.ir.rules.RuleSet.kernel_code`).  A rule
+set holds no network and no per-process values, so its code serves
+every program bound from it: the code reads the network through the
+program (``C.csr``) and each param's values by name, in ``bind`` only.
 Rule sets are cached per shape and process
 (:func:`~repro.ir.rules.rule_set_of`), so the compile walk runs once
 per shape.  Per-step cost is identical in shape to a handwritten
@@ -35,11 +36,35 @@ Lowering rules:
   type and value, so ``True`` is not ``1``; a ``Param`` by its name) are
   computed once per generated function, however often the rule set
   rebuilt them;
+* the *bind prologue*: a subexpression that reads no column (only
+  ``Param``, ``NProcs``, ``ProcIndex`` and constants) is computed once
+  per bound program by the generated ``bind`` function — again when
+  the program is re-tiled or its CSR rewired — and every other function
+  unpacks the results from ``C._bound``; inside actions such a
+  process-space value is one gather at ``idx``.  No function but
+  ``bind`` reads ``C._params``;
+* gathers after arithmetic: a masked neighbour fold
+  ``Reduce(min|max, Neigh(v), where=Neigh(m))`` whose default is the
+  fold's identity for ``v``'s dtype lowers as one process-space
+  ``where(m, v, identity)``, one gather and one unmasked fold (guards
+  and row-local actions); in guards, ``Neigh(x) <op> Const`` becomes
+  ``Neigh(x <op> Const)`` when that gather has no other use, so the
+  arithmetic runs per process, not per edge slot, and is shared with
+  the same process-space term;
 * the ``evaluate`` function returns ``(guard masks, predicate masks)``:
   the declared predicates (``normal``, ``legitimate``, …) ride the
   guards' temporaries, so the driver's probes, the adversary's stop test
   and the lint read them at the cost of the few ops the guards did not
   already compute — a predicate is lowered nowhere else;
+* *signature blocks*: every ``evaluate`` temporary carries its column
+  signature (the columns it reads, transitively, as a bitmask), and
+  each straight-line stretch (before the fast-path test, the fast path,
+  the general path) emits its temporaries grouped in blocks by
+  signature.  A block re-runs only when its :class:`Memo` says a column
+  of its signature was written since that stretch last ran; otherwise
+  its outputs come from the memo's slots.  The driver marks each step's
+  written columns (:meth:`Memo.mark`, from the rules' ``Assign.var``
+  write sets); a dense call runs every block on a fresh memo;
 * a :class:`~repro.ir.rules.FastPath` compiles to a cheap whole-system
   test guarding a reduced mask dict (omitted masks are all-false by the
   :meth:`IRKernelProgram.guard_masks` contract) plus the predicates;
@@ -49,12 +74,14 @@ Lowering rules:
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from ..core.exceptions import AlgorithmError
 from . import exprs as E
 
-__all__ = ["compile_rule_set", "IRKernelProgram"]
+__all__ = ["compile_rule_set", "IRKernelProgram", "Memo"]
 
 
 _BIN_FMT = {
@@ -82,6 +109,11 @@ _UN_FMT = {
     "abs": "np.abs({})",
 }
 
+#: ``min``/``max`` fold identities of int64 — what a bool or int64 value
+#: folds with (:meth:`repro.core.kernel.csr.Rows.min`).
+_IDENTITY = {"min": int(np.iinfo(np.int64).max),
+             "max": int(np.iinfo(np.int64).min)}
+
 #: Prologue names, in emission order, with their definitions.
 _PROLOGUE = (
     ("_CSR", "C.csr"),
@@ -93,17 +125,54 @@ _PROLOGUE = (
 )
 _NEEDS_CSR = frozenset({"_N", "_IX", "_SRC"})
 
+_TEMP_REF = re.compile(r"\b_t\d+\b")
+
+
+class Memo:
+    """The guard memo of one runtime: per stretch of ``evaluate``, the
+    columns written since it last ran (``dirty``, a bitmask; ``-1`` =
+    everything), and the outputs of its signature blocks (``slots``)."""
+
+    __slots__ = ("dirty", "slots")
+
+    def __init__(self, stretches: int, slots: int):
+        self.dirty = [-1] * stretches
+        self.slots = [None] * slots
+
+    def mark(self, written: int) -> None:
+        """Columns ``written`` (a bitmask) changed."""
+        dirty = self.dirty
+        for i in range(len(dirty)):
+            dirty[i] |= written
+
+    def reset(self) -> None:
+        """Forget every block's outputs (the layout or the program changed)."""
+        self.dirty = [-1] * len(self.dirty)
+
+
+class _Stretch:
+    """The temporaries of one straight-line stretch of ``evaluate``, as
+    ``(name, source, signature)`` in emission order."""
+
+    __slots__ = ("index", "temps")
+
+    def __init__(self, index: int):
+        self.index = index
+        self.temps: list[tuple[str, str, int]] = []
+
 
 class _Fn:
     """One generated function: lines, prologue needs, and CSE memos."""
 
     def __init__(self, compiler: "_Compiler", name: str, args: tuple,
-                 colsrc: str):
+                 colsrc: str | None, binder: "_Fn | None" = None):
         self.compiler = compiler
         self.name = name
         self.args = args
         self.colsrc = colsrc
-        self.lines: list[tuple[int, str]] = []
+        #: The ``bind`` function column-free terms go to (``None`` in it).
+        self.binder = binder
+        self.lines: list[tuple[int, object]] = []
         self.indent = 0
         self._pro: set[str] = set()
         self._fmemo: dict[int, str] = {}
@@ -114,6 +183,16 @@ class _Fn:
         #: Key of an expression known to hold everywhere (the fast-path
         #: trigger inside its block), or ``None``.
         self._truth: int | None = None
+        #: Signature stretches (``evaluate`` only) and the open one.
+        self.stretches: list[_Stretch] = []
+        self._stretch: _Stretch | None = None
+        #: Column signature of the node being lowered.
+        self._sig = 0
+        self.uses_bound = False
+        #: Memo slots the rendered function uses.
+        self.slots = 0
+        #: ``bind`` only: the names it returns, in order.
+        self.exports: list[str] = []
 
     # -- emission helpers ----------------------------------------------
     def use(self, name: str) -> str:
@@ -125,8 +204,17 @@ class _Fn:
 
     def temp(self, src: str) -> str:
         name = self.compiler.next_temp()
-        self.line(f"{name} = {src}")
+        if self._stretch is not None:
+            self._stretch.temps.append((name, src, self._sig))
+        else:
+            self.line(f"{name} = {src}")
         return name
+
+    def open_stretch(self) -> None:
+        """Collect the following temporaries into signature blocks."""
+        self._stretch = _Stretch(len(self.stretches))
+        self.stretches.append(self._stretch)
+        self.lines.append((self.indent, self._stretch))
 
     def begin_block(self, truth: E.Expr) -> None:
         """Enter the fast-path ``if`` body, where ``truth`` holds at
@@ -142,14 +230,33 @@ class _Fn:
         self._saved = self._truth = None
         self.indent -= 1
 
+    def bound(self, node: E.Expr) -> str:
+        """``node`` (reads no column), computed once per program by
+        ``bind`` and unpacked here."""
+        self.uses_bound = True
+        return self.binder.export(node)
+
+    def export(self, node: E.Expr) -> str:
+        """``bind`` only: lower ``node`` and return it to the others."""
+        name = self.full(node)
+        if name not in self.exports:
+            self.exports.append(name)
+        return name
+
     # -- full (column-vector) lowering ---------------------------------
     def full(self, node: E.Expr) -> str:
-        key = self.compiler.key(node)
+        comp = self.compiler
+        key = comp.key(node)
         if key == self._truth:
             return self.use("_ONES")
         got = self._fmemo.get(key)
         if got is None:
-            got = self._full(node)
+            if self.binder is not None and comp.bindable(node):
+                got = self.bound(node)
+            else:
+                outer, self._sig = self._sig, comp.signature(node)
+                got = self._full(node)
+                self._sig = outer
             self._fmemo[key] = got
         return got
 
@@ -163,7 +270,7 @@ class _Fn:
         if isinstance(node, E.Col):
             return f"{self.colsrc}[{node.name!r}]"
         if isinstance(node, E.Param):
-            return f"C._params[{node.label!r}]"
+            return self.temp(f"C._params[{node.label!r}]")
         if isinstance(node, E.Neigh):
             if node.arg.space == E.SCALAR:
                 return self.lifted_scalar(node.arg, self.use("_IX"))
@@ -214,7 +321,12 @@ class _Fn:
         key = self.compiler.key(node)
         got = self._lmemo.get(key)
         if got is None:
-            got = self._local(node)
+            if self.binder is not None and self.compiler.bindable(node):
+                got = self.bound(node)
+                if node.space != E.SCALAR:
+                    got = self.temp(f"{got}[idx]")
+            else:
+                got = self._local(node)
             self._lmemo[key] = got
         return got
 
@@ -227,8 +339,6 @@ class _Fn:
             return "idx"
         if isinstance(node, E.Col):
             return self.temp(f"{self.colsrc}[{node.name!r}][idx]")
-        if isinstance(node, E.Param):
-            return self.temp(f"C._params[{node.label!r}][idx]")
         if isinstance(node, E.BinOp):
             a, b = self.local(node.a), self.local(node.b)
             return self.temp(_BIN_FMT[node.op].format(a, b))
@@ -264,10 +374,8 @@ class _Fn:
         return got
 
     def _edge(self, node: E.Expr) -> str:
-        if isinstance(node, E.Const):
-            return repr(node.value)
-        if isinstance(node, E.NProcs):
-            return self.use("_N")
+        if node.space == E.SCALAR:
+            return self.local(node)
         if isinstance(node, (E.Neigh, E.Own)) and node.arg.space == E.SCALAR:
             return self.lifted_scalar(node.arg, f"{self.rows()}.nbr")
         if isinstance(node, E.Neigh):
@@ -289,21 +397,22 @@ class _Fn:
         raise AlgorithmError(f"cannot lower {node!r} over the rows of idx")
 
     # -- statements ----------------------------------------------------
-    def emit_assign(self, assign) -> None:
-        target = f"write[{assign.var!r}]"
-        if assign.where is None:
-            self.line(f"{target}[idx] = {self.local(assign.value)}")
+    def emit_assign(self, var: str, value: E.Expr, where) -> None:
+        """``var := value`` at ``idx`` (where ``where`` holds)."""
+        target = f"write[{var!r}]"
+        if where is None:
+            self.line(f"{target}[idx] = {self.local(value)}")
             return
-        if assign.where.space == E.SCALAR:
+        if where.space == E.SCALAR:
             raise AlgorithmError(
-                f"Assign({assign.var!r}): condition must be per-process"
+                f"Assign({var!r}): condition must be per-process"
             )
-        cond = self.local(assign.where)
+        cond = self.local(where)
         sub = self.temp(f"idx[{cond}]")
-        if assign.value.space == E.SCALAR:
-            self.line(f"{target}[{sub}] = {self.local(assign.value)}")
+        if value.space == E.SCALAR:
+            self.line(f"{target}[{sub}] = {self.local(value)}")
         else:
-            self.line(f"{target}[{sub}] = {self.local(assign.value)}[{cond}]")
+            self.line(f"{target}[{sub}] = {self.local(value)}[{cond}]")
 
     def emit_masks_return(self, guards: dict, predicates: dict) -> None:
         """``return {rule: mask…}, {predicate: mask…}``, guards first so
@@ -312,10 +421,13 @@ class _Fn:
         for exprs in (guards, predicates):
             srcs = [f"{name!r}: {self.full(e)}" for name, e in exprs.items()]
             parts.append("{" + ", ".join(srcs) + "}")
+        self._stretch = None
         self.line(f"return {parts[0]}, {parts[1]}")
 
     # -- rendering -----------------------------------------------------
-    def render(self) -> str:
+    def render(self, bound: list[str]) -> str:
+        """The function's source; ``bound`` are the names ``bind``
+        returns.  Numbers the memo slots (:attr:`slots`)."""
         needs = set(self._pro)
         if needs & _NEEDS_CSR:
             needs.add("_CSR")
@@ -323,9 +435,72 @@ class _Fn:
         for name, definition in _PROLOGUE:
             if name in needs:
                 out.append(f"    {name} = {definition}")
-        for indent, src in self.lines:
-            out.append("    " * (indent + 1) + src)
+        if self.uses_bound:
+            out.append(f"    {_tuple(bound)} = C._bound")
+        if self.stretches:
+            out.append("    _D, _S = M.dirty, M.slots")
+            outside = self._references()
+        for indent, item in self.lines:
+            pad = "    " * (indent + 1)
+            if isinstance(item, _Stretch):
+                out += self._render_stretch(item, pad, outside)
+            else:
+                out.append(pad + item)
+        if self.binder is None:
+            out.append(f"    return ({_tuple(self.exports)})")
         return "\n".join(out)
+
+    def _blocks(self, stretch: _Stretch) -> list[list[tuple[str, str]]]:
+        """``(signature, temps)`` of ``stretch`` grouped by signature, in
+        dependency order: a term reads only terms whose signature is a
+        subset of its own, so blocks run by signature size, then by
+        first use."""
+        blocks: dict[int, list] = {}
+        for name, src, sig in stretch.temps:
+            blocks.setdefault(sig, []).append((name, src))
+        order = sorted(blocks, key=lambda sig: bin(sig).count("1"))
+        return [(sig, blocks[sig]) for sig in order]
+
+    def _references(self) -> dict[str, int]:
+        """Per temporary, how many statements and blocks read it."""
+        units = [item for _, item in self.lines if isinstance(item, str)]
+        for stretch in self.stretches:
+            units += [" ".join(src for _, src in temps)
+                      for _, temps in self._blocks(stretch)]
+        counts: dict[str, int] = {}
+        for unit in units:
+            for name in set(_TEMP_REF.findall(unit)):
+                counts[name] = counts.get(name, 0) + 1
+        return counts
+
+    def _render_stretch(self, stretch, pad, outside) -> list[str]:
+        """One ``if`` per signature block: run it when a column of its
+        signature was written, else take its outputs from the memo."""
+        blocks = self._blocks(stretch)
+        if not blocks:
+            return []
+        k = stretch.index
+        out = [f"{pad}_d = _D[{k}]"]
+        for sig, temps in blocks:
+            inner = set(_TEMP_REF.findall(" ".join(src for _, src in temps)))
+            # The block's outputs: what a statement or block outside reads.
+            outputs = _tuple([name for name, _ in temps
+                              if outside.get(name, 0) > (name in inner)])
+            out.append(f"{pad}if _d & {bin(sig)}:")
+            out += [f"{pad}    {name} = {src}" for name, src in temps]
+            if outputs:
+                out += [f"{pad}    _S[{self.slots}] = {outputs}", f"{pad}else:",
+                        f"{pad}    {outputs} = _S[{self.slots}]"]
+                self.slots += 1
+        # Cleared only once every block ran: an evaluation that raised
+        # leaves its stretch dirty.
+        out.append(f"{pad}_D[{k}] = 0")
+        return out
+
+
+def _tuple(names: list[str]) -> str:
+    """``a, b`` / ``a,`` — a tuple display of ``names``."""
+    return ", ".join(names) + ("," if len(names) == 1 else "")
 
 
 class _Compiler:
@@ -338,6 +513,16 @@ class _Compiler:
         self._keys: dict[int, int] = {}
         self._canon: dict[tuple, int] = {}
         self._keyed: list[E.Expr] = []  # keeps every keyed id alive
+        #: Column name → its bit (schema order), the bits of the int8
+        #: enum columns, and the signature memo.
+        self._bits: dict[str, int] = {}
+        self._enums = 0
+        if rule_set is not None:
+            for var in rule_set.schema.vars:
+                if var.kind == "enum":
+                    self._enums |= self.bit(var.name)
+                self.bit(var.name)
+        self._sigs: dict[int, int] = {}
 
     def next_temp(self) -> str:
         name = f"_t{self._temp}"
@@ -363,6 +548,109 @@ class _Compiler:
             for value in map(node.__getattribute__, type(node).__slots__)
         ))
 
+    # -- column signatures ---------------------------------------------
+    def bit(self, name: str) -> int:
+        """The memo bit of column ``name``."""
+        return self._bits.setdefault(name, 1 << len(self._bits))
+
+    def signature(self, node) -> int:
+        """Bitmask of the columns ``node`` reads, transitively."""
+        key = self.key(node)
+        got = self._sigs.get(key)
+        if got is None:
+            if isinstance(node, E.Col):
+                got = self.bit(node.name)
+            else:
+                got = 0
+                for child in _children(node):
+                    got |= self.signature(child)
+            self._sigs[key] = got
+        return got
+
+    def bindable(self, node) -> bool:
+        """Whether ``node`` belongs to the bind prologue: it reads no
+        column and is not a leaf every function names directly."""
+        if isinstance(node, (E.Const, E.NProcs, E.ProcIndex)):
+            return False
+        if isinstance(node, (E.Neigh, E.Own)) and isinstance(node.arg, E.ProcIndex):
+            return False
+        return not self.signature(node)
+
+    # -- rewrites ------------------------------------------------------
+    def rewrite(self, node, rule, memo: dict):
+        """``node`` with ``rule`` applied bottom-up at every node (one
+        result per structural key)."""
+        key = self.key(node)
+        got = memo.get(key)
+        if got is None:
+            fields = {
+                slot: self.rewrite(value, rule, memo)
+                for slot in type(node).__slots__
+                if isinstance(value := getattr(node, slot), E.Expr)
+            }
+            if any(new is not getattr(node, slot) for slot, new in fields.items()):
+                rebuilt = object.__new__(type(node))
+                rebuilt.space = node.space
+                for slot in type(node).__slots__:
+                    setattr(rebuilt, slot, fields.get(slot, getattr(node, slot)))
+                node = rebuilt
+            got = memo[key] = rule(node)
+        return got
+
+    def fold_first(self, node):
+        """``Reduce(min|max, Neigh(v), where=Neigh(m), default=identity)``
+        → ``Reduce(min|max, Neigh(where(m, v, identity)))``: the mask is
+        applied per process, before the one gather."""
+        if not (isinstance(node, E.Reduce) and node.kind in _IDENTITY
+                and node.default == _IDENTITY[node.kind]
+                and isinstance(node.value, E.Neigh)
+                and isinstance(node.where, E.Neigh)
+                and node.value.arg.space == node.where.arg.space == E.PROC
+                # bool or int64 values (no int8 enum code reaches them)
+                # fold with the int64 identity
+                and not self.signature(node.value.arg) & self._enums):
+            return node
+        folded = E.Where(node.where.arg, node.value.arg, E.Const(node.default))
+        return E.Reduce(node.kind, E.Neigh(folded), None, node.default)
+
+    def sinker(self, roots):
+        """The rule ``Neigh(x) <op> Const`` → ``Neigh(x <op> Const)``
+        for gathers ``roots`` read nowhere else."""
+        parents: dict[int, int] = {}
+        seen: set[int] = set()
+        stack = list(roots)
+        while stack:
+            node = stack.pop()
+            key = self.key(node)
+            if key in seen:
+                continue
+            seen.add(key)
+            for child in _children(node):
+                ckey = self.key(child)
+                parents[ckey] = parents.get(ckey, 0) + 1
+                stack.append(child)
+
+        def sink(node):
+            if not isinstance(node, E.BinOp):
+                return node
+            a, b = node.a, node.b
+            for gather, other in ((a, b), (b, a)):
+                if (isinstance(gather, E.Neigh) and isinstance(other, E.Const)
+                        and gather.arg.space == E.PROC
+                        and parents.get(self.key(gather)) == 1):
+                    x = gather.arg
+                    return E.Neigh(E.BinOp(node.op, x, other) if gather is a
+                                   else E.BinOp(node.op, other, x))
+            return node
+
+        return sink
+
+
+def _children(node):
+    """``node``'s operand expressions."""
+    return [value for slot in type(node).__slots__
+            if isinstance(value := getattr(node, slot), E.Expr)]
+
 
 def _trigger_test(fn: _Fn, trigger: E.Expr) -> str:
     """Whole-system fast-path test.  ``Col == 0`` specializes to the
@@ -381,48 +669,97 @@ def _trigger_test(fn: _Fn, trigger: E.Expr) -> str:
 
 class _KernelCode:
     """The exec'd output of :func:`compile_rule_set`, shared by every
-    program (base and tiled) bound from one rule set."""
+    program (base and tiled) bound from one rule set.
 
-    __slots__ = ("eval_fn", "apply_fns", "source")
+    ``writes`` maps each rule to the bitmask of the columns its action
+    assigns, ``bits`` each column to its bit; ``stretches``/``slots``
+    size a :class:`Memo`."""
 
-    def __init__(self, eval_fn, apply_fns, source):
+    __slots__ = ("eval_fn", "apply_fns", "bind_fn", "source", "bits",
+                 "writes", "stretches", "slots")
+
+    def __init__(self, eval_fn, apply_fns, bind_fn, source, bits, writes,
+                 stretches, slots):
         self.eval_fn = eval_fn
         self.apply_fns = apply_fns
+        self.bind_fn = bind_fn
         self.source = source
+        self.bits = bits
+        self.writes = writes
+        self.stretches = stretches
+        self.slots = slots
 
 
 def compile_rule_set(rule_set) -> _KernelCode:
     """Generate and exec the numpy functions for one rule set."""
     comp = _Compiler(rule_set)
+    binder = _Fn(comp, "bind", ("C",), None)
 
-    guard = _Fn(comp, "evaluate", ("cols", "C"), "cols")
-    predicates = rule_set.predicates
+    # Rewrite every guard-side root at once, so the sinking rule sees
+    # every use of a gather.
+    predicates = dict(rule_set.predicates)
+    guards = {rule.label: rule.guard for rule in rule_set.rules}
     fast = rule_set.fast_path
+    roots = [*predicates.values(), *guards.values()]
     if fast is not None:
-        guard.line(f"if {_trigger_test(guard, fast.trigger)}:")
-        guard.begin_block(fast.trigger)
-        guard.emit_masks_return(fast.guards, predicates)
+        roots += [fast.trigger, *fast.guards.values()]
+    folds: dict = {}
+    sink = comp.sinker(roots)
+    sunk: dict = {}
+
+    def guard_side(node):
+        return comp.rewrite(comp.rewrite(node, sink, sunk), comp.fold_first, folds)
+
+    predicates = {name: guard_side(e) for name, e in predicates.items()}
+    guards = {label: guard_side(e) for label, e in guards.items()}
+
+    guard = _Fn(comp, "evaluate", ("cols", "C", "M"), "cols", binder)
+    guard.open_stretch()
+    if fast is not None:
+        trigger = guard_side(fast.trigger)
+        guard.line(f"if {_trigger_test(guard, trigger)}:")
+        guard.begin_block(trigger)
+        guard.open_stretch()
+        guard.emit_masks_return(
+            {label: guard_side(e) for label, e in fast.guards.items()},
+            predicates,
+        )
         guard.end_block()
-    guard.emit_masks_return(
-        {rule.label: rule.guard for rule in rule_set.rules}, predicates
-    )
+        guard.open_stretch()
+    guard.emit_masks_return(guards, predicates)
     comp.fns.append(guard)
 
     apply_names = {}
+    writes = {}
     for i, rule in enumerate(rule_set.rules):
-        fn = _Fn(comp, f"apply_{i}", ("idx", "read", "write", "C"), "read")
+        fn = _Fn(comp, f"apply_{i}", ("idx", "read", "write", "C"), "read",
+                 binder)
+        mask = 0
         for assign in rule.action:
-            fn.emit_assign(assign)
+            fn.emit_assign(
+                assign.var, comp.rewrite(assign.value, comp.fold_first, folds),
+                None if assign.where is None
+                else comp.rewrite(assign.where, comp.fold_first, folds),
+            )
+            mask |= comp.bit(assign.var)
         comp.fns.append(fn)
         apply_names[rule.label] = fn.name
+        writes[rule.label] = mask
 
-    source = "\n\n".join(fn.render() for fn in comp.fns)
+    source = "\n\n".join(
+        fn.render(binder.exports) for fn in [binder, *comp.fns]
+    )
     ns = {"np": np}
     exec(compile(source, f"<repro.ir:{rule_set.name}>", "exec"), ns)
     return _KernelCode(
         eval_fn=ns["evaluate"],
         apply_fns={label: ns[fname] for label, fname in apply_names.items()},
+        bind_fn=ns["bind"],
         source=source,
+        bits=dict(comp._bits),
+        writes=writes,
+        stretches=len(guard.stretches),
+        slots=guard.slots,
     )
 
 
@@ -454,18 +791,28 @@ class IRKernelProgram:
     predicates:
         Names of the declared predicates, the keys of :meth:`evaluate`'s
         second dict.
+    bits:
+        Column name → its :class:`Memo` bit.
+    rule_writes:
+        Per rule (in :attr:`rules` order), the bitmask of the columns its
+        action assigns.
     """
 
     def __init__(self, rule_set, csr, params):
         self.rule_set = rule_set
-        self._code = rule_set.kernel_code()
+        self._code = code = rule_set.kernel_code()
         self.csr = csr
         self.schema = rule_set.schema
         self.rules = rule_set.rule_labels
         self.predicates = tuple(rule_set.predicates)
+        self.bits = code.bits
+        self.rule_writes = tuple(code.writes[rule] for rule in self.rules)
         #: Param name → the bound read-only per-process array.
         self._params = params
         self._arange = self._ones = None
+        #: What the generated ``bind`` computed, and the CSR ``indices``
+        #: it computed it for (rewiring replaces them).
+        self._bound = self._bound_ix = None
 
     # -- generated-code services ---------------------------------------
     @property
@@ -483,21 +830,39 @@ class IRKernelProgram:
             self._ones.setflags(write=False)
         return self._ones
 
+    def _rebind(self) -> None:
+        """Run the bind prologue for the current CSR."""
+        self._bound_ix = self.csr.indices
+        self._bound = self._code.bind_fn(self)
+
     # -- program contract ----------------------------------------------
+    def memo(self) -> Memo:
+        """A fresh guard memo for :meth:`evaluate` (everything dirty)."""
+        return Memo(self._code.stretches, self._code.slots)
+
     def guard_masks(self, cols):
         """Boolean enabled-mask per rule, evaluated on every process.
 
         A rule whose guard is everywhere false may be omitted (the fast
         path does): consumers read a missing key as an all-false mask.
         """
-        return self._code.eval_fn(cols, self)[0]
+        return self.evaluate(cols)[0]
 
-    def evaluate(self, cols):
+    def evaluate(self, cols, memo: Memo | None = None):
         """``(guard masks, predicate masks)`` of one configuration, from
         one generated function: the :meth:`guard_masks` dict, and every
         declared predicate's per-process mask by name (never ANDed with
-        anything)."""
-        return self._code.eval_fn(cols, self)
+        anything).
+
+        With a ``memo`` (:meth:`memo`) whose marks name every column
+        written since its last evaluation on this program, only the
+        signature blocks those columns reach are recomputed; the
+        returned arrays may then be the previous call's, so callers must
+        not write into them.
+        """
+        if self._bound_ix is not self.csr.indices:
+            self._rebind()
+        return self._code.eval_fn(cols, self, memo or self.memo())
 
     def apply(self, rule, idx, read, write):
         """Execute ``rule`` at the processes in ``idx``: reads come from
@@ -508,6 +873,8 @@ class IRKernelProgram:
             raise AlgorithmError(
                 f"{self.rule_set.name}: unknown rule {rule!r}"
             ) from None
+        if self._bound_ix is not self.csr.indices:
+            self._rebind()
         fn(idx, read, write, self)
 
     def tiled(self, copies):

@@ -170,9 +170,9 @@ class TestRolloutsLeaveTheRuntime:
             made.append(make(program, cols, selection))  # alive: ids unique
             return made[-1]
 
-        def counted_evaluate(self, cols):
+        def counted_evaluate(self, cols, memo=None):
             evaluated.append(id(cols))
-            return evaluate(self, cols)
+            return evaluate(self, cols, memo)
 
         def counted_guard_masks(self, cols):
             guarded.append(id(cols))

@@ -150,3 +150,37 @@ class TestTraceIsAProbe:
         assert kernel.records == reference.records
         assert [c.snapshot() for c in kernel.configurations] == \
             [c.snapshot() for c in reference.configurations]
+
+
+class TestTraceUnderDisturbances:
+    @pytest.mark.parametrize("backend", ["dict", "kernel"])
+    def test_pairs_hold_each_steps_real_configurations(self, backend):
+        """Faults landing between steps: each ``pairs()`` triple holds the
+        configuration its step ran from and the one it produced, so the
+        processes enabled there are the record's ``enabled_before`` and
+        ``enabled_after``."""
+        sdr = SDR(Unison(ring(8)))
+        trace = Trace(record_configurations=True)
+        sim = Simulator(sdr, DistributedRandomDaemon(0.5), seed=1,
+                        backend=backend, probes=[trace],
+                        faults="burst=10,count=2,gap=20,k=3")
+        sim.run(max_steps=200)
+        assert len(trace._produced) == 2  # both bursts landed mid-run
+        for pre, record, post in trace.pairs():
+            assert tuple(sdr.enabled_processes(pre)) == record.enabled_before
+            assert tuple(sdr.enabled_processes(post)) == record.enabled_after
+        # The run ends on the last snapshot.
+        assert trace.configuration(len(trace)).snapshot() == sim.cfg.snapshot()
+
+    def test_dict_and_kernel_traces_agree_under_faults(self):
+        sdr = SDR(Unison(ring(8)))
+
+        def traced(backend):
+            trace = Trace(record_configurations=True)
+            Simulator(sdr, DistributedRandomDaemon(0.5), seed=1,
+                      backend=backend, probes=[trace],
+                      faults="burst=10,count=2,gap=20,k=3").run(max_steps=200)
+            return [(pre.snapshot(), record, post.snapshot())
+                    for pre, record, post in trace.pairs()]
+
+        assert traced("kernel") == traced("dict")

@@ -352,6 +352,52 @@ def test_guard_masks_match_dict_guards():
         assert list(tmask[t * n:(t + 1) * n]) == expected
 
 
+def test_guards_with_rewritten_terms_match_dict_guards_on_every_layout():
+    """A masked fold whose default is the int64 identity (lowered as one
+    process-space ``where``, gather and unmasked fold), a sunk
+    ``Neigh(x) <op> Const`` and a param-only neighbourhood term (bind
+    prologue, recomputed when the CSR is rewired) agree with the dict
+    guards — also after the kernel's CSR lost edges under it."""
+    big = 2**63 - 1
+    schema = Schema(Var.int(X), Var.bool(Y), Var.opt_index(PTR), Var.int(OUT))
+    guard = (
+        (min_over_neighbors(neigh(col(X)), where=neigh(col(Y)), default=big)
+         < col(X))
+        | (max_over_neighbors(neigh(col(X) * 2), where=neigh(~col(Y)),
+                              default=-big - 1) > 7)
+        | all_neighbors(neigh(col(X)) % 3 == 1)
+    )
+    # Reads no column: computed by the bind prologue.
+    sees_isolated = any_neighbors(neigh(param("p")) == ISOLATED)
+    rule_set = RuleSet("rewrite-test", schema, [
+        Rule("r", guard, [Assign(OUT, 1)]),
+        Rule("q", sees_isolated, [Assign(OUT, 2)]),
+    ])
+    source = rule_set.kernel_code().source
+    assert "min_neigh(" in source and ", None, 9223372036854775807)" in source
+    for name, net, drops in layouts():
+        params = {"p": list(range(net.n))}
+        kernel = rule_set.compile_kernel(net, params)
+        cfg = configuration(net, seed=2)
+        cols = kernel.schema.encode(cfg)
+        kernel.guard_masks(cols)  # bind for the full layout first
+        if drops:
+            net.apply_delta(drops, [])
+            kernel.csr.apply_delta(drops, [])
+        dict_program = rule_set.compile_dict(net, params)
+        masks = kernel.guard_masks(cols)
+        for rule in ("r", "q"):
+            expected = [dict_program.guard(rule, cfg, u) for u in net.processes()]
+            assert list(masks[rule]) == expected, (name, rule)
+
+
+def test_masked_folds_with_identity_defaults():
+    lowerings(min_over_neighbors(neigh(col(X)), where=neigh(col(Y)),
+                                 default=2**63 - 1))
+    lowerings(max_over_neighbors(neigh(col(X) - 3), where=neigh(~col(Y)),
+                                 default=-2**63))
+
+
 def test_lifted_scalars_fold_as_constant_edge_vectors():
     # A constant-true flag counts the degree; a lifted constant is the
     # fold of any non-empty neighbourhood.

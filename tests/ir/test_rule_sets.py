@@ -26,7 +26,12 @@ from repro.ir import (
     merge_rule_sets,
     param,
 )
-from repro.ir.check import check_algorithm, main, run_check
+from repro.ir.check import (
+    check_algorithm,
+    check_bind_prologue,
+    main,
+    run_check,
+)
 from repro.ir.registry import registered_algorithms
 from repro.topology import ring
 
@@ -354,6 +359,36 @@ def test_check_flags_guard_drift():
 
     problems = check_algorithm("drifted", Drifted(by_name("ring", 6)))
     assert problems and any("guard" in p for p in problems)
+
+
+def test_check_flags_a_stale_memo(monkeypatch):
+    """A rule whose write set misses a column it assigns leaves the
+    memoised ``evaluate`` stale: the lint's memo replay says so."""
+    label, factory = next(
+        (label, f) for label, f in registered_algorithms("ring")
+        if label == "sdr(unison)"
+    )
+    algorithm = factory()
+    code = algorithm.rule_set().kernel_code()
+    monkeypatch.setitem(code.writes, "rule_U", 0)
+    problems = check_algorithm(label, algorithm)
+    assert any("memoised" in p for p in problems)
+
+
+def test_check_flags_params_read_outside_the_bind_prologue(monkeypatch):
+    label, factory = next(
+        (label, f) for label, f in registered_algorithms("ring")
+        if label == "sdr(fga)"
+    )
+    algorithm = factory()
+    code = algorithm.rule_set().kernel_code()
+    assert check_bind_prologue(label, algorithm.rule_set()) == []
+    monkeypatch.setattr(code, "source", code.source.replace(
+        "def apply_0(idx, read, write, C):",
+        "def apply_0(idx, read, write, C):\n    _f = C._params['f']",
+    ))
+    problems = check_bind_prologue(label, algorithm.rule_set())
+    assert problems and "apply_0" in problems[0]
 
 
 def test_check_flags_action_drift():

@@ -94,31 +94,35 @@ def test_evaluate_predicates_match_dict_and_hand_written_twins(
 # ----------------------------------------------------------------------
 _TEMP = re.compile(r"^( +)(_t\d+) = (.*)$")
 _REF = re.compile(r"_t\d+")
+_BOUND = re.compile(r"^ +(.*) = C\._bound$")
 
 
 def _paths(function: str) -> list[list[tuple[str, str]]]:
     """The temp assignments ``(name, rhs)`` along each execution path of
     one generated function: the general path, and the fast-path block
-    (which also sees the temps assigned before its ``if``)."""
+    (which also sees the temps assigned before its ``if``).  Names
+    unpacked from the bind prologue are distinct inputs; signature
+    blocks (``if _d & …``) and their memo reads are on every path."""
     prefix: list = []
     block: list = []
     general: list = []
-    seen_if = False
+    where = prefix
     for line in function.splitlines()[1:]:
         stripped = line.strip()
-        if stripped.startswith("if "):
-            seen_if = True
+        if line.startswith("    if ") and not stripped.startswith("if _d "):
+            where = block  # the fast-path test
+            continue
+        if where is block and stripped.startswith("return "):
+            where = general
+            continue
+        bound = _BOUND.match(line)
+        if bound is not None:
+            names = [n.strip() for n in bound.group(1).split(",") if n.strip()]
+            prefix += [(name, f"C._bound[{i}]") for i, name in enumerate(names)]
             continue
         match = _TEMP.match(line)
-        if match is None:
-            continue
-        indent, name, rhs = match.groups()
-        if len(indent) > 4:
-            block.append((name, rhs))
-        elif seen_if:
-            general.append((name, rhs))
-        else:
-            prefix.append((name, rhs))
+        if match is not None:
+            where.append(match.groups()[1:])
     paths = [prefix + general]
     if block:
         paths.append(prefix + block)
@@ -174,8 +178,8 @@ def test_ir_check_flags_a_predicate_mismatch(monkeypatch):
     assert check_algorithm(label, factory()) == []
     honest = IRKernelProgram.evaluate
 
-    def drifted(self, cols):
-        masks, preds = honest(self, cols)
+    def drifted(self, cols, memo=None):
+        masks, preds = honest(self, cols, memo)
         return masks, {name: ~mask for name, mask in preds.items()}
 
     monkeypatch.setattr(IRKernelProgram, "evaluate", drifted)
