@@ -16,8 +16,8 @@ tightened curves instead of unexercised upper bounds:
   lookahead) and :class:`BeamAdversary` (width-W beam over bounded
   rollouts), both rolling out on column dicts of their own — the
   kernel runtime is only read — and adapted into the daemon contract
-  by :class:`SearchDaemon` (kernel backend only; ``adversarial:delay``
-  runs on both);
+  by :class:`SearchDaemon` (kernel backend only; the scored ``delay``
+  strategy runs on both);
 * :mod:`repro.adversary.certificates` — every search emits a replayable
   schedule certificate that :class:`~repro.core.daemon.ScriptedDaemon`
   re-executes byte-identically on the dict backend.

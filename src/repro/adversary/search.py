@@ -21,7 +21,7 @@ liveness but never writes them — only the driver advances the runtime.
 unchanged.  It reaches the runtime through the simulator's lazy config
 view, so a column-tier strategy needs the kernel backend and raises
 :class:`~repro.core.exceptions.DaemonError` without one.  The scored
-heuristic (``adversarial:delay``, a :class:`ScoredStrategy` selecting
+heuristic (``adversary=delay``, a :class:`ScoredStrategy` selecting
 through :class:`AdversarialDaemon`) reads only the configuration and
 runs the same schedule on both backends.  Every selection is logged so
 :mod:`repro.adversary.certificates` can emit a replayable certificate.
@@ -320,7 +320,7 @@ class ScoredStrategy(SearchStrategy):
     """A pure scored heuristic wrapped as a strategy (no column tier).
 
     Identical on every backend: the score function only reads the
-    decoded configuration, so ``adversarial:delay`` produces the same
+    decoded configuration, so the ``delay`` strategy produces the same
     schedule on the dict and kernel backends.
     """
 
@@ -431,11 +431,10 @@ def known_strategy(spec: str | None) -> bool:
     return True
 
 
-def make_search_daemon(spec: str | None = None, network=None) -> SearchDaemon:
-    """Instantiate ``adversarial:<spec>`` (default strategy: greedy).
+def make_search_daemon(spec: str | None = None) -> SearchDaemon:
+    """The search daemon for strategy ``spec`` (default: greedy).
 
-    ``network`` is accepted for signature compatibility with
-    :func:`repro.core.daemon.make_daemon`; searches read topology from
-    the kernel program's CSR adjacency instead.
+    Searches read topology from the kernel program's CSR adjacency, so
+    no network is needed.
     """
     return SearchDaemon(_parse_strategy(spec))

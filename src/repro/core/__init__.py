@@ -16,7 +16,6 @@ from .daemon import (
     ScriptedDaemon,
     SynchronousDaemon,
     WeaklyFairDaemon,
-    daemon_kind_known,
     make_daemon,
 )
 from .detectors import measure_stabilization
@@ -48,7 +47,6 @@ __all__ = [
     "WeaklyFairDaemon",
     "ScriptedDaemon",
     "make_daemon",
-    "daemon_kind_known",
     "measure_stabilization",
     "Network",
     "RoundCounter",

@@ -16,12 +16,9 @@ exists to drive benchmarks toward interesting corners of that ∀-quantifier:
 * :class:`ScriptedDaemon` — exact replay for unit tests (and the replay
   vehicle of adversarial schedule certificates).
 
-The greedy scored ``AdversarialDaemon`` lives in
-:mod:`repro.adversary.search`, where it selects for the scored
-``adversarial:delay`` search.  :func:`make_daemon` accepts ``adversarial`` and
-``adversarial:<strategy>`` (e.g. ``adversarial:greedy``,
-``adversarial:beam-2x2``, ``adversarial:delay``) and builds the search
-daemon lazily.
+Schedule searches are not zoo daemons: they live in
+:mod:`repro.adversary.search` and reach a trial through its
+``adversary=<strategy>`` param, never through :func:`make_daemon`.
 
 All daemons honor the contract checked by the simulator: return a non-empty
 subset of the enabled processes, each mapped to one of its enabled rules.
@@ -46,7 +43,6 @@ __all__ = [
     "ScriptedDaemon",
     "DAEMON_KINDS",
     "make_daemon",
-    "daemon_kind_known",
 ]
 
 EnabledMap = Mapping[int, tuple[str, ...]]
@@ -260,41 +256,15 @@ _FACTORIES = {
 
 
 #: Daemon names :func:`make_daemon` accepts (for up-front CLI validation).
-#: ``adversarial`` additionally takes a ``:<strategy>`` suffix.
-DAEMON_KINDS = tuple(sorted((*_FACTORIES, "adversarial")))
+DAEMON_KINDS = tuple(sorted(_FACTORIES))
 
 
 def make_daemon(kind: str, network=None) -> Daemon:
-    """Instantiate a daemon by name (used by the experiment harness).
-
-    ``kind`` may carry a ``:<argument>`` suffix; only ``adversarial``
-    accepts one (the search-strategy spec, default ``greedy``), resolved
-    lazily through :func:`repro.adversary.search.make_search_daemon`.
-    """
-    name, _, arg = kind.partition(":")
-    if name == "adversarial":
-        from ..adversary.search import make_search_daemon
-
-        return make_search_daemon(arg or None, network)
-    if arg:
-        raise DaemonError(
-            f"daemon {name!r} takes no {arg!r} argument "
-            "(only 'adversarial:<strategy>' is parameterized)"
-        )
+    """Instantiate a zoo daemon by name (used by the experiment harness)."""
     try:
         factory = _FACTORIES[kind]
     except KeyError:
         raise DaemonError(
-            f"unknown daemon {kind!r}; choose from {sorted(DAEMON_KINDS)}"
+            f"unknown daemon {kind!r}; choose from {list(DAEMON_KINDS)}"
         ) from None
     return factory(network)
-
-
-def daemon_kind_known(kind: str) -> bool:
-    """Whether :func:`make_daemon` would accept ``kind`` (CLI validation)."""
-    name, _, arg = kind.partition(":")
-    if name == "adversarial":
-        from ..adversary.search import known_strategy
-
-        return known_strategy(arg or None)
-    return not arg and name in _FACTORIES

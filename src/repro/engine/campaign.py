@@ -21,11 +21,11 @@ from .seeds import derive_seed
 __all__ = ["TrialSpec", "Campaign"]
 
 #: Params that select *how* a trial executes, not *what* it measures —
-#: excluded from the canonical key (and hence from seed derivation), so
-#: e.g. ``backend=kernel`` and ``backend=dict`` runs of one grid (or
-#: ``probe=auto`` and ``probe=decode`` measurement tiers) produce
-#: identical records and deduplicate against each other on resume.
-EXECUTION_OPTIONS = frozenset({"backend", "probe"})
+#: excluded from the canonical key (and hence from seed derivation) and
+#: from the rendered record, so ``backend=kernel`` and ``backend=dict``
+#: runs of one grid write byte-identical records and deduplicate against
+#: each other on resume.
+EXECUTION_OPTIONS = frozenset({"backend"})
 
 
 def _freeze_params(params: Mapping[str, Any] | Iterable[tuple[str, Any]] | None) -> tuple[tuple[str, Any], ...]:
@@ -78,7 +78,7 @@ class TrialSpec:
         if include_trial:
             parts.append(f"trial={self.trial}")
         parts.append(f"topology_seed={self.topology_seed}")
-        measured = [(k, v) for k, v in self.params if k not in EXECUTION_OPTIONS]
+        measured = self._measured_params()
         if measured:
             rendered = ",".join(f"{k}:{v}" for k, v in measured)
             parts.append(f"params={rendered}")
@@ -106,8 +106,16 @@ class TrialSpec:
         """The extra params as a plain dict (for ``**`` expansion)."""
         return dict(self.params)
 
+    def _measured_params(self) -> list[tuple[str, Any]]:
+        """The params that shape the measurement: all but the execution
+        options (:data:`EXECUTION_OPTIONS`)."""
+        return [(k, v) for k, v in self.params if k not in EXECUTION_OPTIONS]
+
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
+        """The spec as a store record renders it: execution options are
+        dropped, as from :meth:`key`, so a record never depends on the
+        engine that produced it."""
         return {
             "algorithm": self.algorithm,
             "topology": self.topology,
@@ -116,7 +124,7 @@ class TrialSpec:
             "daemon": self.daemon,
             "trial": self.trial,
             "topology_seed": self.topology_seed,
-            "params": dict(self.params),
+            "params": dict(self._measured_params()),
         }
 
     @classmethod

@@ -340,10 +340,9 @@ def _supervised_worker(conn, args) -> None:
 def _dict_fallback(spec: TrialSpec) -> TrialSpec:
     """The same trial pinned to the dict reference engine.
 
-    ``backend`` is an execution option: excluded from the trial key, so
-    the dict-tier record is byte-identical to what the kernel tier would
-    have produced.  The decoded measurement tier rides along implicitly
-    (the dict engine never fuses).
+    ``backend`` is an execution option: excluded from the trial key and
+    from the rendered spec, so the dict-tier record is byte-identical to
+    the kernel tier's.
     """
     params = tuple(
         (k, v) for k, v in spec.params if k != "backend"

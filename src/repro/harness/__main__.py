@@ -26,13 +26,13 @@ hash).  Wall-clock data lives only in the sidecars; store records stay
 byte-identical with telemetry on or off.
 
 ``--backend {auto,dict,kernel}`` selects the simulator execution engine
-for every trial (array kernel vs dict reference); ``--probe {auto,decode}``
-selects the measurement tier (``auto`` measures on vectorized masks,
-``decode`` through decode-tier probes served per step).  Measured
-moves/rounds/steps are independent of both; only wall time differs.
+for every trial (array kernel vs dict reference).  It is an execution
+option: trial keys and stored records never name it, so a ``--backend
+dict`` store is byte-identical to the default one; only wall time
+differs.
 
 ``--faults SPEC`` attaches a deterministic fault schedule (see
-:mod:`repro.faults.schedule`) to every trial — unlike backend/probe it
+:mod:`repro.faults.schedule`) to every trial — unlike backend it
 *changes* what is measured, so it is part of each trial's key.
 ``--churn SPEC`` does the same for topology churn (see
 :mod:`repro.faults.churn`): links drop/appear and processes crash/rejoin
@@ -40,7 +40,8 @@ mid-run; churn cells always execute serially (never batched).
 ``--adversary STRATEGY`` replaces every trial's daemon with an
 adversarial schedule search (:mod:`repro.adversary`) — also part of the
 trial key; adversary cells run serially on the kernel backend and every
-found schedule is replay-verified on the dict backend.
+found schedule is replay-verified on the dict backend.  It is the only
+way to schedule by search: the ``daemon`` axis takes zoo daemons only.
 Without a failure policy the first failing trial (a dead worker
 process included) ends the sweep with ``error: ...``, exit status 1.
 ``--trial-timeout`` / ``--max-retries`` set one
@@ -83,7 +84,7 @@ def _parse_scalar(text: str):
 
 
 def _build_campaign(args):
-    from ..core.daemon import DAEMON_KINDS, daemon_kind_known
+    from ..core.daemon import DAEMON_KINDS
     from ..engine import Campaign
     from ..topology import TOPOLOGIES
 
@@ -111,11 +112,11 @@ def _build_campaign(args):
         raise ValueError(
             f"unknown topology(ies) {unknown}; choose from {sorted(TOPOLOGIES)}"
         )
-    unknown = [d for d in axes.get("daemons", ()) if not daemon_kind_known(d)]
+    unknown = [d for d in axes.get("daemons", ()) if d not in DAEMON_KINDS]
     if unknown:
         raise ValueError(
             f"unknown daemon(s) {unknown}; choose from {list(DAEMON_KINDS)} "
-            "(adversarial takes an optional ':<strategy>' suffix)"
+            "(schedule searches are --adversary STRATEGY)"
         )
     params: dict[str, object] = {}
     for entry in args.param:
@@ -125,8 +126,6 @@ def _build_campaign(args):
         params[key.strip()] = _parse_scalar(value)  # last --param wins
     if getattr(args, "backend", None):
         params["backend"] = args.backend
-    if getattr(args, "probe", None):
-        params["probe"] = args.probe
     if getattr(args, "faults", None):
         # Validate the schedule grammar before any trial runs.  The spec
         # is stored verbatim (not canonicalized): it changes measured
@@ -229,11 +228,6 @@ def run_sweep(argv: list[str]) -> int:
     parser.add_argument("--backend", default=None, choices=("auto", "dict", "kernel"),
                         help="simulator execution backend for every trial "
                              "(default: auto — array kernel when available)")
-    parser.add_argument("--probe", default=None, metavar="MODE",
-                        help="measurement tier: auto (vectorized "
-                             "legitimacy mask) or decode (decode-tier "
-                             "probes served per step); stored results are "
-                             "identical for both")
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help="fault schedule injected mid-run into every "
                              "trial, e.g. 'burst=50,count=3,gap=100,k=2,"
@@ -278,12 +272,8 @@ def run_sweep(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     from ..engine import FailurePolicy, ResultStore, run_campaign, summary_table
-    from .runner import _check_probe_mode
 
     try:
-        if args.probe is not None:
-            # Rejected here, before any trial runs, not from a worker.
-            _check_probe_mode(args.probe)
         campaign = _build_campaign(args)
         policy = None
         if args.trial_timeout is not None or args.max_retries is not None:

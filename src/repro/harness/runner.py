@@ -230,22 +230,6 @@ def scenario_start(algorithm: str, scenario: str) -> StartFn:
 
 
 # ----------------------------------------------------------------------
-# Execution options
-# ----------------------------------------------------------------------
-#: Values of the trial runners' ``probe`` execution option: the
-#: measurement tier (``"auto"`` reads the rule set's vectorized
-#: legitimacy mask, ``"decode"`` evaluates the predicate per decoded step).
-PROBE_MODES = ("auto", "decode")
-
-
-def _check_probe_mode(probe: str) -> None:
-    if probe not in PROBE_MODES:
-        raise ValueError(
-            f"unknown probe mode {probe!r}; choose from {PROBE_MODES}"
-        )
-
-
-# ----------------------------------------------------------------------
 # The shared pipeline pieces
 # ----------------------------------------------------------------------
 class _Disturbances:
@@ -260,8 +244,7 @@ class _Disturbances:
     SDR compositions also count reset waves.
     """
 
-    def __init__(self, entry: AlgorithmEntry, algo, seed: int, faults, churn,
-                 probe: str = "auto"):
+    def __init__(self, entry: AlgorithmEntry, algo, seed: int, faults, churn):
         self.fault_sched = parse_schedule(faults) if faults is not None else None
         self.churn_sched = parse_churn(churn) if churn is not None else None
         self.faults = self.churn = None
@@ -276,7 +259,7 @@ class _Disturbances:
         terminal = entry.legitimacy is None
         self.recovery = RecoveryProbe(
             None if terminal else getattr(algo, predicate),
-            mask=mask if probe != "decode" else None,
+            mask=mask,
             terminal=terminal,
             expected=self.total,
             stop=self.finite and not terminal,
@@ -321,8 +304,7 @@ class _Disturbances:
         return out
 
 
-def _trial_probes(entry: AlgorithmEntry, algo, seed: int, faults, churn,
-                  probe: str):
+def _trial_probes(entry: AlgorithmEntry, algo, seed: int, faults, churn):
     """One trial's probes, the same on the serial and batched paths:
     ``(kit, measure, probes)``.
 
@@ -334,15 +316,12 @@ def _trial_probes(entry: AlgorithmEntry, algo, seed: int, faults, churn,
     kit = measure = None
     probes = []
     if faults is not None or churn is not None:
-        kit = _Disturbances(entry, algo, seed, faults, churn, probe)
+        kit = _Disturbances(entry, algo, seed, faults, churn)
         probes = kit.probes
     elif entry.legitimacy is not None:
         mask, predicate = entry.legitimacy
-        measure = StabilizationProbe(
-            getattr(algo, predicate),
-            mask=mask if probe != "decode" else None,
-            name=mask,
-        )
+        measure = StabilizationProbe(getattr(algo, predicate), mask=mask,
+                                     name=mask)
         probes = [measure]
     return kit, measure, probes
 
@@ -401,7 +380,7 @@ def _record(entry: AlgorithmEntry, scenario: str, daemon: str, seed: int,
 # Adversarial schedule search (the ``adversary`` trial param)
 # ----------------------------------------------------------------------
 def _adversary_daemon(adversary: str, daemon, backend: str, faults, churn,
-                      network: Network, stop_mask: str | None = None):
+                      stop_mask: str | None = None):
     """Validate an ``adversary=`` trial and build its search daemon.
 
     The adversary *is* the scheduler, so it replaces the daemon (which
@@ -429,7 +408,7 @@ def _adversary_daemon(adversary: str, daemon, backend: str, faults, churn,
             "adversary search requires the kernel backend; replay its "
             "certificate on the dict backend instead (done automatically)"
         )
-    search = make_search_daemon(adversary, network)
+    search = make_search_daemon(adversary)
     search.strategy.stop_mask = stop_mask
     return search, "kernel"
 
@@ -494,7 +473,6 @@ def run_network_trial(
     scenario: str = "random",
     max_steps: int | None = None,
     backend: str = "auto",
-    probe: str = "auto",
     faults=None,
     churn=None,
     adversary: str | None = None,
@@ -506,9 +484,8 @@ def run_network_trial(
     — ``period``/``alpha`` for the unisons, ``instance`` for FGA (a name
     or an ``(f, g)`` pair) — started from ``scenario``, and run until
     legitimate (or terminal) within ``max_steps`` (default: the entry's).
-    ``backend`` picks the engine and ``probe`` the measurement tier
-    (``"auto"`` fused, ``"decode"`` per-step); records never depend on
-    either.  ``faults`` and/or ``churn``
+    ``backend`` picks the engine; records never depend on it.
+    ``faults`` and/or ``churn``
     (schedule specs or objects) switch to the recovery workload: a finite
     schedule must be absorbed within ``max_steps`` and the per-burst
     series lands in ``Trial.extra``.  ``adversary`` (``greedy``,
@@ -517,19 +494,18 @@ def run_network_trial(
     ``Trial.extra["adversary"]`` lands.
     """
     entry = _entry(algorithm)
-    _check_probe_mode(probe)
     return _run_built(
         entry, algorithm, network, entry.build(network, **params),
         _topology(network), seed=seed, daemon=daemon, scenario=scenario,
-        max_steps=max_steps, backend=backend, probe=probe, faults=faults,
-        churn=churn, adversary=adversary,
+        max_steps=max_steps, backend=backend, faults=faults, churn=churn,
+        adversary=adversary,
     )
 
 
 def _run_built(entry: AlgorithmEntry, algorithm: str, network: Network, algo,
                topology: tuple, *, seed: int, daemon, scenario: str,
                max_steps: int | None = None, backend: str = "auto",
-               probe: str = "auto", faults=None, churn=None,
+               faults=None, churn=None,
                adversary: str | None = None) -> Trial:
     """:func:`run_network_trial` past the build: run ``algo`` (built by
     ``entry`` on ``network``, whose :func:`_topology` is ``topology``);
@@ -539,11 +515,9 @@ def _run_built(entry: AlgorithmEntry, algorithm: str, network: Network, algo,
         max_steps = entry.max_steps
     if adversary is not None:
         daemon, backend = _adversary_daemon(
-            adversary, daemon, backend, faults, churn, network,
-            stop_mask=entry.mask,
+            adversary, daemon, backend, faults, churn, stop_mask=entry.mask,
         )
-    kit, measure, probes = _trial_probes(entry, algo, seed, faults, churn,
-                                         probe)
+    kit, measure, probes = _trial_probes(entry, algo, seed, faults, churn)
     if not isinstance(daemon, Daemon):
         daemon = make_daemon(daemon, network)
     sim = Simulator(algo, daemon, config=cfg, seed=seed,
@@ -579,7 +553,6 @@ def run_trial(spec: "TrialSpec", seed: int | None = None) -> Trial:
     """
     entry = _entry(spec.algorithm)
     params, options = _split_params(spec)
-    _check_probe_mode(options.get("probe", "auto"))
     return _run_built(
         entry, spec.algorithm, *_setup(entry, spec, params, options.get("churn")),
         seed=spec.trial if seed is None else seed,
@@ -593,7 +566,7 @@ def run_trial(spec: "TrialSpec", seed: int | None = None) -> Trial:
 #: Spec params that steer a run (the keyword options of
 #: :func:`run_network_trial`); every other param builds the algorithm.
 _RUN_OPTIONS = frozenset(
-    {"max_steps", "backend", "probe", "faults", "churn", "adversary"}
+    {"max_steps", "backend", "faults", "churn", "adversary"}
 )
 
 
@@ -636,19 +609,19 @@ def _setup(entry: AlgorithmEntry, spec: "TrialSpec", params: tuple,
 def can_batch(spec: "TrialSpec") -> bool:
     """Whether a cell of replicates of ``spec`` can run as one batch.
 
-    Requires a registered algorithm and a daemon with an exact vector
-    twin — and no explicit ``backend=dict`` or ``probe=decode``:
-    batching never changes results, but a user who asked for the dict
-    engine or the decoded measurement path must get it.
+    Requires a registered algorithm, a zoo daemon (every one has an
+    exact vector twin), no schedule search and no explicit
+    ``backend=dict``: batching never changes results, but a user who
+    asked for the dict engine must get it.
     """
     params = dict(spec.params)
     return not (
         spec.algorithm not in ALGORITHMS
-        # Search daemons have no vector twin: they *are* the scheduler,
-        # looking ahead from the runtime's columns every step.
-        or spec.daemon not in DAEMON_KINDS or spec.daemon == "adversarial"
+        or spec.daemon not in DAEMON_KINDS
+        # A search has no vector twin: it *is* the scheduler, looking
+        # ahead from the runtime's columns every step.
         or params.get("adversary")
-        or params.get("backend") == "dict" or params.get("probe") == "decode"
+        or params.get("backend") == "dict"
         # The trials of a churn cell share one Network that every bound
         # churn schedule edits in place, and compaction re-tiles
         # from the base CSR, dropping per-lane deltas.
@@ -678,14 +651,13 @@ def run_trial_batch(
     if any(s.cell_key() != spec.cell_key() for s in specs[1:]):
         raise ValueError("run_trial_batch requires specs from one grid cell")
     params, options = _split_params(spec)
-    _check_probe_mode(options.get("probe", "auto"))
     if not can_batch(spec):
         raise UnbatchableError(f"cell {spec.cell_key()!r} cannot be batched")
     from ..core.kernel.batch import run_batch
 
     entry = ALGORITHMS[spec.algorithm]
-    # Execution options: batching implies the kernel backend with
-    # vectorized measurement (can_batch routed explicit opt-outs away).
+    # Batching implies the kernel backend (can_batch routed an explicit
+    # backend=dict away).
     faults = options.get("faults")
     max_steps = options.get("max_steps", entry.max_steps)
     network, algo, topology = _setup(entry, spec, params)
@@ -698,7 +670,7 @@ def run_trial_batch(
     cfgs = [start(algo, Random(seed)) for seed in seeds]
     # Bound schedules and probes are stateful: every replicate gets its own.
     kits, measures, trial_probes = zip(*(
-        _trial_probes(entry, algo, seed, faults, None, "auto")
+        _trial_probes(entry, algo, seed, faults, None)
         for seed in seeds
     ))
     daemons = [make_daemon(spec.daemon, network) for _ in specs]

@@ -18,8 +18,8 @@ instrumentation):
   over the legitimacy predicates a rule set declares.
 * :class:`AccountingProbe` / :class:`TraceProbe` — periodic accounting
   snapshots and every-k-steps configuration sampling, both on the
-  vector tier (library probes: the trial runners' ``probe`` option
-  only picks the measurement tier, ``auto`` or ``decode``).
+  vector tier (library probes, never trial options: a trial measures
+  on the vector tier wherever its engine has one).
 * :class:`RecoveryProbe` / :class:`SdrWaveProbe` — per-fault-burst
   recovery stopwatches and SDR reset-wave counters, armed by the
   drivers' ``on_fault`` notification (see :mod:`repro.faults.schedule`).

@@ -16,7 +16,7 @@ from repro.adversary.search import (
     make_search_daemon,
     successor,
 )
-from repro.core.daemon import DAEMON_KINDS, daemon_kind_known, make_daemon
+from repro.core.daemon import DAEMON_KINDS, make_daemon
 from repro.core.exceptions import DaemonError
 from repro.core.simulator import Simulator
 from repro.faults.scenarios import clock_split
@@ -108,28 +108,22 @@ class TestStrategyParsing:
 
 
 class TestDaemonRegistry:
-    def test_adversarial_registered(self):
-        assert "adversarial" in DAEMON_KINDS
+    """Schedule search has one spelling, ``adversary=``: the zoo has no
+    search kind."""
 
-    def test_make_daemon_parses_strategy_suffix(self):
-        daemon = make_daemon("adversarial:beam-2x2")
-        assert isinstance(daemon, SearchDaemon)
-        assert daemon.spec == "adversarial:beam-2x2"
+    def test_adversarial_not_a_zoo_kind(self):
+        assert not any(kind.startswith("adversarial") for kind in DAEMON_KINDS)
 
-    def test_make_daemon_bare_adversarial(self):
-        assert isinstance(make_daemon("adversarial"), SearchDaemon)
+    @pytest.mark.parametrize("kind", [
+        "adversarial", "adversarial:greedy", "adversarial:beam-2x2",
+    ])
+    def test_make_daemon_refuses_search_kinds(self, kind):
+        with pytest.raises(DaemonError, match="unknown daemon"):
+            make_daemon(kind)
 
-    def test_non_adversarial_kind_rejects_argument(self):
+    def test_zoo_kind_rejects_argument(self):
         with pytest.raises(DaemonError):
             make_daemon("central:greedy")
-
-    def test_daemon_kind_known(self):
-        assert daemon_kind_known("distributed-random")
-        assert daemon_kind_known("adversarial")
-        assert daemon_kind_known("adversarial:beam-2x2")
-        assert not daemon_kind_known("adversarial:nope")
-        assert not daemon_kind_known("central:x")
-        assert not daemon_kind_known("nope")
 
 
 class TestRolloutsLeaveTheRuntime:
@@ -219,19 +213,22 @@ class TestSearchDaemonAdapter:
         daemon.reset()
         assert daemon.log == []
 
-    @pytest.mark.parametrize("daemon", [
-        "adversarial", "adversarial:greedy", "adversarial:beam-2x2",
-    ])
-    def test_column_tier_searches_raise_on_dict_backend(self, daemon):
+    @pytest.mark.parametrize("spec", ["greedy", "beam-2x2"])
+    def test_column_tier_searches_raise_on_dict_backend(self, spec):
         # No silent stand-in schedule under the same trial key.
+        net = by_name("ring", 8, seed=4)
         with pytest.raises(DaemonError, match="requires the kernel backend"):
-            run_network_trial("unison", by_name("ring", 8, seed=4), seed=0,
-                              scenario="split", daemon=daemon, backend="dict")
+            run_network_trial("unison", net, seed=0, scenario="split",
+                              daemon=make_search_daemon(spec), backend="dict")
+        with pytest.raises(ValueError, match="requires the kernel backend"):
+            run_network_trial("unison", net, seed=0, scenario="split",
+                              adversary=spec, backend="dict")
 
     def test_delay_trials_equal_on_both_backends(self):
         trials = [
             run_network_trial("unison", by_name("ring", 8, seed=4), seed=0,
-                              scenario="split", daemon="adversarial:delay",
+                              scenario="split",
+                              daemon=make_search_daemon("delay"),
                               backend=backend)
             for backend in ("kernel", "dict")
         ]

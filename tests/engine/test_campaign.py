@@ -31,6 +31,20 @@ class TestTrialSpec:
                          topology_seed=3, params={"instance": "dominating-set"})
         assert TrialSpec.from_dict(spec.to_dict()) == spec
 
+    def test_dict_round_trip_drops_execution_options(self):
+        """A record renders the measured params only, as the key does:
+        the engine that ran a trial never reaches its record."""
+        from repro.engine.campaign import EXECUTION_OPTIONS
+
+        assert EXECUTION_OPTIONS == {"backend"}
+        measured = TrialSpec("unison", "ring", 8, params={"period": 12})
+        pinned = TrialSpec("unison", "ring", 8,
+                           params={"period": 12, "backend": "dict"})
+        assert pinned.to_dict() == measured.to_dict()
+        assert pinned.to_dict()["params"] == {"period": 12}
+        assert TrialSpec.from_dict(pinned.to_dict()) == measured
+        assert pinned.key() == measured.key()
+
     def test_specs_are_hashable_and_picklable(self):
         import pickle
 

@@ -83,6 +83,14 @@ class TestSweepCli:
         assert cli.main(["sweep", "--grid", "daemon=centrall"]) == 2
         assert "unknown daemon" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("daemon", ["adversarial", "adversarial:greedy"])
+    def test_search_daemon_axis_points_to_adversary(self, daemon, capsys):
+        """Schedule search has one spelling, ``--adversary``: the daemon
+        axis refuses it before any trial runs and names the option."""
+        assert cli.main(["sweep", "--grid", f"daemon={daemon}"]) == 2
+        out = capsys.readouterr().out
+        assert "unknown daemon" in out and "--adversary" in out
+
     def test_repeated_grid_flags_for_one_axis_merge(self, capsys):
         assert cli.main(["sweep", "--grid", "n=5", "--grid", "n=7,5",
                          "--quiet"]) == 0
@@ -147,38 +155,36 @@ class TestExperimentsThroughEngine:
         assert first.table.rows == second.table.rows
         assert first.ok and second.ok
 
-    def test_probe_tier_is_an_execution_option(self, tmp_path):
-        """--probe decode measures identically to the fused default
-        (and deduplicates against it on resume)."""
-        fused, decoded = tmp_path / "pf.jsonl", tmp_path / "pd.jsonl"
+    def test_dict_backend_store_is_byte_identical(self, tmp_path, capsys):
+        """``--backend dict`` is an execution option: its store equals
+        the default store byte for byte, and each resumes from the
+        other without re-running anything."""
+        fused, dict_ = tmp_path / "pf.jsonl", tmp_path / "pd.jsonl"
         assert sweep("--workers", "0", "--out", str(fused)) == 0
-        assert sweep("--workers", "0", "--out", str(decoded),
-                     "--probe", "decode") == 0
-        fused_records = ResultStore(fused).load(strict=True)
-        decoded_records = ResultStore(decoded).load(strict=True)
-        # Same keys (probe is an execution option), same measurements.
-        assert [r["key"] for r in fused_records] == [
-            r["key"] for r in decoded_records
-        ]
-        assert [r["result"] for r in fused_records] == [
-            r["result"] for r in decoded_records
-        ]
+        assert sweep("--workers", "0", "--out", str(dict_),
+                     "--backend", "dict") == 0
+        assert fused.read_bytes() == dict_.read_bytes()
+        full = fused.read_bytes()
 
-        # Execution option: a probe=decode rerun resumes from the fused
-        # store without re-running anything.
+        lines = fused.read_text().splitlines(keepends=True)
+        fused.write_text(lines[0])
+        capsys.readouterr()
         assert sweep("--workers", "0", "--out", str(fused),
-                     "--probe", "decode", "--resume") == 0
-        records = ResultStore(fused).load(strict=True)
-        assert len(records) == 4
+                     "--backend", "dict", "--resume") == 0
+        assert "3 trial(s) run, 1 already stored" in capsys.readouterr().out
+        assert fused.read_bytes() == full
+        assert sweep("--workers", "0", "--out", str(fused), "--resume") == 0
+        assert "0 trial(s) run, 4 already stored" in capsys.readouterr().out
 
-    def test_probe_decode_spec_params_disable_batching(self):
+    def test_dict_backend_spec_params_disable_batching(self):
         from repro.engine.campaign import TrialSpec
         from repro.harness.runner import can_batch
 
         fused_spec = TrialSpec(algorithm="unison", topology="ring", n=8, trial=0)
-        decode_spec = TrialSpec(
+        dict_spec = TrialSpec(
             algorithm="unison", topology="ring", n=8, trial=0,
-            params=(("probe", "decode"),),
+            params=(("backend", "dict"),),
         )
-        assert fused_spec.key() == decode_spec.key()  # execution option
-        assert can_batch(fused_spec) and not can_batch(decode_spec)
+        assert fused_spec.key() == dict_spec.key()  # execution option
+        assert fused_spec.to_dict() == dict_spec.to_dict()
+        assert can_batch(fused_spec) and not can_batch(dict_spec)

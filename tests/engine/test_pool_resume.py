@@ -34,6 +34,21 @@ class TestExecuteTrial:
         spec = CAMPAIGN.specs()[-1]
         assert execute_trial(spec, 7) == execute_trial(spec, 7)
 
+    @pytest.mark.parametrize("params", [{}, {"faults": "at=5,k=2"}])
+    def test_dict_fallback_record_is_byte_identical(self, params):
+        """A supervised sweep that steps a trial down to the dict tier
+        lands the store line the kernel tier would have written."""
+        from dataclasses import replace
+
+        from repro.engine.pool import _dict_fallback
+        from repro.engine.store import _dump_line
+
+        spec = replace(CAMPAIGN.specs()[-1], params=params)
+        fallback = _dict_fallback(spec)
+        assert dict(fallback.params)["backend"] == "dict"
+        assert _dump_line(execute_trial(fallback, 7, CAMPAIGN.name)) == (
+            _dump_line(execute_trial(spec, 7, CAMPAIGN.name)))
+
 
 class TestParallelEqualsSerial:
     def test_two_workers_match_serial_records_exactly(self):

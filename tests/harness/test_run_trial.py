@@ -50,33 +50,20 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="unknown trial algorithm"):
             run_trial(TrialSpec("paxos", "ring", 5))
 
-    def test_unknown_selection_fails_loudly(self):
-        """The ``probe`` option only picks the measurement tier: any
-        other value fails before a trial runs, serial or batched."""
+    @pytest.mark.parametrize("tier", ["auto", "decode"])
+    def test_probe_is_not_an_execution_option(self, tier):
+        """The measurement tier is no trial option: a ``probe`` param is
+        an ordinary build param, part of the key, and no algorithm takes
+        it, serial or batched."""
         from repro.harness.runner import run_trial_batch
 
         specs = [TrialSpec("unison", "ring", 12, "gradient", "central",
-                           trial=t, params={"probe": "bogus"})
+                           trial=t, params={"probe": tier})
                  for t in range(2)]
-        with pytest.raises(ValueError, match="unknown probe mode"):
+        assert f"params=probe:{tier}" in specs[0].key()
+        with pytest.raises(TypeError, match="'probe'"):
             run_trial(specs[0], seed=101)
-        with pytest.raises(ValueError, match="unknown probe mode"):
-            run_trial_batch(specs, [101, 102])
-
-    @pytest.mark.parametrize("selection", [
-        "accounting:100", "trace:50", "sdr-moves", "accounting:xx",
-    ])
-    def test_former_named_selections_fail_loudly(self, selection):
-        """Auxiliary probes are library objects, not trial options: the
-        selections the option once accepted are unknown modes now."""
-        from repro.harness.runner import run_trial_batch
-
-        specs = [TrialSpec("unison", "ring", 12, "gradient", "central",
-                           trial=t, params={"probe": selection})
-                 for t in range(2)]
-        with pytest.raises(ValueError, match="unknown probe mode"):
-            run_trial(specs[0], seed=101)
-        with pytest.raises(ValueError, match="unknown probe mode"):
+        with pytest.raises(TypeError, match="'probe'"):
             run_trial_batch(specs, [101, 102])
 
     @pytest.mark.parametrize("algorithm, scenario", [
@@ -84,16 +71,16 @@ class TestRunTrial:
     ])
     def test_decode_tier_does_not_change_the_record(self, algorithm,
                                                      scenario):
-        """``probe=decode`` moves the measurement to the decoded
-        configuration; the record stays the one ``auto`` produces."""
+        """``backend=dict`` runs another engine and measures on the
+        decoded configuration; the record stays the kernel's."""
         plain = TrialSpec(algorithm, "ring", 12, scenario, "central")
         decoded = TrialSpec(algorithm, "ring", 12, scenario, "central",
-                            params={"probe": "decode"})
+                            params={"backend": "dict"})
         assert run_trial(decoded, seed=101) == run_trial(plain, seed=101)
 
     def test_batched_cell_matches_serial_decode_runs(self):
         """A batch measures on the vector tier; each lane's record equals
-        the serial run measured on the decode tier."""
+        the serial dict-engine run, measured on the decode tier."""
         from repro.harness.runner import run_trial_batch
 
         seeds = [101, 102, 103]
@@ -103,7 +90,7 @@ class TestRunTrial:
         for spec, seed, trial in zip(specs, seeds, batched):
             decoded = TrialSpec(spec.algorithm, spec.topology, spec.n,
                                 spec.scenario, spec.daemon, trial=spec.trial,
-                                params={"probe": "decode"})
+                                params={"backend": "dict"})
             assert run_trial(decoded, seed) == trial
 
     @pytest.mark.parametrize("algorithm, predicate", [

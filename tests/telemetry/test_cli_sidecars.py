@@ -1,6 +1,8 @@
-"""CLI integration: sweep sidecars, ``status`` subcommand, ``--probe``."""
+"""CLI integration: sweep sidecars, ``status`` subcommand, no ``--probe``."""
 
 import json
+
+import pytest
 
 from repro.harness import __main__ as cli
 from repro.telemetry.events import events_path_for, read_events
@@ -93,9 +95,13 @@ class TestStatusCli:
         assert "running (or crashed mid-run)" in text
 
 
-class TestProbeOption:
-    def test_bad_probe_fails_before_running(self, capsys):
-        assert sweep("--probe", "bogus") == 2
-        assert "unknown probe mode" in capsys.readouterr().out
-        assert sweep("--probe", "accounting:xx") == 2
-        assert "unknown probe mode" in capsys.readouterr().out
+class TestNoProbeOption:
+    def test_probe_is_not_a_sweep_option(self, tmp_path, capsys):
+        """The measurement tier is not a trial option: ``--probe`` is an
+        unrecognized argument, rejected before any trial runs."""
+        out = tmp_path / "res.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            sweep("--probe", "decode", "--out", str(out))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --probe" in capsys.readouterr().err
+        assert not out.exists()
