@@ -7,10 +7,11 @@ vectorized after every step, in the same generated function as the
 program's declared predicates, so measurement reads the predicate masks
 the guard pass already produced.  The evaluation is incremental at
 column granularity: the runtime owns the program's guard memo
-(:class:`~repro.ir.kernelc.Memo`), marks on it the columns each step's
-rules assign (and each disturbance's assignments), and the generated
-``evaluate`` recomputes only the blocks of terms whose columns were
-written.  Actions mutate a double buffer
+(:class:`~repro.ir.kernelc.Memo`), marks on it the columns whose values
+each step's rules changed at the moved processes (each ``apply`` returns
+them) and those each disturbance's assignments changed, and the
+generated ``evaluate`` recomputes only the blocks of terms whose columns
+changed.  Actions mutate a double buffer
 (write columns rebased from the read columns, then swapped) so every
 activated process reads the same frozen pre-step configuration —
 composite atomicity by construction.
@@ -442,9 +443,9 @@ class KernelRuntime:
         self._masks: dict[str, np.ndarray] | None = None
         self._preds: dict[str, np.ndarray] = {}
         #: The program's guard memo (:meth:`IRKernelProgram.memo`): every
-        #: write to the columns is marked on it, so an evaluation
-        #: recomputes only the terms those writes reach.  ``None`` for
-        #: a program without one (dense evaluation).
+        #: column whose values a step or a disturbance changed is marked
+        #: on it, so an evaluation recomputes only the terms those changes
+        #: reach.  ``None`` for a program without one (dense evaluation).
         make_memo = getattr(program, "memo", None)
         self._memo = make_memo() if make_memo is not None else None
         #: Rule name → index into :attr:`rules`.
@@ -530,8 +531,9 @@ class KernelRuntime:
         changed (topology-aware daemons must follow).
 
         The guard memo forgets everything on a rewiring (every
-        neighbourhood term may change) and marks the assigned columns
-        otherwise.
+        neighbourhood term may change) and otherwise marks the columns
+        whose values an assignment changed (a register assigned its
+        current value marks nothing).
         """
         memo = self._memo
         rewired = bool(occ.drops or occ.adds)
@@ -550,14 +552,19 @@ class KernelRuntime:
             self.live[[u + offset for u in occ.joined]] = True
         if occ.assignments:
             schema_vars = {var.name: var for var in self.program.schema.vars}
+            changed = 0
             for u, name, value in occ.assignments:
                 var = schema_vars[name]
                 code = var.encode_value(value)
                 if offset and var.kind == "opt_index" and code >= 0:
                     code += offset
-                self.read[name][u + offset] = code
-                if memo is not None:
-                    memo.mark(self.program.bits[name])
+                column = self.read[name]
+                if column[u + offset] != code:
+                    column[u + offset] = code
+                    if memo is not None:
+                        changed |= self.program.bits[name]
+            if memo is not None:
+                memo.mark(changed)
         self._masks = None
         return rewired
 
@@ -662,7 +669,6 @@ class KernelRuntime:
         program, rules = self.program, self.rules
         nrules = len(rules)
         memo = self._memo
-        writes = program.rule_writes if memo is not None else None
         total = self._rule_idx.shape[0]
         blocks = len(lanes)
         single = blocks == 1
@@ -956,26 +962,27 @@ class KernelRuntime:
                     dst[:] = src
                 k0 = only_rule[0]
                 if k0 >= 0:
-                    program.apply(rules[k0], chosen, read, write)
+                    changed = program.apply(rules[k0], chosen, read, write)
                     acc.add(chosen, k0)
                     kinds = None
-                    if memo is not None:
-                        memo.mark(writes[k0])
                 else:
                     # Fancy indexing copies, so ``kinds`` survives the
                     # post-step guard recomputation overwriting
                     # ``rule_idx`` below.  A daemon that picks rules
                     # itself overrides the lowest-rule dispatch.
                     kinds = picker.kinds if picker is not None else rule_idx[chosen]
+                    changed = 0
                     for k in range(nrules):
                         if rule_counts[k] == 0:
                             continue  # no process had this rule enabled
                         idx = chosen[kinds == k]
                         if idx.shape[0]:
-                            program.apply(rules[k], idx, read, write)
-                            acc.add(idx, k)
+                            moved = program.apply(rules[k], idx, read, write)
                             if memo is not None:
-                                memo.mark(writes[k])
+                                changed |= moved
+                            acc.add(idx, k)
+                if memo is not None:
+                    memo.mark(changed)
                 read, write = write, read
                 flip ^= 1
                 # Publish the current parity: scalar daemons, decode

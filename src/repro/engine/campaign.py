@@ -182,7 +182,7 @@ class Campaign:
                 raise ValueError(f"campaign axis {axis!r} is empty")
         # Names and scenarios come from the trial pipeline's algorithm
         # registry; imported lazily, since the harness imports the engine.
-        from ..harness.runner import ALGORITHMS, scenario_start
+        from ..harness.runner import ALGORITHMS, check_params, scenario_start
 
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
@@ -190,6 +190,7 @@ class Campaign:
                 f"unknown algorithm(s) {unknown}; choose from {list(ALGORITHMS)}"
             )
         for algorithm in self.algorithms:
+            check_params(algorithm, self.params)
             for scenario in self.scenarios:
                 scenario_start(algorithm, scenario)  # rejects undeclared ones
 

@@ -17,6 +17,7 @@ written once:
 from __future__ import annotations
 
 import functools
+import inspect
 import os
 import re
 from dataclasses import dataclass, field
@@ -48,6 +49,7 @@ __all__ = [
     "AlgorithmEntry",
     "Trial",
     "can_batch",
+    "check_params",
     "run_network_trial",
     "run_trial",
     "run_trial_batch",
@@ -227,6 +229,26 @@ def scenario_start(algorithm: str, scenario: str) -> StartFn:
     raise ValueError(
         f"unknown {algorithm} scenario {scenario!r}; choose from {declared}"
     )
+
+
+def check_params(algorithm: str, params) -> None:
+    """Reject the build params (every ``(key, value)`` of ``params`` but
+    the run options) that ``algorithm``'s ``build`` does not declare.
+
+    The declared ones are ``build``'s keyword parameters after the
+    network argument.  Raises ``ValueError`` naming them.
+    """
+    keys = [key for key, _ in params if key not in _RUN_OPTIONS]
+    if not keys:
+        return
+    build = inspect.signature(_entry(algorithm).build)
+    names = list(build.parameters)[1:]
+    unknown = [key for key in keys if key not in names]
+    if unknown:
+        raise ValueError(
+            f"{algorithm} takes no param(s) {unknown}; it declares {names} "
+            f"(run options: {sorted(_RUN_OPTIONS)})"
+        )
 
 
 # ----------------------------------------------------------------------

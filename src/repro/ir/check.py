@@ -29,9 +29,10 @@ For every registered algorithm (:mod:`repro.ir.registry`) the lint
   algorithm's hand-written twin (:data:`LEGITIMACY_TWINS`) — on the
   fast path and the general one;
 * the guard memo: on every sampled configuration, each rule is applied
-  at random processes in turn, its write set marked on a memo, and the
-  memoised ``evaluate`` compared with a dense one, mask for mask and
-  predicate for predicate (:func:`_check_memo`);
+  at random processes in turn, the columns its ``apply`` reports changed
+  (checked against the columns whose values did change) marked on a
+  memo, and the memoised ``evaluate`` compared with a dense one, mask
+  for mask and predicate for predicate (:func:`_check_memo`);
 * the bind prologue: no generated function but ``bind`` reads
   ``C._params`` (:func:`check_bind_prologue`), so parameter-only terms
   are computed once per program, not per call;
@@ -232,19 +233,26 @@ def _check_predicates(label, algorithm, dict_program, cfg, preds,
 
 
 def _check_memo(label, program, cols, c) -> list[str]:
-    """Apply every rule in turn at random processes of ``cols``, mark its
-    write set on one memo, and compare the memoised ``evaluate`` of each
-    successor with a dense one."""
+    """Apply every rule in turn at random processes of ``cols``, mark on
+    one memo the columns its ``apply`` reports changed, and compare the
+    memoised ``evaluate`` of each successor with a dense one.  A column
+    whose values changed but that the report misses is flagged at once."""
     rng = Random(c)
     n = program.csr.n
     memo = program.memo()
     program.evaluate(cols, memo)
-    for rule, written in zip(program.rules, program.rule_writes):
+    for rule in program.rules:
         idx = np.array(sorted(rng.sample(range(n), rng.randrange(1, n + 1))),
                        dtype=np.int64)
         nxt = {name: column.copy() for name, column in cols.items()}
-        program.apply(rule, idx, cols, nxt)
-        memo.mark(written)
+        changed = program.apply(rule, idx, cols, nxt)
+        missed = [name for name, bit in program.bits.items()
+                  if not changed & bit
+                  and not np.array_equal(cols[name], nxt[name])]
+        if missed:
+            return [f"{label}: memoised evaluation would miss {missed} "
+                    f"changed by {rule!r} at {idx.tolist()} (cfg {c})"]
+        memo.mark(changed)
         got, want = program.evaluate(nxt, memo), program.evaluate(nxt)
         for kind, a, b in (("mask", got[0], want[0]),
                            ("predicate", got[1], want[1])):

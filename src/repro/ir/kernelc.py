@@ -61,10 +61,13 @@ Lowering rules:
   each straight-line stretch (before the fast-path test, the fast path,
   the general path) emits its temporaries grouped in blocks by
   signature.  A block re-runs only when its :class:`Memo` says a column
-  of its signature was written since that stretch last ran; otherwise
-  its outputs come from the memo's slots.  The driver marks each step's
-  written columns (:meth:`Memo.mark`, from the rules' ``Assign.var``
-  write sets); a dense call runs every block on a fresh memo;
+  of its signature changed since that stretch last ran; otherwise its
+  outputs come from the memo's slots (a block whose input columns hold
+  the same values computes the same outputs).  Each generated
+  ``apply_*`` returns the bitmask of the columns whose values at ``idx``
+  it changed, comparing each written column with its pre-step values as
+  bytes, and the driver marks those (:meth:`Memo.mark`); a dense call
+  runs every block on a fresh memo;
 * a :class:`~repro.ir.rules.FastPath` compiles to a cheap whole-system
   test guarding a reduced mask dict (omitted masks are all-false by the
   :meth:`IRKernelProgram.guard_masks` contract) plus the predicates;
@@ -130,8 +133,9 @@ _TEMP_REF = re.compile(r"\b_t\d+\b")
 
 class Memo:
     """The guard memo of one runtime: per stretch of ``evaluate``, the
-    columns written since it last ran (``dirty``, a bitmask; ``-1`` =
-    everything), and the outputs of its signature blocks (``slots``)."""
+    columns whose values changed since it last ran (``dirty``, a bitmask;
+    ``-1`` = everything), and the outputs of its signature blocks
+    (``slots``)."""
 
     __slots__ = ("dirty", "slots")
 
@@ -139,11 +143,13 @@ class Memo:
         self.dirty = [-1] * stretches
         self.slots = [None] * slots
 
-    def mark(self, written: int) -> None:
-        """Columns ``written`` (a bitmask) changed."""
+    def mark(self, changed: int) -> None:
+        """Columns ``changed`` (a bitmask) changed values."""
+        if not changed:
+            return
         dirty = self.dirty
         for i in range(len(dirty)):
-            dirty[i] |= written
+            dirty[i] |= changed
 
     def reset(self) -> None:
         """Forget every block's outputs (the layout or the program changed)."""
@@ -414,6 +420,27 @@ class _Fn:
         else:
             self.line(f"{target}[{sub}] = {self.local(value)}[{cond}]")
 
+    def emit_action(self, assigns, rewrite) -> None:
+        """An action's assignments (their expressions passed through
+        ``rewrite``), then ``return`` the bitmask of the columns whose
+        values at ``idx`` they changed.
+
+        Each written column's pre-step values at ``idx`` are loaded first
+        (shared with the action's own reads of it), and after the
+        assignments the written column is gathered back at ``idx`` and
+        compared with them as bytes."""
+        olds = {assign.var: self.local(E.Col(assign.var)) for assign in assigns}
+        for assign in assigns:
+            self.emit_assign(
+                assign.var, rewrite(assign.value),
+                None if assign.where is None else rewrite(assign.where),
+            )
+        self.line("_c = 0")
+        for var, old in olds.items():
+            self.line(f"if write[{var!r}][idx].tobytes() != {old}.tobytes():")
+            self.line(f"    _c |= {bin(self.compiler.bit(var))}")
+        self.line("return _c")
+
     def emit_masks_return(self, guards: dict, predicates: dict) -> None:
         """``return {rule: mask…}, {predicate: mask…}``, guards first so
         the predicates reuse their temporaries."""
@@ -475,7 +502,7 @@ class _Fn:
 
     def _render_stretch(self, stretch, pad, outside) -> list[str]:
         """One ``if`` per signature block: run it when a column of its
-        signature was written, else take its outputs from the memo."""
+        signature changed, else take its outputs from the memo."""
         blocks = self._blocks(stretch)
         if not blocks:
             return []
@@ -671,21 +698,19 @@ class _KernelCode:
     """The exec'd output of :func:`compile_rule_set`, shared by every
     program (base and tiled) bound from one rule set.
 
-    ``writes`` maps each rule to the bitmask of the columns its action
-    assigns, ``bits`` each column to its bit; ``stretches``/``slots``
-    size a :class:`Memo`."""
+    ``bits`` maps each column to its bit; ``stretches``/``slots`` size
+    a :class:`Memo`."""
 
     __slots__ = ("eval_fn", "apply_fns", "bind_fn", "source", "bits",
-                 "writes", "stretches", "slots")
+                 "stretches", "slots")
 
-    def __init__(self, eval_fn, apply_fns, bind_fn, source, bits, writes,
+    def __init__(self, eval_fn, apply_fns, bind_fn, source, bits,
                  stretches, slots):
         self.eval_fn = eval_fn
         self.apply_fns = apply_fns
         self.bind_fn = bind_fn
         self.source = source
         self.bits = bits
-        self.writes = writes
         self.stretches = stretches
         self.slots = slots
 
@@ -730,21 +755,13 @@ def compile_rule_set(rule_set) -> _KernelCode:
     comp.fns.append(guard)
 
     apply_names = {}
-    writes = {}
     for i, rule in enumerate(rule_set.rules):
         fn = _Fn(comp, f"apply_{i}", ("idx", "read", "write", "C"), "read",
                  binder)
-        mask = 0
-        for assign in rule.action:
-            fn.emit_assign(
-                assign.var, comp.rewrite(assign.value, comp.fold_first, folds),
-                None if assign.where is None
-                else comp.rewrite(assign.where, comp.fold_first, folds),
-            )
-            mask |= comp.bit(assign.var)
+        fn.emit_action(rule.action,
+                       lambda node: comp.rewrite(node, comp.fold_first, folds))
         comp.fns.append(fn)
         apply_names[rule.label] = fn.name
-        writes[rule.label] = mask
 
     source = "\n\n".join(
         fn.render(binder.exports) for fn in [binder, *comp.fns]
@@ -757,7 +774,6 @@ def compile_rule_set(rule_set) -> _KernelCode:
         bind_fn=ns["bind"],
         source=source,
         bits=dict(comp._bits),
-        writes=writes,
         stretches=len(guard.stretches),
         slots=guard.slots,
     )
@@ -793,9 +809,6 @@ class IRKernelProgram:
         second dict.
     bits:
         Column name → its :class:`Memo` bit.
-    rule_writes:
-        Per rule (in :attr:`rules` order), the bitmask of the columns its
-        action assigns.
     """
 
     def __init__(self, rule_set, csr, params):
@@ -806,7 +819,6 @@ class IRKernelProgram:
         self.rules = rule_set.rule_labels
         self.predicates = tuple(rule_set.predicates)
         self.bits = code.bits
-        self.rule_writes = tuple(code.writes[rule] for rule in self.rules)
         #: Param name → the bound read-only per-process array.
         self._params = params
         self._arange = self._ones = None
@@ -855,7 +867,7 @@ class IRKernelProgram:
         anything).
 
         With a ``memo`` (:meth:`memo`) whose marks name every column
-        written since its last evaluation on this program, only the
+        whose values changed since its last evaluation on this program, only the
         signature blocks those columns reach are recomputed; the
         returned arrays may then be the previous call's, so callers must
         not write into them.
@@ -864,9 +876,11 @@ class IRKernelProgram:
             self._rebind()
         return self._code.eval_fn(cols, self, memo or self.memo())
 
-    def apply(self, rule, idx, read, write):
+    def apply(self, rule, idx, read, write) -> int:
         """Execute ``rule`` at the processes in ``idx``: reads come from
-        ``read`` (the frozen pre-step columns), writes go to ``write``."""
+        ``read`` (the frozen pre-step columns), writes go to ``write``.
+        Returns the bitmask (:attr:`bits`) of the columns whose values at
+        ``idx`` the action changed — what a :class:`Memo` is marked with."""
         try:
             fn = self._code.apply_fns[rule]
         except KeyError:
@@ -875,7 +889,7 @@ class IRKernelProgram:
             ) from None
         if self._bound_ix is not self.csr.indices:
             self._rebind()
-        fn(idx, read, write, self)
+        return fn(idx, read, write, self)
 
     def tiled(self, copies):
         """This program over ``copies`` disjoint copies of its network

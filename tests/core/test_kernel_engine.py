@@ -16,9 +16,12 @@ from repro.core import (
 from repro.core.configuration import Configuration
 from repro.core.exceptions import AlgorithmError
 from repro.core.kernel import CSRAdjacency, KernelRuntime, Schema, Var
-from repro.core.kernel.engine import enabled_map
+from repro.core.daemon import make_daemon
+from repro.core.kernel.daemons import vectorize
+from repro.core.kernel.engine import Lane, enabled_map
 from repro.core.graph import Network
 from repro.faults.schedule import Occurrence
+from repro.ir import Assign, Rule, RuleSet, col
 from repro.reset import SDR
 from repro.topology import grid, ring, star
 from repro.unison import Unison
@@ -132,6 +135,121 @@ class TestKernelRuntime:
         assert enabled_map(masks, ThreeRules.rules, 2) == {
             0: ("A", "B"), 1: ("A", "C"),
         }
+
+    def test_memoless_program_drives_several_rules_per_step(self):
+        """A program without a guard memo evaluates densely, and its
+        ``apply`` need not report changed columns, also when one step
+        applies two rules."""
+        class TwoRules:
+            # A on even x, B on odd x: every step applies both.
+            schema = Schema(Var.int("x"))
+            rules = ("A", "B")
+            predicates = ()
+
+            def evaluate(self, cols):
+                x = cols["x"]
+                return {"A": x % 2 == 0, "B": x % 2 == 1}, {}
+
+            def apply(self, rule, idx, read, write):
+                write["x"][idx] = read["x"][idx] + 1
+
+        net = ring(3)
+        runtime = KernelRuntime(
+            TwoRules(), Configuration([{"x": u} for u in range(3)]))
+        daemon = vectorize(make_daemon("synchronous", net), net)
+        result = runtime.run(daemon, Random(0), max_steps=2)
+        assert result.steps == 2 and result.moves == 6
+        assert runtime.decode().variable("x") == [2, 3, 4]
+
+
+class TestMemoMarks:
+    """The guard memo is marked with the columns whose values changed,
+    not with every column an action or a fault wrote."""
+
+    # ``a`` flips 0 -> 1; ``b`` is rewritten with its own values (an
+    # unconditional vector assignment) and ``c`` with 0 where ``a`` was
+    # 0 (a conditional scalar one).
+    RULE_SET = RuleSet(
+        "marks", Schema(Var.int("a"), Var.int("b"), Var.int("c")),
+        [Rule("r", col("a") == 0, [
+            Assign("a", 1),
+            Assign("b", col("b")),
+            Assign("c", 0, where=col("a") == 0),
+        ])],
+    )
+
+    @classmethod
+    def runtime(cls, *c_values):
+        """A runtime over ring(4) (one block per ``c_values`` entry, the
+        ``c`` of every process), ``c`` 0 by default."""
+        net = ring(4)
+        cfgs = [Configuration([{"a": 0, "b": u, "c": c} for u in range(4)])
+                for c in c_values or (0,)]
+        program = cls.RULE_SET.compile_kernel(net)
+        if len(cfgs) == 1:
+            return net, KernelRuntime(program, cfgs[0])
+        return net, KernelRuntime.tiled(program, cfgs)
+
+    @staticmethod
+    def spy_dirty(program) -> list:
+        """Record the memo's dirty masks at every ``evaluate``."""
+        dirty = []
+        evaluate = program.evaluate
+
+        def spy(cols, memo=None):
+            dirty.append(list(memo.dirty))
+            return evaluate(cols, memo)
+
+        program.evaluate = spy
+        return dirty
+
+    def test_apply_reports_only_changed_columns(self):
+        _, runtime = self.runtime()
+        program, cols = runtime.program, runtime.read
+        write = {name: column.copy() for name, column in cols.items()}
+        idx = np.array([1, 2], dtype=np.int64)
+        assert program.apply("r", idx, cols, write) == program.bits["a"]
+        # Applied again on its own output, the action changes nothing.
+        again = {name: column.copy() for name, column in write.items()}
+        assert program.apply("r", idx, write, again) == 0
+
+    def test_drive_step_marks_only_changed_columns(self):
+        net, runtime = self.runtime()
+        program = runtime.program
+        dirty = self.spy_dirty(program)
+        daemon = vectorize(make_daemon("synchronous", net), net)
+        result = runtime.run(daemon, Random(0), max_steps=1)
+        assert result.steps == 1 and result.moves == 4
+        assert runtime.decode().variable("a") == [1, 1, 1, 1]
+        # The first evaluation starts from an all-dirty memo; the one
+        # after the step sees only ``a``.
+        assert dirty[0] == [-1] * len(dirty[0])
+        assert dirty[1] == [program.bits["a"]] * len(dirty[1])
+
+    @pytest.mark.parametrize("c_values,marked", [
+        ((0, 0), "a"),       # no lane changes c
+        ((0, 5), "a c"),     # the second lane does
+    ])
+    def test_batch_marks_a_column_any_lane_changed(self, c_values, marked):
+        net, runtime = self.runtime(*c_values)
+        program = runtime.program
+        dirty = self.spy_dirty(program)
+        lanes = [Lane(t, vectorize(make_daemon("synchronous", net), net),
+                      Random(t)) for t in range(len(c_values))]
+        runtime.drive(lanes, max_steps=1)
+        bits = sum(program.bits[name] for name in marked.split())
+        assert dirty[1] == [bits] * len(dirty[1])
+
+    def test_fault_assigning_the_current_value_marks_nothing(self):
+        _, runtime = self.runtime()
+        runtime.guard_masks()  # evaluated: the memo is clean
+        memo, bits = runtime._memo, runtime.program.bits
+        runtime.disturb(Occurrence(0, 0, 0, assignments=((2, "b", 2),)))
+        assert memo.dirty == [0] * len(memo.dirty)
+        runtime.disturb(
+            Occurrence(0, 1, 0, assignments=((2, "b", 7), (3, "c", 0))))
+        assert memo.dirty == [bits["b"]] * len(memo.dirty)
+        assert runtime.decode().variable("b") == [0, 1, 7, 3]
 
 
 class TestBackendSelection:

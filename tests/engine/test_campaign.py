@@ -98,6 +98,23 @@ class TestCampaign:
         with pytest.raises(ValueError, match="at least one"):
             Campaign("bad", seed=0, trials=0)
 
+    @pytest.mark.parametrize("algorithms,params,declared", [
+        (("unison",), {"bogus": 1}, "['period']"),
+        (("fga",), {"period": 7}, "['instance']"),
+        (("unison", "boulinier"), {"alpha": 3}, "['period']"),  # boulinier's
+    ])
+    def test_undeclared_build_param_rejected(self, algorithms, params,
+                                             declared):
+        with pytest.raises(ValueError, match="takes no param") as err:
+            Campaign("bad", seed=0, algorithms=algorithms, params=params)
+        assert f"declares {declared}" in str(err.value)
+
+    def test_declared_build_params_and_run_options_accepted(self):
+        campaign = Campaign("ok", seed=0, algorithms=("unison", "boulinier"),
+                            params={"period": 20, "max_steps": 500,
+                                    "backend": "dict"})
+        assert campaign.size == 2
+
     def test_campaign_params_reach_every_spec(self):
         campaign = Campaign("params", seed=0, sizes=(6,), params={"period": 20})
         assert all(s.kwargs() == {"period": 20} for s in campaign.iter_specs())

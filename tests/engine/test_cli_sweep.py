@@ -101,6 +101,21 @@ class TestSweepCli:
         assert cli.main(["sweep", "--param", "period"]) == 2
         assert "KEY=VALUE" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("algorithm,param,declared", [
+        ("unison", "bogus=1", "['period']"),
+        ("fga", "period=7", "['instance']"),
+    ])
+    def test_undeclared_param_fails_before_running(self, capsys, tmp_path,
+                                                   algorithm, param, declared):
+        out = tmp_path / "r.jsonl"
+        code = cli.main(["sweep", "--grid", f"algorithm={algorithm}",
+                         "--grid", "topology=ring", "--grid", "n=5",
+                         "--param", param, "--out", str(out), "--quiet"])
+        assert code == 2
+        printed = capsys.readouterr().out
+        assert "takes no param" in printed and f"declares {declared}" in printed
+        assert not out.exists()
+
     def test_duplicate_params_last_wins(self, capsys):
         assert cli.main(["sweep", "--grid", "n=5", "--param", "period=9",
                          "--param", "period=40", "--quiet"]) == 0

@@ -2,8 +2,9 @@
 
 :class:`~repro.core.kernel.engine.KernelRuntime` evaluates its program
 through a :class:`~repro.ir.kernelc.Memo`: each step marks the columns
-its rules' actions assign (``Assign.var``), and the generated
-``evaluate`` recomputes only the signature blocks those columns reach.
+whose values its rules' actions changed (what each ``apply`` returns),
+and the generated ``evaluate`` recomputes only the signature blocks
+those columns reach.
 For every registered rule set, on a ring and a random graph, under the
 central, distributed-random and synchronous daemons, with no
 disturbance, a fault schedule or a churn schedule, and with ``T`` of one
