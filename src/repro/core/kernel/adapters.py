@@ -163,7 +163,7 @@ class DecodeAdapter(Probe):
     """A simulator's per-step consumers, served from inside the driver.
 
     ``probes`` are the decode-tier probes it forwards to (``on_step``,
-    ``on_fault``, ``on_churn``) and whose stop requests it relays;
+    ``on_disturbance``) and whose stop requests it relays;
     ``stops=False`` makes it ignore them (``Simulator.step``).
     :attr:`record` is the last step's record.
     """
@@ -197,8 +197,10 @@ class DecodeAdapter(Probe):
         for probe in self.probes:
             probe.on_step(sim, record)
 
-    def on_fault(self, info, hook: str = "on_fault") -> None:
-        sim = self.sim
+    def on_disturbance(self, info) -> None:
+        sim, occ = self.sim, info.occurrence
+        sim.dead.update(occ.crashed)
+        sim.dead.difference_update(occ.joined)
         sim._cfg_dirty = True
         sim.rounds.completed = info.rounds
         sim._enabled = sim._kernel.enabled_map()
@@ -206,17 +208,10 @@ class DecodeAdapter(Probe):
         if sim._shadow is not None:
             # The reference lands the occurrence itself — compared at
             # the next step or at the stop, never resynced from columns.
-            for u, var, value in info.assignments:
+            for u, var, value in occ.assignments:
                 sim._shadow.set(u, var, value)
         for probe in self.probes:
-            getattr(probe, hook)(info)
-
-    def on_churn(self, info) -> None:
-        if info.action == "crash":
-            self.sim.dead.update(info.victims)
-        elif info.action == "join":
-            self.sim.dead.difference_update(info.victims)
-        self.on_fault(info, "on_churn")
+            probe.on_disturbance(info)
 
     def on_stop(self, view) -> None:
         if self.sim._shadow is not None:

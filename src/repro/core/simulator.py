@@ -188,14 +188,15 @@ class Simulator:
         and kernel executions with equal seeds inject byte-identical
         corruption.  Occurrences fire between steps (in :meth:`run` and
         :meth:`step`), add no steps/moves, rebase the round counter, and
-        notify probes via ``on_fault``.
+        notify probes via ``on_disturbance``.
     churn:
         Optional mid-run topology churn (:mod:`repro.faults.churn`),
         bound like ``faults``.  Occurrences drop/add links, crash
         processes (frozen, unlinked, kept out of guards, daemon and
         accounting via :attr:`dead`) and rejoin them with domain-random
-        state, identically across backends, and notify probes via
-        ``on_churn``.  The :class:`~repro.core.graph.Network` is mutated
+        state, identically across backends, and notify probes through
+        the same ``on_disturbance`` hook as faults, after :attr:`dead`
+        is updated.  The :class:`~repro.core.graph.Network` is mutated
         in place, so construct churn trials on a fresh network.
 
     Notes

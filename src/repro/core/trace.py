@@ -96,15 +96,13 @@ class Trace(Probe):
         if self.record_configurations:
             self.configurations.append(sim.cfg.copy())
 
-    def on_fault(self, info) -> None:
+    def on_disturbance(self, info) -> None:
         if self.record_configurations:
             if self.records:
                 self._produced.setdefault(
                     len(self.records) - 1, self.configurations[-1]
                 )
             self.configurations[-1] = self._sim.cfg.copy()
-
-    on_churn = on_fault
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -29,12 +29,16 @@ controlled way: **topology churn** (:class:`ChurnSchedule`,
 :mod:`repro.faults.churn`) mutates the *graph* mid-run — links drop and
 appear, processes crash and rejoin with arbitrary state — with the same
 seeded, backend-identical occurrence discipline.
+
+Both schedule families fire :class:`Occurrence` objects, and the drivers
+land both the same way: probes hear of each one through the single
+``Probe.on_disturbance`` hook, as a :class:`Disturbance` (the occurrence
+plus the step, moves and rounds at landing).
 """
 
 from .churn import (
     BoundChurnSchedule,
     ChurnEvent,
-    ChurnInfo,
     ChurnSchedule,
     parse_churn,
 )
@@ -42,9 +46,10 @@ from .injector import FaultPlan, corrupt_processes, corrupt_variables
 from .scenarios import clock_gradient, clock_split, fake_reset_wave, hollow_alliance
 from .schedule import (
     BoundFaultSchedule,
+    Disturbance,
     FaultEvent,
-    FaultInfo,
     FaultSchedule,
+    Occurrence,
     parse_schedule,
     resolve_variables,
 )
@@ -62,14 +67,15 @@ __all__ = [
     # Mid-run fault schedules
     "FaultSchedule",
     "FaultEvent",
-    "FaultInfo",
     "BoundFaultSchedule",
     "parse_schedule",
     "resolve_variables",
     # Mid-run topology churn
     "ChurnSchedule",
     "ChurnEvent",
-    "ChurnInfo",
     "BoundChurnSchedule",
     "parse_churn",
+    # What a probe hears of either
+    "Occurrence",
+    "Disturbance",
 ]

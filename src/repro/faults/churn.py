@@ -36,7 +36,7 @@ occurrence records the resulting component count either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
@@ -53,7 +53,6 @@ from .schedule import (
 __all__ = [
     "ChurnEvent",
     "ChurnSchedule",
-    "ChurnInfo",
     "BoundChurnSchedule",
     "parse_churn",
 ]
@@ -103,34 +102,6 @@ class ChurnEvent(TimedEvent):
         if self.clustered:
             parts.append("clustered")
         return ",".join(parts)
-
-
-@dataclass(frozen=True)
-class ChurnInfo:
-    """What the drivers hand to ``Probe.on_churn`` at each occurrence.
-
-    ``dropped``/``added`` are the link deltas actually applied (crash
-    reports its incident links under ``dropped``, join its reconnections
-    under ``added``); ``components`` and ``live`` describe the live
-    subgraph *after* the mutation.  ``step``/``moves``/``rounds`` are
-    the execution's accounting totals at the mutated configuration;
-    ``assignments`` the landed register triples (a join's fresh state).
-    """
-
-    step: int
-    nominal_step: int
-    burst: int
-    action: str
-    victims: tuple[int, ...]
-    dropped: tuple[tuple[int, int], ...]
-    added: tuple[tuple[int, int], ...]
-    components: int
-    live: int
-    moves: int = 0
-    rounds: int = 0
-    assignments: tuple[tuple[int, str, object], ...] = field(
-        default=(), repr=False, compare=False
-    )
 
 
 class ChurnSchedule(Schedule):
@@ -195,8 +166,6 @@ class BoundChurnSchedule(BoundSchedule):
     shared with fault schedules, including terminal pull-forward: a
     silent system still experiences its churn.
     """
-
-    hook = "on_churn"
 
     def __init__(self, schedule: ChurnSchedule, algorithm, seed: int):
         super().__init__(schedule, algorithm, seed)
@@ -360,23 +329,6 @@ class BoundChurnSchedule(BoundSchedule):
             self.network.apply_delta((), (edge,))
             adds.append(edge)
         occ.adds = tuple(adds)
-
-    def info(self, occ: Occurrence, step: int,
-             moves: int = 0, rounds: int = 0) -> ChurnInfo:
-        return ChurnInfo(
-            step=step,
-            nominal_step=occ.step,
-            burst=occ.burst,
-            action=occ.action,
-            victims=occ.victims,
-            dropped=occ.drops,
-            added=occ.adds,
-            components=occ.components,
-            live=occ.live,
-            moves=moves,
-            rounds=rounds,
-            assignments=occ.assignments,
-        )
 
 
 # ----------------------------------------------------------------------

@@ -50,9 +50,9 @@ __all__ = [
     "FaultSchedule",
     "Schedule",
     "TimedEvent",
-    "FaultInfo",
     "BoundFaultSchedule",
     "BoundSchedule",
+    "Disturbance",
     "Occurrence",
     "parse_schedule",
 ]
@@ -173,29 +173,6 @@ class FaultEvent(TimedEvent):
         return ",".join(parts)
 
 
-@dataclass(frozen=True)
-class FaultInfo:
-    """What the drivers hand to ``Probe.on_fault`` at each injection.
-
-    ``step``/``moves``/``rounds`` are the execution's accounting totals at
-    the injected configuration (injection itself adds none of the three).
-    ``nominal_step`` differs from ``step`` only when a terminal
-    configuration pulled the occurrence forward.  ``assignments`` are the
-    landed ``(process, variable, value)`` triples.
-    """
-
-    step: int
-    nominal_step: int
-    burst: int
-    victims: tuple[int, ...]
-    variables: tuple[str, ...]
-    moves: int = 0
-    rounds: int = 0
-    assignments: tuple[tuple[int, str, object], ...] = field(
-        default=(), repr=False, compare=False
-    )
-
-
 class Schedule:
     """An ordered collection of timed events, plus its seed.
 
@@ -266,7 +243,8 @@ class Occurrence:
     Fault and churn occurrences share this shape, so the drivers land
     both the same way: ``assignments`` rewrite registers, ``drops`` and
     ``adds`` rewire links (churn only), and :attr:`crashed` /
-    :attr:`joined` flip liveness (churn only).
+    :attr:`joined` flip liveness (churn only).  ``step`` is the
+    *nominal* step; the step it landed at is the :class:`Disturbance`'s.
     """
 
     event: int
@@ -278,6 +256,9 @@ class Occurrence:
     #: empty for a fault.
     action: str = ""
     victims: tuple[int, ...] = ()
+    #: The fault event's resolved variables, kept even when no victim
+    #: was drawn; empty for churn.
+    variables: tuple[str, ...] = ()
     #: Undirected ``(u, v)`` pairs, ``u < v``, in application order.
     drops: tuple[tuple[int, int], ...] = ()
     adds: tuple[tuple[int, int], ...] = ()
@@ -299,6 +280,22 @@ class Occurrence:
         return self.victims if self.action == "join" else ()
 
 
+@dataclass(frozen=True)
+class Disturbance:
+    """What the drivers hand to ``Probe.on_disturbance`` per occurrence.
+
+    ``occurrence`` is the landed fault or churn :class:`Occurrence` (a
+    fault's ``action`` is empty); ``step``/``moves``/``rounds`` are the
+    execution's accounting totals at the disturbed configuration, which
+    landing itself does not advance.
+    """
+
+    occurrence: Occurrence
+    step: int
+    moves: int
+    rounds: int
+
+
 class BoundSchedule:
     """The pop protocol shared by bound fault and churn schedules.
 
@@ -310,12 +307,8 @@ class BoundSchedule:
     current step: a silent algorithm would otherwise never experience
     its disturbances, and self-stabilization's whole claim is recovery
     from faults that strike legitimate configurations.  Subclasses
-    commit each occurrence's delta in ``_draw`` and render its probe
-    payload in ``info``; :attr:`hook` names the probe callback.
+    commit each occurrence's delta in ``_draw``.
     """
-
-    #: The :class:`repro.probes.Probe` method notified per occurrence.
-    hook = ""
 
     def __init__(self, schedule, algorithm, seed: int):
         self.schedule = schedule
@@ -377,14 +370,11 @@ class BoundSchedule:
     def notify(self, probes, due, *, step: int, moves: int, rounds: int) -> None:
         """Hand every landed occurrence of ``due`` to ``probes``."""
         for occ in due:
-            info = self.info(occ, step=step, moves=moves, rounds=rounds)
+            info = Disturbance(occ, step, moves, rounds)
             for probe in probes:
-                getattr(probe, self.hook)(info)
+                probe.on_disturbance(info)
 
     def _draw(self, occ: Occurrence) -> None:
-        raise NotImplementedError
-
-    def info(self, occ: Occurrence, step: int, moves: int = 0, rounds: int = 0):
         raise NotImplementedError
 
 
@@ -396,8 +386,6 @@ class BoundFaultSchedule(BoundSchedule):
     ``Configuration`` or kernel columns — values are decoded, the
     appliers encode).
     """
-
-    hook = "on_fault"
 
     def __init__(self, schedule: FaultSchedule, algorithm, seed: int):
         super().__init__(schedule, algorithm, seed)
@@ -420,7 +408,7 @@ class BoundFaultSchedule(BoundSchedule):
                 self.algorithm.network, rng, event.k, event.clustered
             )
         occ.victims = tuple(sorted(victims))
-        allowed = self._allowed[occ.event]
+        occ.variables = allowed = self._allowed[occ.event]
         triples = []
         for u in occ.victims:
             junk = self.algorithm.random_state(u, rng)
@@ -428,19 +416,6 @@ class BoundFaultSchedule(BoundSchedule):
                 triples.append((u, var, junk[var]))
         occ.assignments = tuple(triples)
         occ.drawn = True
-
-    def info(self, occ: Occurrence, step: int,
-             moves: int = 0, rounds: int = 0) -> FaultInfo:
-        return FaultInfo(
-            step=step,
-            nominal_step=occ.step,
-            burst=occ.burst,
-            victims=occ.victims,
-            variables=tuple(self._allowed[occ.event]),
-            moves=moves,
-            rounds=rounds,
-            assignments=occ.assignments,
-        )
 
 
 def resolve_variables(algorithm, variables: Sequence[str], scope: str) -> tuple[str, ...]:

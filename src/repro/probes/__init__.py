@@ -20,9 +20,10 @@ instrumentation):
   snapshots and every-k-steps configuration sampling, both on the
   vector tier (library probes, never trial options: a trial measures
   on the vector tier wherever its engine has one).
-* :class:`RecoveryProbe` / :class:`SdrWaveProbe` — per-fault-burst
+* :class:`RecoveryProbe` / :class:`SdrWaveProbe` — per-disturbance
   recovery stopwatches and SDR reset-wave counters, armed by the
-  drivers' ``on_fault`` notification (see :mod:`repro.faults.schedule`).
+  drivers' ``on_disturbance`` notification for every fault burst and
+  churn occurrence (see :mod:`repro.faults.schedule`).
 
 Measuring stabilization on the array-native path::
 

@@ -104,29 +104,19 @@ class Probe:
         """
 
     # ------------------------------------------------------------------
-    # Fault notifications (tier-agnostic)
+    # Disturbances (tier-agnostic)
     # ------------------------------------------------------------------
-    def on_fault(self, info) -> None:
-        """Observe one mid-run fault injection (a ``FaultInfo``).
+    def on_disturbance(self, info) -> None:
+        """Observe one mid-run fault or churn occurrence (a ``Disturbance``).
 
-        Invoked by every driver — dict, kernel, fused, batched —
-        immediately after a :class:`~repro.faults.schedule.FaultSchedule`
-        occurrence corrupts the configuration, on both capability tiers.
-        Injection adds no steps/moves/rounds; ``info`` carries the totals
-        at the corrupted configuration plus the victims and variables
-        hit.  Default: no-op.
-        """
-
-    def on_churn(self, info) -> None:
-        """Observe one mid-run topology mutation (a ``ChurnInfo``).
-
-        Invoked by every driver immediately after a
-        :class:`~repro.faults.churn.ChurnSchedule` occurrence mutates
-        the network — links dropped/added, processes crashed/rejoined —
-        on both capability tiers.  Like fault injection, a mutation adds
-        no steps/moves/rounds; ``info`` carries the totals at the
-        mutated configuration plus the applied delta and the live
-        subgraph's component count.  Default: no-op.
+        Invoked by every driver — dict, kernel, fused, batched — right
+        after a :class:`~repro.faults.schedule.FaultSchedule` or
+        :class:`~repro.faults.churn.ChurnSchedule` occurrence lands, on
+        both capability tiers.  ``info.occurrence`` is what landed: the
+        victims plus the corrupted variables of a fault, or the churn
+        ``action``, its link delta and the live subgraph's shape after
+        it.  Landing adds no steps/moves/rounds; ``info`` carries the
+        totals at the disturbed configuration.  Default: no-op.
         """
 
     def on_finish(self, sim: "Simulator") -> None:

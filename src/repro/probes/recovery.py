@@ -3,12 +3,13 @@
 :class:`RecoveryProbe` is the fault-workload counterpart of
 :class:`~repro.probes.stabilization.StabilizationProbe`: instead of one
 stopwatch from γ0 to the first legitimate configuration, it keeps one
-stopwatch *per fault burst* — armed by the drivers' ``on_fault``
-notification, stopped the next time the legitimacy notion holds — so a
-storm of repeated corruptions yields a per-burst series of recovery
-steps/rounds/moves.  Like every probe it is capability-tiered: with the
-name of a declared legitimacy predicate it rides the fused loop (and
-batched cells); with only a decode-tier predicate it decodes per step.
+stopwatch *per disturbance* — armed by the drivers' ``on_disturbance``
+notification for each fault burst or churn occurrence, stopped the next
+time the legitimacy notion holds — so a storm of repeated corruptions
+yields a per-burst series of recovery steps/rounds/moves.  Like every
+probe it is capability-tiered: with the name of a declared legitimacy
+predicate it rides the fused loop (and batched cells); with only a
+decode-tier predicate it decodes per step.
 Both tiers, and both backends, report byte-identical burst series for
 identical executions.
 
@@ -59,10 +60,11 @@ class RecoveryProbe(Probe):
         Request a stop once ``expected`` bursts have all recovered.
 
     Each fired burst appends a record to :attr:`bursts`:
-    ``injected_step``/``nominal_step``/``victims``/``variables`` from the
-    injection, then — once the notion next holds — ``steps``/``rounds``/
-    ``moves`` as recovery *deltas* from the injected configuration and
-    ``recovered=True``.  Overlapping bursts (a new injection before the
+    ``injected_step``/``nominal_step``/``victims`` plus a fault's
+    ``variables`` or a churn occurrence's ``action``/``dropped``/
+    ``added``/``components``/``live``, then — once the notion next
+    holds — ``steps``/``rounds``/``moves`` as recovery *deltas* from the
+    injected configuration and ``recovered=True``.  Overlapping bursts (a new injection before the
     previous recovered) each keep their own stopwatch; one legitimate
     configuration closes all open ones.
     """
@@ -91,9 +93,6 @@ class RecoveryProbe(Probe):
         #: ``mask`` once checked against a kernel program (``None``
         #: until then, and on the dict backend).
         self._test: str | None = None
-        #: Crashed-and-not-rejoined process ids, learned from ``on_churn``
-        #: notifications; legitimacy is judged on the live subsystem.
-        self._dead: set[int] = set()
 
     # ------------------------------------------------------------------
     @property
@@ -131,60 +130,41 @@ class RecoveryProbe(Probe):
         return self._test is None
 
     # ------------------------------------------------------------------
-    # Fault notifications (tier-agnostic)
+    # Disturbances (tier-agnostic)
     # ------------------------------------------------------------------
-    def on_fault(self, info) -> None:
-        self._open.append(len(self.bursts))
-        self.bursts.append(
-            {
-                "burst": info.burst,
-                "injected_step": info.step,
-                "nominal_step": info.nominal_step,
-                "victims": list(info.victims),
-                "variables": list(info.variables),
-                "at_moves": info.moves,
-                "at_rounds": info.rounds,
-                "steps": None,
-                "rounds": None,
-                "moves": None,
-                "recovered": False,
-            }
-        )
-
-    def on_churn(self, info) -> None:
-        """Arm a recovery stopwatch for one topology-churn occurrence.
+    def on_disturbance(self, info) -> None:
+        """Arm a recovery stopwatch for one fault burst or churn occurrence.
 
         Churn perturbs the system exactly as a fault burst does — the
-        live subsystem must re-converge — so each occurrence gets the
-        same per-burst stopwatch, with the applied delta recorded in
-        place of corrupted variables.  The probe also tracks the dead
-        set here: recovery under churn means the legitimacy notion
-        holds on every *live* process.
+        live subsystem must re-converge — so both get the same record,
+        with a churn occurrence's applied delta in place of a burst's
+        corrupted variables.
         """
-        if info.action == "crash":
-            self._dead.update(info.victims)
-        elif info.action == "join":
-            self._dead.difference_update(info.victims)
+        occ = info.occurrence
+        burst = {
+            "burst": occ.burst,
+            "injected_step": info.step,
+            "nominal_step": occ.step,
+            "victims": list(occ.victims),
+            "at_moves": info.moves,
+            "at_rounds": info.rounds,
+            "steps": None,
+            "rounds": None,
+            "moves": None,
+            "recovered": False,
+        }
+        if occ.action:
+            burst.update(
+                action=occ.action,
+                dropped=[list(e) for e in occ.drops],
+                added=[list(e) for e in occ.adds],
+                components=occ.components,
+                live=occ.live,
+            )
+        else:
+            burst["variables"] = list(occ.variables)
         self._open.append(len(self.bursts))
-        self.bursts.append(
-            {
-                "burst": info.burst,
-                "action": info.action,
-                "injected_step": info.step,
-                "nominal_step": info.nominal_step,
-                "victims": list(info.victims),
-                "dropped": [list(e) for e in info.dropped],
-                "added": [list(e) for e in info.added],
-                "components": info.components,
-                "live": info.live,
-                "at_moves": info.moves,
-                "at_rounds": info.rounds,
-                "steps": None,
-                "rounds": None,
-                "moves": None,
-                "recovered": False,
-            }
-        )
+        self.bursts.append(burst)
 
     # ------------------------------------------------------------------
     # Shared recording logic (identical on both tiers)
@@ -213,8 +193,8 @@ class RecoveryProbe(Probe):
                 f"recovery probe {self.name!r} has no decode-tier predicate "
                 "and no mask a kernel program declares"
             )
-        if self._dead:
-            live = [u for u in range(sim.network.n) if u not in self._dead]
+        if sim.dead:  # under churn, judge only the live subsystem
+            live = [u for u in range(sim.network.n) if u not in sim.dead]
             return self.predicate(sim.cfg, live=live)
         return self.predicate(sim.cfg)
 
@@ -281,9 +261,11 @@ class RecoveryProbe(Probe):
 
 
 class SdrWaveProbe(Probe):
-    """SDR reset-wave accounting per fault burst (and in total).
+    """SDR reset-wave accounting per disturbance (and in total).
 
-    Counts, per burst window (from one injection to the next):
+    Counts, per window (from one disturbance to the next; a fault's
+    window is labelled by its burst number, a churn occurrence's
+    ``churn<burst>:<action>``):
 
     * ``initiators`` — ``rule_R`` executions (reset initiations);
     * ``rb`` / ``rf`` — broadcast / feedback wave moves;
@@ -293,7 +275,7 @@ class SdrWaveProbe(Probe):
       joined an already-running wave instead of starting their own (the
       cooperative multi-initiator behaviour of Section 3.3).
 
-    Counts before the first injection accumulate in the ``"pre"``
+    Counts before the first disturbance accumulate in the ``"pre"``
     window (index ``-1`` in :attr:`windows` order).  Works on both
     tiers; the vector tier never leaves the fused loop: per step it
     reads the lane's per-rule move counts and its ``status_c`` bit,
@@ -343,15 +325,14 @@ class SdrWaveProbe(Probe):
     def wants_decode(self) -> bool:
         return False
 
-    def on_fault(self, info) -> None:
-        self.windows.append(self._window(info.burst))
-        # The corrupted configuration may already sit mid-wave; epoch
+    def on_disturbance(self, info) -> None:
+        # Every disturbance opens a window, so the reset traffic it
+        # provokes is attributed to it, not to the previous one; the
+        # disturbed configuration may already sit mid-wave, and epoch
         # transitions keep being detected from the observed state.
-
-    def on_churn(self, info) -> None:
-        # Topology churn opens a wave window too: the reset traffic it
-        # provokes is attributed to the mutation, not the previous burst.
-        self.windows.append(self._window(f"churn{info.burst}:{info.action}"))
+        occ = info.occurrence
+        label = f"churn{occ.burst}:{occ.action}" if occ.action else occ.burst
+        self.windows.append(self._window(label))
 
     # ------------------------------------------------------------------
     # Decode tier

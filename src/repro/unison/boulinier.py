@@ -37,6 +37,15 @@ Parameter validity: the original analysis requires ``K > C_G`` and
 ``α ≥ T_G − 2``.  :func:`default_parameters` picks the conservative
 ``K = 2n + 2`` and ``α = n``, valid on every graph since ``C_G ≤ n`` and
 ``T_G ≤ n``.
+
+Daemon caveat: this reconstruction is **not** self-stabilizing under an
+unfair or weakly fair daemon.  On star(3) from the ``gradient`` start
+(``K = 8``, ``α = 3``) a schedule in which every process moves in every
+iteration cycles outside legitimacy forever: the centre leaves the tail
+(``rule_TO``) and resets again (``rule_RA``) in each iteration
+(``tests/unison/test_boulinier_livelock.py`` replays it).  Experiments
+T5, F1 and F2 therefore run it under the distributed-random daemon only,
+and no unfair-daemon claim rests on it.
 """
 
 from __future__ import annotations

@@ -238,18 +238,23 @@ def test_fused_lane_equals_dict_under_churn(cell, churn, seed):
     assert fused == reference, (cell, churn, seed)
 
 
-disturbances = st.sampled_from(("none", "faults", "churn"))
+disturbances = st.sampled_from(("none", "faults", "churn", "both"))
 
 
 @st.composite
 def disturbance(draw, algorithm, variables):
-    """No disturbance, a drawn fault spec, or a drawn churn spec."""
+    """No disturbance, a drawn fault spec, a drawn churn spec, or both.
+
+    With both, fault and churn occurrences interleave in one stream that
+    feeds one recovery probe.
+    """
     kind = draw(disturbances)
-    if kind == "faults":
-        return {"faults": draw(fault_specs(algorithm, variables))}
-    if kind == "churn":
-        return {"churn": draw(churn_specs)}
-    return {}
+    kwargs = {}
+    if kind in ("faults", "both"):
+        kwargs["faults"] = draw(fault_specs(algorithm, variables))
+    if kind in ("churn", "both"):
+        kwargs["churn"] = draw(churn_specs)
+    return kwargs
 
 
 def scripted_selections(cell, seed, kwargs):
