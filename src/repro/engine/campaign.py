@@ -180,17 +180,27 @@ class Campaign:
         for axis in ("algorithms", "topologies", "sizes", "scenarios", "daemons"):
             if not getattr(self, axis):
                 raise ValueError(f"campaign axis {axis!r} is empty")
-        # Names and scenarios come from the trial pipeline's algorithm
-        # registry; imported lazily, since the harness imports the engine.
+        # The whole grid is checked here, before any trial runs.  Names,
+        # scenarios and params come from the trial pipeline's registry;
+        # imported lazily, since the harness imports the engine.
+        from ..core.daemon import DAEMON_KINDS
         from ..harness.runner import ALGORITHMS, check_params, scenario_start
+        from ..topology import TOPOLOGIES
 
-        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
-        if unknown:
-            raise ValueError(
-                f"unknown algorithm(s) {unknown}; choose from {list(ALGORITHMS)}"
-            )
+        for axis, values, known, hint in (
+            ("algorithm", self.algorithms, ALGORITHMS, ""),
+            ("topology", self.topologies, TOPOLOGIES, ""),
+            ("daemon", self.daemons, DAEMON_KINDS,
+             " (schedule search is the 'adversary' param)"),
+        ):
+            unknown = [v for v in values if v not in known]
+            if unknown:
+                raise ValueError(
+                    f"unknown {axis}(s) {unknown}; choose from {list(known)}{hint}"
+                )
         for algorithm in self.algorithms:
-            check_params(algorithm, self.params)
+            for daemon in self.daemons:
+                check_params(algorithm, self.params, daemon)
             for scenario in self.scenarios:
                 scenario_start(algorithm, scenario)  # rejects undeclared ones
 

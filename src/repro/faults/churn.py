@@ -332,7 +332,7 @@ class BoundChurnSchedule(BoundSchedule):
 
 
 # ----------------------------------------------------------------------
-# The spec grammar (the CLI's --churn argument).
+# The spec grammar (the ``churn`` trial param).
 # ----------------------------------------------------------------------
 def _churn_key(key: str, value: str, opts: dict, wide: dict) -> bool:
     if key == "connectivity":
@@ -377,10 +377,11 @@ def _clause_event(opts: dict) -> ChurnEvent:
 
 
 def parse_churn(spec: str) -> ChurnSchedule:
-    """Parse and validate a ``--churn`` spec string.
+    """Parse and validate a ``churn`` spec string.
 
     Raises :class:`ValueError` with a pointed message on any malformed
-    spec — the CLI calls this before running anything.
+    spec; it is the run-option check of the trial param, run before
+    anything is built.
     """
     if isinstance(spec, ChurnSchedule):
         return spec

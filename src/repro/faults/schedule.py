@@ -19,7 +19,7 @@ therefore apply byte-identical corruptions under the same seed, which is
 what the cross-backend property suite asserts.
 
 Schedules are written either programmatically or as a compact spec
-string (the sweep CLI's ``--faults`` argument)::
+string (the ``faults`` trial param, ``--param faults=...`` on the sweep CLI)::
 
     at=100,k=3,vars=c            one 3-process fault at step 100
     every=250,k=1                a 1-process fault every 250 steps
@@ -449,7 +449,7 @@ def resolve_variables(algorithm, variables: Sequence[str], scope: str) -> tuple[
 
 
 # ----------------------------------------------------------------------
-# The spec grammar (the CLI's --faults argument).
+# The spec grammar (the ``faults`` trial param).
 # ----------------------------------------------------------------------
 #: Integer-valued timing keys shared by fault and churn clauses.
 _INT_KEYS = ("start", "until", "count", "gap", "cadence")
@@ -569,10 +569,11 @@ def _clause_event(opts: dict) -> FaultEvent:
 
 
 def parse_schedule(spec: str) -> FaultSchedule:
-    """Parse and validate a ``--faults`` spec string.
+    """Parse and validate a ``faults`` spec string.
 
     Raises :class:`ValueError` with a pointed message on any malformed
-    spec — the CLI calls this before running anything.
+    spec; it is the run-option check of the trial param, run before
+    anything is built.
     """
     if isinstance(spec, FaultSchedule):
         return spec

@@ -25,23 +25,23 @@ per-trial completions, heartbeats) and a provenance manifest
 hash).  Wall-clock data lives only in the sidecars; store records stay
 byte-identical with telemetry on or off.
 
-``--backend {auto,dict,kernel}`` selects the simulator execution engine
-for every trial (array kernel vs dict reference).  It is an execution
-option: trial keys and stored records never name it, so a ``--backend
-dict`` store is byte-identical to the default one; only wall time
-differs.
+``--param KEY=VALUE`` sets a trial param of every trial: a build param
+(``period=12``, ``instance=dominating-set``) or a run option
+(:data:`repro.harness.runner.RUN_OPTIONS`).  ``backend={auto,dict,kernel}``
+picks the execution engine; it is an execution option, so trial keys and
+records never name it and a ``backend=dict`` store is byte-identical to
+the default one.  ``faults=SPEC`` (:mod:`repro.faults.schedule`) and
+``churn=SPEC`` (:mod:`repro.faults.churn`) disturb every trial mid-run,
+and ``adversary=STRATEGY`` replaces its daemon with a schedule search
+(:mod:`repro.adversary`, replay-verified on the dict backend; the
+``daemon`` axis takes zoo daemons only).  These three change what is
+measured, so they key every trial; churn and adversary cells run
+serially.  ``max_steps=N`` overrides the step budget.
 
-``--faults SPEC`` attaches a deterministic fault schedule (see
-:mod:`repro.faults.schedule`) to every trial — unlike backend it
-*changes* what is measured, so it is part of each trial's key.
-``--churn SPEC`` does the same for topology churn (see
-:mod:`repro.faults.churn`): links drop/appear and processes crash/rejoin
-mid-run; churn cells always execute serially (never batched).
-``--adversary STRATEGY`` replaces every trial's daemon with an
-adversarial schedule search (:mod:`repro.adversary`) — also part of the
-trial key; adversary cells run serially on the kernel backend and every
-found schedule is replay-verified on the dict backend.  It is the only
-way to schedule by search: the ``daemon`` axis takes zoo daemons only.
+Every grid value and param is checked before the first trial runs: an
+unknown name, a value of the wrong type, a malformed spec, or an
+adversary combined with faults, churn, a non-default daemon or
+``backend=dict`` prints ``error: ...`` and exits 2, writing nothing.
 Without a failure policy the first failing trial (a dead worker
 process included) ends the sweep with ``error: ...``, exit status 1.
 ``--trial-timeout`` / ``--max-retries`` set one
@@ -58,19 +58,13 @@ import sys
 
 from .experiments import REGISTRY
 
-#: --grid axis spellings → Campaign field (singular and plural accepted).
+#: --grid axis → Campaign field.
 _GRID_AXES = {
     "algorithm": "algorithms",
-    "algorithms": "algorithms",
     "topology": "topologies",
-    "topologies": "topologies",
     "n": "sizes",
-    "size": "sizes",
-    "sizes": "sizes",
     "scenario": "scenarios",
-    "scenarios": "scenarios",
     "daemon": "daemons",
-    "daemons": "daemons",
 }
 
 
@@ -84,9 +78,8 @@ def _parse_scalar(text: str):
 
 
 def _build_campaign(args):
-    from ..core.daemon import DAEMON_KINDS
+    """The sweep's Campaign, which checks the whole grid and every param."""
     from ..engine import Campaign
-    from ..topology import TOPOLOGIES
 
     axes: dict[str, tuple] = {}
     for entry in args.grid:
@@ -97,7 +90,7 @@ def _build_campaign(args):
             field = _GRID_AXES[name.strip()]
         except KeyError:
             raise ValueError(
-                f"unknown grid axis {name!r}; choose from {sorted(set(_GRID_AXES))}"
+                f"unknown grid axis {name!r}; choose from {list(_GRID_AXES)}"
             ) from None
         # Repeated flags for one axis merge (deduplicated, order kept).
         merged = list(axes.get(field, ()))
@@ -106,66 +99,14 @@ def _build_campaign(args):
         axes[field] = tuple(merged)
     if "sizes" in axes:
         axes["sizes"] = tuple(int(v) for v in axes["sizes"])
-    # Fail on bad axis values before any trial runs, not from a worker.
-    unknown = [t for t in axes.get("topologies", ()) if t not in TOPOLOGIES]
-    if unknown:
-        raise ValueError(
-            f"unknown topology(ies) {unknown}; choose from {sorted(TOPOLOGIES)}"
-        )
-    unknown = [d for d in axes.get("daemons", ()) if d not in DAEMON_KINDS]
-    if unknown:
-        raise ValueError(
-            f"unknown daemon(s) {unknown}; choose from {list(DAEMON_KINDS)} "
-            "(schedule searches are --adversary STRATEGY)"
-        )
     params: dict[str, object] = {}
     for entry in args.param:
         key, sep, value = entry.partition("=")
         if not sep or not key.strip():
             raise ValueError(f"--param expects KEY=VALUE, got {entry!r}")
+        # Stored as typed, never canonicalized: a spec that changes what
+        # is measured keys every trial, and a resume must re-type it.
         params[key.strip()] = _parse_scalar(value)  # last --param wins
-    if getattr(args, "backend", None):
-        params["backend"] = args.backend
-    if getattr(args, "faults", None):
-        # Validate the schedule grammar before any trial runs.  The spec
-        # is stored verbatim (not canonicalized): it changes measured
-        # results, so it is part of every trial key, and the key must
-        # match what the user typed / what a resume re-types.
-        from ..faults.schedule import parse_schedule
-
-        parse_schedule(args.faults)
-        params["faults"] = args.faults
-    if getattr(args, "churn", None):
-        # Same contract as --faults: validate up front, store verbatim —
-        # churn changes measured results, so the spec is a measured
-        # param in every trial key (and forces serial execution; see
-        # repro.harness.runner.can_batch).
-        from ..faults.churn import parse_churn
-
-        parse_churn(args.churn)
-        params["churn"] = args.churn
-    if getattr(args, "adversary", None):
-        # Same contract again: validate the strategy spec up front,
-        # store it verbatim.  The search replaces the scheduler, so the
-        # spec changes measured results and keys every trial; it also
-        # forces serial kernel-backend execution (see
-        # repro.harness.runner.can_batch / _adversary_daemon).
-        from ..adversary.search import known_strategy
-
-        if not known_strategy(args.adversary):
-            from ..adversary.search import STRATEGY_KINDS
-
-            raise ValueError(
-                f"unknown adversary strategy {args.adversary!r}; choose "
-                f"from {list(STRATEGY_KINDS)} (beam takes optional "
-                "-W, -WxH, -WxHxB suffixes, e.g. beam-3x3)"
-            )
-        if params.get("backend") == "dict":
-            raise ValueError(
-                "--adversary requires the kernel backend; replay the "
-                "emitted certificate to cross-check the dict backend"
-            )
-        params["adversary"] = args.adversary
     return Campaign(
         name=args.name,
         seed=args.seed,
@@ -224,28 +165,10 @@ def run_sweep(argv: list[str]) -> int:
                         help="seed for the topology generators (default 0)")
     parser.add_argument("--name", default="sweep", help="campaign name")
     parser.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
-                        help="extra trial kwarg, e.g. period=12 or instance=dominating-set")
-    parser.add_argument("--backend", default=None, choices=("auto", "dict", "kernel"),
-                        help="simulator execution backend for every trial "
-                             "(default: auto — array kernel when available)")
-    parser.add_argument("--faults", default=None, metavar="SPEC",
-                        help="fault schedule injected mid-run into every "
-                             "trial, e.g. 'burst=50,count=3,gap=100,k=2,"
-                             "scope=input'; part of the trial key (it "
-                             "changes measured results)")
-    parser.add_argument("--churn", default=None, metavar="SPEC",
-                        help="topology churn schedule applied mid-run to "
-                             "every trial, e.g. 'every=100,crash=1;"
-                             "every=150,join=1'; part of the trial key "
-                             "(it changes measured results) and forces "
-                             "serial execution")
-    parser.add_argument("--adversary", default=None, metavar="STRATEGY",
-                        help="replace every trial's daemon with an "
-                             "adversarial schedule search (greedy, beam, "
-                             "beam-WxH, delay); part of the trial key, "
-                             "forces serial kernel-backend execution, and "
-                             "each found schedule is replay-verified on "
-                             "the dict backend")
+                        help="trial param (repeatable): a build param, e.g. "
+                             "period=12 or instance=dominating-set, or a run "
+                             "option: max_steps, backend, faults, churn, "
+                             "adversary; all checked before any trial runs")
     parser.add_argument("--trial-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-trial wall-clock deadline; sets a failure "

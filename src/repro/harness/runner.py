@@ -20,6 +20,7 @@ import functools
 import inspect
 import os
 import re
+import typing
 from dataclasses import dataclass, field
 from random import Random
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
@@ -30,7 +31,7 @@ from ..analysis.metrics import RunMetrics, collect_metrics
 from ..core.daemon import DAEMON_KINDS, Daemon, make_daemon
 from ..core.exceptions import NotStabilized, UnbatchableError
 from ..core.graph import Network
-from ..core.simulator import Simulator
+from ..core.simulator import BACKENDS, Simulator
 from ..faults.injector import corrupt_processes
 from ..faults.scenarios import clock_gradient, clock_split, fake_reset_wave, hollow_alliance
 from ..faults.churn import parse_churn
@@ -47,6 +48,7 @@ if TYPE_CHECKING:  # descriptor type only — the engine imports this module
 __all__ = [
     "ALGORITHMS",
     "AlgorithmEntry",
+    "RUN_OPTIONS",
     "Trial",
     "can_batch",
     "check_params",
@@ -144,6 +146,15 @@ def _boulinier_split(algo: BoulinierUnison, rng: Random):
     return cfg
 
 
+def _build_unison(network: Network, period: int | None = None) -> SDR:
+    return SDR(Unison(network, period=period))
+
+
+def _build_boulinier(network: Network, period: int | None = None,
+                     alpha: int | None = None) -> BoulinierUnison:
+    return BoulinierUnison(network, period=period, alpha=alpha)
+
+
 def _build_fga(network: Network, instance="dominating-set") -> SDR:
     """``instance`` names an alliance instance or is an ``(f, g)`` pair."""
     f, g = instance_by_name(instance, network) if isinstance(instance, str) else instance
@@ -163,7 +174,7 @@ def _alliance(sdr: SDR, final) -> dict:
 ALGORITHMS: dict[str, AlgorithmEntry] = {
     "unison": AlgorithmEntry(
         label="U o SDR",
-        build=lambda network, period=None: SDR(Unison(network, period=period)),
+        build=_build_unison,
         scenarios={
             "random": _random,
             "gradient": lambda sdr, rng: clock_gradient(sdr),
@@ -176,9 +187,7 @@ ALGORITHMS: dict[str, AlgorithmEntry] = {
     ),
     "boulinier": AlgorithmEntry(
         label="boulinier",
-        build=lambda network, period=None, alpha=None: BoulinierUnison(
-            network, period=period, alpha=alpha
-        ),
+        build=_build_boulinier,
         scenarios={
             "random": _random,
             "gradient": _boulinier_gradient,
@@ -231,24 +240,109 @@ def scenario_start(algorithm: str, scenario: str) -> StartFn:
     )
 
 
-def check_params(algorithm: str, params) -> None:
-    """Reject the build params (every ``(key, value)`` of ``params`` but
-    the run options) that ``algorithm``'s ``build`` does not declare.
+def _max_steps(value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"max_steps must be a non-negative int, got {value!r}")
 
-    The declared ones are ``build``'s keyword parameters after the
-    network argument.  Raises ``ValueError`` naming them.
-    """
-    keys = [key for key, _ in params if key not in _RUN_OPTIONS]
-    if not keys:
+
+def _backend(value) -> None:
+    if value not in BACKENDS:
+        raise ValueError(f"unknown backend {value!r}; choose from {list(BACKENDS)}")
+
+
+def _adversary(value) -> None:
+    from ..adversary.search import STRATEGY_KINDS, known_strategy
+
+    # An empty spec would parse as greedy under a second trial key.
+    if not (isinstance(value, str) and value and known_strategy(value)):
+        raise ValueError(
+            f"unknown adversary strategy {value!r}; choose from "
+            f"{list(STRATEGY_KINDS)} (beam takes optional -W, -WxH, -WxHxB "
+            "suffixes, e.g. beam-3x3)"
+        )
+
+
+#: The run options: spec params that steer a run (the keyword options of
+#: :func:`run_network_trial`) rather than build the algorithm, each with
+#: its check, which raises ``ValueError`` on a malformed value.  The
+#: checks read names and parse specs; they build nothing.
+RUN_OPTIONS: dict[str, Callable[[Any], object]] = {
+    "max_steps": _max_steps,
+    "backend": _backend,
+    "faults": parse_schedule,
+    "churn": parse_churn,
+    "adversary": _adversary,
+}
+
+
+def _split_params(params) -> tuple[tuple, dict]:
+    """Trial ``params`` as (build-param pairs, run options)."""
+    build = tuple((k, v) for k, v in params if k not in RUN_OPTIONS)
+    options = {k: v for k, v in params if k in RUN_OPTIONS}
+    return build, options
+
+
+def _check_run(options: Mapping[str, Any], daemon) -> None:
+    """Check a trial's run options (``None`` for an absent one) under
+    ``daemon``, then the adversary's exclusions: the search *is* the
+    scheduler, so the daemon stays at its default; it has no dict twin
+    (its certificate is replayed on the dict backend instead); and a
+    disturbance mid-rollout would invalidate every rollout score."""
+    for key, value in options.items():
+        if value is not None:
+            RUN_OPTIONS[key](value)
+    adversary = options.get("adversary")
+    if adversary is None:
         return
-    build = inspect.signature(_entry(algorithm).build)
-    names = list(build.parameters)[1:]
-    unknown = [key for key in keys if key not in names]
+    if options.get("faults") is not None or options.get("churn") is not None:
+        raise ValueError(
+            "adversary search does not compose with faults/churn schedules"
+        )
+    if isinstance(daemon, Daemon) or daemon != "distributed-random":
+        raise ValueError(
+            f"adversary={adversary!r} replaces the daemon; leave the "
+            f"daemon at its default (got {daemon!r})"
+        )
+    if options.get("backend") == "dict":
+        raise ValueError(
+            "adversary search requires the kernel backend; its certificate "
+            "is replayed on the dict backend instead (done automatically)"
+        )
+
+
+def check_params(algorithm: str, params,
+                 daemon: str = "distributed-random") -> None:
+    """Reject a malformed ``params`` (``(key, value)`` pairs) of an
+    ``algorithm`` trial under ``daemon``, before anything is built.
+
+    Run options (:data:`RUN_OPTIONS`) go through their checks and the
+    adversary's exclusions.  Every other key must be a keyword parameter
+    of the entry's ``build`` after the network argument, and its value
+    must match that parameter's annotation, if it has one.  Raises
+    ``ValueError``.
+    """
+    values, options = _split_params(params)
+    _check_run(options, daemon)
+    if not values:
+        return
+    build = _entry(algorithm).build
+    names = list(inspect.signature(build).parameters)[1:]
+    unknown = [key for key, _ in values if key not in names]
     if unknown:
         raise ValueError(
             f"{algorithm} takes no param(s) {unknown}; it declares {names} "
-            f"(run options: {sorted(_RUN_OPTIONS)})"
+            f"(run options: {sorted(RUN_OPTIONS)})"
         )
+    hints = typing.get_type_hints(build)
+    for key, value in values:
+        if key not in hints:
+            continue
+        kinds = typing.get_args(hints[key]) or hints[key]
+        # A bool is an int to isinstance, never to an annotated param.
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(
+                f"{algorithm} param {key}={value!r} is not {hints[key]}"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -401,40 +495,6 @@ def _record(entry: AlgorithmEntry, scenario: str, daemon: str, seed: int,
 # ----------------------------------------------------------------------
 # Adversarial schedule search (the ``adversary`` trial param)
 # ----------------------------------------------------------------------
-def _adversary_daemon(adversary: str, daemon, backend: str, faults, churn,
-                      stop_mask: str | None = None):
-    """Validate an ``adversary=`` trial and build its search daemon.
-
-    The adversary *is* the scheduler, so it replaces the daemon (which
-    must stay at its default) and runs on the kernel backend: the
-    column-tier search has no dict twin, so cross-backend confidence
-    comes from replaying its certificate on the dict backend instead.
-    Faults and churn are rejected (a disturbance mid-rollout would
-    invalidate every rollout score).  ``stop_mask`` names the trial's
-    legitimacy predicate: the search treats configurations satisfying it
-    as terminal, since the measured run stops there.
-    """
-    from ..adversary.search import make_search_daemon
-
-    if faults is not None or churn is not None:
-        raise ValueError(
-            "adversary search does not compose with faults/churn schedules"
-        )
-    if isinstance(daemon, Daemon) or daemon != "distributed-random":
-        raise ValueError(
-            f"adversary={adversary!r} replaces the daemon; leave the "
-            f"daemon param at its default (got {daemon!r})"
-        )
-    if backend == "dict":
-        raise ValueError(
-            "adversary search requires the kernel backend; replay its "
-            "certificate on the dict backend instead (done automatically)"
-        )
-    search = make_search_daemon(adversary)
-    search.strategy.stop_mask = stop_mask
-    return search, "kernel"
-
-
 def _adversary_extra(daemon: Daemon, adversary: str, label: str, algo,
                      initial, final, rounds: int, seed: int,
                      network: Network) -> dict:
@@ -513,32 +573,40 @@ def run_network_trial(
     series lands in ``Trial.extra``.  ``adversary`` (``greedy``,
     ``beam-WxH``, ``delay`` …) replaces the daemon with a schedule search
     on the kernel backend, replay-verified on the dict backend before
-    ``Trial.extra["adversary"]`` lands.
+    ``Trial.extra["adversary"]`` lands.  These run options are checked
+    (:data:`RUN_OPTIONS`) before anything is built.
     """
     entry = _entry(algorithm)
     return _run_built(
-        entry, algorithm, network, entry.build(network, **params),
-        _topology(network), seed=seed, daemon=daemon, scenario=scenario,
-        max_steps=max_steps, backend=backend, faults=faults, churn=churn,
-        adversary=adversary,
+        entry, algorithm,
+        lambda: (network, entry.build(network, **params), _topology(network)),
+        seed=seed, daemon=daemon, scenario=scenario, max_steps=max_steps,
+        backend=backend, faults=faults, churn=churn, adversary=adversary,
     )
 
 
-def _run_built(entry: AlgorithmEntry, algorithm: str, network: Network, algo,
-               topology: tuple, *, seed: int, daemon, scenario: str,
-               max_steps: int | None = None, backend: str = "auto",
-               faults=None, churn=None,
+def _run_built(entry: AlgorithmEntry, algorithm: str,
+               setup: Callable[[], tuple[Network, Any, tuple]], *, seed: int,
+               daemon, scenario: str, max_steps: int | None = None,
+               backend: str = "auto", faults=None, churn=None,
                adversary: str | None = None) -> Trial:
-    """:func:`run_network_trial` past the build: run ``algo`` (built by
-    ``entry`` on ``network``, whose :func:`_topology` is ``topology``);
-    only a churn trial may edit ``network``."""
+    """:func:`run_network_trial` past the arguments: check the run
+    options, then run the algorithm of ``setup()`` — ``(network,
+    algorithm built by entry on it, its _topology)``; only a churn trial
+    may edit that network."""
+    _check_run({"max_steps": max_steps, "backend": backend, "faults": faults,
+                "churn": churn, "adversary": adversary}, daemon)
+    network, algo, topology = setup()
     cfg = scenario_start(algorithm, scenario)(algo, Random(seed))
     if max_steps is None:
         max_steps = entry.max_steps
     if adversary is not None:
-        daemon, backend = _adversary_daemon(
-            adversary, daemon, backend, faults, churn, stop_mask=entry.mask,
-        )
+        from ..adversary.search import make_search_daemon
+
+        # The search replaces the daemon, on the kernel backend, and treats
+        # the legitimacy predicate as terminal: the measured run stops there.
+        daemon, backend = make_search_daemon(adversary), "kernel"
+        daemon.strategy.stop_mask = entry.mask
     kit, measure, probes = _trial_probes(entry, algo, seed, faults, churn)
     if not isinstance(daemon, Daemon):
         daemon = make_daemon(daemon, network)
@@ -574,9 +642,10 @@ def run_trial(spec: "TrialSpec", seed: int | None = None) -> Trial:
     (:func:`_setup`), except for churn trials, which own theirs.
     """
     entry = _entry(spec.algorithm)
-    params, options = _split_params(spec)
+    params, options = _split_params(spec.params)
     return _run_built(
-        entry, spec.algorithm, *_setup(entry, spec, params, options.get("churn")),
+        entry, spec.algorithm,
+        lambda: _setup(entry, spec, params, options.get("churn")),
         seed=spec.trial if seed is None else seed,
         daemon=spec.daemon, scenario=spec.scenario, **options,
     )
@@ -585,20 +654,6 @@ def run_trial(spec: "TrialSpec", seed: int | None = None) -> Trial:
 # ----------------------------------------------------------------------
 # Per-process setup
 # ----------------------------------------------------------------------
-#: Spec params that steer a run (the keyword options of
-#: :func:`run_network_trial`); every other param builds the algorithm.
-_RUN_OPTIONS = frozenset(
-    {"max_steps", "backend", "faults", "churn", "adversary"}
-)
-
-
-def _split_params(spec: "TrialSpec") -> tuple[tuple, dict]:
-    """``spec.params`` as (sorted build-param pairs, run options)."""
-    params = tuple((k, v) for k, v in spec.params if k not in _RUN_OPTIONS)
-    options = {k: v for k, v in spec.params if k in _RUN_OPTIONS}
-    return params, options
-
-
 def _build(build, topology: str, n: int, topology_seed: int,
            params: tuple) -> tuple[Network, Any, tuple]:
     network = by_name(topology, n, seed=topology_seed)
@@ -672,7 +727,7 @@ def run_trial_batch(
     spec = specs[0]
     if any(s.cell_key() != spec.cell_key() for s in specs[1:]):
         raise ValueError("run_trial_batch requires specs from one grid cell")
-    params, options = _split_params(spec)
+    params, options = _split_params(spec.params)
     if not can_batch(spec):
         raise UnbatchableError(f"cell {spec.cell_key()!r} cannot be batched")
     from ..core.kernel.batch import run_batch

@@ -85,11 +85,11 @@ class TestSweepCli:
 
     @pytest.mark.parametrize("daemon", ["adversarial", "adversarial:greedy"])
     def test_search_daemon_axis_points_to_adversary(self, daemon, capsys):
-        """Schedule search has one spelling, ``--adversary``: the daemon
-        axis refuses it before any trial runs and names the option."""
+        """Schedule search has one spelling, the ``adversary`` param: the
+        daemon axis refuses it before any trial runs and names the param."""
         assert cli.main(["sweep", "--grid", f"daemon={daemon}"]) == 2
         out = capsys.readouterr().out
-        assert "unknown daemon" in out and "--adversary" in out
+        assert "unknown daemon" in out and "'adversary' param" in out
 
     def test_repeated_grid_flags_for_one_axis_merge(self, capsys):
         assert cli.main(["sweep", "--grid", "n=5", "--grid", "n=7,5",
@@ -171,13 +171,13 @@ class TestExperimentsThroughEngine:
         assert first.ok and second.ok
 
     def test_dict_backend_store_is_byte_identical(self, tmp_path, capsys):
-        """``--backend dict`` is an execution option: its store equals
+        """``backend=dict`` is an execution option: its store equals
         the default store byte for byte, and each resumes from the
         other without re-running anything."""
         fused, dict_ = tmp_path / "pf.jsonl", tmp_path / "pd.jsonl"
         assert sweep("--workers", "0", "--out", str(fused)) == 0
         assert sweep("--workers", "0", "--out", str(dict_),
-                     "--backend", "dict") == 0
+                     "--param", "backend=dict") == 0
         assert fused.read_bytes() == dict_.read_bytes()
         full = fused.read_bytes()
 
@@ -185,7 +185,7 @@ class TestExperimentsThroughEngine:
         fused.write_text(lines[0])
         capsys.readouterr()
         assert sweep("--workers", "0", "--out", str(fused),
-                     "--backend", "dict", "--resume") == 0
+                     "--param", "backend=dict", "--resume") == 0
         assert "3 trial(s) run, 1 already stored" in capsys.readouterr().out
         assert fused.read_bytes() == full
         assert sweep("--workers", "0", "--out", str(fused), "--resume") == 0

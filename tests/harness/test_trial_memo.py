@@ -70,9 +70,10 @@ def test_trials_of_one_cell_share_network_and_algorithm(monkeypatch):
     seen = []
     run_built = runner._run_built
 
-    def spy(entry, algorithm, network, algo, *args, **kwargs):
+    def spy(entry, algorithm, setup, **kwargs):
+        network, algo, _ = built = setup()
         seen.append((network, algo))
-        return run_built(entry, algorithm, network, algo, *args, **kwargs)
+        return run_built(entry, algorithm, lambda: built, **kwargs)
 
     monkeypatch.setattr(runner, "_run_built", spy)
     first, second = plain_campaign().specs()[:2]
