@@ -445,9 +445,8 @@ class KernelRuntime:
         #: The program's guard memo (:meth:`IRKernelProgram.memo`): every
         #: column whose values a step or a disturbance changed is marked
         #: on it, so an evaluation recomputes only the terms those changes
-        #: reach.  ``None`` for a program without one (dense evaluation).
-        make_memo = getattr(program, "memo", None)
-        self._memo = make_memo() if make_memo is not None else None
+        #: reach.
+        self._memo = program.memo()
         #: Rule name → index into :attr:`rules`.
         self.rule_index = {rule: k for k, rule in enumerate(self.rules)}
         #: The driver's rule dispatch buffers (see :func:`dispatch_rules`)
@@ -465,16 +464,9 @@ class KernelRuntime:
     # ------------------------------------------------------------------
     def guard_masks(self) -> dict[str, np.ndarray]:
         if self._masks is None:
-            masks, self._preds = self._evaluate(self.program, self.read)
+            masks, self._preds = self.program.evaluate(self.read, self._memo)
             self._masks = live_masks(masks, self.live)
         return self._masks
-
-    def _evaluate(self, program, cols):
-        """``program.evaluate`` of ``cols``, through the memo if any."""
-        memo = self._memo
-        if memo is None:
-            return program.evaluate(cols)
-        return program.evaluate(cols, memo)
 
     def holds(self, name: str, live: bool = False) -> bool:
         """Whether the declared predicate ``name`` holds at every process
@@ -542,8 +534,7 @@ class KernelRuntime:
                 [(u + offset, v + offset) for u, v in occ.drops],
                 [(u + offset, v + offset) for u, v in occ.adds],
             )
-            if memo is not None:
-                memo.reset()
+            memo.reset()
         if occ.crashed:
             if self.live is None:
                 self.live = np.ones(self._rule_idx.shape[0], dtype=np.bool_)
@@ -561,10 +552,8 @@ class KernelRuntime:
                 column = self.read[name]
                 if column[u + offset] != code:
                     column[u + offset] = code
-                    if memo is not None:
-                        changed |= self.program.bits[name]
-            if memo is not None:
-                memo.mark(changed)
+                    changed |= self.program.bits[name]
+            memo.mark(changed)
         self._masks = None
         return rewired
 
@@ -707,7 +696,7 @@ class KernelRuntime:
             if live is not None:
                 live = live[:size]
             if masks is None:
-                masks, self._preds = self._evaluate(program, read)
+                masks, self._preds = program.evaluate(read, memo)
                 masks = self._masks = live_masks(masks, live)
             frame.read, frame.live, frame.preds = read, live, self._preds
             frame.bits.clear()
@@ -883,8 +872,7 @@ class KernelRuntime:
                         size = cut
                         block_bounds = block_bounds[: blocks + 1]
                         program = self.base.tiled(blocks)
-                        if memo is not None:
-                            memo.reset()
+                        memo.reset()
                         rule_idx = rule_idx[:cut]
                         enabled_mask = enabled_mask[:cut]
                         frame.starts = block_bounds[:-1]
@@ -977,12 +965,9 @@ class KernelRuntime:
                             continue  # no process had this rule enabled
                         idx = chosen[kinds == k]
                         if idx.shape[0]:
-                            moved = program.apply(rules[k], idx, read, write)
-                            if memo is not None:
-                                changed |= moved
+                            changed |= program.apply(rules[k], idx, read, write)
                             acc.add(idx, k)
-                if memo is not None:
-                    memo.mark(changed)
+                memo.mark(changed)
                 read, write = write, read
                 flip ^= 1
                 # Publish the current parity: scalar daemons, decode
@@ -1027,8 +1012,7 @@ class KernelRuntime:
                     lane.stream.close()
             if size != total:
                 self._masks = None
-                if memo is not None:
-                    memo.reset()
+                memo.reset()
         return acc
 
     # ------------------------------------------------------------------

@@ -13,8 +13,9 @@ Layered as follows (bottom-up):
   supervised worker processes, an append-only JSONL result store, and
   resume (run only the grid cells missing from the store);
 * :mod:`~repro.harness.experiments` — the per-claim experiment registry;
-  the sweep-shaped ones (T3/T4, T5, F1/F2) route their grids through the
-  engine and accept ``workers``/``store`` arguments;
+  the sweep-shaped ones (T3/T4, T5, T11, T12, T13, F1/F2 and F7) route
+  their grids through the engine and accept ``workers``/``store``
+  arguments;
 * :mod:`~repro.harness.tables` / :mod:`~repro.harness.figures` /
   :mod:`~repro.harness.io` — dependency-free reporting and persistence.
 

@@ -12,12 +12,14 @@ grids; larger sweeps can be run directly, e.g.::
     from repro.harness import experiments
     print(experiments.experiment_t3_t4(sizes=(10, 20, 40), trials=5).table)
 
-The sweep-shaped experiments (T3/T4, T5, T11, F1/F2) route their grids
-through the :mod:`repro.engine` campaign engine and take ``workers=N`` to
-fan out across processes and ``store=ResultStore(path)`` to persist and
-resume.  T11 is the storm-recovery experiment the paper never ran: a
-deterministic mid-run fault schedule (k corruptions every ``cadence``
-steps) with per-burst recovery stopwatches.
+The sweep-shaped experiments (T3/T4, T5, T11, T12, T13, F1/F2 and F7)
+route their grids through the :mod:`repro.engine` campaign engine and
+take ``workers=N`` to fan out across processes and
+``store=ResultStore(path)`` to persist and resume.  Experiments that make
+the same measurement share it: T5 and F1/F2 reduce one unison-vs-baseline
+campaign (:func:`_head_to_head`), T11 and T12 are one storm-recovery
+measurement over a fault or churn schedule (:func:`_storms`), and T13 and
+F7 one random-baseline-then-search measurement (:func:`_searches`).
 """
 
 from __future__ import annotations
@@ -38,13 +40,14 @@ from ..alliance.spec import (
 )
 from ..alliance.turau import TurauMIS
 from ..analysis import bounds
-from ..analysis.stats import fit_power_law, summarize
+from ..analysis.stats import fit_power_law
 from ..baselines.mono_reset import MonoReset
 from ..adversary.search import AdversarialDaemon, delay_strategy
 from ..core.daemon import DistributedRandomDaemon, make_daemon
 from ..core.detectors import measure_stabilization
 from ..core.simulator import Simulator
 from ..faults.injector import corrupt_processes
+from ..faults.scenarios import hollow_alliance
 from ..probes import Probe
 from ..reset.sdr import SDR, SDR_RULES
 from ..topology import by_name
@@ -172,6 +175,40 @@ def _clean_worst_rounds(summary) -> int | None:
     return worst
 
 
+def _mean(xs) -> float:
+    """The mean of ``xs`` (0.0 for none)."""
+    return sum(xs) / len(xs) if xs else 0.0
+
+
+def _records(name: str, workers: int, store, **grid) -> list[dict]:
+    """The records of the seed-0 campaign ``name`` over ``grid`` (the
+    :class:`~repro.engine.Campaign` fields), run with ``workers`` and
+    persisted to (and resumed from) ``store`` if one is given."""
+    from ..engine import Campaign, run_campaign
+
+    campaign = Campaign(name, seed=0, **grid)
+    return run_campaign(campaign, store=store, workers=workers,
+                        resume=store is not None).records
+
+
+def _stabilize(algo, cfg, seed: int, *, daemon=None, probes=(),
+               max_steps: int = 1_000_000, predicate=None,
+               name: str = "legitimate"):
+    """Run ``algo`` from ``cfg`` under ``daemon`` (default: distributed-
+    random, p=0.5) until ``predicate`` holds; by default that is its
+    normal configuration, read off the kernel's declared ``normal`` mask.
+    Returns the simulator, which may run on, and the stabilization probe.
+    """
+    if daemon is None:
+        daemon = DistributedRandomDaemon(0.5)
+    sim = Simulator(algo, daemon, config=cfg, seed=seed, probes=probes)
+    detector, _ = measure_stabilization(
+        sim, predicate or algo.is_normal, max_steps=max_steps, name=name,
+        mask="normal" if predicate is None else None,
+    )
+    return sim, detector
+
+
 # ======================================================================
 # T1/T2 — SDR layer bounds (Corollaries 4 and 5)
 # ======================================================================
@@ -198,12 +235,9 @@ def experiment_t1_t2(
                     rng = Random(seed)
                     cfg = sdr.random_configuration(rng)
                     counter = SdrMoveCounter(net.n)
-                    sim = Simulator(
-                        sdr, _daemon(daemon_name, net), config=cfg,
-                        seed=seed, probes=[counter],
-                    )
-                    detector, _ = measure_stabilization(
-                        sim, sdr.is_normal, max_steps=2_000_000, mask="normal"
+                    sim, detector = _stabilize(
+                        sdr, cfg, seed, daemon=_daemon(daemon_name, net),
+                        probes=[counter], max_steps=2_000_000,
                     )
                     # Run past stabilization: per-process SDR moves are a
                     # whole-execution bound, not just to stabilization.
@@ -241,18 +275,14 @@ def experiment_t3_t4(
     engine: ``workers`` fans it out across processes, ``store`` (a
     :class:`repro.engine.ResultStore`) persists and resumes it.
     """
-    from ..engine import Campaign, run_campaign
     from ..engine.reports import group_records
 
-    campaign = Campaign(
-        "t3-t4-unison-bounds", seed=0, algorithms=("unison",),
+    records = _records(
+        "t3-t4-unison-bounds", workers, store, algorithms=("unison",),
         topologies=tuple(topologies), sizes=tuple(sizes),
         scenarios=tuple(scenarios), trials=trials, topology_seed=2,
     )
-    outcome = run_campaign(
-        campaign, store=store, workers=workers, resume=store is not None
-    )
-    cells = group_records(outcome.records, ("topology", "n", "scenario"))
+    cells = group_records(records, ("topology", "n", "scenario"))
 
     table = Table(
         "T3/T4 — U ∘ SDR stabilization, worst measurement per cell",
@@ -283,6 +313,26 @@ def experiment_t3_t4(
 # ======================================================================
 # T5 — comparison with the reset-tail baseline [11]
 # ======================================================================
+def _head_to_head(name: str, sizes: Sequence[int], topology: str, trials: int,
+                  scenario: str, topology_seed: int, workers: int,
+                  store) -> list[tuple]:
+    """The measurement T5 and F1/F2 share: one campaign of U ∘ SDR and the
+    Boulinier-style baseline from ``scenario``, reduced per size to
+    ``(n, ours moves, base moves, ours rounds, base rounds)``, the means
+    over the ``trials`` seeds."""
+    from ..engine import aggregate
+
+    records = _records(
+        name, workers, store, algorithms=("unison", "boulinier"),
+        topologies=(topology,), sizes=tuple(sizes), scenarios=(scenario,),
+        trials=trials, topology_seed=topology_seed,
+    )
+    moves = aggregate(records, ("algorithm", "n"), "moves", "mean")
+    rounds = aggregate(records, ("algorithm", "n"), "rounds", "mean")
+    return [(n, moves[("unison", n)], moves[("boulinier", n)],
+             rounds[("unison", n)], rounds[("boulinier", n)]) for n in sizes]
+
+
 def experiment_t5(
     sizes: Sequence[int] = (8, 12, 16, 20),
     topology: str = "ring",
@@ -297,20 +347,6 @@ def experiment_t5(
     :func:`experiment_t3_t4`), so the head-to-head grid can run in parallel
     and resume from a partial store.
     """
-    from ..engine import Campaign, aggregate, run_campaign
-
-    campaign = Campaign(
-        "t5-unison-vs-boulinier", seed=0,
-        algorithms=("unison", "boulinier"), topologies=(topology,),
-        sizes=tuple(sizes), scenarios=(scenario,), trials=trials,
-        topology_seed=3,
-    )
-    outcome = run_campaign(
-        campaign, store=store, workers=workers, resume=store is not None
-    )
-    moves = aggregate(outcome.records, ("algorithm", "n"), "moves", "mean")
-    rounds = aggregate(outcome.records, ("algorithm", "n"), "rounds", "mean")
-
     table = Table(
         "T5 — U ∘ SDR vs Boulinier-style baseline (means over seeds)",
         ["n", "ours moves", "baseline moves", "move ratio", "ours rounds",
@@ -318,9 +354,10 @@ def experiment_t5(
     )
     ok = True
     data: dict[str, list] = {"n": [], "ours_moves": [], "base_moves": []}
-    for n in campaign.sizes:
-        ours_m, base_m = moves[("unison", n)], moves[("boulinier", n)]
-        ours_r, base_r = rounds[("unison", n)], rounds[("boulinier", n)]
+    for n, ours_m, base_m, ours_r, base_r in _head_to_head(
+        "t5-unison-vs-boulinier", sizes, topology, trials, scenario, 3,
+        workers, store,
+    ):
         ratio = base_m / max(ours_m, 1)
         row_ok = base_m >= ours_m
         ok &= row_ok
@@ -466,9 +503,8 @@ def experiment_t9(
             rounds.append(trial.rounds)
             minimal &= checker(net, trial.extra["alliance"], f, g)
         ok &= minimal
-        mean = lambda xs: sum(xs) / len(xs)
-        table.add_row(name, net.n, f"{mean(sizes):.1f}", f"{mean(moves):.0f}",
-                      f"{mean(rounds):.1f}", guaranteed, minimal)
+        table.add_row(name, net.n, f"{_mean(sizes):.1f}", f"{_mean(moves):.0f}",
+                      f"{_mean(rounds):.1f}", guaranteed, minimal)
     return ExperimentResult(
         "T9",
         "The six instances of Section 6.1 are solved by FGA ∘ SDR "
@@ -518,9 +554,8 @@ def experiment_t10(
             turau_sizes.append(len(members))
             correct &= is_minimal_dominating_set(net, members)
         ok &= correct
-        mean = lambda xs: sum(xs) / len(xs)
-        table.add_row(n, f"{mean(fga_moves):.0f}", f"{mean(turau_moves):.0f}",
-                      f"{mean(fga_sizes):.1f}", f"{mean(turau_sizes):.1f}", correct)
+        table.add_row(n, f"{_mean(fga_moves):.0f}", f"{_mean(turau_moves):.0f}",
+                      f"{_mean(fga_sizes):.1f}", f"{_mean(turau_sizes):.1f}", correct)
     return ExperimentResult(
         "T10",
         "FGA(1,0) ∘ SDR and the Turau-style baseline both produce minimal "
@@ -547,33 +582,18 @@ def figure_f1_f2(
     parallel fan-out, ``store`` for persist/resume) — this is the sweep the
     figure benchmarks exercise end-to-end.
     """
-    from ..engine import Campaign, aggregate, run_campaign
-
-    campaign = Campaign(
-        "f1-f2-unison-scaling", seed=0,
-        algorithms=("unison", "boulinier"), topologies=(topology,),
-        sizes=tuple(sizes), scenarios=(scenario,), trials=trials,
-        topology_seed=8,
-    )
-    outcome = run_campaign(
-        campaign, store=store, workers=workers, resume=store is not None
-    )
-    moves = aggregate(outcome.records, ("algorithm", "n"), "moves", "mean")
-    rounds = aggregate(outcome.records, ("algorithm", "n"), "rounds", "mean")
-
+    means = _head_to_head("f1-f2-unison-scaling", sizes, topology, trials,
+                          scenario, 8, workers, store)
     fig = Figure("F2 — stabilization moves vs n", "n", "moves", loglog=True)
     table = Table(
         "F1/F2 — unison scaling (means over seeds)",
         ["n", "ours rounds", "base rounds", "ours moves", "base moves"],
     )
-    ours_pts, base_pts = [], []
-    for n in campaign.sizes:
-        ours_m, base_m = moves[("unison", n)], moves[("boulinier", n)]
-        ours_r, base_r = rounds[("unison", n)], rounds[("boulinier", n)]
+    for n, ours_m, base_m, ours_r, base_r in means:
         table.add_row(n, f"{ours_r:.1f}", f"{base_r:.1f}",
                       f"{ours_m:.0f}", f"{base_m:.0f}")
-        ours_pts.append((n, ours_m))
-        base_pts.append((n, base_m))
+    ours_pts = [(n, ours_m) for n, ours_m, *_ in means]
+    base_pts = [(n, base_m) for n, _, base_m, *_ in means]
     fig.add("U o SDR", ours_pts)
     fig.add("boulinier", base_pts)
     ours_exp, _ = fit_power_law([p[0] for p in ours_pts], [max(p[1], 1) for p in ours_pts])
@@ -625,22 +645,17 @@ def figure_f3(
                 rng.sample(range(net.n), k), rng,
             )
             counter = SdrMoveCounter(net.n)
-            sim = Simulator(sdr, DistributedRandomDaemon(0.5), config=cfg,
-                            seed=seed, probes=[counter])
-            detector, _ = measure_stabilization(
-                sim, sdr.is_normal, max_steps=1_000_000, mask="normal"
-            )
+            sim, detector = _stabilize(sdr, cfg, seed, probes=[counter])
             initiators.append(sim.moves_per_rule.get("rule_R", 0))
             footprints.append(counter.touched)
             per_proc.append(max(counter.counts))
             rounds.append(detector.rounds or 0)
             # Per-process reset work stays one wave regardless of k.
             ok &= max(counter.counts) <= bounds.sdr_moves_per_process_bound(net.n)
-        mean = lambda xs: sum(xs) / len(xs)
-        fig.add_point("initiators", k, mean(initiators))
-        fig.add_point("rounds", k, mean(rounds))
-        table.add_row(k, f"{mean(initiators):.1f}", f"{mean(footprints):.1f}",
-                      max(per_proc), f"{mean(rounds):.1f}", net.n)
+        fig.add_point("initiators", k, _mean(initiators))
+        fig.add_point("rounds", k, _mean(rounds))
+        table.add_row(k, f"{_mean(initiators):.1f}", f"{_mean(footprints):.1f}",
+                      max(per_proc), f"{_mean(rounds):.1f}", net.n)
     return ExperimentResult(
         "F3",
         "Concurrent resets cooperate: initiators scale with the fault sites "
@@ -700,18 +715,15 @@ def figure_f5(
         for seed in range(trials):
             sdr = SDR(Unison(net))
             cfg = sdr.random_configuration(Random(seed))
-            sim = Simulator(sdr, _daemon(daemon_name, net), config=cfg, seed=seed)
-            probe, _ = measure_stabilization(
-                sim, sdr.is_normal, max_steps=2_000_000, mask="normal"
-            )
+            _, probe = _stabilize(sdr, cfg, seed, daemon=_daemon(daemon_name, net),
+                                  max_steps=2_000_000)
             moves.append(probe.moves)
             rounds.append(probe.rounds)
-        mean = lambda xs: sum(xs) / len(xs)
         within = max(moves) <= bounds.unison_move_bound(net.n, net.diameter) and \
             max(rounds) <= bounds.unison_rounds_bound(net.n)
         ok &= within
-        fig.add_point(daemon_name, i, mean(moves))
-        table.add_row(daemon_name, f"{mean(moves):.0f}", f"{mean(rounds):.1f}", within)
+        fig.add_point(daemon_name, i, _mean(moves))
+        table.add_row(daemon_name, f"{_mean(moves):.0f}", f"{_mean(rounds):.1f}", within)
     return ExperimentResult(
         "F5", "Bounds hold under every daemon in the zoo", table, ok, figure=fig
     )
@@ -740,38 +752,23 @@ def figure_f6(
         for seed in range(trials):
             rng = Random(seed)
             victims = rng.sample(range(net.n), min(faults, net.n))
-
-            sdr = SDR(Unison(net))
-            cfg = corrupt_processes(
-                sdr, sdr.initial_configuration(), victims, Random(seed),
-                variables=("c",),
-            )
-            sim = Simulator(sdr, DistributedRandomDaemon(0.5), config=cfg, seed=seed)
-            det, _ = measure_stabilization(
-                sim, sdr.is_normal, max_steps=1_000_000, mask="normal"
-            )
-            sdr_m.append(det.moves)
-            sdr_r.append(det.rounds)
-
-            mono = MonoReset(Unison(net))
-            cfg = corrupt_processes(
-                mono, mono.initial_configuration(), victims, Random(seed),
-                variables=("c",),
-            )
-            sim = Simulator(mono, DistributedRandomDaemon(0.5), config=cfg, seed=seed)
-            det, _ = measure_stabilization(
-                sim, mono.is_normal, max_steps=1_000_000, mask="normal"
-            )
-            mono_m.append(det.moves)
-            mono_r.append(det.rounds)
-        mean = lambda xs: sum(xs) / len(xs)
-        table.add_row(n, f"{mean(sdr_m):.0f}", f"{mean(mono_m):.0f}",
-                      f"{mean(sdr_r):.1f}", f"{mean(mono_r):.1f}")
-        fig.add_point("SDR", n, mean(sdr_m))
-        fig.add_point("mono", n, mean(mono_m))
+            for reset, moves, rounds in ((SDR, sdr_m, sdr_r),
+                                         (MonoReset, mono_m, mono_r)):
+                algo = reset(Unison(net))
+                cfg = corrupt_processes(
+                    algo, algo.initial_configuration(), victims, Random(seed),
+                    variables=("c",),
+                )
+                _, det = _stabilize(algo, cfg, seed)
+                moves.append(det.moves)
+                rounds.append(det.rounds)
+        table.add_row(n, f"{_mean(sdr_m):.0f}", f"{_mean(mono_m):.0f}",
+                      f"{_mean(sdr_r):.1f}", f"{_mean(mono_r):.1f}")
+        fig.add_point("SDR", n, _mean(sdr_m))
+        fig.add_point("mono", n, _mean(mono_m))
         data["n"].append(n)
-        data["sdr"].append(mean(sdr_m))
-        data["mono"].append(mean(mono_m))
+        data["sdr"].append(_mean(sdr_m))
+        data["mono"].append(_mean(mono_m))
     # Claim: at the largest size, localized cooperative resets are cheaper.
     ok = data["sdr"][-1] <= data["mono"][-1]
     return ExperimentResult(
@@ -814,9 +811,8 @@ def experiment_p1(
                 sdr = SDR(Unison(net))
                 cfg = sdr.random_configuration(Random(seed))
                 trace = Trace(record_configurations=True)
-                sim = Simulator(sdr, DistributedRandomDaemon(0.5), config=cfg,
-                                seed=seed, probes=[trace])
-                measure_stabilization(sim, sdr.is_normal, max_steps=500_000)
+                sim, _ = _stabilize(sdr, cfg, seed, probes=[trace],
+                                    max_steps=500_000)
                 sim.run(max_steps=5 * n)
                 counts = [len(alive_roots(sdr, c)) for c in trace.configurations]
                 monotone = all(a >= b for a, b in zip(counts, counts[1:]))
@@ -867,23 +863,18 @@ def experiment_a1(
         to_alliance, to_terminal = [], []
         for seed in range(trials):
             sdr = SDR(FGA(net, f, g))
-            from ..faults.scenarios import hollow_alliance
-
             cfg = hollow_alliance(sdr)
-            sim = Simulator(sdr, DistributedRandomDaemon(0.5), config=cfg, seed=seed)
-            detector, _ = measure_stabilization(
-                sim,
-                lambda c: is_alliance(net, {u for u in net.processes() if c[u]["col"]}, f, g),
-                max_steps=2_000_000,
-                name="feasible",
+            sim, detector = _stabilize(
+                sdr, cfg, seed, max_steps=2_000_000, name="feasible",
+                predicate=lambda c: is_alliance(
+                    net, {u for u in net.processes() if c[u]["col"]}, f, g),
             )
             to_alliance.append(detector.rounds or 0)
             result = sim.run_to_termination(max_steps=2_000_000)
             to_terminal.append(result.rounds)
-        mean = lambda xs: sum(xs) / len(xs)
-        early = mean(to_alliance) <= mean(to_terminal)
+        early = _mean(to_alliance) <= _mean(to_terminal)
         ok &= early
-        table.add_row(n, f"{mean(to_alliance):.1f}", f"{mean(to_terminal):.1f}", early)
+        table.add_row(n, f"{_mean(to_alliance):.1f}", f"{_mean(to_terminal):.1f}", early)
     return ExperimentResult(
         "A1",
         "Feasibility (any valid alliance) is restored well before 1-minimal "
@@ -895,8 +886,78 @@ def experiment_a1(
 
 
 # ======================================================================
-# T11 — repeated fault storms vs recovery cost (beyond the paper)
+# T11/T12 — repeated fault storms and topology churn vs recovery cost
+# (beyond the paper)
 # ======================================================================
+def _storms(result_id: str, claim: str, table: Table, fig: Figure,
+            family: str, cells, *, n: int, topology: str, trials: int,
+            workers: int, store) -> ExperimentResult:
+    """The storm-recovery measurement T11 and T12 share.
+
+    Each of ``cells`` — ``(algorithm, axes, name, spec, x)`` — is one
+    campaign of ``trials`` random starts on which the ``family``
+    (``faults`` or ``churn``) schedule ``spec`` strikes mid-run.  Its row
+    is ``algorithm``, the ``axes`` values, the occurrences fired and
+    recovered, the worst and the clean worst recovery rounds
+    (:func:`_clean_worst_rounds`), the mean recovery rounds, then the
+    family's own column: the mean recovery moves of a fault storm, the
+    most live components churn left.  A row holds when every occurrence
+    was absorbed (one landing on a terminal configuration that enables
+    nothing still counts), clean recovery stays within the cold-start
+    round bound, and churn left one component.  ``x`` (``None``: none)
+    plots the clean worst against it.
+    """
+    round_bound = {
+        "unison": bounds.unison_rounds_bound(n),
+        "fga": bounds.fga_sdr_rounds_bound(n),
+    }
+    ok = True
+    data: dict[str, list] = {"cells": []}
+    for algorithm, axes, name, spec, x in cells:
+        records = _records(
+            name, workers, store, algorithms=(algorithm,),
+            topologies=(topology,), sizes=(n,), scenarios=("random",),
+            trials=trials, topology_seed=4,
+            params=((family, spec), ("max_steps", 2_000_000)),
+        )
+        summaries = [r["result"]["extra"]["recovery"] for r in records]
+        fired = sum(s["bursts"] for s in summaries)
+        recovered = sum(s["recovered"] for s in summaries)
+        worst_rounds = max((s["worst_rounds"] for s in summaries
+                            if s["worst_rounds"] is not None), default=0)
+        clean_worst = max((w for w in map(_clean_worst_rounds, summaries)
+                           if w is not None), default=0)
+        mean_rounds = _mean([s["mean_rounds"] for s in summaries
+                             if s["mean_rounds"] is not None])
+        if family == "churn":
+            # Preserve-policy churn never partitions the live subsystem.
+            count_key, extra_key = "occurrences", "components"
+            extra = max(r["result"]["extra"]["churn_final"]["components"]
+                        for r in records)
+            shown, extra_ok = extra, extra == 1
+        else:
+            count_key, extra_key = "bursts", "mean_moves"
+            extra = _mean([s["mean_moves"] for s in summaries
+                           if s["mean_moves"] is not None])
+            shown, extra_ok = f"{extra:.1f}", True
+        rb = round_bound[algorithm]
+        row_ok = recovered == fired and clean_worst <= rb and extra_ok
+        ok &= row_ok
+        table.add_row(algorithm, *axes.values(), fired, recovered,
+                      worst_rounds, clean_worst, f"{mean_rounds:.1f}", shown,
+                      rb, row_ok)
+        if x is not None:
+            fig.add_point(algorithm, x, clean_worst)
+        data["cells"].append({
+            "algorithm": algorithm, **axes, family: spec, count_key: fired,
+            "recovered": recovered, "worst_rounds": worst_rounds,
+            "clean_worst_rounds": clean_worst, "mean_rounds": mean_rounds,
+            extra_key: extra,
+        })
+    return ExperimentResult(result_id, claim, table, ok, data=data,
+                            figure=fig)
+
+
 def experiment_t11(
     n: int = 16,
     topology: str = "ring",
@@ -929,83 +990,29 @@ def experiment_t11(
     the campaign engine, so ``workers``/``store`` fan out and resume as
     usual, and the schedule is part of every trial key.
     """
-    from ..engine import Campaign, run_campaign
-
-    round_bound = {
-        "unison": bounds.unison_rounds_bound(n),
-        "fga": bounds.fga_sdr_rounds_bound(n),
-    }
-    table = Table(
-        "T11 — k-fault storms vs per-burst recovery (means over seeds)",
-        ["algorithm", "k", "cadence", "bursts", "recovered",
-         "worst rounds", "clean worst", "mean rounds", "mean moves",
-         "bound", "ok"],
-    )
-
-    fig = Figure("T11 — worst recovery rounds vs fault count", "k", "rounds")
-    ok = True
-    data: dict[str, list] = {"cells": []}
-    for algorithm in ("unison", "fga"):
-        for k in fault_counts:
-            for cadence in cadences:
-                spec = (f"burst=40,count={bursts},gap={cadence},"
-                        f"k={k},scope=input")
-                campaign = Campaign(
-                    f"t11-storm-{algorithm}-k{k}-c{cadence}", seed=0,
-                    algorithms=(algorithm,), topologies=(topology,),
-                    sizes=(n,), scenarios=("random",), trials=trials,
-                    topology_seed=4,
-                    params=(("faults", spec), ("max_steps", 2_000_000)),
-                )
-                outcome = run_campaign(
-                    campaign, store=store, workers=workers,
-                    resume=store is not None,
-                )
-                summaries = [
-                    r["result"]["extra"]["recovery"] for r in outcome.records
-                ]
-                fired = sum(s["bursts"] for s in summaries)
-                recovered = sum(s["recovered"] for s in summaries)
-                worst = [s["worst_rounds"] for s in summaries
-                         if s["worst_rounds"] is not None]
-                clean = [w for w in map(_clean_worst_rounds, summaries)
-                         if w is not None]
-                means_r = [s["mean_rounds"] for s in summaries
-                           if s["mean_rounds"] is not None]
-                means_m = [s["mean_moves"] for s in summaries
-                           if s["mean_moves"] is not None]
-                worst_rounds = max(worst) if worst else 0
-                clean_worst = max(clean) if clean else 0
-                mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
-                rb = round_bound[algorithm]
-                # Every burst absorbed (it may land on an already-terminal
-                # config and enable nothing — that still counts recovered)
-                # and clean recovery never costlier than a cold start.
-                row_ok = recovered == fired and clean_worst <= rb
-                ok &= row_ok
-                table.add_row(algorithm, k, cadence, fired, recovered,
-                              worst_rounds, clean_worst,
-                              f"{mean(means_r):.1f}",
-                              f"{mean(means_m):.1f}", rb, row_ok)
-                if cadence == cadences[0]:
-                    fig.add_point(algorithm, k, clean_worst)
-                data["cells"].append({
-                    "algorithm": algorithm, "k": k, "cadence": cadence,
-                    "faults": spec, "bursts": fired, "recovered": recovered,
-                    "worst_rounds": worst_rounds,
-                    "clean_worst_rounds": clean_worst,
-                    "mean_rounds": mean(means_r),
-                    "mean_moves": mean(means_m),
-                })
-    return ExperimentResult(
+    cells = [
+        (algorithm, {"k": k, "cadence": cadence},
+         f"t11-storm-{algorithm}-k{k}-c{cadence}",
+         f"burst=40,count={bursts},gap={cadence},k={k},scope=input",
+         k if cadence == cadences[0] else None)
+        for algorithm in ("unison", "fga")
+        for k in fault_counts
+        for cadence in cadences
+    ]
+    return _storms(
         "T11",
         "Under repeated k-fault storms, every burst is absorbed and "
         "clean per-burst recovery rounds (no injection mid-recovery) "
         "stay within the from-scratch stabilization bounds",
-        table,
-        ok,
-        data=data,
-        figure=fig,
+        Table(
+            "T11 — k-fault storms vs per-burst recovery (means over seeds)",
+            ["algorithm", "k", "cadence", "bursts", "recovered",
+             "worst rounds", "clean worst", "mean rounds", "mean moves",
+             "bound", "ok"],
+        ),
+        Figure("T11 — worst recovery rounds vs fault count", "k", "rounds"),
+        "faults", cells, n=n, topology=topology, trials=trials,
+        workers=workers, store=store,
     )
 
 
@@ -1040,12 +1047,6 @@ def experiment_t12(
     :func:`repro.harness.runner.can_batch`), and the churn spec is part
     of every trial key.
     """
-    from ..engine import Campaign, run_campaign
-
-    round_bound = {
-        "unison": bounds.unison_rounds_bound(n),
-        "fga": bounds.fga_sdr_rounds_bound(n),
-    }
     mix_events = {
         "crash-join": ("crash", "join"),
         "link-flap": ("drop_edge", "add_edge"),
@@ -1055,97 +1056,64 @@ def experiment_t12(
             raise ValueError(
                 f"unknown churn mix {mix!r}; choose from {sorted(mix_events)}"
             )
-    table = Table(
-        "T12 — topology churn vs per-occurrence recovery (means over seeds)",
-        ["algorithm", "mix", "cadence", "events", "recovered",
-         "worst rounds", "clean worst", "mean rounds", "components",
-         "bound", "ok"],
-    )
-
-
-    fig = Figure("T12 — worst clean recovery rounds vs churn cadence",
-                 "cadence", "rounds")
-    ok = True
-    data: dict[str, list] = {"cells": []}
-    for algorithm in ("unison", "fga"):
-        for mix in mixes:
-            first, second = mix_events[mix]
-            for cadence in cadences:
-                spec = (
-                    f"burst=40,count={events},gap={2 * cadence},{first}=1;"
-                    f"burst={40 + cadence},count={events},"
-                    f"gap={2 * cadence},{second}=1"
-                )
-                campaign = Campaign(
-                    f"t12-churn-{algorithm}-{mix}-c{cadence}", seed=0,
-                    algorithms=(algorithm,), topologies=(topology,),
-                    sizes=(n,), scenarios=("random",), trials=trials,
-                    topology_seed=4,
-                    params=(("churn", spec), ("max_steps", 2_000_000)),
-                )
-                outcome = run_campaign(
-                    campaign, store=store, workers=workers,
-                    resume=store is not None,
-                )
-                summaries = [
-                    r["result"]["extra"]["recovery"] for r in outcome.records
-                ]
-                finals = [
-                    r["result"]["extra"]["churn_final"]
-                    for r in outcome.records
-                ]
-                fired = sum(s["bursts"] for s in summaries)
-                recovered = sum(s["recovered"] for s in summaries)
-                worst = [s["worst_rounds"] for s in summaries
-                         if s["worst_rounds"] is not None]
-                clean = [w for w in map(_clean_worst_rounds, summaries)
-                         if w is not None]
-                means_r = [s["mean_rounds"] for s in summaries
-                           if s["mean_rounds"] is not None]
-                worst_rounds = max(worst) if worst else 0
-                clean_worst = max(clean) if clean else 0
-                mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
-                components = max(f["components"] for f in finals)
-                rb = round_bound[algorithm]
-                # Every occurrence absorbed, clean recovery within the
-                # static cold-start bound, and preserve-policy churn
-                # never partitioned the live subsystem.
-                row_ok = (
-                    recovered == fired
-                    and clean_worst <= rb
-                    and components == 1
-                )
-                ok &= row_ok
-                table.add_row(algorithm, mix, cadence, fired, recovered,
-                              worst_rounds, clean_worst,
-                              f"{mean(means_r):.1f}", components, rb, row_ok)
-                if mix == mixes[0]:
-                    fig.add_point(algorithm, cadence, clean_worst)
-                data["cells"].append({
-                    "algorithm": algorithm, "mix": mix, "cadence": cadence,
-                    "churn": spec, "occurrences": fired,
-                    "recovered": recovered,
-                    "worst_rounds": worst_rounds,
-                    "clean_worst_rounds": clean_worst,
-                    "mean_rounds": mean(means_r),
-                    "components": components,
-                })
-    return ExperimentResult(
+    cells = [
+        (algorithm, {"mix": mix, "cadence": cadence},
+         f"t12-churn-{algorithm}-{mix}-c{cadence}",
+         f"burst=40,count={events},gap={2 * cadence},{mix_events[mix][0]}=1;"
+         f"burst={40 + cadence},count={events},gap={2 * cadence},"
+         f"{mix_events[mix][1]}=1",
+         cadence if mix == mixes[0] else None)
+        for algorithm in ("unison", "fga")
+        for mix in mixes
+        for cadence in cadences
+    ]
+    return _storms(
         "T12",
         "Under connectivity-preserving topology churn (crash/join and "
         "link flapping), every occurrence is absorbed and clean "
         "per-occurrence recovery rounds stay within the static "
         "from-scratch stabilization bounds",
-        table,
-        ok,
-        data=data,
-        figure=fig,
+        Table(
+            "T12 — topology churn vs per-occurrence recovery (means over "
+            "seeds)",
+            ["algorithm", "mix", "cadence", "events", "recovered",
+             "worst rounds", "clean worst", "mean rounds", "components",
+             "bound", "ok"],
+        ),
+        Figure("T12 — worst clean recovery rounds vs churn cadence",
+               "cadence", "rounds"),
+        "churn", cells, n=n, topology=topology, trials=trials,
+        workers=workers, store=store,
     )
 
 
 # ======================================================================
 # T13 — adversarial schedule search vs random scheduling (U ∘ SDR)
 # ======================================================================
+def _searches(prefix: str, algorithm: str, n: int, topology: str,
+              scenario: str, strategies: Sequence[str], random_trials: int,
+              workers: int, store, params: tuple = ()):
+    """The measurement T13 and F7 share, at size ``n``: the results of a
+    ``random_trials``-seed distributed-random baseline of ``algorithm``
+    from ``scenario``, then, per strategy, the result of one
+    ``adversary=`` search from the same start and whether its certificate
+    replayed on the dict backend: ``(baseline, {strategy: (result,
+    replay_ok)})``."""
+    grid = dict(algorithms=(algorithm,), topologies=(topology,), sizes=(n,),
+                scenarios=(scenario,), topology_seed=4)
+    baseline = _records(f"{prefix}-baseline-n{n}", workers, store,
+                        trials=random_trials, params=params, **grid)
+    searched = {}
+    for strategy in strategies:
+        [record] = _records(f"{prefix}-adversary-{strategy}-n{n}", workers,
+                            store, trials=1,
+                            params=params + (("adversary", strategy),), **grid)
+        result = record["result"]
+        searched[strategy] = (result,
+                              result["extra"]["adversary"]["replay"]["ok"])
+    return [r["result"] for r in baseline], searched
+
+
 def experiment_t13(
     sizes: Sequence[int] = (8, 16, 32),
     topology: str = "ring",
@@ -1170,11 +1138,9 @@ def experiment_t13(
     found schedule's certificate replays byte-identically on the dict
     backend (asserted by the runner before the trial record lands).
     """
-    from ..engine import Campaign, run_campaign
-
     table = Table(
-        "T13 — adversarial schedule search vs 100-seed random baseline "
-        "(U ∘ SDR)",
+        f"T13 — adversarial schedule search vs {random_trials}-seed random "
+        "baseline (U ∘ SDR)",
         ["n", "schedule", "moves", "rounds", "rnd max", "rnd med",
          "move bound", "round bound", "replay", "ok"],
     )
@@ -1183,39 +1149,22 @@ def experiment_t13(
     ok = True
     data: dict[str, list] = {"cells": []}
     for n in sizes:
-        baseline = Campaign(
-            f"t13-baseline-n{n}", seed=0, algorithms=("unison",),
-            topologies=(topology,), sizes=(n,), scenarios=(scenario,),
-            trials=random_trials, topology_seed=4,
-        )
-        outcome = run_campaign(baseline, store=store, workers=workers,
-                               resume=store is not None)
-        random_moves = sorted(r["result"]["moves"] for r in outcome.records)
+        baseline, searched = _searches("t13", "unison", n, topology, scenario,
+                                       strategies, random_trials, workers,
+                                       store)
+        random_moves = sorted(r["moves"] for r in baseline)
         rnd_max = random_moves[-1]
         rnd_med = random_moves[len(random_moves) // 2]
+        move_bound = bounds.unison_move_bound(n, baseline[0]["diameter"])
+        round_bound = bounds.unison_rounds_bound(n)
         fig.add_point("random-max", n, rnd_max)
-        searched: dict[str, int] = {}
-        for strategy in strategies:
-            campaign = Campaign(
-                f"t13-adversary-{strategy}-n{n}", seed=0,
-                algorithms=("unison",), topologies=(topology,), sizes=(n,),
-                scenarios=(scenario,), trials=1, topology_seed=4,
-                params=(("adversary", strategy),),
-            )
-            outcome = run_campaign(campaign, store=store, workers=workers,
-                                   resume=store is not None)
-            record = outcome.records[0]["result"]
+        for strategy, (record, replay_ok) in searched.items():
             moves, rounds = record["moves"], record["rounds"]
-            diameter = record["diameter"]
-            move_bound = bounds.unison_move_bound(n, diameter)
-            round_bound = bounds.unison_rounds_bound(n)
-            replay_ok = record["extra"]["adversary"]["replay"]["ok"]
             beats = (moves > rnd_max if strategy.startswith("beam")
                      else moves >= rnd_med)
             row_ok = (beats and moves <= move_bound
                       and rounds <= round_bound and replay_ok)
             ok &= row_ok
-            searched[strategy] = moves
             table.add_row(n, strategy, moves, rounds, rnd_max, rnd_med,
                           move_bound, round_bound, replay_ok, row_ok)
             fig.add_point(strategy, n, moves)
@@ -1227,8 +1176,7 @@ def experiment_t13(
                 "digest": record["extra"]["adversary"]["digest"],
             })
         table.add_row(n, "distributed-random", rnd_max, "-", rnd_max,
-                      rnd_med, bounds.unison_move_bound(n, diameter),
-                      bounds.unison_rounds_bound(n), "-", True)
+                      rnd_med, move_bound, round_bound, "-", True)
     return ExperimentResult(
         "T13",
         "Beam search finds strictly worse-than-any-sampled-random "
@@ -1262,8 +1210,6 @@ def figure_f7(
     complexity far under ``8n+4``, and every searched schedule's
     certificate replays on the dict backend.
     """
-    from ..engine import Campaign, run_campaign
-
     table = Table(
         "F7 — FGA ∘ SDR rounds under searched schedules vs Theorem 14",
         ["n", "schedule", "rounds", "moves", "bound 8n+4", "replay", "ok"],
@@ -1272,33 +1218,18 @@ def figure_f7(
     ok = True
     data: dict[str, list] = {"cells": []}
     for n in sizes:
+        baseline, searched = _searches("f7", "fga", n, topology, "random",
+                                       strategies, random_trials, workers,
+                                       store, params=(("instance", instance),))
         round_bound = bounds.fga_sdr_rounds_bound(n)
+        worst_rounds = max(r["rounds"] for r in baseline)
         fig.add_point("bound", n, round_bound)
-        baseline = Campaign(
-            f"f7-baseline-n{n}", seed=0, algorithms=("fga",),
-            topologies=(topology,), sizes=(n,), scenarios=("random",),
-            trials=random_trials, topology_seed=4,
-            params=(("instance", instance),),
-        )
-        outcome = run_campaign(baseline, store=store, workers=workers,
-                               resume=store is not None)
-        worst_rounds = max(r["result"]["rounds"] for r in outcome.records)
         fig.add_point("random-worst", n, worst_rounds)
         table.add_row(n, "distributed-random (worst)", worst_rounds, "-",
                       round_bound, "-", worst_rounds <= round_bound)
         ok &= worst_rounds <= round_bound
-        for strategy in strategies:
-            campaign = Campaign(
-                f"f7-adversary-{strategy}-n{n}", seed=0,
-                algorithms=("fga",), topologies=(topology,), sizes=(n,),
-                scenarios=("random",), trials=1, topology_seed=4,
-                params=(("instance", instance), ("adversary", strategy)),
-            )
-            outcome = run_campaign(campaign, store=store, workers=workers,
-                                   resume=store is not None)
-            record = outcome.records[0]["result"]
+        for strategy, (record, replay_ok) in searched.items():
             rounds, moves = record["rounds"], record["moves"]
-            replay_ok = record["extra"]["adversary"]["replay"]["ok"]
             row_ok = rounds <= round_bound and replay_ok
             ok &= row_ok
             table.add_row(n, strategy, rounds, moves, round_bound,

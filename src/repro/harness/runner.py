@@ -20,13 +20,14 @@ import functools
 import inspect
 import os
 import re
+import types
 import typing
 from dataclasses import dataclass, field
 from random import Random
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Literal, Mapping, Sequence
 
 from ..alliance.fga import FGA
-from ..alliance.functions import instance_by_name
+from ..alliance.functions import INSTANCES, instance_by_name
 from ..analysis.metrics import RunMetrics, collect_metrics
 from ..core.daemon import DAEMON_KINDS, Daemon, make_daemon
 from ..core.exceptions import NotStabilized, UnbatchableError
@@ -155,7 +156,12 @@ def _build_boulinier(network: Network, period: int | None = None,
     return BoulinierUnison(network, period=period, alpha=alpha)
 
 
-def _build_fga(network: Network, instance="dominating-set") -> SDR:
+#: The alliance instances ``fga`` builds by name.
+Instance = Literal[tuple(INSTANCES)]
+
+
+def _build_fga(network: Network,
+               instance: Instance | tuple = "dominating-set") -> SDR:
     """``instance`` names an alliance instance or is an ``(f, g)`` pair."""
     f, g = instance_by_name(instance, network) if isinstance(instance, str) else instance
     return SDR(FGA(network, f, g))
@@ -335,14 +341,21 @@ def check_params(algorithm: str, params,
         )
     hints = typing.get_type_hints(build)
     for key, value in values:
-        if key not in hints:
-            continue
-        kinds = typing.get_args(hints[key]) or hints[key]
-        # A bool is an int to isinstance, never to an annotated param.
-        if isinstance(value, bool) or not isinstance(value, kinds):
+        if key in hints and not _admits(hints[key], value):
             raise ValueError(
                 f"{algorithm} param {key}={value!r} is not {hints[key]}"
             )
+
+
+def _admits(hint, value) -> bool:
+    """Whether ``value`` fits the annotation ``hint``: a class, a
+    ``Literal`` of the admitted values, or a union of those."""
+    if typing.get_origin(hint) is Literal:
+        return value in typing.get_args(hint)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_admits(h, value) for h in typing.get_args(hint))
+    # A bool is an int to isinstance, never to an annotated param.
+    return not isinstance(value, bool) and isinstance(value, hint)
 
 
 # ----------------------------------------------------------------------

@@ -138,7 +138,9 @@ class RecoveryProbe(Probe):
         Churn perturbs the system exactly as a fault burst does — the
         live subsystem must re-converge — so both get the same record,
         with a churn occurrence's applied delta in place of a burst's
-        corrupted variables.
+        corrupted variables.  A churn occurrence with no victims, drops
+        or adds changed nothing, so it is recovered at injection (zero
+        deltas) and opens no stopwatch to absorb debt it does not owe.
         """
         occ = info.occurrence
         burst = {
@@ -161,6 +163,10 @@ class RecoveryProbe(Probe):
                 components=occ.components,
                 live=occ.live,
             )
+            if not (occ.victims or occ.drops or occ.adds):
+                burst.update(steps=0, rounds=0, moves=0, recovered=True)
+                self.bursts.append(burst)
+                return
         else:
             burst["variables"] = list(occ.variables)
         self._open.append(len(self.bursts))

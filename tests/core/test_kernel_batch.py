@@ -15,6 +15,7 @@ from repro.core.configuration import Configuration
 from repro.core.daemon import make_daemon
 from repro.core.exceptions import ModelViolation
 from repro.core.kernel import CSRAdjacency, Schema, Var, run_batch
+from repro.ir.kernelc import Memo
 from repro.probes import StopProbe
 from repro.reset import SDR
 from repro.topology import grid, ring
@@ -193,7 +194,10 @@ class TestRunBatch:
 
             predicates = ()
 
-            def evaluate(self, cols):
+            def memo(self):
+                return Memo(1, 0)
+
+            def evaluate(self, cols, memo):
                 on = np.ones(cols["x"].shape[0], dtype=np.bool_)
                 return {"a": on.copy(), "b": on.copy()}, {}
 

@@ -22,6 +22,7 @@ from repro.core.kernel.engine import Lane, enabled_map
 from repro.core.graph import Network
 from repro.faults.schedule import Occurrence
 from repro.ir import Assign, Rule, RuleSet, col
+from repro.ir.kernelc import Memo
 from repro.reset import SDR
 from repro.topology import grid, ring, star
 from repro.unison import Unison
@@ -117,15 +118,20 @@ class TestKernelRuntime:
             # and x=1 -> {A,C} produce identical sentinel patterns.
             schema = Schema(Var.int("x"))
             rules = ("A", "B", "C")
+            bits = {"x": 1}
 
             predicates = ()
 
-            def evaluate(self, cols):
+            def memo(self):
+                return Memo(1, 0)
+
+            def evaluate(self, cols, memo=None):
                 x = cols["x"]
                 return {"A": x >= 0, "B": x % 2 == 0, "C": x % 2 == 1}, {}
 
             def apply(self, rule, idx, read, write):
                 write["x"][idx] = read["x"][idx] + 1
+                return self.bits["x"]
 
         runtime = KernelRuntime(ThreeRules(), Configuration([{"x": 0}]))
         assert runtime.enabled_map() == {0: ("A", "B")}
@@ -135,31 +141,6 @@ class TestKernelRuntime:
         assert enabled_map(masks, ThreeRules.rules, 2) == {
             0: ("A", "B"), 1: ("A", "C"),
         }
-
-    def test_memoless_program_drives_several_rules_per_step(self):
-        """A program without a guard memo evaluates densely, and its
-        ``apply`` need not report changed columns, also when one step
-        applies two rules."""
-        class TwoRules:
-            # A on even x, B on odd x: every step applies both.
-            schema = Schema(Var.int("x"))
-            rules = ("A", "B")
-            predicates = ()
-
-            def evaluate(self, cols):
-                x = cols["x"]
-                return {"A": x % 2 == 0, "B": x % 2 == 1}, {}
-
-            def apply(self, rule, idx, read, write):
-                write["x"][idx] = read["x"][idx] + 1
-
-        net = ring(3)
-        runtime = KernelRuntime(
-            TwoRules(), Configuration([{"x": u} for u in range(3)]))
-        daemon = vectorize(make_daemon("synchronous", net), net)
-        result = runtime.run(daemon, Random(0), max_steps=2)
-        assert result.steps == 2 and result.moves == 6
-        assert runtime.decode().variable("x") == [2, 3, 4]
 
 
 class TestMemoMarks:

@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from repro.alliance.functions import INSTANCES
 from repro.engine import Campaign
 from repro.harness import __main__ as cli
 from repro.harness import runner
@@ -33,6 +34,7 @@ MALFORMED = {
     "period-abc": ({}, {"period": "abc"}),
     "period-float": ({}, {"period": 2.5}),
     "alpha-str": ({"algorithms": ("boulinier",)}, {"alpha": "x"}),
+    "unknown-instance": ({"algorithms": ("fga",)}, {"instance": "nope"}),
     "unknown-topology": ({"topologies": ("nope",)}, {}),
     "unknown-daemon": ({"daemons": ("nope",)}, {}),
 }
@@ -110,8 +112,17 @@ def test_grid_axes_have_one_spelling(axis, capsys):
     assert "unknown grid axis" in capsys.readouterr().out
 
 
+def test_unknown_instance_names_the_declared_ones(tmp_path, capsys):
+    argv = _argv(*MALFORMED["unknown-instance"], tmp_path / "r.jsonl")
+    assert cli.main(argv) == 2
+    out = capsys.readouterr().out
+    assert all(repr(name) in out for name in INSTANCES)
+
+
 def test_well_formed_params_pass():
     Campaign("ok", seed=0, algorithms=("unison", "boulinier"),
              params=(("period", 12), ("max_steps", 0), ("backend", "dict"),
                      ("faults", "at=5,k=1"), ("churn", "at=5,crash=1")))
     Campaign("ok", seed=0, params=(("adversary", "beam-2x2"),))
+    Campaign("ok", seed=0, algorithms=("fga",),
+             params=(("instance", "2-dominating-set"),))

@@ -89,6 +89,25 @@ class TestRecoverySemantics:
         assert summary["worst_steps"] == max(r["steps"] for r in records)
         assert summary["worst_rounds"] == max(r["rounds"] for r in records)
 
+    @pytest.mark.parametrize("backend", ["dict", "kernel"])
+    def test_noop_churn_occurrence_is_recovered_at_injection(self, backend):
+        """A ``drop_edge`` that preserve-policy connectivity refuses
+        changes nothing: it records zero recovery deltas and opens no
+        stopwatch, while the crash and join around it keep theirs."""
+        churn = ("at=8,crash=1;burst=14,count=2,gap=11,drop_edge=1;"
+                 "at=40,join=1")
+        trial = run_network_trial("unison", ring(8), seed=3, backend=backend,
+                                  churn=churn)
+        records = trial.extra["recovery"]["records"]
+        assert [r["action"] for r in records] == [
+            "crash", "drop_edge", "drop_edge", "join"]
+        for noop in records[1:3]:
+            assert noop["victims"] == noop["dropped"] == noop["added"] == []
+            assert (noop["steps"], noop["rounds"], noop["moves"]) == (0, 0, 0)
+            assert noop["recovered"] is True
+        assert records[0]["victims"] == records[3]["victims"] == [1]
+        assert records[3]["steps"] > 0
+
     def test_rounds_are_rebased_per_burst(self):
         """Per-burst rounds are deltas, not cumulative totals."""
         trial = run_network_trial("unison", ring(12), seed=2, faults=FAULTS)

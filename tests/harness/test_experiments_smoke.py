@@ -83,6 +83,25 @@ class TestSmallExperiments:
         assert result.ok
         assert result.table.rows
 
+    def test_t13(self):
+        result = experiments.experiment_t13(
+            sizes=(8,), random_trials=5, strategies=("greedy",)
+        )
+        assert result.ok
+        assert "vs 5-seed random baseline" in result.table.render()
+        assert [row[1] for row in result.table.rows] == [
+            "greedy", "distributed-random"]
+        assert [cell["replay_ok"] for cell in result.data["cells"]] == [True]
+
+    def test_f7(self):
+        result = experiments.figure_f7(
+            sizes=(8,), random_trials=3, strategies=("greedy",)
+        )
+        assert result.ok
+        assert [row[1] for row in result.table.rows] == [
+            "distributed-random (worst)", "greedy"]
+        assert [cell["replay_ok"] for cell in result.data["cells"]] == [True]
+
     def test_registry_complete(self):
         assert set(experiments.REGISTRY) == {
             "T1/T2", "T3/T4", "T5", "T6/T7", "T8", "T9", "T10", "T11", "T12",
