@@ -103,13 +103,12 @@ def is_fga_stable(
 ) -> bool:
     """The stability guarantee FGA's published guards actually enforce.
 
-    **Reproduction finding** (documented in DESIGN.md §6 and
-    EXPERIMENTS.md): Theorem 8 claims every terminal configuration carries
-    a *1-minimal* alliance, but its proof asserts ``realScr(u) = 1`` for
-    all ``u ∈ N[m]`` including the removable process ``m`` itself, which
-    only follows from ``#InAll(m) ≥ f(m)`` when ``f(m) > g(m)``.  With
-    ``f ≤ g`` somewhere, two blocking effects appear in the published
-    guards:
+    **Reproduction finding** (checked by experiment T9): Theorem 8 claims
+    every terminal configuration carries a *1-minimal* alliance, but its
+    proof asserts ``realScr(u) = 1`` for all ``u ∈ N[m]`` including the
+    removable process ``m`` itself, which only follows from
+    ``#InAll(m) ≥ f(m)`` when ``f(m) > g(m)``.  With ``f ≤ g`` somewhere,
+    two blocking effects appear in the published guards:
 
     * a removable member with ``realScr = 0`` cannot self-approve
       (``bestPtr`` returns ⊥ when ``scr ≤ 0``);

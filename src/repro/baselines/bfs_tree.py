@@ -20,8 +20,6 @@ from __future__ import annotations
 from random import Random
 from typing import Any
 
-import networkx as nx
-
 from ..core.algorithm import Algorithm
 from ..core.configuration import Configuration
 from ..core.graph import Network
@@ -44,6 +42,8 @@ class BfsTree(Algorithm):
             raise ValueError(f"root {root} out of range")
         self.root = root
         # Ground truth for initial states and verification.
+        import networkx as nx
+
         graph = network.to_networkx()
         self._true_dist = nx.single_source_shortest_path_length(graph, root)
 

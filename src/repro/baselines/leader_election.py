@@ -31,8 +31,6 @@ from __future__ import annotations
 from random import Random
 from typing import Any
 
-import networkx as nx
-
 from ..core.algorithm import Algorithm
 from ..core.configuration import Configuration
 from ..core.graph import Network
@@ -52,6 +50,8 @@ class LeaderElection(Algorithm):
     def __init__(self, network: Network):
         super().__init__(network)
         self._true_leader = max(network.processes(), key=network.id_of)
+        import networkx as nx
+
         graph = network.to_networkx()
         self._true_dist = nx.single_source_shortest_path_length(
             graph, self._true_leader

@@ -8,7 +8,11 @@ simulator: guard evaluation repeatedly iterates over closed neighborhoods.
 
 The sorted adjacency tuples are the one link set (the input graph is
 read once, not kept); one breadth-first search serves connectivity, the
-diameter and churn's component counts.
+diameter and churn's component counts.  The input is an edge list, which
+is what every generator in :mod:`repro.topology` passes, or any graph
+object with a networkx-style ``.adj`` mapping; networkx itself is loaded
+only by the interop helpers (:meth:`Network.to_networkx`,
+:meth:`Network.from_networkx`, :meth:`Network.single`).
 
 The structure is immutable under normal operation; the one sanctioned
 mutation surface is :meth:`Network.apply_delta`, used by topology churn
@@ -28,11 +32,12 @@ receive an explicit ``ids`` assignment.
 from __future__ import annotations
 
 import copy
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .exceptions import TopologyError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Network"]
 
@@ -313,6 +318,8 @@ class Network:
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.Graph:
         """A new :class:`networkx.Graph` over dense indices, in index order."""
+        import networkx as nx
+
         graph = nx.empty_graph(self.n)
         graph.add_edges_from(self.edges())
         return graph
@@ -345,6 +352,8 @@ class Network:
     @classmethod
     def single(cls) -> "Network":
         """The one-process network (no edges)."""
+        import networkx as nx
+
         return cls(nx.empty_graph(1))
 
     def with_ids(self, ids: Sequence[int]) -> "Network":

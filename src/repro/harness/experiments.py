@@ -1,4 +1,4 @@
-"""The per-claim experiment registry (see DESIGN.md §4 and EXPERIMENTS.md).
+"""The per-claim experiment registry.
 
 The paper's evaluation is analytical; every theorem bound and comparison
 claim maps to one experiment here.  Each experiment function returns an
@@ -6,8 +6,9 @@ claim maps to one experiment here.  Each experiment function returns an
 counterpart (measured ≤ bound, or comparison direction), whose ``table``
 holds the printable rows, and whose ``data`` keeps raw series for figures.
 
-Benchmarks in ``benchmarks/`` call these functions with small default
-grids; larger sweeps can be run directly, e.g.::
+``python -m repro.harness all`` runs every experiment at its default
+grid (CI diffs the tables against ``tests/golden/harness_all.txt``);
+larger sweeps can be run directly, e.g.::
 
     from repro.harness import experiments
     print(experiments.experiment_t3_t4(sizes=(10, 20, 40), trials=5).table)

@@ -2,7 +2,7 @@
 
 A :class:`Figure` holds named series of ``(x, y)`` points; ``render()``
 draws a terminal scatter plot (optionally log-log) and ``to_rows()`` emits
-the underlying numbers for EXPERIMENTS.md.
+the underlying numbers as table rows.
 """
 
 from __future__ import annotations

@@ -343,7 +343,7 @@ def check_params(algorithm: str, params,
     for key, value in values:
         if key in hints and not _admits(hints[key], value):
             raise ValueError(
-                f"{algorithm} param {key}={value!r} is not {hints[key]}"
+                f"{algorithm} param {key}={value!r} is not {_describe(hints[key])}"
             )
 
 
@@ -356,6 +356,16 @@ def _admits(hint, value) -> bool:
         return any(_admits(h, value) for h in typing.get_args(hint))
     # A bool is an int to isinstance, never to an annotated param.
     return not isinstance(value, bool) and isinstance(value, hint)
+
+
+def _describe(hint) -> str:
+    """The annotation ``hint`` in words, for a refusal: ``one of 'a',
+    'b'``, a class by its name, alternatives joined with "or"."""
+    if typing.get_origin(hint) is Literal:
+        return "one of " + ", ".join(map(repr, typing.get_args(hint)))
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return " or ".join(map(_describe, typing.get_args(hint)))
+    return "None" if hint is type(None) else hint.__name__
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Minimal ASCII table rendering for experiment reports.
 
-The benchmarks print the same rows EXPERIMENTS.md records; keeping the
+The experiment harness prints its results as these tables; keeping the
 renderer dependency-free makes the harness usable in any environment.
 """
 

@@ -20,10 +20,12 @@ small-graph search.  Parameter helpers pick conservative values: any
 from __future__ import annotations
 
 import itertools
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..core.graph import Network
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "longest_chordless_cycle",
@@ -34,6 +36,7 @@ __all__ = [
 
 
 def _as_graph(network: Network | nx.Graph) -> nx.Graph:
+    """The networkx graph of ``network`` (loaded here, not at import)."""
     if isinstance(network, Network):
         return network.to_networkx()
     return network
@@ -45,6 +48,8 @@ def longest_chordless_cycle(network: Network | nx.Graph) -> int:
     Boulinier et al. define ``T_G = 2`` on trees so that ``α ≥ T_G − 2 = 0``
     remains meaningful; we follow that convention.
     """
+    import networkx as nx
+
     graph = _as_graph(network)
     longest = 2
     for cycle in nx.chordless_cycles(graph):
@@ -60,6 +65,8 @@ def cyclomatic_characteristic_upper_bound(network: Network | nx.Graph) -> int:
     fundamental cycles have length at most ``2·depth + 1 ≤ 2D + 1``.  For
     trees (no cycles) the convention is ``C_G = 2``.
     """
+    import networkx as nx
+
     graph = _as_graph(network)
     if graph.number_of_edges() < graph.number_of_nodes():
         return 2  # tree (connected, m = n-1): no fundamental cycles
@@ -82,6 +89,8 @@ def cyclomatic_characteristic_exact(network: Network | nx.Graph, max_n: int = 10
     ``C_G = min_T max_{e ∉ T} |fundamental cycle of e in T|``, minimized
     over all spanning trees ``T``.  Exponential; guarded by ``max_n``.
     """
+    import networkx as nx
+
     graph = _as_graph(network)
     n = graph.number_of_nodes()
     if n > max_n:

@@ -119,6 +119,18 @@ def test_unknown_instance_names_the_declared_ones(tmp_path, capsys):
     assert all(repr(name) in out for name in INSTANCES)
 
 
+@pytest.mark.parametrize("case, words", [
+    ("unknown-instance", "is not one of 'dominating-set', "),
+    ("period-float", "period=2.5 is not int or None"),
+])
+def test_annotation_refusals_read_as_words(case, words, tmp_path, capsys):
+    argv = _argv(*MALFORMED[case], tmp_path / "r.jsonl")
+    assert cli.main(argv) == 2
+    out = capsys.readouterr().out
+    assert words in out
+    assert "typing." not in out
+
+
 def test_well_formed_params_pass():
     Campaign("ok", seed=0, algorithms=("unison", "boulinier"),
              params=(("period", 12), ("max_steps", 0), ("backend", "dict"),
