@@ -103,25 +103,12 @@ def is_fga_stable(
 ) -> bool:
     """The stability guarantee FGA's published guards actually enforce.
 
-    **Reproduction finding** (checked by experiment T9): Theorem 8 claims
-    every terminal configuration carries a *1-minimal* alliance, but its
-    proof asserts ``realScr(u) = 1`` for all ``u ∈ N[m]`` including the
-    removable process ``m`` itself, which only follows from
-    ``#InAll(m) ≥ f(m)`` when ``f(m) > g(m)``.  With ``f ≤ g`` somewhere,
-    two blocking effects appear in the published guards:
-
-    * a removable member with ``realScr = 0`` cannot self-approve
-      (``bestPtr`` returns ⊥ when ``scr ≤ 0``);
-    * a ``canQ`` process with ``realScr = 0`` *attracts* its neighbors'
-      pointers without ever being able to complete a removal, starving
-      removable neighbors of approvals.
-
-    This predicate mirrors the guards exactly: the set is an alliance and
-    no member could ever satisfy ``P_toQuit`` once scores and pointers have
-    converged.  Every terminal configuration of ``FGA ∘ SDR`` satisfies it;
-    when ``f > g`` pointwise it coincides with :func:`is_one_minimal`
-    (then every ``canQ`` process has ``realScr = 1`` and the min-identifier
-    argument of Theorem 8 goes through).
+    The set is an alliance and no member could ever satisfy
+    ``P_toQuit`` once scores and pointers have converged.  Every
+    terminal configuration of ``FGA ∘ SDR`` satisfies it; when ``f > g``
+    pointwise it coincides with :func:`is_one_minimal`.  Theorem 8
+    claims 1-minimality without that hypothesis; why it needs it is the
+    reproduction finding in DESIGN.md, "Theorem 8 needs f > g".
     """
     members = set(members)
     if not is_alliance(network, members, f, g):

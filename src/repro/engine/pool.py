@@ -46,8 +46,9 @@ __all__ = [
 #: per landed trial (and per skipped/streamed record on resume paths).
 ProgressFn = Callable[[int, int, dict], None]
 
-#: Seconds between ``heartbeat`` events on an event sink (wall-clock
-#: throttle; the check itself runs once per landed record).
+#: Seconds between checkpoints: a ``heartbeat`` event on the event sink,
+#: then an fsync of the store and the sink (wall-clock throttle; the check
+#: itself runs once per landed record).
 HEARTBEAT_EVERY = 10.0
 
 
@@ -511,7 +512,8 @@ def _run_supervised(
                     if info is not None and info["reason"] == "error":
                         stop(entry)  # retries never reuse a failed process
                     # Refill first: workers compute while the parent
-                    # lands (and fsyncs) this unit's records.
+                    # lands this unit's records (written and flushed;
+                    # fsynced at run_specs' checkpoints).
                     fill()
                     absorb(meta.get("phases"))
                     land_records(records, meta)
@@ -553,6 +555,12 @@ def run_specs(
     interrupted run keeps everything that finished —
     :func:`repro.engine.resume.run_campaign` picks up the rest.
 
+    Each record is written and flushed before ``progress`` sees it, so
+    a crash of this process loses no landed record.  The store and the
+    event sink are fsynced at checkpoints: every ``heartbeat_every``
+    seconds and once when the sweep ends, fails or is interrupted, so a
+    host crash loses at most what landed since the last checkpoint.
+
     Landing is idempotent per trial key: a record whose key already
     landed is dropped (no duplicate store append, no extra ``progress``
     call), so ``progress`` fires exactly once per trial whatever the
@@ -582,25 +590,31 @@ def run_specs(
     last_beat = started
     stats = telemetry.collector()
 
-    def heartbeat() -> None:
+    def sync() -> None:
+        if store is not None:
+            store.sync()
+        if events is not None:
+            events.sync()
+
+    def checkpoint() -> None:
         nonlocal last_beat
-        if events is None:
-            return
         now = time.monotonic()
         if now - last_beat < heartbeat_every:
             return
         last_beat = now
-        done = len(records_by_key)
-        elapsed = now - started
-        rate = done / elapsed if elapsed > 0 else 0.0
-        events.emit(
-            "heartbeat",
-            done=done,
-            total=total,
-            elapsed_s=round(elapsed, 3),
-            trials_per_s=round(rate, 3),
-            eta_s=round((total - done) / rate, 1) if rate > 0 else None,
-        )
+        if events is not None:
+            done = len(records_by_key)
+            elapsed = now - started
+            rate = done / elapsed if elapsed > 0 else 0.0
+            events.emit(
+                "heartbeat",
+                done=done,
+                total=total,
+                elapsed_s=round(elapsed, 3),
+                trials_per_s=round(rate, 3),
+                eta_s=round((total - done) / rate, 1) if rate > 0 else None,
+            )
+        sync()
 
     def land_records(records: list[dict], meta: dict) -> None:
         for record in records:
@@ -620,7 +634,7 @@ def run_specs(
                 )
             if progress is not None:
                 progress(len(records_by_key), total, record)
-            heartbeat()
+            checkpoint()
 
     def quarantine(key: str, reason: str, retries: int, message: str) -> None:
         if failures is not None:
@@ -645,27 +659,30 @@ def run_specs(
             for kind, item in units
         )
 
-    if policy is None and workers <= 1:
-        # In-process units accumulate phase timings straight into our
-        # collector: nothing to absorb.
-        for kind, item in units:
-            records, error, meta = _worker((kind, item, campaign_seed, campaign))
-            land_records(records, meta)
-            if error is not None:
-                reason, message = _failure(error)
-                for key in meta["keys"]:
-                    if key not in records_by_key:
-                        quarantine(key, reason, 0, message)
-                raise error
-    else:
-        _run_supervised(
-            units, campaign_seed, campaign,
-            workers=workers, policy=policy,
-            land_records=land_records,
-            quarantine=quarantine,
-            landed=lambda key: key in records_by_key,
-            absorb=(stats.absorb if stats is not None else lambda delta: None),
-        )
+    try:
+        if policy is None and workers <= 1:
+            # In-process units accumulate phase timings straight into our
+            # collector: nothing to absorb.
+            for kind, item in units:
+                records, error, meta = _worker((kind, item, campaign_seed, campaign))
+                land_records(records, meta)
+                if error is not None:
+                    reason, message = _failure(error)
+                    for key in meta["keys"]:
+                        if key not in records_by_key:
+                            quarantine(key, reason, 0, message)
+                    raise error
+        else:
+            _run_supervised(
+                units, campaign_seed, campaign,
+                workers=workers, policy=policy,
+                land_records=land_records,
+                quarantine=quarantine,
+                landed=lambda key: key in records_by_key,
+                absorb=(stats.absorb if stats is not None else lambda delta: None),
+            )
+    finally:
+        sync()
     return [
         records_by_key[spec.key()]
         for spec in specs

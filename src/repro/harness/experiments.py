@@ -491,9 +491,10 @@ def experiment_t9(
             # retry on a denser graph.
             net = by_name("complete", max(n, 6), seed=6)
             f, g = factory(net)
-        # Reproduction finding (see DESIGN.md): Theorem 8's 1-minimality
-        # only follows when f > g pointwise; otherwise the published guards
-        # enforce the weaker "FGA-1-minimality" (strict score margin).
+        # Reproduction finding (DESIGN.md, "Theorem 8 needs f > g"):
+        # Theorem 8's 1-minimality only follows when f > g pointwise;
+        # otherwise the published guards enforce the weaker
+        # "FGA-1-minimality" (strict score margin).
         guaranteed = one_minimality_guaranteed(f, g)
         checker = is_one_minimal if guaranteed else is_fga_stable
         sizes, moves, rounds, minimal = [], [], [], True
@@ -510,8 +511,8 @@ def experiment_t9(
         "T9",
         "The six instances of Section 6.1 are solved by FGA ∘ SDR "
         "(1-minimality verified where Theorem 8's f > g hypothesis holds; "
-        "FGA-1-minimality otherwise — see the reproduction finding in "
-        "DESIGN.md §6)",
+        "FGA-1-minimality otherwise — see the reproduction finding "
+        "\"Theorem 8 needs f > g\" in DESIGN.md)",
         table,
         ok,
     )

@@ -4,12 +4,16 @@ The campaign engine (:mod:`repro.engine.pool` / :mod:`repro.engine.resume`)
 emits one event per lifecycle transition — campaign started/finished,
 batch cell composed, trial finished/failed, periodic heartbeats — to a
 pluggable *sink*.  The default sink is a JSONL file next to the result
-store (``results.jsonl`` → ``results.events.jsonl``), written with the
-same append-and-fsync discipline as the store itself (one fsync per
-:meth:`EventSink.emit`, or per :meth:`EventSink.emit_many` batch), so a
-crashed or still-running sweep leaves a log whose intact prefix is
-always readable (:func:`read_events` tolerates a truncated tail exactly
-like ``ResultStore.iter_records``).
+store (``results.jsonl`` → ``results.events.jsonl``), kept with the same
+two-part contract as the store itself: each :meth:`EventSink.emit` (or
+:meth:`EventSink.emit_many` batch) writes and flushes whole lines, so a
+process crash loses no emitted event, and :meth:`EventSink.sync` — called
+by the campaign engine at the store's checkpoints, and by
+:meth:`JsonlEventSink.close` — fsyncs them, so a host crash loses at most
+the events since the last checkpoint.  A crashed or still-running sweep
+therefore leaves a log whose intact prefix is always readable
+(:func:`read_events` tolerates a truncated tail exactly like
+``ResultStore.iter_records``).
 
 Event shape (schema version 1)::
 
@@ -142,6 +146,9 @@ class EventSink:
     def _write(self, events: list[dict]) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def sync(self) -> None:
+        """Make every event written so far durable; a no-op here."""
+
     def close(self) -> None:
         """Release resources; emitting after close is an error."""
 
@@ -163,10 +170,10 @@ class MemoryEventSink(EventSink):
 
 
 class JsonlEventSink(EventSink):
-    """Append events to a JSONL file, one line per event and one fsync
-    per write.
+    """Append events to a JSONL file, one line per event, each write
+    flushed; :meth:`sync` and :meth:`close` fsync.
 
-    The same durability discipline as ``ResultStore.append``: a crash
+    The same durability contract as ``ResultStore.append``: a crash
     mid-write can corrupt at most the final line written, which
     :func:`read_events` skips, so the lines before it read as a prefix.
     """
@@ -175,6 +182,7 @@ class JsonlEventSink(EventSink):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh: IO[str] | None = open(self.path, "a", encoding="utf-8")
+        self._unsynced = False
 
     def _write(self, events: list[dict]) -> None:
         if self._fh is None:
@@ -184,10 +192,16 @@ class JsonlEventSink(EventSink):
             for event in events
         ))
         self._fh.flush()
-        os.fsync(self._fh.fileno())
+        self._unsynced = True
+
+    def sync(self) -> None:
+        if self._fh is not None and self._unsynced:
+            os.fsync(self._fh.fileno())
+            self._unsynced = False
 
     def close(self) -> None:
         if self._fh is not None:
+            self.sync()
             self._fh.close()
             self._fh = None
 

@@ -75,9 +75,10 @@ class TestHeterogeneousFunctions:
 
     def test_zero_zero_alliance_shrinks_to_stable_residue(self):
         """(0,0): the empty set is an alliance, but f = g = 0 sits on the
-        Theorem 8 boundary (see DESIGN.md §6): once a member's last member
-        neighbor leaves, its score drops to 0 and it can no longer
-        self-approve.  The result is FGA-stable, not necessarily empty."""
+        Theorem 8 boundary (DESIGN.md, "Theorem 8 needs f > g"): once a
+        member's last member neighbor leaves, its score drops to 0 and it
+        can no longer self-approve.  The result is FGA-stable, not
+        necessarily empty."""
         from repro.alliance import is_fga_stable
 
         net = line(4)

@@ -39,6 +39,13 @@ class TestAppendLoad:
         store.append(bare)
         assert store.load()[0]["schema"] == SCHEMA_VERSION
 
+    def test_loaded_records_share_field_names(self, tmp_path):
+        store = ResultStore(tmp_path / "r.jsonl")
+        store.append_many([record("a"), record("b")])
+        first, second = store.load()
+        for one, other in ((first, second), (first["spec"], second["spec"])):
+            assert all(a is b for a, b in zip(one, other))
+
 
 class TestCrashTolerance:
     def test_truncated_tail_is_tolerated(self, tmp_path):
@@ -61,9 +68,15 @@ class TestCrashTolerance:
         with pytest.warns(RuntimeWarning, match=r"r\.jsonl:2.*corrupt"):
             assert [r["key"] for r in store.load()] == ["a"]
 
-    def test_torn_write_resume_rebuilds_byte_identically(self, tmp_path):
+    @pytest.mark.parametrize("tail", ["torn", "zero-filled"])
+    def test_torn_write_resume_rebuilds_byte_identically(self, tmp_path, tail):
         """A crash-torn final line is skipped; resume re-runs that trial
-        and the healed store equals an uninterrupted run byte for byte."""
+        and the healed store equals an uninterrupted run byte for byte.
+
+        ``zero-filled`` is what an unsynced append can leave after a host
+        crash: the file grew, but the final line's bytes never reached
+        the disk and read back as NULs.
+        """
         from repro.engine import Campaign, run_campaign
 
         campaign = Campaign(
@@ -75,7 +88,13 @@ class TestCrashTolerance:
         reference = clean_path.read_bytes()
 
         torn_path = tmp_path / "torn.jsonl"
-        torn_path.write_bytes(reference[:-30])  # crash mid-final-append
+        if tail == "torn":
+            torn_path.write_bytes(reference[:-30])  # crash mid-final-append
+        else:
+            last = reference.rstrip(b"\n").rfind(b"\n") + 1
+            torn_path.write_bytes(
+                reference[:last] + bytes(len(reference) - last)
+            )
         store = ResultStore(torn_path)
         with pytest.warns(RuntimeWarning, match="corrupt"):
             outcome = run_campaign(campaign, store=store, resume=True)
